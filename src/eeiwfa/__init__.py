@@ -6,7 +6,6 @@ inequality and contraction form, and a totally asynchronous iterative
 waterfilling simulator with Monte-Carlo experiment drivers.
 """
 
-from ._backend import USING_NUMBA
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
 from .linalg import (
     compact_svd,

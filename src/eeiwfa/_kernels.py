@@ -1,68 +1,48 @@
 """Hot numeric kernels.
 
-Everything here operates on plain float64 arrays so the functions compile
-under numba's nopython mode; the complex matrix work (EVD, SVD, solves)
-stays in the callers, where LAPACK already does the heavy lifting.
+Everything here operates on plain float64 arrays; the complex matrix work
+(EVD, SVD, solves) stays in the callers, where LAPACK already does the
+heavy lifting. The water level and the Dinkelbach iteration are exact on
+sorted prefix sums (Palomar & Fonollosa, IEEE TSP 2005; Dinkelbach 1967).
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from ._backend import jit_kernel
 
+def water_level(vals, p):
+    """Level theta with sum_k max(vals[k] + theta, 0) = p, and those powers.
 
-def _water_level_impl(vals, p):
-    # Find theta with sum_k max(vals[k] + theta, 0) = p.
-    # Bisection pins down the active set; the trace is affine in theta on
-    # that segment, so one exact solve finishes the job.
-    n = vals.shape[0]
-    powers = np.zeros(n)
-    vmax = vals[0]
-    for k in range(1, n):
-        if vals[k] > vmax:
-            vmax = vals[k]
+    With k active entries (the k largest), theta = (p - their sum) / k; the
+    active set is the largest k whose k-th largest entry stays above water.
+    ``p <= 0`` returns ``-max(vals)`` and zero powers.
+    """
     if p <= 0.0:
-        return -vmax, powers
-    lo = -vmax        # trace 0 here
-    hi = -vmax + p    # trace >= p here
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        tr = 0.0
-        for k in range(n):
-            d = vals[k] + mid
-            if d > 0.0:
-                tr += d
-        if tr < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo) + abs(hi)):
-            break
-    theta = 0.5 * (lo + hi)
-    nact = 0
-    s = 0.0
-    for k in range(n):
-        if vals[k] + theta > 0.0:
-            nact += 1
-            s += vals[k]
-    if nact == 0:
-        # p > 0 guarantees the largest entry is active at the solution.
-        nact = 1
-        s = vmax
-    theta = (p - s) / nact
-    for k in range(n):
-        d = vals[k] + theta
-        powers[k] = d if d > 0.0 else 0.0
-    return theta, powers
+        return -float(vals.max()), np.zeros(vals.shape[0])
+    s = np.sort(vals)[::-1]
+    k = np.arange(1, s.shape[0] + 1)
+    thetas = (p - np.cumsum(s)) / k
+    above = s + thetas > 0.0
+    above[0] = True   # exact for p > 0; rounding can lose it when p << |vals|
+    theta = float(thetas[np.flatnonzero(above)[-1]])
+    return theta, np.maximum(vals + theta, 0.0)
 
 
-def _dinkelbach_gains_impl(d, psi, rate0, trace0, eps, max_iters):
-    # Ratio-maximization loop on the eigen-gains d of the whitened channel.
-    # Each iterate is the waterfilling at level 1/nu, so only the gains and
-    # the running rate/trace of the iterate are needed:
-    #   1 + d_k * q_k = d_k / nu on active channels.
-    n = d.shape[0]
+def dinkelbach_gains(d, psi, rate0, trace0, eps, max_iters):
+    """Dinkelbach ratio iteration on the eigen-gains ``d`` of the whitened
+    channel; returns (trace, iterations, final gap, nu non-decreasing).
+
+    Each iterate is the waterfilling at level 1/nu, so only the gains and
+    the running rate/trace of the iterate are needed: the channels with
+    1/d_k < level are active, and on them 1 + d_k q_k = d_k level.
+    """
+    ds = np.sort(d)[::-1]
+    inv = 1.0 / ds   # ascending: the active channels are a prefix
+    cinv = np.cumsum(inv).tolist()
+    clog = np.cumsum(np.log(ds)).tolist()
+    inv = inv.tolist()
     rate = rate0
     trace = trace0
     nu_prev = 0.0
@@ -75,53 +55,35 @@ def _dinkelbach_gains_impl(d, psi, rate0, trace0, eps, max_iters):
             monotone = False
         nu_prev = nu
         level = 1.0 / nu
-        rate = 0.0
-        trace = 0.0
-        for k in range(n):
-            q = level - 1.0 / d[k]
-            if q > 0.0:
-                trace += q
-                rate += math.log(d[k] * level)
+        k = bisect_left(inv, level)
+        if k:
+            trace = k * level - cinv[k - 1]
+            rate = k * math.log(level) + clog[k - 1]
+        else:
+            trace = rate = 0.0
         delta = abs(rate - nu * (trace + psi))
         iters += 1
     return trace, iters, delta, monotone
 
 
-def _power_iteration_impl(A, tol, max_iters):
-    # Perron pair of an entrywise-nonnegative matrix. Iterating on A + I
-    # keeps periodic matrices (e.g. permutations) convergent; the shift
-    # moves every eigenvalue by exactly 1 and keeps the eigenvectors.
+def power_iteration(A, tol, max_iters):
+    """Perron pair of an entrywise-nonnegative matrix: (radius, unit vector,
+    converged).
+
+    Iterating on A + I keeps periodic matrices (e.g. permutations)
+    convergent; the shift moves every eigenvalue by exactly 1 and keeps the
+    eigenvectors.
+    """
     n = A.shape[0]
     w = np.full(n, 1.0 / math.sqrt(n))
     lam = 1.0
     converged = False
     for _ in range(max_iters):
-        v = np.zeros(n)
-        for i in range(n):
-            acc = w[i]
-            for j in range(n):
-                acc += A[i, j] * w[j]
-            v[i] = acc
-        lam = 0.0
-        for i in range(n):
-            lam += w[i] * v[i]
-        res = 0.0
-        for i in range(n):
-            r = abs(v[i] - lam * w[i])
-            if r > res:
-                res = r
-        nv = 0.0
-        for i in range(n):
-            nv += v[i] * v[i]
-        nv = math.sqrt(nv)
-        for i in range(n):
-            w[i] = v[i] / nv
+        v = w + A @ w
+        lam = float(w @ v)
+        res = float(np.abs(v - lam * w).max())
+        w = v / math.sqrt(float(v @ v))
         if res <= tol * max(1.0, abs(lam)):
             converged = True
             break
     return lam - 1.0, w, converged
-
-
-water_level = jit_kernel(_water_level_impl)
-dinkelbach_gains = jit_kernel(_dinkelbach_gains_impl)
-power_iteration = jit_kernel(_power_iteration_impl)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .best_response import DinkelbachConfig, dinkelbach_power
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
+from .iwfa import block_max_distance
 from .linalg import (
     W_FLOOR,
     compact_svd,
@@ -339,12 +340,6 @@ def _profile_frob(pa, pb):
     )))
 
 
-def _mats_frob(la, lb):
-    return float(np.sqrt(sum(
-        np.linalg.norm(a - b, "fro") ** 2 for a, b in zip(la, lb)
-    )))
-
-
 @dataclass
 class VerifierReport:
     name: str
@@ -393,7 +388,7 @@ def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     for i in range(n_pairs):
         pa = random_profile(s, rng)
         pb = random_profile(s, rng)
-        num = _mats_frob(qvi_map(s, pa), qvi_map(s, pb))
+        num = _profile_frob(qvi_map(s, pa), qvi_map(s, pb))
         den = _profile_frob(pa, pb)
         if den <= 1e-12:
             continue
@@ -519,10 +514,7 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
                 (1.0 - t) * a + t * b for a, b in zip(pa, ref)
             ])
         den_f = _profile_frob(pa, pb)
-        den_w = max(
-            float(np.linalg.norm(a - b, "fro")) / w[q]
-            for q, (a, b) in enumerate(zip(pa, pb))
-        )
+        den_w = block_max_distance(pa, pb, w)
         if den_f <= 1e-12 or den_w <= 1e-12:
             continue
         try:
@@ -563,6 +555,6 @@ def sqrtq_observed_ratio(s, player=0, seed=0):
     pb = pa.replace(player, random_covariance(
         int(s.ranks[player]), s.P[player], rng, boundary=True
     ))
-    num = _mats_frob(qvi_map(s, pa), qvi_map(s, pb))
+    num = _profile_frob(qvi_map(s, pa), qvi_map(s, pb))
     den = _profile_frob(pa, pb)
     return num / den

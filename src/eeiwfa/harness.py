@@ -4,14 +4,13 @@ Monte-Carlo criterion sweeps over an SNR/SIR grid, paired synchronous and
 asynchronous convergence runs, and the bound-verification suite. All outputs
 are seeded and byte-reproducible: CSV files start with a versioned schema
 comment, floats are written in shortest round-trip form, and row order
-follows trial indices regardless of worker count.
+follows trial indices.
 """
 
 import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .equilibrium import (
     verify_power_set_smoothness,
 )
 from .errors import CheckFailure, InvalidInputError
-from .iwfa import block_max_distance, make_schedule, run_iwfa
+from .iwfa import block_max_distance, kept_slots, make_schedule, run_iwfa
 from .model import (
     StrategyProfile,
     generate_scenario,
@@ -116,7 +115,6 @@ SWEEP_DEFAULTS = {
     "seed": 0,
     "channel_kind": "diagonal",
     "snr_convention": "per-stream",
-    "workers": 1,
 }
 
 TRIAL_HEADER = ["snr_db", "sir_db", "trial", "seed", "sr_S", "sr_Ssym",
@@ -159,18 +157,11 @@ def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
     rows = []
     cell_rows = []
     fractions = {}
-    workers = int(cfg.get("workers", 1))
     for ci, (snr, sir) in enumerate(
         (a, b) for a in snrs for b in sirs
     ):
         seeds = [_trial_seed(cfg["seed"], ci, t) for t in range(trials)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reps = list(pool.map(
-                    lambda sd: _criteria_trial(cfg, snr, sir, sd), seeds
-                ))
-        else:
-            reps = [_criteria_trial(cfg, snr, sir, sd) for sd in seeds]
+        reps = [_criteria_trial(cfg, snr, sir, sd) for sd in seeds]
         n_c = n_q = 0
         for t, (sd, rep) in enumerate(zip(seeds, reps)):
             if rep.interference_ok_qvi and not rep.interference_ok_contraction:
@@ -279,11 +270,7 @@ def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
                 ne_every=int(cfg["ne_every"]),
             )
             traces[mode] = tr
-            thin = int(cfg["thin"])
-            n = len(tr.slots)
-            for i in range(n):
-                if i % thin and i != n - 1:
-                    continue
+            for i in kept_slots(len(tr.slots), int(cfg["thin"])):
                 for q in range(rs.Q):
                     rows.append([
                         sd, mode, int(tr.slots[i]), q, float(tr.ee[i, q]),

@@ -245,21 +245,28 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     )
 
 
+def kept_slots(n, thin):
+    """Indices of an ``n``-slot trace kept when thinning: every ``thin``-th
+    slot plus the last."""
+    if thin < 1:
+        raise InvalidInputError("thin must be >= 1")
+    kept = list(range(0, n, thin))
+    if n and kept[-1] != n - 1:
+        kept.append(n - 1)
+    return kept
+
+
 def write_trace_csv(trace, path, thin=1):
     """Write a trace as CSV rows (slot, player, ee, block_residual,
     ne_residual, updated_flag), keeping every ``thin``-th slot plus the last."""
-    if thin < 1:
-        raise InvalidInputError("thin must be >= 1")
-    n = len(trace.slots)
+    kept = kept_slots(len(trace.slots), thin)
     with open(path, "w", newline="") as fh:
         fh.write("# eeiwfa trace schema v1\n")
         writer = csv.writer(fh)
         writer.writerow(
             ["slot", "player", "ee", "block_residual", "ne_residual", "updated_flag"]
         )
-        for i in range(n):
-            if i % thin and i != n - 1:
-                continue
+        for i in kept:
             slot = int(trace.slots[i])
             for q in range(trace.ee.shape[1]):
                 writer.writerow([

@@ -74,14 +74,6 @@ def test_criteria_sweep_deterministic(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-def test_criteria_sweep_workers_match_serial(tmp_path):
-    serial = str(tmp_path / "s.csv")
-    threaded = str(tmp_path / "t.csv")
-    run_criteria_sweep(SMALL_SWEEP, out=serial)
-    run_criteria_sweep({**SMALL_SWEEP, "workers": 4}, out=threaded)
-    assert open(serial, "rb").read() == open(threaded, "rb").read()
-
-
 def test_criteria_sweep_validation():
     with pytest.raises(InvalidInputError):
         run_criteria_sweep({**SMALL_SWEEP, "trials": 0}, out="unused.csv")
