@@ -13,8 +13,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, InvalidInputError
-from .linalg import hermitian_evd, hermitize, psd_trace_projection
-from .model import rate, whitened_gram
+from .linalg import _eigh_descending, hermitian_evd, hermitize, psd_trace_projection
+from .model import _rank_groups, _rates_from_grams, whitened_gram
 
 _D_TINY = 1e-30
 
@@ -72,29 +72,33 @@ def waterfill(U, D, p):
 
 
 def _gain_space(s, q, profile):
-    """Eigen-gains of the whitened gram; raises if not positive definite."""
+    """Whitened gram and its eigen-gains; raises if not positive definite."""
     G = whitened_gram(s, q, profile)
     d, U = hermitian_evd(G)
+    _check_gains(q, d)
+    return G, d, U
+
+
+def _check_gains(q, d):
     if d[-1] <= 0 and d[0] > _D_TINY:
         raise InvalidInputError(
             f"whitened gram of player {q} is not positive definite"
         )
-    return d, U
 
 
-def _initial_rate_trace(s, q, profile, d, cfg):
+def _initial_rate_trace(s, q, G, own, d, cfg):
     # nu^(1) only needs the rate and trace of the starting covariance.
     if cfg.init == "current":
-        t0 = float(np.trace(profile[q]).real)
+        t0 = float(np.trace(own).real)
         if t0 > 0:
-            return rate(s, q, profile), t0
+            return float(_rates_from_grams(G, own)), t0
     p0 = float(s.P[q])
     r = d.size
     return float(np.log1p(d * (p0 / r)).sum()), p0
 
 
-def _dinkelbach_on_gains(s, q, profile, d, cfg):
-    rate0, trace0 = _initial_rate_trace(s, q, profile, d, cfg)
+def _dinkelbach_on_gains(s, q, G, own, d, cfg):
+    rate0, trace0 = _initial_rate_trace(s, q, G, own, d, cfg)
     p_u, iters, delta, monotone = _kernels.dinkelbach_gains(
         np.ascontiguousarray(d, dtype=np.float64),
         float(s.Psi[q]), rate0, trace0, float(cfg.epsilon), int(cfg.max_iters),
@@ -121,10 +125,27 @@ def dinkelbach_power(s, q, profile, cfg=None):
     sequence is checked to be non-decreasing.
     """
     cfg = cfg or DinkelbachConfig()
-    d, _ = _gain_space(s, q, profile)
+    G, d, _ = _gain_space(s, q, profile)
     if d[0] <= _D_TINY:
         return 0.0, 0
-    return _dinkelbach_on_gains(s, q, profile, d, cfg)
+    return _dinkelbach_on_gains(s, q, G, profile[q], d, cfg)
+
+
+def _respond(s, q, G, d, U, own, cfg):
+    """Best response of player q from its whitened gram G = U diag(d) U^H
+    (d descending, already checked) and its own current covariance."""
+    if d[0] <= _D_TINY:
+        # Defensive: a vanishing channel cannot pay for its circuit power.
+        z = np.zeros((d.size, d.size), dtype=complex)
+        return BestResponseResult(z, 0.0, 0.0, 0.0, 0, zero_power=True)
+    p_u, iters = _dinkelbach_on_gains(s, q, G, own, d, cfg)
+    p_hat = min(float(s.P[q]), p_u)
+    if p_hat <= 0:
+        z = np.zeros((d.size, d.size), dtype=complex)
+        return BestResponseResult(z, p_u, 0.0, 0.0, iters, zero_power=True)
+    mu, powers = _waterfill_powers(d, p_hat)
+    Qbr = (U * powers) @ U.conj().T
+    return BestResponseResult(Qbr, p_u, p_hat, float(mu), iters)
 
 
 def best_response(s, q, profile, cfg=None):
@@ -134,19 +155,27 @@ def best_response(s, q, profile, cfg=None):
     together with the powers, water level and Dinkelbach iteration count.
     """
     cfg = cfg or DinkelbachConfig()
-    d, U = _gain_space(s, q, profile)
-    if d[0] <= _D_TINY:
-        # Defensive: a vanishing channel cannot pay for its circuit power.
-        z = np.zeros((d.size, d.size), dtype=complex)
-        return BestResponseResult(z, 0.0, 0.0, 0.0, 0, zero_power=True)
-    p_u, iters = _dinkelbach_on_gains(s, q, profile, d, cfg)
-    p_hat = min(float(s.P[q]), p_u)
-    if p_hat <= 0:
-        z = np.zeros((d.size, d.size), dtype=complex)
-        return BestResponseResult(z, p_u, 0.0, 0.0, iters, zero_power=True)
-    mu, powers = _waterfill_powers(d, p_hat)
-    Qbr = (U * powers) @ U.conj().T
-    return BestResponseResult(Qbr, p_u, p_hat, float(mu), iters)
+    G, d, U = _gain_space(s, q, profile)
+    return _respond(s, q, G, d, U, profile[q], cfg)
+
+
+def _best_responses(s, qs, grams, owns, cfg):
+    """Best responses of the players ``qs`` from their padded whitened
+    grams (one (len(qs), K, K) array, see model._whitened_grams) and their
+    own current covariances; the eigendecompositions are batched per rank."""
+    out = [None] * len(qs)
+    for k, idx in _rank_groups(s.ranks[list(qs)]):
+        G = grams[idx, :k, :k]
+        bad = np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))
+        if bad.size:
+            raise InvalidInputError(
+                f"whitened gram of player {qs[idx[bad[0]]]} has non-finite entries"
+            )
+        vals, vecs = _eigh_descending(G)
+        for i, Gi, d, U in zip(idx, G, vals, vecs):
+            _check_gains(qs[i], d)
+            out[i] = _respond(s, qs[i], Gi, d, U, owns[i], cfg)
+    return out
 
 
 def projection_best_response(s, q, profile, p_hat):
@@ -157,7 +186,7 @@ def projection_best_response(s, q, profile, p_hat):
     """
     if p_hat < 0:
         raise InvalidInputError("power must be >= 0")
-    d, U = _gain_space(s, q, profile)
+    _, d, U = _gain_space(s, q, profile)
     if d[-1] <= 0:
         raise InvalidInputError(
             f"whitened gram of player {q} is not positive definite"

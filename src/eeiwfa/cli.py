@@ -206,8 +206,11 @@ def _cmd_iwfa_run(args):
     out = harness.resolve_out(args.out or cfg.get("out"), "iwfa_trace.csv")
     write_trace_csv(trace, out, thin=int(cfg.get("thin", 1)))
     if not args.quiet:
+        final_ne = trace.ne_residual[-1] if len(trace.slots) else float("nan")
         print(f"{trace.termination} after {len(trace.slots)} slots;"
-              f" final ne residual {trace.ne_residual[-1]:.3e}")
+              f" final ne residual {final_ne:.3e}")
+        if trace.error:
+            print(f"error: {trace.error}")
         print(out)
     return EXIT_OK
 

@@ -24,7 +24,14 @@ from .linalg import (
     psd_trace_projection,
     spectral_radius,
 )
-from .model import StrategyProfile, mui_covariance
+from .model import (
+    StrategyProfile,
+    _ct,
+    _profile_stack,
+    _received_covariance,
+    _unwide,
+    _wide,
+)
 
 VARIANTS = ("exact-square", "pseudoinverse-rowrank", "sampled-columnrank")
 
@@ -51,7 +58,8 @@ class InterferenceMatrix:
 
 
 def _sigma_max_sq(M):
-    return float(np.linalg.norm(M, 2)) ** 2
+    """Squared largest singular value of a matrix or of each in a stack."""
+    return np.linalg.svd(M, compute_uv=False)[..., 0] ** 2
 
 
 def _square_direct(s, q):
@@ -72,17 +80,16 @@ def interference_matrix_square(s):
     S = np.zeros((Q, Q))
     for q in range(Q):
         Hqq = _square_direct(s, q)
-        for r in range(Q):
-            if r == q:
-                continue
-            try:
-                M = np.linalg.solve(Hqq, s.Hbar[q][r])
-            except np.linalg.LinAlgError:
-                raise InvalidInputError(
-                    f"reduced direct channel of player {q} is singular;"
-                    " use interference_matrix_sampled"
-                ) from None
-            S[q, r] = _sigma_max_sq(M)
+        n = Hqq.shape[0]
+        try:
+            M = np.linalg.solve(Hqq, _wide(s.Hbar[q].array[:, :n, :]))
+        except np.linalg.LinAlgError:
+            raise InvalidInputError(
+                f"reduced direct channel of player {q} is singular;"
+                " use interference_matrix_sampled"
+            ) from None
+        S[q] = _sigma_max_sq(_unwide(M, Q))
+        S[q, q] = 0.0
     return InterferenceMatrix(S, "exact-square")
 
 
@@ -114,7 +121,7 @@ def interference_matrix_rowrank(s):
             M = pinvs[q] @ s.H[q][r]
             if not square[r]:
                 M = M @ V1[r]
-            S[q, r] = _sigma_max_sq(M)
+            S[q, r] = float(_sigma_max_sq(M))
     return InterferenceMatrix(S, "pseudoinverse-rowrank")
 
 
@@ -184,21 +191,19 @@ def interference_matrix_sampled(s, n_samples, seed):
     Q = s.Q
     S = np.zeros((Q, Q))
     for _ in range(n_samples):
-        delta = StrategyProfile([
+        delta = _profile_stack(s, [
             random_frame_simplex_covariance(int(s.ranks[q]), s.P[q], rng)
             for q in range(Q)
         ])
         for q in range(Q):
-            R = mui_covariance(s, q, delta)
-            Hqq = s.Hbar[q][q]
-            W = np.linalg.solve(R, Hqq)
-            gram = hermitize(Hqq.conj().T @ W)
-            for r in range(Q):
-                if r == q:
-                    continue
-                T = W.conj().T @ s.Hbar[q][r]
-                G = np.linalg.solve(gram, T)
-                S[q, r] = max(S[q, r], _sigma_max_sq(G))
+            k = int(s.ranks[q])
+            R = hermitize(_received_covariance(s, q, delta))
+            A = s.Hbar[q].array
+            W = np.linalg.solve(R, A[q])[:, :k]
+            T = _wide(_ct(W) @ A)
+            G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)
+            S[q] = np.maximum(S[q], _sigma_max_sq(G))
+            S[q, q] = 0.0
     return InterferenceMatrix(S, "sampled-columnrank", n_samples=int(n_samples))
 
 
@@ -316,13 +321,12 @@ def qvi_map(s, profile):
 
     F_q = Hqq^{-1} Rn_q Hqq^{-H} + sum_r Hqq^{-1} Hqr Qbar_r Hqr^H Hqq^{-H}.
     """
+    P = _profile_stack(s, profile)
     out = []
     for q in range(s.Q):
         Hqq = _square_direct(s, q)
-        M = np.array(s.Rn[q], dtype=complex)
-        for r in range(s.Q):
-            Hqr = s.Hbar[q][r]
-            M += Hqr @ profile[r] @ Hqr.conj().T
+        n = Hqq.shape[0]
+        M = _received_covariance(s, q, P, own=True)[:n, :n]
         try:
             Y = np.linalg.solve(Hqq, M)
             F = np.linalg.solve(Hqq, Y.conj().T).conj().T

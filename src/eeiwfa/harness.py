@@ -232,6 +232,11 @@ def _conv_summary_header(Q):
             + [f"async_final_ee_{q}" for q in range(Q)])
 
 
+def _final(values):
+    # A run that ends in an error before its first slot has no last value.
+    return float(values[-1]) if len(values) else float("nan")
+
+
 def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
     """Paired synchronous/asynchronous runs over a list of scenario seeds.
 
@@ -287,11 +292,11 @@ def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
         results[sd] = {"synchronous": sync, "asynchronous": asyn,
                        "endpoint_distance": float(dist)}
         summary.append(
-            [sd, sync.termination, len(sync.slots), float(sync.ne_residual[-1]),
-             asyn.termination, len(asyn.slots), float(asyn.ne_residual[-1]),
+            [sd, sync.termination, len(sync.slots), _final(sync.ne_residual),
+             asyn.termination, len(asyn.slots), _final(asyn.ne_residual),
              float(dist)]
-            + [float(x) for x in sync.ee[-1]]
-            + [float(x) for x in asyn.ee[-1]]
+            + [_final(sync.ee[:, q]) for q in range(rs.Q)]
+            + [_final(asyn.ee[:, q]) for q in range(rs.Q)]
         )
 
     tag = "convergence schema v1"

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .best_response import DinkelbachConfig, best_response
+from .best_response import DinkelbachConfig, _best_responses
 from .errors import ConvergenceError, InvalidInputError
 from .linalg import W_FLOOR, spectral_radius
-from .model import StrategyProfile, energy_efficiency
+from .model import StrategyProfile, _profile_stack, _stack_rates, _whitened_grams
 
 SUSTAIN_SLOTS = 5        # consecutive below-tolerance slots before stopping
 OSC_WINDOW = 50          # residual history inspected for periodic recurrence
@@ -119,14 +119,67 @@ class IwfaTrace:
     meta: dict = field(default_factory=dict)
 
 
+class _Evaluation:
+    """One strategy profile evaluated for every player at once.
+
+    The whitened grams of all players come from one batched pass and give
+    every player's EE; best responses are computed from them on demand,
+    in one batch, and kept, so the NE residual of a slot's profile is also
+    the next slot's set of zero-delay updates.
+    """
+
+    def __init__(self, s, profile):
+        self.s = s
+        self.profile = profile
+        self.stack = _profile_stack(s, profile)
+        self._grams = None
+        self._brs = [None] * s.Q
+
+    def grams(self):
+        if self._grams is None:
+            qs = range(self.s.Q)
+            self._grams = _whitened_grams(self.s, qs, [self.stack] * self.s.Q)
+        return self._grams
+
+    def energy_efficiencies(self):
+        rates = _stack_rates(self.s, self.grams(), self.stack)
+        traces = np.trace(self.stack, axis1=1, axis2=2).real
+        return rates / (self.s.Psi + traces)
+
+    def best_responses(self, qs, cfg):
+        todo = [q for q in qs if self._brs[q] is None]
+        if todo:
+            brs = _best_responses(
+                self.s, todo, self.grams()[todo], [self.profile[q] for q in todo], cfg
+            )
+            for q, br in zip(todo, brs):
+                self._brs[q] = br
+        return [self._brs[q] for q in qs]
+
+    def ne_residual(self, cfg):
+        brs = self.best_responses(range(self.s.Q), cfg)
+        return max(
+            float(np.linalg.norm(m - br.Qbr, "fro"))
+            for m, br in zip(self.profile, brs)
+        )
+
+
 def ne_residual(s, profile, cfg=None):
     """max_q ||Qbar_q - BR_q(Qbar_{-q})||_F; ~0 exactly at an equilibrium."""
-    cfg = cfg or DinkelbachConfig()
-    worst = 0.0
-    for q in range(s.Q):
-        br = best_response(s, q, profile, cfg)
-        worst = max(worst, float(np.linalg.norm(profile[q] - br.Qbr, "fro")))
-    return worst
+    return _Evaluation(s, profile).ne_residual(cfg or DinkelbachConfig())
+
+
+def _delayed_responses(s, qs, t, ages, history, profile, cfg):
+    """Best responses of players ``qs`` to their delayed measurements:
+    player q sees player r as it was ``ages[q, r]`` slots ago (clipped to
+    the first slot) and itself as it is now."""
+    past = np.stack(history)
+    last = len(past) - 1
+    players = np.arange(s.Q)
+    # entry q of each gathered stack is never read: the MUI skips r = q
+    stacks = [past[np.maximum(t - ages[q], 0) - t + last, players] for q in qs]
+    grams = _whitened_grams(s, qs, stacks)
+    return _best_responses(s, qs, grams, [profile[q] for q in qs], cfg)
 
 
 def _oscillating(residuals, tol):
@@ -163,6 +216,12 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     ``ne_every`` controls how often the equilibrium residual is evaluated
     (0 = final slot only); ``snapshot_every`` thins stored profile
     snapshots (0 = none).
+
+    Arguments are validated before the first slot and raise. A
+    ConvergenceError or InvalidInputError raised while a slot is evaluated
+    (say, a numerically singular MUI covariance) ends the run with
+    termination "error" and the message in ``error``; that slot is not
+    recorded.
     """
     cfg = cfg or DinkelbachConfig()
     profile = init.copy() if init is not None else StrategyProfile.uniform(s)
@@ -172,8 +231,9 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         raise InvalidInputError("weights must be Q positive numbers")
     rng = np.random.default_rng(schedule.seed if schedule.seed is not None else seed)
 
-    history = deque(maxlen=schedule.d_max + 1)
-    history.append(profile)
+    evaluation = _Evaluation(s, profile)
+    history = deque(maxlen=schedule.d_max + 1)   # profile stacks, newest last
+    history.append(evaluation.stack)
     slots, ees, residuals, nes, upds = [], [], [], [], []
     snapshots = {}
     termination = "max_slots"
@@ -182,39 +242,46 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
 
     for t in range(max_slots):
         mask, ages = schedule.draw_slot(t, rng)
-        new_mats = list(profile.mats)
+        slot = t + 1
+        # A player measures the current profile when every age it sees is
+        # zero (always at the first slot): its update is the best response
+        # already computed, or now computed, for the current evaluation.
+        stale = ages > 0
+        np.fill_diagonal(stale, False)
+        stale = stale.any(axis=1) & (t > 0)
+        updating = np.flatnonzero(mask).tolist()
+        current = [q for q in updating if not stale[q]]
+        delayed = [q for q in updating if stale[q]]
         try:
-            for q in range(s.Q):
-                if not mask[q]:
-                    continue
-                measured = list(profile.mats)
-                for r in range(s.Q):
-                    if r == q:
-                        continue
-                    tau = max(t - int(ages[q, r]), 0)
-                    idx = tau - t + len(history) - 1
-                    measured[r] = history[idx][r]
-                br = best_response(s, q, StrategyProfile(measured), cfg)
+            new_mats = list(profile.mats)
+            for q, br in zip(current, evaluation.best_responses(current, cfg)):
                 new_mats[q] = br.Qbr
-        except ConvergenceError as exc:
+            if delayed:
+                brs = _delayed_responses(s, delayed, t, ages, history, profile, cfg)
+                for q, br in zip(delayed, brs):
+                    new_mats[q] = br.Qbr
+            new_evaluation = _Evaluation(s, StrategyProfile(new_mats))
+            ee = new_evaluation.energy_efficiencies()
+            if ne_every and slot % ne_every == 0:
+                ne = new_evaluation.ne_residual(cfg)
+            else:
+                ne = float("nan")
+        except (ConvergenceError, InvalidInputError) as exc:
             termination = "error"
             error = str(exc)
             break
-        new_profile = StrategyProfile(new_mats)
-        slot = t + 1
+        new_profile = new_evaluation.profile
         r_t = block_max_distance(new_profile, profile, w)
         slots.append(slot)
         residuals.append(r_t)
-        ees.append([energy_efficiency(s, q, new_profile) for q in range(s.Q)])
-        if ne_every and slot % ne_every == 0:
-            nes.append(ne_residual(s, new_profile, cfg))
-        else:
-            nes.append(float("nan"))
+        ees.append(ee)
+        nes.append(ne)
         upds.append(mask.copy())
         if snapshot_every and slot % snapshot_every == 0:
             snapshots[slot] = new_profile.copy()
-        history.append(new_profile)
+        history.append(new_evaluation.stack)
         profile = new_profile
+        evaluation = new_evaluation
 
         # quiet asynchronous slots (nobody updated) have zero residual by
         # construction; they must not advance the convergence streak
@@ -228,7 +295,11 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
             break
 
     if nes and np.isnan(nes[-1]) and termination != "error":
-        nes[-1] = ne_residual(s, profile, cfg)
+        try:
+            nes[-1] = evaluation.ne_residual(cfg)
+        except (ConvergenceError, InvalidInputError) as exc:
+            termination = "error"
+            error = str(exc)
     return IwfaTrace(
         slots=np.asarray(slots, dtype=int),
         ee=np.asarray(ees, dtype=float).reshape(len(slots), s.Q),

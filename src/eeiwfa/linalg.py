@@ -45,8 +45,9 @@ def check_hermitian(A, tol=HERMITIAN_TOL):
 
 
 def hermitize(A):
-    """Return the Hermitian part (A + A^H) / 2."""
-    return 0.5 * (A + A.conj().T)
+    """Return the Hermitian part (A + A^H) / 2 of a matrix or of each matrix
+    in a stack."""
+    return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
 def hermitian_evd(A, tol=HERMITIAN_TOL):
@@ -57,9 +58,16 @@ def hermitian_evd(A, tol=HERMITIAN_TOL):
     degenerate eigenspaces come back in LAPACK's basis unchanged.
     """
     A = check_hermitian(A, tol)
-    vals, vecs = np.linalg.eigh(hermitize(A))
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+    return _eigh_descending(hermitize(A))
+
+
+def _eigh_descending(A):
+    """``np.linalg.eigh`` of a Hermitian matrix or stack, eigenvalues
+    descending with ties kept in LAPACK's order."""
+    vals, vecs = np.linalg.eigh(A)
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    return (np.take_along_axis(vals, order, axis=-1),
+            np.take_along_axis(vecs, order[..., None, :], axis=-1))
 
 
 def compact_svd(A, rank_tol=RANK_TOL):

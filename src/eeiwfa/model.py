@@ -175,11 +175,38 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     )
 
 
+class ChannelStack:
+    """The reduced channels into one receiver q, stacked over transmitters.
+
+    ``array`` is one frozen (Q, N, K) array, N the largest receive dimension
+    and K the largest rank of the game: entry r holds Hbar_qr in its top-left
+    nR_q x ranks[r] block and zeros elsewhere. ``stack[r]`` is that block, a
+    view with the exact shape of Hbar_qr.
+    """
+
+    def __init__(self, array, nR, ranks):
+        self.array = _freeze(array)
+        self._nR = int(nR)
+        self._ranks = ranks
+
+    def __len__(self):
+        return self.array.shape[0]
+
+    def __getitem__(self, r):
+        return self.array[r, : self._nR, : self._ranks[r]]
+
+
 @dataclass
 class ReducedScenario:
     """The full-column-rank game obtained by dropping the direct channels'
     null directions: Hbar[q][r] = H[q][r] @ V1[r], with V1[q] the right
-    factor of the compact SVD of H[q][q] and ranks[q] its rank."""
+    factor of the compact SVD of H[q][q] and ranks[q] its rank.
+
+    ``Hbar[q]`` is receiver q's :class:`ChannelStack`. ``Rn_stack`` holds the
+    noise covariances padded to (Q, N, N) with identity and ``direct`` the
+    direct channels padded to (Q, N, K) with zeros, so that every player's
+    covariance, Cholesky factor and gram is one slice of a batched array.
+    """
 
     Q: int
     ranks: np.ndarray
@@ -188,6 +215,8 @@ class ReducedScenario:
     Rn: list
     P: np.ndarray
     Psi: np.ndarray
+    Rn_stack: np.ndarray
+    direct: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -205,13 +234,22 @@ def reduce_scenario(s):
             raise InvalidInputError(f"player {q} has a zero direct channel")
         V1.append(_freeze(v1.copy()))
         ranks.append(r)
-    Hbar = [
-        [_freeze(s.H[q][r] @ V1[r]) for r in range(s.Q)]
-        for q in range(s.Q)
-    ]
+    ranks = np.asarray(ranks, dtype=int)
+    N, K = int(s.nR.max()), int(ranks.max())
+    Hbar = []
+    Rn_stack = np.zeros((s.Q, N, N), dtype=complex)
+    for q in range(s.Q):
+        n = s.nR[q]
+        A = np.zeros((s.Q, N, K), dtype=complex)
+        for r in range(s.Q):
+            A[r, :n, : ranks[r]] = s.H[q][r] @ V1[r]
+        Hbar.append(ChannelStack(A, n, ranks))
+        Rn_stack[q] = np.eye(N)
+        Rn_stack[q, :n, :n] = s.Rn[q]
+    direct = np.stack([Hbar[q].array[q] for q in range(s.Q)])
     return ReducedScenario(
-        Q=s.Q, ranks=np.asarray(ranks, dtype=int), Hbar=Hbar, V1=V1,
-        Rn=s.Rn, P=s.P, Psi=s.Psi, meta=dict(s.meta),
+        Q=s.Q, ranks=ranks, Hbar=Hbar, V1=V1, Rn=s.Rn, P=s.P, Psi=s.Psi,
+        Rn_stack=_freeze(Rn_stack), direct=_freeze(direct), meta=dict(s.meta),
     )
 
 
@@ -272,15 +310,105 @@ class StrategyProfile:
         return self
 
 
+# --- batched evaluation ----------------------------------------------------
+#
+# Every evaluator below works on zero-padded stacks: a profile is one
+# (Q, K, K) array, a receiver's covariance one (N, N) slice padded with
+# identity. The padding is exact (it adds zero terms and identity blocks)
+# and is sliced away before anything leaves this module; the public
+# single-player functions are views of the same batched formulas.
+
+def _ct(A):
+    """Conjugate transpose of a matrix or of a stack of matrices."""
+    return A.conj().swapaxes(-1, -2)
+
+
+def _wide(A):
+    """(Q, m, k) stack as the m x (Q k) matrix [A_0 | A_1 | ...]."""
+    return A.transpose(1, 0, 2).reshape(A.shape[1], -1)
+
+
+def _unwide(M, Q):
+    """Inverse of :func:`_wide`."""
+    return M.reshape(M.shape[0], Q, -1).transpose(1, 0, 2)
+
+
+def _profile_stack(s, mats):
+    """The covariances ``mats`` of a reduced scenario's players, zero-padded
+    into one (Q, K, K) array."""
+    K = s.direct.shape[2]
+    P = np.zeros((len(mats), K, K), dtype=complex)
+    for q, m in enumerate(mats):
+        r = m.shape[0]
+        P[q, :r, :r] = m
+    return P
+
+
+def _received_covariance(s, q, P, own=False):
+    """Rn_q + sum_r Hbar_qr P_r Hbar_qr^H at receiver q, over r != q (all r
+    with ``own``), for a (Q, K, K) profile stack ``P``; (N, N), identity
+    beyond nR_q, not yet hermitized."""
+    A = s.Hbar[q].array
+    T = A @ P
+    if not own:
+        T[q] = 0.0
+    return s.Rn_stack[q] + _wide(T) @ _ct(_wide(A))
+
+
+def _whitened_grams(s, qs, stacks):
+    """Whitened grams Hbar_qq^H R_q^{-1} Hbar_qq of the players ``qs``, each
+    at its own (Q, K, K) profile stack; one (len(qs), K, K) array, zero
+    beyond each player's rank."""
+    N = s.Rn_stack.shape[1]
+    R = np.empty((len(qs), N, N), dtype=complex)
+    for i, (q, P) in enumerate(zip(qs, stacks)):
+        R[i] = _received_covariance(s, q, P)
+    R = hermitize(R)
+    try:
+        L = np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        for q, Rq in zip(qs, R):
+            try:
+                np.linalg.cholesky(Rq)
+            except np.linalg.LinAlgError:
+                raise InvalidInputError(
+                    f"MUI covariance of player {q} is numerically singular"
+                ) from None
+        raise
+    X = np.linalg.solve(L, s.direct[list(qs)])
+    return hermitize(_ct(X) @ X)
+
+
+def _rank_groups(ranks):
+    """(rank, indices) for each distinct value in ``ranks``."""
+    ranks = np.asarray(ranks)
+    for k in sorted(set(ranks.tolist())):
+        yield k, np.flatnonzero(ranks == k)
+
+
+def _rates_from_grams(G, own):
+    """log det(I + G Qbar) for stacked grams and own covariances of one
+    size, from the eigenvalues of the symmetrized G^(1/2) Qbar G^(1/2)."""
+    d, U = np.linalg.eigh(G)
+    Ghalf = (U * np.sqrt(np.maximum(d, 0.0))[..., None, :]) @ _ct(U)
+    lam = np.linalg.eigvalsh(hermitize(Ghalf @ own @ Ghalf))
+    return np.log1p(np.maximum(lam, 0.0)).sum(axis=-1)
+
+
+def _stack_rates(s, G, P):
+    """Rates of all players from their padded grams ``G`` and the padded
+    profile stack ``P`` (both (Q, K, K))."""
+    out = np.empty(s.Q)
+    for k, idx in _rank_groups(s.ranks):
+        out[idx] = _rates_from_grams(G[idx, :k, :k], P[idx, :k, :k])
+    return out
+
+
 def mui_covariance(s, q, profile):
     """Interference-plus-noise covariance at receiver q."""
-    R = np.array(s.Rn[q], dtype=complex)
-    for r in range(s.Q):
-        if r == q:
-            continue
-        Hqr = s.Hbar[q][r]
-        R += Hqr @ profile[r] @ Hqr.conj().T
-    return hermitize(R)
+    n = s.Rn[q].shape[0]
+    R = _received_covariance(s, q, _profile_stack(s, profile))
+    return hermitize(R[:n, :n])
 
 
 def whitened_gram(s, q, profile):
@@ -289,15 +417,8 @@ def whitened_gram(s, q, profile):
     Returns Hbar_qq^H R^{-1} Hbar_qq, positive definite whenever the
     reduced direct channel has full column rank.
     """
-    R = mui_covariance(s, q, profile)
-    try:
-        L = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        raise InvalidInputError(
-            f"MUI covariance of player {q} is numerically singular"
-        ) from None
-    X = np.linalg.solve(L, s.Hbar[q][q])
-    return hermitize(X.conj().T @ X)
+    r = s.ranks[q]
+    return _whitened_grams(s, [q], [_profile_stack(s, profile)])[0, :r, :r]
 
 
 def rate(s, q, profile):
@@ -306,12 +427,7 @@ def rate(s, q, profile):
     log det(I + G Qbar) evaluated through the eigenvalues of the symmetrized
     product G^(1/2) Qbar G^(1/2).
     """
-    G = whitened_gram(s, q, profile)
-    d, U = np.linalg.eigh(G)
-    Ghalf = (U * np.sqrt(np.maximum(d, 0.0))) @ U.conj().T
-    M = hermitize(Ghalf @ profile[q] @ Ghalf)
-    lam = np.linalg.eigvalsh(M)
-    return float(np.log1p(np.maximum(lam, 0.0)).sum())
+    return float(_rates_from_grams(whitened_gram(s, q, profile), profile[q]))
 
 
 def energy_efficiency(s, q, profile):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,17 @@ def test_iwfa_run_byte_identical(tmp_path, scenario_file):
     assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
 
+@pytest.mark.parametrize("config,slots", [
+    ("benchmark.json", 24),
+    ("benchmark_async.json", 83),
+])
+def test_iwfa_run_shipped_configs_slot_counts(tmp_path, capsys, config, slots):
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    out = str(tmp_path / "trace.csv")
+    assert cli(["iwfa", "run", "--config", str(path), "--out", out]) == EXIT_OK
+    assert f"converged after {slots} slots" in capsys.readouterr().out
+
+
 def test_verify_lemmas_exit_codes(tmp_path):
     cfg = str(tmp_path / "lem.json")
     json.dump({
@@ -125,9 +138,14 @@ def test_missing_config_file_is_validation_error():
 
 
 def test_console_entry_point():
+    # the child finds the package where this process found it, installed or not
+    import eeiwfa
+
+    src = str(Path(eeiwfa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "eeiwfa.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "scenario" in proc.stdout

@@ -11,6 +11,7 @@ from eeiwfa.equilibrium import (
     interference_matrix_sampled,
     interference_matrix_square,
     qvi_map,
+    random_frame_simplex_covariance,
     random_profile,
     sqrtq_observed_ratio,
     verify_lipschitz,
@@ -391,3 +392,41 @@ def test_criteria_attaches_smoothness_estimate():
     assert "power_smoothness" in rep.to_dict()
     with pytest.raises(InvalidInputError):
         criteria(None, S, smoothness_cfg=PowerSmoothnessConfig(n_pairs=2))
+
+
+def test_ragged_qvi_map_and_interference_matrices_match_per_pair_formulas(rng):
+    from test_model import assert_close, plain_mui, ragged_scenario
+
+    # unequal nT and nR with square reduced direct channels of sizes 2, 2, 3
+    rs = reduce_scenario(ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 2, 3], ranks=[2, 2, 3]))
+    mats = [random_psd(rng, int(r), trace=1.0) for r in rs.ranks]
+    F = qvi_map(rs, StrategyProfile(mats))
+    S = interference_matrix_square(rs).S
+    want_S = np.zeros((3, 3))
+    for q in range(3):
+        Hqq = rs.Hbar[q][q]
+        Hinv = np.linalg.inv(Hqq)
+        M = plain_mui(rs, q, mats) + Hqq @ mats[q] @ Hqq.conj().T
+        assert_close(F[q], Hinv @ M @ Hinv.conj().T)
+        for r in range(3):
+            if r != q:
+                want_S[q, r] = np.linalg.norm(Hinv @ rs.Hbar[q][r], 2) ** 2
+    assert_close(S, want_S)
+
+    # rank-deficient and tall channels: the sampled variant per sample
+    rs = reduce_scenario(ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4]))
+    got = interference_matrix_sampled(rs, n_samples=3, seed=11).S
+    draw = np.random.default_rng(11)
+    want = np.zeros((3, 3))
+    for _ in range(3):
+        delta = [random_frame_simplex_covariance(int(r), p, draw)
+                 for r, p in zip(rs.ranks, rs.P)]
+        for q in range(3):
+            Rinv = np.linalg.inv(plain_mui(rs, q, delta))
+            Hqq = rs.Hbar[q][q]
+            gram_inv = np.linalg.inv(Hqq.conj().T @ Rinv @ Hqq)
+            for r in range(3):
+                if r != q:
+                    G = gram_inv @ Hqq.conj().T @ Rinv @ rs.Hbar[q][r]
+                    want[q, r] = max(want[q, r], np.linalg.norm(G, 2) ** 2)
+    assert_close(got, want)

@@ -103,6 +103,32 @@ def test_convergence_experiment_summary(tmp_path):
     assert modes == {"synchronous", "asynchronous"}
 
 
+def test_convergence_experiment_records_a_failed_seed(tmp_path, monkeypatch):
+    # A singular MUI covariance in one seed's runs is that seed's outcome,
+    # not the end of the batch.
+    import eeiwfa.harness as harness
+    from test_iwfa import singular_mui_scenario
+
+    real = harness.generate_scenario
+    monkeypatch.setattr(
+        harness, "generate_scenario",
+        lambda **kw: singular_mui_scenario() if kw["seed"] == 1 else real(**kw),
+    )
+    cfg = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 15.0, "power": 2.0,
+           "seeds": [0, 1, 2], "max_slots": 200}
+    res = run_convergence_experiment(cfg, out=str(tmp_path / "conv.csv"))
+    _, sheader, summary = read_csv(res["summary_out"])
+    si = {name: i for i, name in enumerate(sheader)}
+    assert [row[0] for row in summary] == ["0", "1", "2"]
+    for row in summary:
+        failed = row[0] == "1"
+        for mode in ("sync", "async"):
+            want = "error" if failed else "converged"
+            assert row[si[f"{mode}_termination"]] == want
+        assert (float(row[si["sync_final_ee_0"]]) > 0.0) != failed
+    assert "numerically singular" in res["results"][1]["synchronous"].error
+
+
 def test_lemma_suite_passes_on_default_style_config():
     cfg = {
         "scenario": {"Q": 4, "n": 2, "snr_db": 7.0, "sir_db": 20.0, "seed": 2},

@@ -12,6 +12,7 @@ from eeiwfa.iwfa import (
 )
 from eeiwfa.model import (
     StrategyProfile,
+    energy_efficiency,
     generate_scenario,
     reduce_scenario,
     scenario_from_matrices,
@@ -169,6 +170,93 @@ def test_error_termination_records_message():
     trace = run_iwfa(rs, make_schedule("synchronous", 1), max_slots=10, cfg=cfg)
     assert trace.termination == "error"
     assert trace.error
+
+
+def singular_mui_scenario():
+    # Cross channels 1e8 * (all ones) over noise 1e-300 * I: every MUI
+    # covariance is rank one to working precision.
+    cross = 1e8 * np.ones((2, 1)) @ np.ones((1, 2))
+    H = [[np.eye(2), cross], [cross, np.eye(2)]]
+    return scenario_from_matrices(H, [1e-300 * np.eye(2)] * 2, [2.0] * 2, [1.0] * 2)
+
+
+def test_singular_mui_mid_run_is_a_recorded_error():
+    rs = reduce_scenario(singular_mui_scenario())
+    trace = run_iwfa(rs, make_schedule("synchronous", 2), max_slots=10)
+    assert trace.termination == "error"
+    assert "MUI covariance of player 0 is numerically singular" in trace.error
+    assert len(trace.slots) == 0 and trace.ee.shape == (0, 2)
+
+
+def test_input_validation_before_the_loop_still_raises():
+    rs = reduce_scenario(singular_mui_scenario())
+    over_budget = StrategyProfile([3.0 * np.eye(2), np.eye(2)])
+    with pytest.raises(InvalidInputError):
+        run_iwfa(rs, make_schedule("synchronous", 2), init=over_budget)
+
+
+def test_synchronous_run_computes_each_best_response_once(monkeypatch):
+    # The NE residual of slot t's profile is the set of updates of slot
+    # t + 1, so T slots need Q (T + 1) Dinkelbach solves, not 2 Q T.
+    import eeiwfa._kernels as kernels
+
+    calls = []
+    real = kernels.dinkelbach_gains
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "dinkelbach_gains", counted)
+    Q = 4
+    rs = reduce_scenario(generate_scenario(Q, 3, 7.0, 5.0, seed=3))
+    trace = run_iwfa(rs, make_schedule("synchronous", Q), max_slots=200, ne_every=1)
+    assert trace.termination == "converged"
+    assert 0 < len(calls) <= Q * (len(trace.slots) + 1)
+
+
+def plain_run(rs, schedule, slots, cfg):
+    """The engine's slot loop written per player: every update, EE and NE
+    residual evaluated from scratch against the measured profile."""
+    rng = np.random.default_rng(schedule.seed)
+    profiles = [StrategyProfile.uniform(rs)]   # profiles[k]: after k slots
+    ees, nes = [], []
+    for t in range(slots):
+        mask, ages = schedule.draw_slot(t, rng)
+        now = profiles[-1]
+        mats = list(now.mats)
+        for q in np.flatnonzero(mask):
+            measured = [
+                now[q] if r == q else profiles[max(t - int(ages[q, r]), 0)][r]
+                for r in range(rs.Q)
+            ]
+            mats[q] = best_response(rs, q, StrategyProfile(measured), cfg).Qbr
+        new = StrategyProfile(mats)
+        profiles.append(new)
+        ees.append([energy_efficiency(rs, q, new) for q in range(rs.Q)])
+        nes.append(max(
+            np.linalg.norm(new[q] - best_response(rs, q, new, cfg).Qbr, "fro")
+            for q in range(rs.Q)
+        ))
+    return np.array(ees), np.array(nes)
+
+
+@pytest.mark.parametrize("mode,params,init", [
+    ("synchronous", None, "uniform"),
+    ("sequential", None, "current"),
+    ("asynchronous", {"rho": 0.6, "d_max": 2}, "uniform"),
+    ("asynchronous", {"rho": 0.6, "d_max": 2}, "current"),
+])
+def test_batched_slots_match_the_per_player_loop(mode, params, init):
+    rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
+    sched = make_schedule(mode, 4, params, seed=5)
+    cfg = DinkelbachConfig(init=init)
+    slots = 12
+    trace = run_iwfa(rs, sched, max_slots=slots, residual_tol=-1.0, cfg=cfg, seed=5)
+    assert len(trace.slots) == slots
+    ees, nes = plain_run(rs, sched, slots, cfg)
+    assert np.abs(trace.ee - ees).max() <= 1e-12 * np.abs(ees).max()
+    assert np.abs(trace.ne_residual - nes).max() <= 1e-10
 
 
 def test_ne_residual_values():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from eeiwfa.best_response import DinkelbachConfig
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.model import (
     StrategyProfile,
@@ -320,3 +321,89 @@ def test_scenario_dict_rejects_garbage():
         scenario_from_dict({"Q": 2})
     d = scenario_to_dict(generate_scenario(2, 2, 7.0, 0.0, seed=0))
     assert json.dumps(d)  # JSON-serializable
+
+
+# --- ragged shapes: the padded batch against plain per-pair formulas ---------------
+
+def ragged_scenario(rng, nT, nR, ranks):
+    """Random scenario with direct channel q of rank ``ranks[q]``."""
+    Q = len(nT)
+    H = [[crandn(rng, nR[q], nT[r]) for r in range(Q)] for q in range(Q)]
+    for q in range(Q):
+        H[q][q] = crandn(rng, nR[q], ranks[q]) @ crandn(rng, ranks[q], nT[q])
+    Rn = [np.eye(nR[q]) + random_psd(rng, nR[q], trace=0.5) for q in range(Q)]
+    return scenario_from_matrices(H, Rn, [2.0, 3.0, 4.0][:Q], [1.0] * Q)
+
+
+def plain_mui(rs, q, mats):
+    R = np.array(rs.Rn[q], dtype=complex)
+    for r in range(rs.Q):
+        if r != q:
+            R += rs.Hbar[q][r] @ mats[r] @ rs.Hbar[q][r].conj().T
+    return R
+
+
+def assert_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def test_ragged_batch_matches_per_pair_formulas(rng):
+    from eeiwfa.model import (
+        _profile_stack,
+        _received_covariance,
+        _stack_rates,
+        _whitened_grams,
+    )
+
+    # unequal nT and nR; player 1's 3x2 direct channel has rank 1
+    s = ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4])
+    rs = reduce_scenario(s)
+    assert list(rs.ranks) == [2, 1, 4]
+    N, K = 4, 4
+    mats = [random_psd(rng, int(r), trace=1.0) for r in rs.ranks]
+    P = _profile_stack(rs, mats)
+    grams = _whitened_grams(rs, range(3), [P] * 3)
+    assert grams.shape == (3, K, K)
+    plain_grams = []
+    for q in range(3):
+        n, k = s.nR[q], rs.ranks[q]
+        for r in range(3):
+            assert rs.Hbar[q][r].shape == (n, rs.ranks[r])
+            assert_close(rs.Hbar[q][r], s.H[q][r] @ rs.V1[r])
+        assert rs.Hbar[q].array.shape == (3, N, K)
+        R = plain_mui(rs, q, mats)
+        padded = _received_covariance(rs, q, P)
+        assert_close(padded[:n, :n], R)
+        assert np.array_equal(padded[n:, n:], np.eye(N - n))
+        assert not padded[:n, n:].any() and not padded[n:, :n].any()
+        assert_close(mui_covariance(rs, q, StrategyProfile(mats)), R)
+        Hqq = rs.Hbar[q][q]
+        G = Hqq.conj().T @ np.linalg.solve(R, Hqq)
+        plain_grams.append(G)
+        assert_close(grams[q, :k, :k], G)
+        assert not grams[q, k:].any() and not grams[q, :, k:].any()
+        assert_close(whitened_gram(rs, q, StrategyProfile(mats)), G)
+    plain_rates = np.array([
+        np.linalg.slogdet(np.eye(len(m)) + G @ m)[1]
+        for G, m in zip(plain_grams, mats)
+    ])
+    assert_close(_stack_rates(rs, grams, P), plain_rates)
+    assert_close(
+        np.array([rate(rs, q, StrategyProfile(mats)) for q in range(3)]), plain_rates
+    )
+
+
+def test_ragged_batched_best_responses_match_single_player(rng):
+    from eeiwfa.best_response import best_response
+    from eeiwfa.iwfa import _Evaluation
+
+    s = ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4])
+    rs = reduce_scenario(s)
+    prof = StrategyProfile([random_psd(rng, int(r), trace=1.0) for r in rs.ranks])
+    batched = _Evaluation(rs, prof).best_responses(range(3), DinkelbachConfig())
+    for q, br in enumerate(batched):
+        single = best_response(rs, q, prof)
+        assert br.Qbr.shape == (rs.ranks[q],) * 2
+        assert_close(br.Qbr, single.Qbr, rel=1e-9)
+        assert br.dinkelbach_iters == single.dinkelbach_iters
