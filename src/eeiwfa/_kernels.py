@@ -15,19 +15,28 @@ import numpy as np
 def water_level(vals, p):
     """Level theta with sum_k max(vals[k] + theta, 0) = p, and those powers.
 
-    With k active entries (the k largest), theta = (p - their sum) / k; the
-    active set is the largest k whose k-th largest entry stays above water.
-    ``p <= 0`` returns ``-max(vals)`` and zero powers.
+    ``vals`` is one row of n values or a stack (..., n) of rows, ``p`` the
+    budget of each row (a scalar or shape (...)); theta has the budgets'
+    broadcast shape. With k active entries (the k largest), theta = (p -
+    their sum) / k; the active set is the largest k whose k-th largest
+    entry stays above water. A row with ``p <= 0`` gets ``-max(vals)`` and
+    zero powers.
     """
-    if p <= 0.0:
-        return -float(vals.max()), np.zeros(vals.shape[0])
-    s = np.sort(vals)[::-1]
-    k = np.arange(1, s.shape[0] + 1)
-    thetas = (p - np.cumsum(s)) / k
+    p = np.asarray(p, dtype=np.float64)
+    s = np.sort(vals, axis=-1)[..., ::-1]
+    n = s.shape[-1]
+    thetas = (p[..., None] - np.cumsum(s, axis=-1)) / np.arange(1, n + 1)
     above = s + thetas > 0.0
-    above[0] = True   # exact for p > 0; rounding can lose it when p << |vals|
-    theta = float(thetas[np.flatnonzero(above)[-1]])
-    return theta, np.maximum(vals + theta, 0.0)
+    above[..., 0] = True   # exact for p > 0; rounding can lose it when p << |vals|
+    last = n - 1 - np.argmax(above[..., ::-1], axis=-1)
+    theta = np.take_along_axis(thetas, last[..., None], axis=-1)
+    powers = np.maximum(vals + theta, 0.0)
+    theta = theta[..., 0]
+    dry = p <= 0.0
+    if dry.any():
+        theta = np.where(dry, -s[..., 0], theta)
+        powers = np.where(dry[..., None], 0.0, powers)
+    return theta[()], powers
 
 
 def dinkelbach_gains(d, psi, rate0, trace0, eps, max_iters):

@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConvergenceError, InvalidInputError
 from .linalg import _eigh_descending, hermitian_evd, hermitize, psd_trace_projection
-from .model import _rank_groups, _rates_from_grams, whitened_gram
+from .model import _ct, _rank_groups, _rates_from_grams, whitened_gram
 
 _D_TINY = 1e-30
 
@@ -45,11 +45,9 @@ class BestResponseResult:
 
 
 def _waterfill_powers(D, p):
-    """Per-eigenchannel powers (mu - 1/d_k)^+ with trace exactly p."""
-    mu, powers = _kernels.water_level(
-        np.ascontiguousarray(-1.0 / D, dtype=np.float64), float(p)
-    )
-    return mu, powers
+    """Per-eigenchannel powers (mu - 1/d_k)^+ with trace exactly p, for one
+    row of gains or a stack of rows with one budget each."""
+    return _kernels.water_level(-1.0 / np.asarray(D, dtype=np.float64), p)
 
 
 def waterfill(U, D, p):
@@ -131,21 +129,32 @@ def dinkelbach_power(s, q, profile, cfg=None):
     return _dinkelbach_on_gains(s, q, G, profile[q], d, cfg)
 
 
-def _respond(s, q, G, d, U, own, cfg):
-    """Best response of player q from its whitened gram G = U diag(d) U^H
-    (d descending, already checked) and its own current covariance."""
-    if d[0] <= _D_TINY:
+def _respond(s, qs, G, D, U, owns, cfg):
+    """Best responses of the players ``qs``, all of one rank, from their
+    stacked whitened grams G = U diag(D) U^H (each D descending, not yet
+    checked) and their own current covariances; the covariances come from
+    one stacked waterfilling."""
+    k = D.shape[-1]
+    p_u = np.zeros(len(qs))
+    p_hat = np.zeros(len(qs))
+    iters = [0] * len(qs)
+    for i, q in enumerate(qs):
+        _check_gains(q, D[i])
         # Defensive: a vanishing channel cannot pay for its circuit power.
-        z = np.zeros((d.size, d.size), dtype=complex)
-        return BestResponseResult(z, 0.0, 0.0, 0.0, 0, zero_power=True)
-    p_u, iters = _dinkelbach_on_gains(s, q, G, own, d, cfg)
-    p_hat = min(float(s.P[q]), p_u)
-    if p_hat <= 0:
-        z = np.zeros((d.size, d.size), dtype=complex)
-        return BestResponseResult(z, p_u, 0.0, 0.0, iters, zero_power=True)
-    mu, powers = _waterfill_powers(d, p_hat)
-    Qbr = (U * powers) @ U.conj().T
-    return BestResponseResult(Qbr, p_u, p_hat, float(mu), iters)
+        if D[i, 0] > _D_TINY:
+            p_u[i], iters[i] = _dinkelbach_on_gains(s, q, G[i], owns[i], D[i], cfg)
+            p_hat[i] = min(float(s.P[q]), p_u[i])
+    live = np.flatnonzero(p_hat > 0)
+    mu, powers = _waterfill_powers(D[live], p_hat[live])
+    Qbr = (U[live] * powers[:, None, :]) @ _ct(U[live])
+    out = [None] * len(qs)
+    for j, i in enumerate(live):
+        out[i] = BestResponseResult(Qbr[j], float(p_u[i]), float(p_hat[i]),
+                                    float(mu[j]), iters[i])
+    for i in np.flatnonzero(p_hat <= 0):
+        out[i] = BestResponseResult(np.zeros((k, k), dtype=complex), float(p_u[i]),
+                                    0.0, 0.0, iters[i], zero_power=True)
+    return out
 
 
 def best_response(s, q, profile, cfg=None):
@@ -156,13 +165,14 @@ def best_response(s, q, profile, cfg=None):
     """
     cfg = cfg or DinkelbachConfig()
     G, d, U = _gain_space(s, q, profile)
-    return _respond(s, q, G, d, U, profile[q], cfg)
+    return _respond(s, [q], G[None], d[None], U[None], [profile[q]], cfg)[0]
 
 
 def _best_responses(s, qs, grams, owns, cfg):
     """Best responses of the players ``qs`` from their padded whitened
     grams (one (len(qs), K, K) array, see model._whitened_grams) and their
-    own current covariances; the eigendecompositions are batched per rank."""
+    own current covariances; eigendecompositions and waterfillings are
+    batched per rank."""
     out = [None] * len(qs)
     for k, idx in _rank_groups(s.ranks[list(qs)]):
         G = grams[idx, :k, :k]
@@ -172,9 +182,10 @@ def _best_responses(s, qs, grams, owns, cfg):
                 f"whitened gram of player {qs[idx[bad[0]]]} has non-finite entries"
             )
         vals, vecs = _eigh_descending(G)
-        for i, Gi, d, U in zip(idx, G, vals, vecs):
-            _check_gains(qs[i], d)
-            out[i] = _respond(s, qs[i], Gi, d, U, owns[i], cfg)
+        group = _respond(s, [qs[i] for i in idx], G, vals, vecs,
+                         [owns[i] for i in idx], cfg)
+        for i, res in zip(idx, group):
+            out[i] = res
     return out
 
 

@@ -18,20 +18,27 @@ from .errors import CheckFailure, ConvergenceError, InvalidInputError
 from .iwfa import block_max_distance
 from .linalg import (
     W_FLOOR,
+    _psd_trace_projections,
     compact_svd,
     hermitize,
     pseudo_inverse,
-    psd_trace_projection,
     spectral_radius,
 )
 from .model import (
     StrategyProfile,
+    _complex_to_lists,
     _ct,
     _profile_stack,
+    _rank_groups,
     _received_covariance,
     _unwide,
     _wide,
 )
+
+# Samples the verifiers evaluate per batched step: large enough to amortize
+# the per-call overhead of the stacked numpy calls, small enough that the
+# stacks add little to the peak memory.
+_CHUNK = 16
 
 VARIANTS = ("exact-square", "pseudoinverse-rowrank", "sampled-columnrank")
 
@@ -73,21 +80,25 @@ def _square_direct(s, q):
     return Hqq
 
 
+def _solve_direct(s, q, B):
+    """Hbar_qq^{-1} B for player q's square reduced direct channel."""
+    Hqq = _square_direct(s, q)
+    try:
+        return np.linalg.solve(Hqq, B)
+    except np.linalg.LinAlgError:
+        raise InvalidInputError(
+            f"reduced direct channel of player {q} is singular"
+        ) from None
+
+
 def interference_matrix_square(s):
     """Exact interference matrix for square nonsingular direct channels:
     entry (q, r) = sigma_max^2(Hbar_qq^{-1} Hbar_qr)."""
     Q = s.Q
     S = np.zeros((Q, Q))
     for q in range(Q):
-        Hqq = _square_direct(s, q)
-        n = Hqq.shape[0]
-        try:
-            M = np.linalg.solve(Hqq, _wide(s.Hbar[q].array[:, :n, :]))
-        except np.linalg.LinAlgError:
-            raise InvalidInputError(
-                f"reduced direct channel of player {q} is singular;"
-                " use interference_matrix_sampled"
-            ) from None
+        n = s.Hbar[q][q].shape[0]
+        M = _solve_direct(s, q, _wide(s.Hbar[q].array[:, :n, :]))
         S[q] = _sigma_max_sq(_unwide(M, Q))
         S[q, q] = 0.0
     return InterferenceMatrix(S, "exact-square")
@@ -135,16 +146,66 @@ def haar_unitary(n, rng):
     return Qm * (d / np.abs(d))
 
 
+def _draw_offsets(ranks):
+    """Where each player's block starts in a row of raw normal draws: its
+    r x r real parts, then its r x r imaginary parts, players in order."""
+    return np.cumsum([0] + [2 * r * r for r in ranks])
+
+
+def _gaussians(Z, ranks, idx, k):
+    """The complex k x k Gaussian matrices of the players ``idx`` (all of
+    rank k) from rows ``Z`` (..., n_draws) of raw normal draws; one
+    (..., len(idx), k, k) stack."""
+    off = _draw_offsets(ranks)
+    z = np.stack([Z[..., off[q] : off[q + 1]] for q in idx], axis=-2)
+    z = z.reshape(Z.shape[:-1] + (len(idx), 2, k, k))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _random_covariances(rng, ranks, P, count, boundary=False):
+    """``count`` Wishart profiles of players with ``ranks`` and budgets
+    ``P``, in the stream order of ``count`` calls of :func:`random_profile`;
+    one (count, Q, K, K) stack, zero-padded beyond each player's rank.
+
+    Only the draws are made one player at a time (one call for the whole
+    stack on the boundary, where no uniform draw sits between them); A A^H
+    and the trace scaling are batched per rank.
+    """
+    ranks = [int(r) for r in ranks]
+    Q, K = len(ranks), max(ranks)
+    off = _draw_offsets(ranks)
+    Z = np.empty((count, off[-1]))
+    target = np.empty((count, Q))
+    if boundary:
+        rng.standard_normal(out=Z)
+        target[:] = P
+    else:
+        for m in range(count):
+            for q in range(Q):
+                rng.standard_normal(out=Z[m, off[q] : off[q + 1]])
+                target[m, q] = rng.uniform(0.0, P[q])
+    out = np.zeros((count, Q, K, K), dtype=complex)
+    for k, idx in _rank_groups(ranks):
+        B = _gaussians(Z, ranks, idx, k)
+        M = B @ _ct(B)
+        tr = np.trace(M, axis1=-2, axis2=-1).real
+        t = target[:, idx]
+        M *= np.divide(t, tr, out=np.zeros_like(t), where=tr > 0)[..., None, None]
+        dry = tr <= 0
+        M[dry] = (t[dry] / k)[:, None, None] * np.eye(k)
+        out[:, idx, :k, :k] = M
+    return out
+
+
+def _unpad(s, P):
+    """The players' blocks of one padded (Q, K, K) profile stack."""
+    return [P[q, :r, :r] for q, r in enumerate(s.ranks)]
+
+
 def random_covariance(r, p, rng, boundary=False):
     """Random PSD matrix A A^H scaled to a random trace in [0, p]
     (or exactly p on the boundary)."""
-    A = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    M = A @ A.conj().T
-    target = float(p) if boundary else float(rng.uniform(0.0, p))
-    tr = float(np.trace(M).real)
-    if tr <= 0:
-        return (target / r) * np.eye(r, dtype=complex)
-    return (target / tr) * M
+    return _random_covariances(rng, [r], [float(p)], 1, boundary)[0, 0]
 
 
 def random_frame_simplex_covariance(r, p, rng):
@@ -157,21 +218,15 @@ def random_frame_simplex_covariance(r, p, rng):
 
 def random_profile(s, rng, boundary=False, rule="wishart"):
     """Random feasible strategy profile of the reduced game."""
-    mats = []
-    for q in range(s.Q):
-        r = int(s.ranks[q])
-        if rule == "wishart":
-            mats.append(random_covariance(r, s.P[q], rng, boundary=boundary))
-        elif rule == "frame-simplex":
-            mats.append(random_frame_simplex_covariance(r, s.P[q], rng))
-        else:
-            raise InvalidInputError(f"unknown sampling rule {rule!r}")
-    return StrategyProfile(mats)
-
-
-def random_hermitian(n, rng, scale=1.0):
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * hermitize(A)
+    if rule == "wishart":
+        P = _random_covariances(rng, s.ranks, s.P, 1, boundary)[0]
+        return StrategyProfile(_unpad(s, P))
+    if rule == "frame-simplex":
+        return StrategyProfile([
+            random_frame_simplex_covariance(int(s.ranks[q]), s.P[q], rng)
+            for q in range(s.Q)
+        ])
+    raise InvalidInputError(f"unknown sampling rule {rule!r}")
 
 
 def interference_matrix_sampled(s, n_samples, seed):
@@ -315,33 +370,59 @@ def criteria(s, S, smoothness_cfg=None):
 
 # --- the linear QVI mapping and its verified properties ---------------------
 
+def _qvi_operator(s):
+    """The QVI mapping's data, computed once per scenario (square channels
+    only): C_q = Hqq^{-1} Rn_q Hqq^{-H} as a (Q, K, K) stack and X_qr =
+    Hqq^{-1} Hbar_qr as a (Q, Q, K, K) array, both zero-padded."""
+    Q, K = s.Q, s.direct.shape[2]
+    C = np.zeros((Q, K, K), dtype=complex)
+    X = np.zeros((Q, Q, K, K), dtype=complex)
+    for q in range(Q):
+        n = s.Hbar[q][q].shape[0]
+        Y = _solve_direct(s, q, np.hstack([s.Rn[q], _wide(s.Hbar[q].array[:, :n, :])]))
+        C[q, :n, :n] = _ct(_solve_direct(s, q, _ct(Y[:, :n])))
+        X[q, :, :n, :] = _unwide(Y[:, n:], Q)
+    return C, X
+
+
+def _qvi_apply(op, P):
+    """F of each padded profile in an (M, Q, K, K) stack: for every receiver
+    q, C_q + sum_r X_qr P_r X_qr^H, the sum over the transmitters r taken
+    inside one wide product as in model._received_covariance.
+
+    The profiles sit side by side, so each receiver costs Q products of
+    K x (M K) blocks and one (M K) x (Q K) by (Q K) x K product.
+    """
+    C, X = op
+    M, Q, K = P.shape[0], C.shape[0], C.shape[-1]
+    # Pw[r] = [P_r of profile 0 | P_r of profile 1 | ...], K x (M K)
+    Pw = P.transpose(1, 2, 0, 3).reshape(Q, K, M * K)
+    F = np.empty(P.shape, dtype=complex)
+    for q in range(Q):
+        # row (m, a), column (r, c): (X_qr P_r)[a, c] of profile m
+        T = (X[q] @ Pw).reshape(Q, K, M, K).transpose(2, 1, 0, 3)
+        F[:, q] = C[q] + (T.reshape(M * K, Q * K) @ _ct(_wide(X[q]))).reshape(M, K, K)
+    return hermitize(F)
+
+
 def qvi_map(s, profile):
     """The affine per-player mapping F_q whose variational inequality on the
     full-power sets characterizes the equilibria (square channels only):
 
     F_q = Hqq^{-1} Rn_q Hqq^{-H} + sum_r Hqq^{-1} Hqr Qbar_r Hqr^H Hqq^{-H}.
     """
-    P = _profile_stack(s, profile)
-    out = []
-    for q in range(s.Q):
-        Hqq = _square_direct(s, q)
-        n = Hqq.shape[0]
-        M = _received_covariance(s, q, P, own=True)[:n, :n]
-        try:
-            Y = np.linalg.solve(Hqq, M)
-            F = np.linalg.solve(Hqq, Y.conj().T).conj().T
-        except np.linalg.LinAlgError:
-            raise InvalidInputError(
-                f"reduced direct channel of player {q} is singular"
-            ) from None
-        out.append(hermitize(F))
-    return out
+    return _unpad(s, _qvi_apply(_qvi_operator(s), _profile_stack(s, profile)[None])[0])
 
 
 def _profile_frob(pa, pb):
     return float(np.sqrt(sum(
         np.linalg.norm(a - b, "fro") ** 2 for a, b in zip(pa, pb)
     )))
+
+
+def _stack_frob(D):
+    """Frobenius norm of each padded profile in a (..., Q, K, K) stack."""
+    return np.sqrt((D.real ** 2 + D.imag ** 2).sum(axis=(-3, -2, -1)))
 
 
 @dataclass
@@ -372,36 +453,50 @@ class VerifierReport:
         }
 
 
-def _witness(index, pa, pb):
-    from .model import _complex_to_lists
-
+def _witness(s, index, pa, pb):
     return {
         "pair_index": int(index),
-        "profile_a": [_complex_to_lists(m) for m in pa],
-        "profile_b": [_complex_to_lists(m) for m in pb],
+        "profile_a": [_complex_to_lists(m) for m in _unpad(s, pa)],
+        "profile_b": [_complex_to_lists(m) for m in _unpad(s, pb)],
     }
+
+
+def _pair_chunks(s, n_pairs, rng, boundary):
+    """(first pair index, Pa, Pb) for the sampled profile pairs in chunks of
+    at most _CHUNK; Pa and Pb are padded (m, Q, K, K) stacks drawn in the
+    order pa_0, pb_0, pa_1, ... of a per-pair loop."""
+    for start in range(0, n_pairs, _CHUNK):
+        m = min(_CHUNK, n_pairs - start)
+        D = _random_covariances(rng, s.ranks, s.P, 2 * m, boundary)
+        yield start, D[0::2], D[1::2]
 
 
 def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     """Sample profile pairs and check the Lipschitz bound
-    ||F(Q) - F(Q')||_F <= sigma_max(I + S) ||Q - Q'||_F."""
+    ||F(Q) - F(Q')||_F <= sigma_max(I + S) ||Q - Q'||_F.
+
+    Pairs are evaluated in batched chunks; the report names the first
+    violating pair in sample order, as a per-pair loop would.
+    """
     S = interference_matrix_square(s)
     L = float(np.linalg.norm(np.eye(s.Q) + S.S, 2))
+    op = _qvi_operator(s)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
-    for i in range(n_pairs):
-        pa = random_profile(s, rng)
-        pb = random_profile(s, rng)
-        num = _profile_frob(qvi_map(s, pa), qvi_map(s, pb))
-        den = _profile_frob(pa, pb)
-        if den <= 1e-12:
-            continue
-        max_ratio = max(max_ratio, num / den)
-        if num > L * den + slack:
+    for start, Pa, Pb in _pair_chunks(s, n_pairs, rng, boundary=False):
+        num = _stack_frob(_qvi_apply(op, Pa) - _qvi_apply(op, Pb))
+        den = _stack_frob(Pa - Pb)
+        used = den > 1e-12
+        ratio = np.divide(num, den, out=np.zeros_like(num), where=used)
+        bad = np.flatnonzero(used & (num > L * den + slack))
+        if bad.size:
+            j = bad[0]
             return VerifierReport(
-                "lipschitz", "violation", i + 1, L, num / den, slack,
-                witness=_witness(i, pa, pb),
+                "lipschitz", "violation", start + j + 1, L, float(ratio[j]), slack,
+                witness=_witness(s, start + j, Pa[j], Pb[j]),
             )
+        if used.any():
+            max_ratio = max(max_ratio, float(ratio[used].max()))
     return VerifierReport("lipschitz", "ok", n_pairs, L, max_ratio, slack)
 
 
@@ -411,6 +506,8 @@ def verify_monotonicity(s, n_pairs=500, seed=0, slack=1e-9):
 
     The bound is stated on the full-power boundary and only certifies a
     unique equilibrium when sr(S^s) < 1; above that the check is skipped.
+    Pairs are evaluated in batched chunks; the report names the first
+    violating pair in sample order.
     """
     S = interference_matrix_square(s)
     sr_sym, _, _ = spectral_radius(0.5 * (S.S + S.S.T))
@@ -420,63 +517,77 @@ def verify_monotonicity(s, n_pairs=500, seed=0, slack=1e-9):
             "monotonicity", "skipped", 0, mu, float("nan"), slack,
             notes=f"sr(S^s) = {sr_sym:.6g} >= 1: bound gives no certificate",
         )
+    op = _qvi_operator(s)
     rng = np.random.default_rng(seed)
     min_margin = float("inf")
-    for i in range(n_pairs):
-        pa = random_profile(s, rng, boundary=True)
-        pb = random_profile(s, rng, boundary=True)
-        fa = qvi_map(s, pa)
-        fb = qvi_map(s, pb)
-        inner = sum(
-            float(np.trace((x - y).conj().T @ (a - b)).real)
-            for x, y, a, b in zip(fa, fb, pa, pb)
-        )
-        dist2 = _profile_frob(pa, pb) ** 2
-        margin = inner - mu * dist2
-        min_margin = min(min_margin, margin)
-        if margin < -slack:
+    for start, Pa, Pb in _pair_chunks(s, n_pairs, rng, boundary=True):
+        dF = _qvi_apply(op, Pa) - _qvi_apply(op, Pb)
+        dP = Pa - Pb
+        inner = (dF.real * dP.real + dF.imag * dP.imag).sum(axis=(-3, -2, -1))
+        margin = inner - mu * _stack_frob(dP) ** 2
+        bad = np.flatnonzero(margin < -slack)
+        if bad.size:
+            j = bad[0]
             return VerifierReport(
-                "monotonicity", "violation", i + 1, mu, margin, slack,
-                witness=_witness(i, pa, pb),
+                "monotonicity", "violation", start + j + 1, mu, float(margin[j]),
+                slack, witness=_witness(s, start + j, Pa[j], Pb[j]),
             )
+        min_margin = min(min_margin, float(margin.min()))
     return VerifierReport("monotonicity", "ok", n_pairs, mu, min_margin, slack)
 
 
 def verify_power_set_smoothness(s, n_triples=500, seed=0, slack=1e-9):
     """Check that projections onto full-power sets move at most as fast as
     the powers: per player ||[Y]_{tr=p} - [Y]_{tr=p'}||_F <= |p - p'| and
-    in aggregate the Euclidean norm of the power difference."""
+    in aggregate the Euclidean norm of the power difference.
+
+    Triples are evaluated in batched chunks, each Y projected onto both
+    traces from one eigendecomposition; the report names the first
+    violation in sample order (within a triple, players before the
+    aggregate)."""
     rng = np.random.default_rng(seed)
+    ranks = [int(r) for r in s.ranks]
+    n_draws = _draw_offsets(ranks)[-1]
+    scale = np.maximum(1.0, s.P)
     worst = 0.0
-    for i in range(n_triples):
-        ys = [
-            random_hermitian(int(s.ranks[q]), rng, scale=max(1.0, float(s.P[q])))
-            for q in range(s.Q)
-        ]
-        pa = rng.uniform(0.0, s.P)
-        pb = rng.uniform(0.0, s.P)
-        dists = np.empty(s.Q)
-        for q in range(s.Q):
-            proj_a = psd_trace_projection(ys[q], pa[q])
-            proj_b = psd_trace_projection(ys[q], pb[q])
-            dists[q] = np.linalg.norm(proj_a - proj_b, "fro")
-            if dists[q] > abs(pa[q] - pb[q]) + slack:
+    for start in range(0, n_triples, _CHUNK):
+        m = min(_CHUNK, n_triples - start)
+        Z = np.empty((m, n_draws))
+        pab = np.empty((m, 2, s.Q))
+        for i in range(m):
+            rng.standard_normal(out=Z[i])
+            pab[i] = rng.uniform(0.0, s.P, size=(2, s.Q))
+        pa, pb = pab[:, 0], pab[:, 1]
+        dists = np.empty((m, s.Q))
+        for k, idx in _rank_groups(ranks):
+            Yk = scale[idx][:, None, None] * hermitize(_gaussians(Z, ranks, idx, k))
+            proj = _psd_trace_projections(Yk, np.stack([pa[:, idx], pb[:, idx]]))
+            dists[:, idx] = np.linalg.norm(proj[0] - proj[1], axis=(-2, -1))
+        gap = np.abs(pa - pb)
+        player_bad = dists > gap + slack
+        total = np.linalg.norm(dists, axis=1)
+        bound = np.linalg.norm(pa - pb, axis=1)
+        bad = np.flatnonzero(player_bad.any(axis=1) | (total > bound + slack))
+        if bad.size:
+            j = bad[0]
+            i = start + j
+            if player_bad[j].any():
+                q = int(np.flatnonzero(player_bad[j])[0])
                 return VerifierReport(
                     "power-set-smoothness", "violation", i + 1, 1.0,
-                    float(dists[q] / max(abs(pa[q] - pb[q]), 1e-300)), slack,
+                    float(dists[j, q] / max(gap[j, q], 1e-300)), slack,
                     witness={"triple_index": i, "player": q,
-                             "p_a": float(pa[q]), "p_b": float(pb[q])},
+                             "p_a": float(pa[j, q]), "p_b": float(pb[j, q])},
                 )
-        total = float(np.linalg.norm(dists))
-        bound = float(np.linalg.norm(pa - pb))
-        if total > bound + slack:
             return VerifierReport(
                 "power-set-smoothness", "violation", i + 1, 1.0,
-                total / max(bound, 1e-300), slack,
-                witness={"triple_index": i, "p_a": pa.tolist(), "p_b": pb.tolist()},
+                float(total[j] / max(bound[j], 1e-300)), slack,
+                witness={"triple_index": i, "p_a": pa[j].tolist(),
+                         "p_b": pb[j].tolist()},
             )
-        if bound > 1e-12:
-            worst = max(worst, total / bound)
+        moved = bound > 1e-12
+        if moved.any():
+            worst = max(worst, float((total[moved] / bound[moved]).max()))
     return VerifierReport("power-set-smoothness", "ok", n_triples, 1.0, worst, slack)
 
 

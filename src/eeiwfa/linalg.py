@@ -29,19 +29,27 @@ def as_complex_matrix(A):
 def check_hermitian(A, tol=HERMITIAN_TOL):
     """Validate that ``A`` is square and Hermitian within ``tol`` (relative)."""
     A = as_complex_matrix(A)
-    m, n = A.shape
+    _check_hermitian_stack(A, tol)
+    return A
+
+
+def _check_hermitian_stack(A, tol=HERMITIAN_TOL):
+    """:func:`check_hermitian` on a finite matrix or on each matrix of a
+    stack, each relative to its own largest entry."""
+    m, n = A.shape[-2:]
     if m != n:
         raise InvalidInputError(f"matrix is {m}x{n}, not square")
-    if n == 0:
-        return A
-    scale = max(1.0, float(np.abs(A).max()))
-    dev = float(np.abs(A - A.conj().T).max())
-    if dev > tol * scale:
+    if A.size == 0:
+        return
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = dev > tol * scale
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
         raise InvalidInputError(
-            f"matrix is not Hermitian: max |A - A^H| = {dev:.3e} "
+            f"matrix is not Hermitian: max |A - A^H| = {dev.flat[first]:.3e} "
             f"exceeds {tol:.1e} relative"
         )
-    return A
 
 
 def hermitize(A):
@@ -103,16 +111,28 @@ def psd_trace_projection(A, p, tol=HERMITIAN_TOL):
     ``U (diag(lam) + theta I)^+ U^H`` with theta the unique shift that makes
     the trace ``p``. ``p = 0`` gives the zero matrix.
     """
-    if p < 0:
-        raise InvalidInputError(f"target trace must be >= 0, got {p}")
-    A = check_hermitian(A, tol)
-    if A.shape[0] == 0:
-        return A.copy()
+    A = as_complex_matrix(A)
+    return _psd_trace_projections(A[None], np.asarray(p, dtype=float)[None], tol)[0]
+
+
+def _psd_trace_projections(A, p, tol=HERMITIAN_TOL):
+    """:func:`psd_trace_projection` of a finite (..., n, n) stack onto the
+    traces ``p``, which broadcast against the stack shape ``A.shape[:-2]``.
+    Leading axes of ``p`` beyond the stack's project the same matrices onto
+    several traces with one eigendecomposition each."""
+    p = np.asarray(p, dtype=float)
+    bad = np.flatnonzero(p < 0)
+    if bad.size:
+        raise InvalidInputError(
+            f"target trace must be >= 0, got {p.flat[bad[0]]}"
+        )
+    _check_hermitian_stack(A, tol)
+    if A.shape[-1] == 0:
+        shape = np.broadcast_shapes(p.shape, A.shape[:-2]) + A.shape[-2:]
+        return np.zeros(shape, dtype=complex)
     vals, vecs = np.linalg.eigh(hermitize(A))
-    _, powers = _kernels.water_level(
-        np.ascontiguousarray(vals, dtype=np.float64), float(p)
-    )
-    return (vecs * powers) @ vecs.conj().T
+    _, powers = _kernels.water_level(vals, p)
+    return (vecs * powers[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def realify(Z):

@@ -260,3 +260,27 @@ def test_dinkelbach_warm_start_matches_uniform():
     p_cold, _ = dinkelbach_power(rs, 0, prof, DinkelbachConfig())
     p_warm, _ = dinkelbach_power(rs, 0, prof, DinkelbachConfig(init="current"))
     assert abs(p_cold - p_warm) <= 1e-8
+
+
+def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):
+    from eeiwfa import _kernels
+    from eeiwfa.iwfa import _Evaluation
+
+    rs = reduce_scenario(generate_scenario(6, 3, 7.0, 5.0, seed=2))
+    prof = StrategyProfile.uniform(rs, fraction=0.5)
+    shapes = []
+    water_level = _kernels.water_level
+
+    def counted(vals, p):
+        shapes.append(np.shape(vals))
+        return water_level(vals, p)
+
+    monkeypatch.setattr(_kernels, "water_level", counted)
+    batched = _Evaluation(rs, prof).best_responses(range(6), DinkelbachConfig())
+    assert shapes == [(6, 3)]
+    monkeypatch.undo()
+    for q, br in enumerate(batched):
+        single = best_response(rs, q, prof)
+        assert np.abs(br.Qbr - single.Qbr).max() <= 1e-12 * np.abs(single.Qbr).max()
+        assert (br.p_hat, br.dinkelbach_iters) == (single.p_hat, single.dinkelbach_iters)
+        assert br.water_level == pytest.approx(single.water_level, rel=1e-12)

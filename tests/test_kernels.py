@@ -58,6 +58,24 @@ def test_water_level_without_budget_is_dry(vals, p):
     assert np.all(powers == 0.0)
 
 
+@settings(deadline=None)
+@given(st.integers(1, 8),
+       st.lists(st.tuples(st.lists(tied, min_size=8, max_size=8),
+                          st.sampled_from([-1.0, 0.0, 1e-9, 0.5, 2.0, 40.0])),
+                min_size=1, max_size=6))
+def test_stacked_water_level_equals_one_row_at_a_time(n, rows):
+    # Rows with ties, dry rows (p <= 0) and n = 1 all take the same path.
+    vals = np.array([v[:n] for v, _ in rows])
+    p = np.array([b for _, b in rows])
+    theta, powers = _kernels.water_level(vals, p)
+    assert theta.shape == p.shape and powers.shape == vals.shape
+    for i in range(len(rows)):
+        t1, p1 = _kernels.water_level(vals[i], p[i])
+        assert isinstance(t1, float)
+        assert t1 == theta[i]
+        assert np.array_equal(p1, powers[i])
+
+
 def _dinkelbach_oracle(d, psi, rate, trace, eps, max_iters):
     # Plain loop over every gain at every iteration.
     nu_prev = 0.0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.linalg import (
+    _psd_trace_projections,
     compact_svd,
     complexify,
     hermitian_evd,
@@ -180,6 +182,38 @@ def test_projection_matches_oracle_and_is_nearest(rng):
         for _ in range(50):
             cand = random_psd(rng, n, trace=p)
             assert np.linalg.norm(cand - A, "fro") >= base - 1e-9
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 6), st.integers(1, 5), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_stacked_projection_equals_single_projections(n, m, copies, seed, with_zeros):
+    # Leading trace axes project the same stack onto several traces.
+    rng = np.random.default_rng(seed)
+    A = np.stack([random_hermitian(rng, n, scale=3.0) for _ in range(m)]) if n else \
+        np.zeros((m, 0, 0), dtype=complex)
+    p = rng.uniform(0.0, 5.0, size=(copies, m))
+    if with_zeros:
+        p[0, 0] = 0.0
+    out = _psd_trace_projections(A, p)
+    assert out.shape == (copies, m, n, n)
+    for c in range(copies):
+        for i in range(m):
+            assert np.array_equal(out[c, i], psd_trace_projection(A[i], p[c, i]))
+
+
+def test_stacked_projection_rejects_what_the_single_one_rejects(rng):
+    A = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    with pytest.raises(InvalidInputError, match="target trace must be >= 0, got -0.5"):
+        _psd_trace_projections(A, np.array([1.0, 2.0, -0.5, 1.0]))
+    bad = A.copy()
+    bad[2, 0, 1] += 1.0
+    for call in (lambda: _psd_trace_projections(bad, np.ones(4)),
+                 lambda: psd_trace_projection(bad[2], 1.0)):
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            call()
+    with pytest.raises(InvalidInputError, match="not square"):
+        _psd_trace_projections(np.zeros((2, 2, 3)), np.ones(2))
 
 
 # --- realify / complexify ------------------------------------------------------
