@@ -75,16 +75,15 @@ def dinkelbach_gains(d, psi, rate0, trace0, eps, max_iters):
     return trace, iters, delta, monotone
 
 
-def power_iteration(A, tol, max_iters):
-    """Perron pair of an entrywise-nonnegative matrix: (radius, unit vector,
-    converged).
+def power_iteration(A, w, tol, max_iters):
+    """Perron pair of an entrywise-nonnegative matrix from the nonzero start
+    vector ``w``: (radius, unit vector, converged).
 
     Iterating on A + I keeps periodic matrices (e.g. permutations)
     convergent; the shift moves every eigenvalue by exactly 1 and keeps the
     eigenvectors.
     """
-    n = A.shape[0]
-    w = np.full(n, 1.0 / math.sqrt(n))
+    w = w / math.sqrt(float(w @ w))
     lam = 1.0
     converged = False
     for _ in range(max_iters):

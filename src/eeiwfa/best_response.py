@@ -115,6 +115,16 @@ def _dinkelbach_on_gains(s, q, G, own, d, cfg):
     return float(p_u), int(iters)
 
 
+def _unconstrained_power(s, q, G, own, d, cfg):
+    """(p_u, iterations) of player q from its whitened gram ``G`` and its
+    eigen-gains ``d`` (descending, not yet checked)."""
+    _check_gains(q, d)
+    # Defensive: a vanishing channel cannot pay for its circuit power.
+    if d[0] <= _D_TINY:
+        return 0.0, 0
+    return _dinkelbach_on_gains(s, q, G, own, d, cfg)
+
+
 def dinkelbach_power(s, q, profile, cfg=None):
     """Unconstrained EE-optimal power of player q, with iteration count.
 
@@ -123,10 +133,9 @@ def dinkelbach_power(s, q, profile, cfg=None):
     sequence is checked to be non-decreasing.
     """
     cfg = cfg or DinkelbachConfig()
-    G, d, _ = _gain_space(s, q, profile)
-    if d[0] <= _D_TINY:
-        return 0.0, 0
-    return _dinkelbach_on_gains(s, q, G, profile[q], d, cfg)
+    G = whitened_gram(s, q, profile)
+    d, _ = hermitian_evd(G)
+    return _unconstrained_power(s, q, G, profile[q], d, cfg)
 
 
 def _respond(s, qs, G, D, U, owns, cfg):
@@ -139,11 +148,8 @@ def _respond(s, qs, G, D, U, owns, cfg):
     p_hat = np.zeros(len(qs))
     iters = [0] * len(qs)
     for i, q in enumerate(qs):
-        _check_gains(q, D[i])
-        # Defensive: a vanishing channel cannot pay for its circuit power.
-        if D[i, 0] > _D_TINY:
-            p_u[i], iters[i] = _dinkelbach_on_gains(s, q, G[i], owns[i], D[i], cfg)
-            p_hat[i] = min(float(s.P[q]), p_u[i])
+        p_u[i], iters[i] = _unconstrained_power(s, q, G[i], owns[i], D[i], cfg)
+        p_hat[i] = min(float(s.P[q]), p_u[i])
     live = np.flatnonzero(p_hat > 0)
     mu, powers = _waterfill_powers(D[live], p_hat[live])
     Qbr = (U[live] * powers[:, None, :]) @ _ct(U[live])

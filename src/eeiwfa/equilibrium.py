@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .best_response import DinkelbachConfig, dinkelbach_power
+from .best_response import DinkelbachConfig, _unconstrained_power
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
 from .iwfa import block_max_distance
 from .linalg import (
@@ -32,6 +32,7 @@ from .model import (
     _rank_groups,
     _received_covariance,
     _unwide,
+    _whitened_grams,
     _wide,
 )
 
@@ -98,8 +99,9 @@ def interference_matrix_square(s):
     S = np.zeros((Q, Q))
     for q in range(Q):
         n = s.Hbar[q][q].shape[0]
-        M = _solve_direct(s, q, _wide(s.Hbar[q].array[:, :n, :]))
-        S[q] = _sigma_max_sq(_unwide(M, Q))
+        M = _unwide(_solve_direct(s, q, _wide(s.Hbar[q].array[:, :n, :])), Q)
+        # sigma_max^2(M) is the largest eigenvalue of the K x K gram M^H M
+        S[q] = np.linalg.eigvalsh(_ct(M) @ M)[:, -1]
         S[q, q] = 0.0
     return InterferenceMatrix(S, "exact-square")
 
@@ -612,10 +614,15 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
     skipped = 0
 
     def powers_of(profile):
+        # one batched gram and one eigh per rank; Dinkelbach per player
+        G = _whitened_grams(s, range(s.Q), [_profile_stack(s, profile)] * s.Q)
         vals = np.empty(s.Q)
-        for q in range(s.Q):
-            p_u, _ = dinkelbach_power(s, q, profile, cfg.dinkelbach)
-            vals[q] = min(float(s.P[q]), p_u)
+        for k, idx in _rank_groups(s.ranks):
+            Gk = G[idx, :k, :k]
+            D = np.linalg.eigvalsh(Gk)[:, ::-1]
+            for q, Gq, d in zip(idx, Gk, D):
+                p_u, _ = _unconstrained_power(s, q, Gq, profile[q], d, cfg.dinkelbach)
+                vals[q] = min(float(s.P[q]), p_u)
         return vals
 
     for i in range(cfg.n_pairs):

@@ -169,10 +169,32 @@ def complexify(R, tol=1e-12):
     return a + 1j * b
 
 
+def _perron_start(A, w_floor):
+    """Start vector of the Perron power iteration: the modulus of the dense
+    eigenvector of the eigenvalue with the largest real part when every
+    entry of it is above ``w_floor`` (an irreducible matrix, where it is the
+    Perron vector up to rounding), else the all-ones vector.
+
+    A reducible matrix keeps the all-ones start, because its weights are the
+    limit of the iteration from there (e.g. spread over equal blocks), not
+    whichever eigenvector LAPACK returns.
+    """
+    ones = np.ones(A.shape[0])
+    try:
+        vals, vecs = np.linalg.eig(A)
+    except np.linalg.LinAlgError:   # non-finite entries, or no convergence
+        return ones
+    w = np.abs(vecs[:, np.argmax(vals.real)])
+    w /= np.linalg.norm(w)
+    return w if w.min() > w_floor else ones
+
+
 def spectral_radius(A, tol=1e-13, max_iters=20000, w_floor=W_FLOOR):
     """Spectral radius and right Perron vector of a nonnegative matrix.
 
-    Power iteration from the all-ones vector (deterministic). Returns
+    Power iteration from a dense eigenvector when that is positive, else
+    from the all-ones vector (deterministic either way); the radius, the
+    convergence test and the flags are those of the iteration. Returns
     ``(sr, w, degenerate)`` with ``w > 0`` and ``||w||_2 = 1``; the flag is
     set when the iteration failed to converge, the radius is zero, or the
     Perron vector has (near-)zero entries, in which case the weights are
@@ -186,8 +208,9 @@ def spectral_radius(A, tol=1e-13, max_iters=20000, w_floor=W_FLOOR):
     n = A.shape[0]
     if n == 0:
         return 0.0, np.empty(0), True
+    A = np.ascontiguousarray(A, dtype=np.float64)
     sr, w, converged = _kernels.power_iteration(
-        np.ascontiguousarray(A, dtype=np.float64), float(tol), int(max_iters)
+        A, _perron_start(A, w_floor), float(tol), int(max_iters)
     )
     sr = max(float(sr), 0.0)
     if sr <= tol * max(1.0, float(A.max(initial=0.0))):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_complex_matrix, check_hermitian, compact_svd, hermitize
+from .linalg import _check_hermitian_stack, check_hermitian, compact_svd, hermitize
 
 SNR_CONVENTIONS = ("per-stream", "total-power")
 CHANNEL_KINDS = ("full", "diagonal")
@@ -24,24 +24,87 @@ def _freeze(a):
     return a
 
 
+class ChannelStack:
+    """The channels into one receiver, stacked over the transmitters.
+
+    ``array`` is one frozen (Q, N, K) array, N and K the largest receive and
+    transmit dimensions: entry r holds the channel from r in its top-left
+    nR x cols[r] block and zeros elsewhere. ``stack[r]`` is that block, a
+    read-only view with the exact shape of the channel.
+    """
+
+    def __init__(self, array, nR, cols):
+        self.array = _freeze(array)
+        self._nR = int(nR)
+        self._cols = cols
+
+    def __len__(self):
+        return self.array.shape[0]
+
+    def __getitem__(self, r):
+        return self.array[r, : self._nR, : self._cols[r]]
+
+
+class ChannelTable:
+    """All channels of a scenario in one frozen (Q, Q, N, M) complex array,
+    N and M the largest receive and transmit dimensions: entry (q, r) holds
+    H_qr in its top-left nR[q] x nT[r] block and zeros elsewhere.
+    ``table[q]`` is receiver q's :class:`ChannelStack` and ``table[q][r]``
+    the exact-shape read-only view of H_qr.
+    """
+
+    def __init__(self, array, nR, nT):
+        self.array = _freeze(array)
+        self._rows = [ChannelStack(array[q], n, nT) for q, n in enumerate(nR)]
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, q):
+        return self._rows[q]
+
+
+def _pack_channels(H, Q, nR, nT):
+    """A Q x Q nested sequence of matrices as one zero-padded table."""
+    if len(H) != Q or any(len(row) != Q for row in H):
+        raise InvalidInputError("H must be a Q x Q table of matrices")
+    T = np.zeros((Q, Q, nR.max(), nT.max()), dtype=complex)
+    for q in range(Q):
+        for r in range(Q):
+            M = np.asarray(H[q][r], dtype=complex)
+            want = (nR[q], nT[r])
+            if M.shape != want:
+                raise InvalidInputError(
+                    f"H[{q}][{r}] has shape {M.shape}, expected {want}"
+                )
+            T[q, r, : nR[q], : nT[r]] = M
+    return T
+
+
 @dataclass
 class NetworkScenario:
     """Q transmitter-receiver pairs over flat MIMO interference channels.
 
-    ``H[q][r]`` is the nR[q] x nT[r] channel from transmitter r to receiver
-    q, ``Rn[q]`` the positive-definite noise covariance at receiver q,
-    ``P[q]`` the power budget and ``Psi[q]`` the circuit power of player q.
+    ``H`` is the scenario's :class:`ChannelTable`: ``H[q][r]`` is the
+    nR[q] x nT[r] channel from transmitter r to receiver q. It may be given
+    as a Q x Q nested sequence of matrices (copied into a new table) or as
+    a ChannelTable, whose array is kept without a copy. ``Rn[q]`` is the
+    positive-definite noise covariance at receiver q, a view of
+    ``Rn_stack``, the covariances padded to (Q, N, N) with identity.
+    ``P[q]`` is the power budget and ``Psi[q]`` the circuit power of
+    player q.
     """
 
     Q: int
     nT: np.ndarray
     nR: np.ndarray
-    H: list
+    H: ChannelTable
     Rn: list
     P: np.ndarray
     Psi: np.ndarray
     seed: int | None = None
     meta: dict = field(default_factory=dict)
+    Rn_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.Q < 1:
@@ -57,30 +120,34 @@ class NetworkScenario:
             raise InvalidInputError("power budgets P must be positive")
         if self.Psi.shape != (self.Q,) or np.any(self.Psi <= 0):
             raise InvalidInputError("circuit powers Psi must be positive")
-        if len(self.H) != self.Q or any(len(row) != self.Q for row in self.H):
-            raise InvalidInputError("H must be a Q x Q table of matrices")
-        self.H = [
-            [
-                _freeze(as_complex_matrix(self.H[q][r]).copy())
-                for r in range(self.Q)
-            ]
-            for q in range(self.Q)
-        ]
-        for q in range(self.Q):
-            for r in range(self.Q):
-                want = (self.nR[q], self.nT[r])
-                if self.H[q][r].shape != want:
-                    raise InvalidInputError(
-                        f"H[{q}][{r}] has shape {self.H[q][r].shape}, expected {want}"
-                    )
-        self.Rn = [
-            _freeze(check_hermitian(self.Rn[q]).copy()) for q in range(self.Q)
-        ]
-        for q in range(self.Q):
-            if self.Rn[q].shape != (self.nR[q], self.nR[q]):
+        if isinstance(self.H, ChannelTable):
+            T = self.H.array
+        else:
+            T = _pack_channels(self.H, self.Q, self.nR, self.nT)
+        N = int(self.nR.max())
+        if T.shape != (self.Q, self.Q, N, int(self.nT.max())):
+            raise InvalidInputError(f"channel table has shape {T.shape}")
+        if not np.isfinite(T).all():
+            raise InvalidInputError("H has non-finite entries")
+        self.H = ChannelTable(T, self.nR, self.nT)
+        if len(self.Rn) != self.Q:
+            raise InvalidInputError("Rn must hold Q noise covariances")
+        Rn = np.zeros((self.Q, N, N), dtype=complex)
+        for q, n in enumerate(self.nR):
+            R = np.asarray(self.Rn[q], dtype=complex)
+            if R.shape != (n, n):
                 raise InvalidInputError(f"Rn[{q}] has the wrong shape")
-            if np.linalg.eigvalsh(hermitize(self.Rn[q])).min() <= 0:
-                raise InvalidInputError(f"Rn[{q}] is not positive definite")
+            Rn[q, :n, :n] = R
+            Rn[q, n:, n:] = np.eye(N - n)
+        if not np.isfinite(Rn).all():
+            raise InvalidInputError("Rn has non-finite entries")
+        _check_hermitian_stack(Rn)
+        # identity padding adds eigenvalues 1, which cannot hide a bad one
+        bad = np.flatnonzero(np.linalg.eigvalsh(hermitize(Rn)).min(axis=-1) <= 0)
+        if bad.size:
+            raise InvalidInputError(f"Rn[{bad[0]}] is not positive definite")
+        self.Rn_stack = _freeze(Rn)
+        self.Rn = [Rn[q, :n, :n] for q, n in enumerate(self.nR)]
 
 
 def scenario_from_matrices(H, Rn, P, Psi, seed=None, meta=None):
@@ -154,46 +221,26 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     else:
         cross_var = 1.0 / ((Q - 1) * sir_lin)
 
-    H = []
+    # Each (q, r) stream draws its real parts, then its imaginary parts, in
+    # one call straight into a row buffer; one table holds every channel.
+    diagonal = channel_kind == "diagonal"
+    T = np.zeros((Q, Q, n, n), dtype=complex)
+    draws = np.empty((Q, 2, n) if diagonal else (Q, 2, n, n))
+    k = np.arange(n)
     for q in range(Q):
-        row = []
         for r in range(Q):
-            var = 1.0 if r == q else cross_var
-            rng = _channel_rng(seed, q, r)
-            if channel_kind == "diagonal":
-                h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                M = np.diag(np.sqrt(var / 2.0) * h)
-            else:
-                Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                M = np.sqrt(var / 2.0) * Z
-            row.append(M)
-        H.append(row)
+            _channel_rng(seed, q, r).standard_normal(out=draws[r])
+        scale = np.full(Q, np.sqrt(cross_var / 2.0))
+        scale[q] = np.sqrt(0.5)
+        if diagonal:
+            T[q][:, k, k] = scale[:, None] * (draws[:, 0] + 1j * draws[:, 1])
+        else:
+            T[q] = scale[:, None, None] * (draws[:, 0] + 1j * draws[:, 1])
     Rn = [sigma_n2 * np.eye(n) for _ in range(Q)]
     return NetworkScenario(
-        Q=Q, nT=[n] * Q, nR=[n] * Q, H=H, Rn=Rn,
+        Q=Q, nT=[n] * Q, nR=[n] * Q, H=ChannelTable(T, [n] * Q, [n] * Q), Rn=Rn,
         P=[p] * Q, Psi=[psi] * Q, seed=seed, meta=meta,
     )
-
-
-class ChannelStack:
-    """The reduced channels into one receiver q, stacked over transmitters.
-
-    ``array`` is one frozen (Q, N, K) array, N the largest receive dimension
-    and K the largest rank of the game: entry r holds Hbar_qr in its top-left
-    nR_q x ranks[r] block and zeros elsewhere. ``stack[r]`` is that block, a
-    view with the exact shape of Hbar_qr.
-    """
-
-    def __init__(self, array, nR, ranks):
-        self.array = _freeze(array)
-        self._nR = int(nR)
-        self._ranks = ranks
-
-    def __len__(self):
-        return self.array.shape[0]
-
-    def __getitem__(self, r):
-        return self.array[r, : self._nR, : self._ranks[r]]
 
 
 @dataclass
@@ -227,29 +274,25 @@ def reduce_scenario(s):
     communicate at all).
     """
     V1 = []
-    ranks = []
     for q in range(s.Q):
         _, _, v1, r = compact_svd(s.H[q][q])
         if r == 0:
             raise InvalidInputError(f"player {q} has a zero direct channel")
-        V1.append(_freeze(v1.copy()))
-        ranks.append(r)
-    ranks = np.asarray(ranks, dtype=int)
-    N, K = int(s.nR.max()), int(ranks.max())
-    Hbar = []
-    Rn_stack = np.zeros((s.Q, N, N), dtype=complex)
-    for q in range(s.Q):
-        n = s.nR[q]
-        A = np.zeros((s.Q, N, K), dtype=complex)
-        for r in range(s.Q):
-            A[r, :n, : ranks[r]] = s.H[q][r] @ V1[r]
-        Hbar.append(ChannelStack(A, n, ranks))
-        Rn_stack[q] = np.eye(N)
-        Rn_stack[q, :n, :n] = s.Rn[q]
-    direct = np.stack([Hbar[q].array[q] for q in range(s.Q)])
+        V1.append(v1)
+    ranks = np.array([v.shape[1] for v in V1])
+    Q, K = s.Q, int(ranks.max())
+    V = np.zeros((Q, s.H.array.shape[3], K), dtype=complex)
+    for q, v1 in enumerate(V1):
+        V[q, : s.nT[q], : ranks[q]] = v1
+    _freeze(V)
+    # (Q, Q, N, K): entry (q, r) is H_qr V1_r, zero-padded
+    A = _freeze(s.H.array @ V)
+    Hbar = [ChannelStack(A[q], s.nR[q], ranks) for q in range(Q)]
+    direct = A[np.arange(Q), np.arange(Q)]
     return ReducedScenario(
-        Q=s.Q, ranks=ranks, Hbar=Hbar, V1=V1, Rn=s.Rn, P=s.P, Psi=s.Psi,
-        Rn_stack=_freeze(Rn_stack), direct=_freeze(direct), meta=dict(s.meta),
+        Q=Q, ranks=ranks, Hbar=Hbar,
+        V1=[V[q, : s.nT[q], : ranks[q]] for q in range(Q)], Rn=s.Rn, P=s.P,
+        Psi=s.Psi, Rn_stack=s.Rn_stack, direct=_freeze(direct), meta=dict(s.meta),
     )
 
 

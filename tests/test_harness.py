@@ -34,6 +34,33 @@ def test_resolve_out_env(monkeypatch, tmp_path):
     assert resolve_out(None, "x.csv") == "x.csv"
 
 
+# Per-trial (sr_S, sr_Ssym, ok_qvi, ok_contraction) of a tiny sweep, as the
+# all-ones power iteration computed them: a drift in scenario generation,
+# reduction, the interference matrix or the Perron pair shows here.
+GOLDEN_SWEEP = {"Q": 3, "n": 2, "snr_db": [5.0], "sir_db": [0.0, 10.0], "trials": 3,
+                "seed": 2, "channel_kind": "diagonal", "snr_convention": "per-stream"}
+GOLDEN_TRIALS = [
+    (21.82280562539931, 27.48156459346567, 0, 0),
+    (1.489406733480807, 1.7120703247983355, 0, 0),
+    (0.91526493191405, 1.0556326408810555, 0, 1),
+    (0.2503929327809573, 0.3800216462066275, 1, 1),
+    (0.4155190104111455, 0.5458097730291243, 1, 1),
+    (0.16785640387333078, 0.17065732589017601, 1, 1),
+]
+
+
+def test_criteria_sweep_golden_values(tmp_path):
+    res = run_criteria_sweep(GOLDEN_SWEEP, out=str(tmp_path / "golden.csv"))
+    _, header, rows = read_csv(res["out"])
+    cols = {name: i for i, name in enumerate(header)}
+    assert len(rows) == len(GOLDEN_TRIALS)
+    for row, (sr, sr_sym, ok_qvi, ok_contraction) in zip(rows, GOLDEN_TRIALS):
+        assert abs(float(row[cols["sr_S"]]) - sr) <= 1e-9 * sr
+        assert abs(float(row[cols["sr_Ssym"]]) - sr_sym) <= 1e-9 * sr_sym
+        assert int(row[cols["ok_qvi"]]) == ok_qvi
+        assert int(row[cols["ok_contraction"]]) == ok_contraction
+
+
 def test_scenario_from_config_inline_and_file(tmp_path):
     cfg = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 0.0, "seed": 1}
     s = scenario_from_config(cfg)

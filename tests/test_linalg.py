@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeiwfa import _kernels
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.linalg import (
+    W_FLOOR,
+    _perron_start,
     _psd_trace_projections,
     compact_svd,
     complexify,
@@ -326,3 +331,93 @@ def test_spectral_radius_reducible_flags_and_floors():
     assert degenerate
     assert w.min() >= 1e-12
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
+
+
+# --- the Perron start against a cold all-ones oracle ----------------------------
+
+def cold_spectral_radius(A, tol=1e-13, max_iters=20000, w_floor=W_FLOOR):
+    """The power iteration on A + I from the all-ones vector, with the same
+    convergence test, flags and floors: the oracle for the dense start."""
+    n = A.shape[0]
+    w = np.full(n, 1.0 / math.sqrt(n))
+    lam, converged = 1.0, False
+    for _ in range(max_iters):
+        v = w + A @ w
+        lam = float(w @ v)
+        res = float(np.abs(v - lam * w).max())
+        w = v / math.sqrt(float(v @ v))
+        if res <= tol * max(1.0, abs(lam)):
+            converged = True
+            break
+    sr = max(lam - 1.0, 0.0)
+    if sr <= tol * max(1.0, float(A.max())):
+        sr = 0.0
+    degenerate = (not converged) or sr <= w_floor or float(w.min()) < w_floor
+    w = np.maximum(w, w_floor)
+    return sr, w / np.linalg.norm(w), degenerate
+
+
+PERRON_FAMILIES = ("random", "zero", "triangular", "block-diagonal",
+                   "equal-blocks", "permutation", "zero-row")
+
+
+def perron_family(kind, n, seed):
+    """A nonnegative n x n matrix (2 (n // 2) square, at least 2, for equal
+    blocks): dense random, or one of the reducible families (zero,
+    triangular, block-diagonal with distinct or equal blocks, permutation,
+    a zero row)."""
+    rng = np.random.default_rng(seed)
+    R = rng.uniform(0.0, 1.0, size=(n, n))
+    if kind == "random":
+        return R
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "triangular":
+        return np.triu(R) if seed % 2 else np.tril(R)
+    if kind == "block-diagonal":
+        k = int(rng.integers(1, n)) if n > 1 else 1
+        B = np.zeros((n, n))
+        B[:k, :k], B[k:, k:] = R[:k, :k], R[k:, k:]
+        return B
+    if kind == "equal-blocks":
+        m = max(n // 2, 1)
+        return np.kron(np.eye(2), R[:m, :m])
+    if kind == "permutation":
+        return np.eye(n)[rng.permutation(n)]
+    Z = R.copy()
+    Z[rng.integers(n)] = 0.0
+    return Z
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PERRON_FAMILIES), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_spectral_radius_matches_cold_all_ones_oracle(kind, n, seed):
+    A = perron_family(kind, n, seed)
+    sr, w, degenerate = spectral_radius(A)
+    sr0, w0, degenerate0 = cold_spectral_radius(A)
+    assert degenerate == degenerate0
+    assert np.abs(w - w0).max() <= 1e-10
+    # 1e-12 relative, except where the oracle itself stopped further from the
+    # dense eigenvalue (slow convergence, e.g. close diagonal entries of a
+    # triangular matrix): there the dense start may only be closer.
+    dense = float(np.abs(np.linalg.eigvals(A)).max())
+    assert abs(sr - sr0) <= 1e-12 * sr0 + abs(sr0 - dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_power_iteration_from_the_dense_start_converges_at_once(n, seed):
+    A = np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, n))
+    start = _perron_start(A, W_FLOOR)
+    assert start.min() > W_FLOOR
+    sr, w, converged = _kernels.power_iteration(A, start, 1e-13, 2)
+    assert converged
+    assert abs(sr - np.abs(np.linalg.eigvals(A)).max()) <= 1e-12 * max(1.0, sr)
+
+
+def test_spectral_radius_non_finite_keeps_the_all_ones_start():
+    # eig rejects non-finite input; the iteration then runs as it always has
+    A = np.array([[np.inf, 1.0], [1.0, 0.0]])
+    assert _perron_start(A, W_FLOOR).tolist() == [1.0, 1.0]
+    with np.errstate(invalid="ignore"):
+        assert spectral_radius(A)[2] and cold_spectral_radius(A)[2]

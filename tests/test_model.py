@@ -89,6 +89,80 @@ def test_generate_diagonal_channels():
             assert np.abs(off).max() == 0.0
 
 
+def plain_channel(seed, q, r, n, var, kind):
+    """Channel (q, r) of a generated scenario, drawn from its own stream with
+    two calls, real parts then imaginary parts: the oracle for the table."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, q, r)))
+    if kind == "diagonal":
+        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return np.diag(np.sqrt(var / 2.0) * h)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.sqrt(var / 2.0) * Z
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+@pytest.mark.parametrize("Q, n, sir_db, seed", [
+    (3, 2, 0.0, 5),
+    (1, 3, np.inf, 2),
+    (4, 2, np.inf, 7),
+    (5, 3, 10.0, 2**32 + 17),
+])
+def test_generated_table_matches_per_pair_draws(kind, Q, n, sir_db, seed):
+    s = generate_scenario(Q, n, 7.0, sir_db, seed=seed, channel_kind=kind)
+    assert s.H.array.shape == (Q, Q, n, n)
+    cross = 0.0 if Q == 1 else 1.0 / ((Q - 1) * 10.0 ** (sir_db / 10.0))
+    for q in range(Q):
+        for r in range(Q):
+            want = plain_channel(seed, q, r, n, 1.0 if q == r else cross, kind)
+            assert np.array_equal(s.H[q][r], want)
+
+
+def test_ragged_table_keeps_exact_shape_views(rng):
+    nT, nR = [3, 2, 4], [2, 3, 1]
+    H = [[crandn(rng, nR[q], nT[r]) for r in range(3)] for q in range(3)]
+    Rn = [np.eye(n) for n in nR]
+    s = scenario_from_matrices(H, Rn, [1.0] * 3, [1.0] * 3)
+    assert s.H.array.shape == (3, 3, 3, 4)
+    for q in range(3):
+        assert len(s.H[q]) == 3
+        for r in range(3):
+            assert s.H[q][r].shape == (nR[q], nT[r])
+            assert np.array_equal(s.H[q][r], H[q][r])
+            pad = s.H.array[q, r].copy()
+            pad[: nR[q], : nT[r]] = 0.0
+            assert not pad.any()
+        assert np.array_equal(s.Rn[q], Rn[q])
+    # a scenario built from another's table shares it
+    t = scenario_from_matrices(s.H, Rn, [1.0] * 3, [1.0] * 3)
+    assert t.H.array is s.H.array
+
+
+def test_scenario_channels_are_read_only():
+    s = generate_scenario(2, 2, 7.0, 0.0, seed=0)
+    with pytest.raises(ValueError):
+        s.H[0][1][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        s.H.array[0, 1, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        s.Rn[0][0, 0] = 1.0
+    rs = reduce_scenario(s)
+    with pytest.raises(ValueError):
+        rs.V1[0][0, 0] = 1.0
+
+
+def test_scenario_rejects_bad_channel_tables():
+    with pytest.raises(InvalidInputError):
+        scenario_from_matrices([[np.eye(2), np.eye(2)]], [np.eye(2)], [1.0], [1.0])
+    H = [[np.eye(2), np.ones((2, 3))], [np.ones((3, 2)), np.eye(2)]]
+    with pytest.raises(InvalidInputError):
+        scenario_from_matrices(H, [np.eye(2)] * 2, [1.0] * 2, [1.0] * 2)
+    with pytest.raises(InvalidInputError):
+        scenario_from_matrices([[np.array([[np.nan]])]], [np.eye(1)], [1.0], [1.0])
+    with pytest.raises(InvalidInputError):
+        scenario_from_matrices([[np.eye(2)]], [np.array([[1.0, 1.0], [0.0, 1.0]])],
+                               [1.0], [1.0])  # not Hermitian
+
+
 def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         generate_scenario(0, 2, 7.0, 0.0, seed=0)

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeiwfa.best_response import DinkelbachConfig, dinkelbach_power
 from eeiwfa.equilibrium import (
     _CHUNK,
+    PowerSmoothnessConfig,
     VerifierReport,
     _random_covariances,
+    estimate_power_smoothness,
     interference_matrix_square,
     qvi_map,
     random_covariance,
@@ -25,7 +28,8 @@ from eeiwfa.equilibrium import (
     verify_monotonicity,
     verify_power_set_smoothness,
 )
-from eeiwfa.errors import InvalidInputError
+from eeiwfa.errors import ConvergenceError, InvalidInputError
+from eeiwfa.iwfa import block_max_distance
 from eeiwfa.linalg import hermitize, psd_trace_projection, spectral_radius
 from eeiwfa.model import (
     ChannelStack,
@@ -299,3 +303,53 @@ def test_singular_direct_channel_is_an_input_error():
         verify_lipschitz(s, 3)
     with pytest.raises(InvalidInputError, match=msg):
         interference_matrix_square(s)
+
+
+# --- the power-smoothness estimate against its per-player loop -------------------
+
+def oracle_power_smoothness(s, cfg, w):
+    """The estimate as a plain loop: each player's clipped Dinkelbach power
+    from its own gram and EVD (``dinkelbach_power``), one player at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    max_l2 = max_winf = 0.0
+    used = skipped = 0
+
+    def powers_of(profile):
+        return np.array([min(float(s.P[q]), dinkelbach_power(s, q, profile, cfg.dinkelbach)[0])
+                         for q in range(s.Q)])
+
+    for i in range(cfg.n_pairs):
+        pa = random_profile(s, rng)
+        ref = random_profile(s, rng)
+        t = cfg.perturbation
+        pb = ref if i % 2 == 0 else StrategyProfile(
+            [(1.0 - t) * a + t * b for a, b in zip(pa, ref)])
+        den_f, den_w = frob(pa, pb), block_max_distance(pa, pb, w)
+        if den_f <= 1e-12 or den_w <= 1e-12:
+            continue
+        try:
+            va, vb = powers_of(pa), powers_of(pb)
+        except ConvergenceError:
+            skipped += 1
+            continue
+        used += 1
+        max_l2 = max(max_l2, float(np.linalg.norm(va - vb)) / den_f)
+        max_winf = max(max_winf, float(np.max(np.abs(va - vb) / w)) / den_w)
+    return max_l2, max_winf, used, skipped
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("dinkelbach", [
+    DinkelbachConfig(),
+    DinkelbachConfig(init="current"),
+    DinkelbachConfig(max_iters=3),    # every pair fails to converge and is skipped
+])
+def test_power_smoothness_matches_per_player_loop(scenario, dinkelbach):
+    s = SCENARIOS[scenario]()
+    cfg = PowerSmoothnessConfig(n_pairs=12, seed=3, dinkelbach=dinkelbach)
+    w = np.maximum(spectral_radius(interference_matrix_square(s).S)[1], 1e-12)
+    got = estimate_power_smoothness(s, cfg)
+    l2, winf, used, skipped = oracle_power_smoothness(s, cfg, w)
+    assert (got.n_pairs, got.n_skipped) == (used, skipped)
+    assert abs(got.max_ratio_l2 - l2) <= 1e-12 * l2
+    assert abs(got.max_ratio_weighted_inf - winf) <= 1e-12 * winf
