@@ -7,14 +7,16 @@ at that power. The projection form (Frobenius projection of -G^{-1} onto the
 trace-p PSD set) is kept as an independent cross-check of the same map.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, InvalidInputError
 from .linalg import _eigh_descending, hermitian_evd, hermitize, psd_trace_projection
-from .model import _ct, _rank_groups, _rates_from_grams, whitened_gram
+from .model import _ct, _grams, _rank_groups, _rates, _whitened_channels
 
 _D_TINY = 1e-30
 
@@ -26,10 +28,12 @@ class DinkelbachConfig:
     init: str = "uniform"   # starting covariance rule: uniform = (P_q/r_q) I
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be >= 1")
+        # NaN fails every comparison, so it is rejected with the rest
+        if not (isinstance(self.epsilon, Real) and 0.0 < self.epsilon < math.inf):
+            raise InvalidInputError("epsilon must be finite and positive")
+        if not (isinstance(self.max_iters, Real) and self.max_iters >= 1
+                and float(self.max_iters).is_integer()):
+            raise InvalidInputError("max_iters must be an integer >= 1")
         if self.init not in ("uniform", "current"):
             raise InvalidInputError("init must be 'uniform' or 'current'")
 
@@ -70,11 +74,12 @@ def waterfill(U, D, p):
 
 
 def _gain_space(s, q, profile):
-    """Whitened gram and its eigen-gains; raises if not positive definite."""
-    G = whitened_gram(s, q, profile)
-    d, U = hermitian_evd(G)
+    """Player q's whitened direct channel X (N x r_q) and the eigen-gains and
+    eigenbasis of its gram X^H X; raises if that is not positive definite."""
+    X = _whitened_channels(s, [q], [profile.stack])[0, :, : s.ranks[q]]
+    d, U = hermitian_evd(_grams(X))
     _check_gains(q, d)
-    return G, d, U
+    return X, d, U
 
 
 def _check_gains(q, d):
@@ -84,19 +89,21 @@ def _check_gains(q, d):
         )
 
 
-def _initial_rate_trace(s, q, G, own, d, cfg):
+def _unconstrained_power(s, q, X, own, d, cfg):
+    """(p_u, iterations) of player q from its whitened direct channel ``X``
+    (N x r_q), its own covariance and the eigen-gains ``d`` of X^H X
+    (descending, not yet checked)."""
+    _check_gains(q, d)
+    # Defensive: a vanishing channel cannot pay for its circuit power.
+    if d[0] <= _D_TINY:
+        return 0.0, 0
     # nu^(1) only needs the rate and trace of the starting covariance.
-    if cfg.init == "current":
-        t0 = float(np.trace(own).real)
-        if t0 > 0:
-            return float(_rates_from_grams(G, own)), t0
-    p0 = float(s.P[q])
-    r = d.size
-    return float(np.log1p(d * (p0 / r)).sum()), p0
-
-
-def _dinkelbach_on_gains(s, q, G, own, d, cfg):
-    rate0, trace0 = _initial_rate_trace(s, q, G, own, d, cfg)
+    own_trace = float(np.trace(own).real) if cfg.init == "current" else 0.0
+    if own_trace > 0:
+        rate0, trace0 = float(_rates(X[None], own[None])[0]), own_trace
+    else:
+        trace0 = float(s.P[q])
+        rate0 = float(np.log1p(d * (trace0 / d.size)).sum())
     p_u, iters, delta, monotone = _kernels.dinkelbach_gains(
         np.ascontiguousarray(d, dtype=np.float64),
         float(s.Psi[q]), rate0, trace0, float(cfg.epsilon), int(cfg.max_iters),
@@ -115,16 +122,6 @@ def _dinkelbach_on_gains(s, q, G, own, d, cfg):
     return float(p_u), int(iters)
 
 
-def _unconstrained_power(s, q, G, own, d, cfg):
-    """(p_u, iterations) of player q from its whitened gram ``G`` and its
-    eigen-gains ``d`` (descending, not yet checked)."""
-    _check_gains(q, d)
-    # Defensive: a vanishing channel cannot pay for its circuit power.
-    if d[0] <= _D_TINY:
-        return 0.0, 0
-    return _dinkelbach_on_gains(s, q, G, own, d, cfg)
-
-
 def dinkelbach_power(s, q, profile, cfg=None):
     """Unconstrained EE-optimal power of player q, with iteration count.
 
@@ -133,22 +130,22 @@ def dinkelbach_power(s, q, profile, cfg=None):
     sequence is checked to be non-decreasing.
     """
     cfg = cfg or DinkelbachConfig()
-    G = whitened_gram(s, q, profile)
-    d, _ = hermitian_evd(G)
-    return _unconstrained_power(s, q, G, profile[q], d, cfg)
+    X, d, _ = _gain_space(s, q, profile)
+    return _unconstrained_power(s, q, X, profile[q], d, cfg)
 
 
-def _respond(s, qs, G, D, U, owns, cfg):
+def _respond(s, qs, X, D, U, owns, cfg):
     """Best responses of the players ``qs``, all of one rank, from their
-    stacked whitened grams G = U diag(D) U^H (each D descending, not yet
-    checked) and their own current covariances; the covariances come from
-    one stacked waterfilling."""
+    stacked whitened direct channels X, the eigendecompositions
+    X^H X = U diag(D) U^H (each D descending, not yet checked) and their own
+    current covariances; the covariances come from one stacked
+    waterfilling."""
     k = D.shape[-1]
     p_u = np.zeros(len(qs))
     p_hat = np.zeros(len(qs))
     iters = [0] * len(qs)
     for i, q in enumerate(qs):
-        p_u[i], iters[i] = _unconstrained_power(s, q, G[i], owns[i], D[i], cfg)
+        p_u[i], iters[i] = _unconstrained_power(s, q, X[i], owns[i], D[i], cfg)
         p_hat[i] = min(float(s.P[q]), p_u[i])
     live = np.flatnonzero(p_hat > 0)
     mu, powers = _waterfill_powers(D[live], p_hat[live])
@@ -170,16 +167,18 @@ def best_response(s, q, profile, cfg=None):
     together with the powers, water level and Dinkelbach iteration count.
     """
     cfg = cfg or DinkelbachConfig()
-    G, d, U = _gain_space(s, q, profile)
-    return _respond(s, [q], G[None], d[None], U[None], [profile[q]], cfg)[0]
+    X, d, U = _gain_space(s, q, profile)
+    return _respond(s, [q], X[None], d[None], U[None], profile[q][None], cfg)[0]
 
 
-def _best_responses(s, qs, grams, owns, cfg):
+def _best_responses(s, qs, X, owns, cfg):
     """Best responses of the players ``qs`` from their padded whitened
-    grams (one (len(qs), K, K) array, see model._whitened_grams) and their
-    own current covariances; eigendecompositions and waterfillings are
+    direct channels (one (len(qs), N, K) array, see
+    model._whitened_channels) and their own current covariances (one padded
+    (len(qs), K, K) stack); eigendecompositions and waterfillings are
     batched per rank."""
     out = [None] * len(qs)
+    grams = _grams(X)
     for k, idx in _rank_groups(s.ranks[list(qs)]):
         G = grams[idx, :k, :k]
         bad = np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))
@@ -188,8 +187,8 @@ def _best_responses(s, qs, grams, owns, cfg):
                 f"whitened gram of player {qs[idx[bad[0]]]} has non-finite entries"
             )
         vals, vecs = _eigh_descending(G)
-        group = _respond(s, [qs[i] for i in idx], G, vals, vecs,
-                         [owns[i] for i in idx], cfg)
+        group = _respond(s, [qs[i] for i in idx], X[idx, :, :k], vals, vecs,
+                         owns[idx, :k, :k], cfg)
         for i, res in zip(idx, group):
             out[i] = res
     return out

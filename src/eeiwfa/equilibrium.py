@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .best_response import DinkelbachConfig, _unconstrained_power
+from .best_response import DinkelbachConfig, _best_responses
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
-from .iwfa import block_max_distance
 from .linalg import (
     W_FLOOR,
     _psd_trace_projections,
@@ -28,12 +27,13 @@ from .model import (
     StrategyProfile,
     _complex_to_lists,
     _ct,
-    _profile_stack,
     _rank_groups,
     _received_covariance,
+    _stack_frob,
     _unwide,
-    _whitened_grams,
+    _whitened_channels,
     _wide,
+    block_max_distance,
 )
 
 # Samples the verifiers evaluate per batched step: large enough to amortize
@@ -199,11 +199,6 @@ def _random_covariances(rng, ranks, P, count, boundary=False):
     return out
 
 
-def _unpad(s, P):
-    """The players' blocks of one padded (Q, K, K) profile stack."""
-    return [P[q, :r, :r] for q, r in enumerate(s.ranks)]
-
-
 def random_covariance(r, p, rng, boundary=False):
     """Random PSD matrix A A^H scaled to a random trace in [0, p]
     (or exactly p on the boundary)."""
@@ -222,7 +217,7 @@ def random_profile(s, rng, boundary=False, rule="wishart"):
     """Random feasible strategy profile of the reduced game."""
     if rule == "wishart":
         P = _random_covariances(rng, s.ranks, s.P, 1, boundary)[0]
-        return StrategyProfile(_unpad(s, P))
+        return StrategyProfile.from_stack(P, s.ranks)
     if rule == "frame-simplex":
         return StrategyProfile([
             random_frame_simplex_covariance(int(s.ranks[q]), s.P[q], rng)
@@ -248,10 +243,7 @@ def interference_matrix_sampled(s, n_samples, seed):
     Q = s.Q
     S = np.zeros((Q, Q))
     for _ in range(n_samples):
-        delta = _profile_stack(s, [
-            random_frame_simplex_covariance(int(s.ranks[q]), s.P[q], rng)
-            for q in range(Q)
-        ])
+        delta = random_profile(s, rng, rule="frame-simplex").stack
         for q in range(Q):
             k = int(s.ranks[q])
             R = hermitize(_received_covariance(s, q, delta))
@@ -411,20 +403,12 @@ def qvi_map(s, profile):
     """The affine per-player mapping F_q whose variational inequality on the
     full-power sets characterizes the equilibria (square channels only):
 
-    F_q = Hqq^{-1} Rn_q Hqq^{-H} + sum_r Hqq^{-1} Hqr Qbar_r Hqr^H Hqq^{-H}.
+    F_q = Hqq^{-1} Rn_q Hqq^{-H} + sum_r Hqq^{-1} Hqr Qbar_r Hqr^H Hqq^{-H},
+
+    returned as a profile whose entry q is F_q.
     """
-    return _unpad(s, _qvi_apply(_qvi_operator(s), _profile_stack(s, profile)[None])[0])
-
-
-def _profile_frob(pa, pb):
-    return float(np.sqrt(sum(
-        np.linalg.norm(a - b, "fro") ** 2 for a, b in zip(pa, pb)
-    )))
-
-
-def _stack_frob(D):
-    """Frobenius norm of each padded profile in a (..., Q, K, K) stack."""
-    return np.sqrt((D.real ** 2 + D.imag ** 2).sum(axis=(-3, -2, -1)))
+    F = _qvi_apply(_qvi_operator(s), profile.stack[None])[0]
+    return StrategyProfile.from_stack(F, s.ranks)
 
 
 @dataclass
@@ -456,11 +440,10 @@ class VerifierReport:
 
 
 def _witness(s, index, pa, pb):
-    return {
-        "pair_index": int(index),
-        "profile_a": [_complex_to_lists(m) for m in _unpad(s, pa)],
-        "profile_b": [_complex_to_lists(m) for m in _unpad(s, pb)],
-    }
+    def lists(P):
+        return [_complex_to_lists(m) for m in StrategyProfile.from_stack(P, s.ranks)]
+
+    return {"pair_index": int(index), "profile_a": lists(pa), "profile_b": lists(pb)}
 
 
 def _pair_chunks(s, n_pairs, rng, boundary):
@@ -614,16 +597,11 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
     skipped = 0
 
     def powers_of(profile):
-        # one batched gram and one eigh per rank; Dinkelbach per player
-        G = _whitened_grams(s, range(s.Q), [_profile_stack(s, profile)] * s.Q)
-        vals = np.empty(s.Q)
-        for k, idx in _rank_groups(s.ranks):
-            Gk = G[idx, :k, :k]
-            D = np.linalg.eigvalsh(Gk)[:, ::-1]
-            for q, Gq, d in zip(idx, Gk, D):
-                p_u, _ = _unconstrained_power(s, q, Gq, profile[q], d, cfg.dinkelbach)
-                vals[q] = min(float(s.P[q]), p_u)
-        return vals
+        # the clipped powers of every player's batched best response
+        qs = range(s.Q)
+        X = _whitened_channels(s, qs, [profile.stack] * s.Q)
+        brs = _best_responses(s, qs, X, profile.stack, cfg.dinkelbach)
+        return np.array([br.p_hat for br in brs])
 
     for i in range(cfg.n_pairs):
         pa = random_profile(s, rng)
@@ -632,10 +610,9 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
         else:
             ref = random_profile(s, rng)
             t = cfg.perturbation
-            pb = StrategyProfile([
-                (1.0 - t) * a + t * b for a, b in zip(pa, ref)
-            ])
-        den_f = _profile_frob(pa, pb)
+            pb = StrategyProfile.from_stack((1.0 - t) * pa.stack + t * ref.stack,
+                                            s.ranks)
+        den_f = float(_stack_frob(pa.stack - pb.stack))
         den_w = block_max_distance(pa, pb, w)
         if den_f <= 1e-12 or den_w <= 1e-12:
             continue
@@ -677,6 +654,6 @@ def sqrtq_observed_ratio(s, player=0, seed=0):
     pb = pa.replace(player, random_covariance(
         int(s.ranks[player]), s.P[player], rng, boundary=True
     ))
-    num = _profile_frob(qvi_map(s, pa), qvi_map(s, pb))
-    den = _profile_frob(pa, pb)
-    return num / den
+    num = _stack_frob(qvi_map(s, pa).stack - qvi_map(s, pb).stack)
+    den = _stack_frob(pa.stack - pb.stack)
+    return float(num / den)

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .best_response import DinkelbachConfig, _best_responses
+from .equilibrium import interference_matrix_square
 from .errors import ConvergenceError, InvalidInputError
 from .linalg import W_FLOOR, spectral_radius
-from .model import StrategyProfile, _profile_stack, _stack_rates, _whitened_grams
+from .model import StrategyProfile, _rates, _whitened_channels, block_max_distance
 
 SUSTAIN_SLOTS = 5        # consecutive below-tolerance slots before stopping
 OSC_WINDOW = 50          # residual history inspected for periodic recurrence
@@ -73,7 +74,7 @@ def make_schedule(mode, Q, params=None, seed=None):
     rho = np.broadcast_to(
         np.asarray(params.get("rho", 0.5), dtype=float), (Q,)
     ).copy()
-    if np.any(rho <= 0.0) or np.any(rho > 1.0):
+    if not np.all((rho > 0.0) & (rho <= 1.0)):
         raise InvalidInputError("update probabilities must lie in (0, 1]")
     d_max = int(params.get("d_max", 0))
     if d_max < 0:
@@ -81,19 +82,9 @@ def make_schedule(mode, Q, params=None, seed=None):
     return UpdateSchedule(mode=mode, Q=Q, rho=rho, d_max=d_max, seed=seed)
 
 
-def block_max_distance(pa, pb, w):
-    """max_q ||Qbar_q - Qbar'_q||_F / w_q."""
-    return max(
-        float(np.linalg.norm(a - b, "fro")) / w[q]
-        for q, (a, b) in enumerate(zip(pa, pb))
-    )
-
-
 def default_weights(s):
     """Perron weights of the interference matrix; all-ones when the reduced
     channels are not square (no exact interference matrix there)."""
-    from .equilibrium import interference_matrix_square
-
     try:
         S = interference_matrix_square(s)
     except InvalidInputError:
@@ -119,49 +110,53 @@ class IwfaTrace:
     meta: dict = field(default_factory=dict)
 
 
+def _moved(profile, qs, brs):
+    """``profile`` with each player of ``qs`` moved to its best response."""
+    stack = profile.stack.copy()
+    for q, br in zip(qs, brs):
+        k = br.Qbr.shape[0]
+        stack[q, :k, :k] = br.Qbr
+    return StrategyProfile.from_stack(stack, profile.ranks)
+
+
 class _Evaluation:
     """One strategy profile evaluated for every player at once.
 
-    The whitened grams of all players come from one batched pass and give
-    every player's EE; best responses are computed from them on demand,
-    in one batch, and kept, so the NE residual of a slot's profile is also
-    the next slot's set of zero-delay updates.
+    The whitened direct channels of all players come from one batched pass
+    and give every player's EE; best responses are computed from them on
+    demand, in one batch, and kept, so the NE residual of a slot's profile
+    is also the next slot's set of zero-delay updates.
     """
 
     def __init__(self, s, profile):
         self.s = s
         self.profile = profile
-        self.stack = _profile_stack(s, profile)
-        self._grams = None
+        self._X = None
         self._brs = [None] * s.Q
 
-    def grams(self):
-        if self._grams is None:
+    def whitened(self):
+        if self._X is None:
             qs = range(self.s.Q)
-            self._grams = _whitened_grams(self.s, qs, [self.stack] * self.s.Q)
-        return self._grams
+            self._X = _whitened_channels(self.s, qs, [self.profile.stack] * self.s.Q)
+        return self._X
 
     def energy_efficiencies(self):
-        rates = _stack_rates(self.s, self.grams(), self.stack)
-        traces = np.trace(self.stack, axis1=1, axis2=2).real
-        return rates / (self.s.Psi + traces)
+        rates = _rates(self.whitened(), self.profile.stack)
+        return rates / (self.s.Psi + self.profile.traces())
 
     def best_responses(self, qs, cfg):
         todo = [q for q in qs if self._brs[q] is None]
         if todo:
-            brs = _best_responses(
-                self.s, todo, self.grams()[todo], [self.profile[q] for q in todo], cfg
-            )
+            stack = self.profile.stack
+            brs = _best_responses(self.s, todo, self.whitened()[todo], stack[todo], cfg)
             for q, br in zip(todo, brs):
                 self._brs[q] = br
         return [self._brs[q] for q in qs]
 
     def ne_residual(self, cfg):
-        brs = self.best_responses(range(self.s.Q), cfg)
-        return max(
-            float(np.linalg.norm(m - br.Qbr, "fro"))
-            for m, br in zip(self.profile, brs)
-        )
+        qs = range(self.s.Q)
+        target = _moved(self.profile, qs, self.best_responses(qs, cfg))
+        return block_max_distance(self.profile, target, 1.0)
 
 
 def ne_residual(s, profile, cfg=None):
@@ -178,8 +173,8 @@ def _delayed_responses(s, qs, t, ages, history, profile, cfg):
     players = np.arange(s.Q)
     # entry q of each gathered stack is never read: the MUI skips r = q
     stacks = [past[np.maximum(t - ages[q], 0) - t + last, players] for q in qs]
-    grams = _whitened_grams(s, qs, stacks)
-    return _best_responses(s, qs, grams, [profile[q] for q in qs], cfg)
+    X = _whitened_channels(s, qs, stacks)
+    return _best_responses(s, qs, X, profile.stack[qs], cfg)
 
 
 def _oscillating(residuals, tol):
@@ -224,16 +219,16 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     recorded.
     """
     cfg = cfg or DinkelbachConfig()
-    profile = init.copy() if init is not None else StrategyProfile.uniform(s)
+    profile = init if init is not None else StrategyProfile.uniform(s)
     profile.validate(s)
     w = np.asarray(weights, dtype=float) if weights is not None else default_weights(s)
-    if w.shape != (s.Q,) or np.any(w <= 0):
-        raise InvalidInputError("weights must be Q positive numbers")
+    if w.shape != (s.Q,) or not np.all(np.isfinite(w) & (w > 0)):
+        raise InvalidInputError("weights must be Q finite positive numbers")
     rng = np.random.default_rng(schedule.seed if schedule.seed is not None else seed)
 
     evaluation = _Evaluation(s, profile)
     history = deque(maxlen=schedule.d_max + 1)   # profile stacks, newest last
-    history.append(evaluation.stack)
+    history.append(profile.stack)
     slots, ees, residuals, nes, upds = [], [], [], [], []
     snapshots = {}
     termination = "max_slots"
@@ -253,14 +248,11 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         current = [q for q in updating if not stale[q]]
         delayed = [q for q in updating if stale[q]]
         try:
-            new_mats = list(profile.mats)
-            for q, br in zip(current, evaluation.best_responses(current, cfg)):
-                new_mats[q] = br.Qbr
+            brs = evaluation.best_responses(current, cfg)
             if delayed:
-                brs = _delayed_responses(s, delayed, t, ages, history, profile, cfg)
-                for q, br in zip(delayed, brs):
-                    new_mats[q] = br.Qbr
-            new_evaluation = _Evaluation(s, StrategyProfile(new_mats))
+                brs += _delayed_responses(s, delayed, t, ages, history, profile, cfg)
+            new_profile = _moved(profile, current + delayed, brs)
+            new_evaluation = _Evaluation(s, new_profile)
             ee = new_evaluation.energy_efficiencies()
             if ne_every and slot % ne_every == 0:
                 ne = new_evaluation.ne_residual(cfg)
@@ -270,7 +262,6 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
             termination = "error"
             error = str(exc)
             break
-        new_profile = new_evaluation.profile
         r_t = block_max_distance(new_profile, profile, w)
         slots.append(slot)
         residuals.append(r_t)
@@ -278,8 +269,8 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         nes.append(ne)
         upds.append(mask.copy())
         if snapshot_every and slot % snapshot_every == 0:
-            snapshots[slot] = new_profile.copy()
-        history.append(new_evaluation.stack)
+            snapshots[slot] = new_profile
+        history.append(new_profile.stack)
         profile = new_profile
         evaluation = new_evaluation
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import _check_hermitian_stack, check_hermitian, compact_svd, hermitize
+from .linalg import _check_hermitian_stack, compact_svd, hermitize
 
 SNR_CONVENTIONS = ("per-stream", "total-power")
 CHANNEL_KINDS = ("full", "diagonal")
@@ -297,30 +297,54 @@ def reduce_scenario(s):
 
 
 class StrategyProfile:
-    """The per-player transmit covariances of the reduced game."""
+    """The per-player transmit covariances of the reduced game.
+
+    ``stack`` is one frozen (Q, K, K) complex array, K the largest rank:
+    entry q holds Qbar_q in its top-left ranks[q] x ranks[q] block and
+    zeros elsewhere. A list of matrices is copied into a new stack once;
+    ``profile[q]`` is the exact-shape read-only view of Qbar_q.
+    """
 
     def __init__(self, mats):
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
+        mats = [np.asarray(m, dtype=complex) for m in mats]
+        for q, m in enumerate(mats):
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise InvalidInputError(f"Qbar[{q}] has the wrong shape")
+        ranks = [len(m) for m in mats]
+        stack = np.zeros((len(mats),) + (max(ranks, default=0),) * 2, dtype=complex)
+        for q, (m, r) in enumerate(zip(mats, ranks)):
+            stack[q, :r, :r] = m
+        self.stack, self.ranks = _freeze(stack), _freeze(np.array(ranks, dtype=int))
+
+    @classmethod
+    def from_stack(cls, stack, ranks):
+        """The profile whose padded (Q, K, K) stack is ``stack``, which is
+        kept without a copy and frozen."""
+        self = cls.__new__(cls)
+        self.stack, self.ranks = _freeze(stack), _freeze(np.array(ranks, dtype=int))
+        return self
 
     def __len__(self):
-        return len(self.mats)
+        return self.stack.shape[0]
 
     def __getitem__(self, q):
-        return self.mats[q]
+        r = self.ranks[q]
+        return self.stack[q, :r, :r]
 
-    def __iter__(self):
-        return iter(self.mats)
+    @property
+    def mats(self):
+        return list(self)
 
     def copy(self):
-        return StrategyProfile([m.copy() for m in self.mats])
+        return StrategyProfile.from_stack(self.stack.copy(), self.ranks)
 
     def replace(self, q, mat):
-        mats = list(self.mats)
-        mats[q] = np.asarray(mat, dtype=complex)
+        mats = self.mats
+        mats[q] = mat
         return StrategyProfile(mats)
 
     def traces(self):
-        return np.array([float(np.trace(m).real) for m in self.mats])
+        return np.trace(self.stack, axis1=1, axis2=2).real
 
     @classmethod
     def uniform(cls, s, fraction=1.0):
@@ -336,27 +360,36 @@ class StrategyProfile:
 
     def validate(self, s, tol=1e-10):
         """Check PSD (up to an eigenvalue floor) and the trace budgets."""
-        if len(self.mats) != s.Q:
+        if len(self) != s.Q:
             raise InvalidInputError("profile size does not match the scenario")
-        for q, m in enumerate(self.mats):
-            if m.shape != (s.ranks[q], s.ranks[q]):
-                raise InvalidInputError(f"Qbar[{q}] has the wrong shape")
-            check_hermitian(m)
-            lo = float(np.linalg.eigvalsh(hermitize(m)).min())
-            if lo < -tol * max(1.0, float(np.abs(m).max())):
-                raise InvalidInputError(f"Qbar[{q}] is not PSD (min eig {lo:.3e})")
-            tr = float(np.trace(m).real)
-            if tr > s.P[q] + tol:
-                raise InvalidInputError(
-                    f"Qbar[{q}] exceeds the power budget: {tr} > {s.P[q]}"
-                )
+        bad = np.flatnonzero(self.ranks != s.ranks)
+        if bad.size:
+            raise InvalidInputError(f"Qbar[{bad[0]}] has the wrong shape")
+        A = self.stack
+        if not np.isfinite(A).all():
+            raise InvalidInputError("matrix has non-finite entries")
+        _check_hermitian_stack(A)
+        # the zero padding adds eigenvalues 0, which pass the floor
+        lo = np.linalg.eigvalsh(hermitize(A)).min(axis=-1)
+        scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+        bad = np.flatnonzero(lo < -tol * scale)
+        if bad.size:
+            q = bad[0]
+            raise InvalidInputError(f"Qbar[{q}] is not PSD (min eig {lo[q]:.3e})")
+        tr = self.traces()
+        bad = np.flatnonzero(tr > s.P + tol)
+        if bad.size:
+            q = bad[0]
+            raise InvalidInputError(
+                f"Qbar[{q}] exceeds the power budget: {tr[q]} > {s.P[q]}"
+            )
         return self
 
 
 # --- batched evaluation ----------------------------------------------------
 #
-# Every evaluator below works on zero-padded stacks: a profile is one
-# (Q, K, K) array, a receiver's covariance one (N, N) slice padded with
+# Every evaluator below works on zero-padded stacks: a profile is its
+# (Q, K, K) ``stack``, a receiver's covariance one (N, N) slice padded with
 # identity. The padding is exact (it adds zero terms and identity blocks)
 # and is sliced away before anything leaves this module; the public
 # single-player functions are views of the same batched formulas.
@@ -376,17 +409,6 @@ def _unwide(M, Q):
     return M.reshape(M.shape[0], Q, -1).transpose(1, 0, 2)
 
 
-def _profile_stack(s, mats):
-    """The covariances ``mats`` of a reduced scenario's players, zero-padded
-    into one (Q, K, K) array."""
-    K = s.direct.shape[2]
-    P = np.zeros((len(mats), K, K), dtype=complex)
-    for q, m in enumerate(mats):
-        r = m.shape[0]
-        P[q, :r, :r] = m
-    return P
-
-
 def _received_covariance(s, q, P, own=False):
     """Rn_q + sum_r Hbar_qr P_r Hbar_qr^H at receiver q, over r != q (all r
     with ``own``), for a (Q, K, K) profile stack ``P``; (N, N), identity
@@ -398,10 +420,11 @@ def _received_covariance(s, q, P, own=False):
     return s.Rn_stack[q] + _wide(T) @ _ct(_wide(A))
 
 
-def _whitened_grams(s, qs, stacks):
-    """Whitened grams Hbar_qq^H R_q^{-1} Hbar_qq of the players ``qs``, each
-    at its own (Q, K, K) profile stack; one (len(qs), K, K) array, zero
-    beyond each player's rank."""
+def _whitened_channels(s, qs, stacks):
+    """Whitened direct channels X = L^{-1} Hbar_qq of the players ``qs``,
+    L L^H = R_q the MUI covariance of each at its own (Q, K, K) profile
+    stack; one (len(qs), N, K) array, zero beyond each player's receive
+    dimension and rank. X^H X is the whitened gram Hbar_qq^H R_q^{-1} Hbar_qq."""
     N = s.Rn_stack.shape[1]
     R = np.empty((len(qs), N, N), dtype=complex)
     for i, (q, P) in enumerate(zip(qs, stacks)):
@@ -418,8 +441,20 @@ def _whitened_grams(s, qs, stacks):
                     f"MUI covariance of player {q} is numerically singular"
                 ) from None
         raise
-    X = np.linalg.solve(L, s.direct[list(qs)])
+    return np.linalg.solve(L, s.direct[list(qs)])
+
+
+def _grams(X):
+    """Whitened grams X^H X of stacked whitened channels."""
     return hermitize(_ct(X) @ X)
+
+
+def _rates(X, P):
+    """log det(I + X^H X Qbar) of stacked whitened channels ``X`` and
+    covariances ``P`` (zero-padded or exact alike): the sum of log1p over
+    the eigenvalues of X Qbar X^H, whose padding adds only zeros."""
+    lam = np.linalg.eigvalsh(hermitize(X @ P @ _ct(X)))
+    return np.log1p(np.maximum(lam, 0.0)).sum(axis=-1)
 
 
 def _rank_groups(ranks):
@@ -429,28 +464,21 @@ def _rank_groups(ranks):
         yield k, np.flatnonzero(ranks == k)
 
 
-def _rates_from_grams(G, own):
-    """log det(I + G Qbar) for stacked grams and own covariances of one
-    size, from the eigenvalues of the symmetrized G^(1/2) Qbar G^(1/2)."""
-    d, U = np.linalg.eigh(G)
-    Ghalf = (U * np.sqrt(np.maximum(d, 0.0))[..., None, :]) @ _ct(U)
-    lam = np.linalg.eigvalsh(hermitize(Ghalf @ own @ Ghalf))
-    return np.log1p(np.maximum(lam, 0.0)).sum(axis=-1)
+def _stack_frob(D):
+    """Frobenius norm of each padded profile in a (..., Q, K, K) stack."""
+    return np.sqrt((D.real ** 2 + D.imag ** 2).sum(axis=(-3, -2, -1)))
 
 
-def _stack_rates(s, G, P):
-    """Rates of all players from their padded grams ``G`` and the padded
-    profile stack ``P`` (both (Q, K, K))."""
-    out = np.empty(s.Q)
-    for k, idx in _rank_groups(s.ranks):
-        out[idx] = _rates_from_grams(G[idx, :k, :k], P[idx, :k, :k])
-    return out
+def block_max_distance(pa, pb, w):
+    """max_q ||Qbar_q - Qbar'_q||_F / w_q."""
+    # each player's block as a one-player profile
+    return float((_stack_frob((pa.stack - pb.stack)[:, None]) / w).max())
 
 
 def mui_covariance(s, q, profile):
     """Interference-plus-noise covariance at receiver q."""
     n = s.Rn[q].shape[0]
-    R = _received_covariance(s, q, _profile_stack(s, profile))
+    R = _received_covariance(s, q, profile.stack)
     return hermitize(R[:n, :n])
 
 
@@ -461,16 +489,17 @@ def whitened_gram(s, q, profile):
     reduced direct channel has full column rank.
     """
     r = s.ranks[q]
-    return _whitened_grams(s, [q], [_profile_stack(s, profile)])[0, :r, :r]
+    return _grams(_whitened_channels(s, [q], [profile.stack]))[0, :r, :r]
 
 
 def rate(s, q, profile):
     """Achievable rate of player q in nats, treating interference as noise.
 
-    log det(I + G Qbar) evaluated through the eigenvalues of the symmetrized
-    product G^(1/2) Qbar G^(1/2).
+    log det(I + G Qbar) evaluated as the sum of log1p over the eigenvalues
+    of X Qbar X^H, X the whitened direct channel (G = X^H X).
     """
-    return float(_rates_from_grams(whitened_gram(s, q, profile), profile[q]))
+    X = _whitened_channels(s, [q], [profile.stack])
+    return float(_rates(X, profile.stack[q][None])[0])
 
 
 def energy_efficiency(s, q, profile):

@@ -139,6 +139,13 @@ def test_dinkelbach_config_validation():
         DinkelbachConfig(epsilon=0.0)
     with pytest.raises(InvalidInputError):
         DinkelbachConfig(init="bogus")
+    for bad in (float("nan"), float("inf"), -1e-9, "tight"):
+        with pytest.raises(InvalidInputError):
+            DinkelbachConfig(epsilon=bad)
+    for bad in (float("nan"), float("inf"), 0, 2.5, None):
+        with pytest.raises(InvalidInputError):
+            DinkelbachConfig(max_iters=bad)
+    DinkelbachConfig(epsilon=1e-6, max_iters=50.0)
 
 
 # --- best response ----------------------------------------------------------------

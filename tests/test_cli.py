@@ -132,6 +132,21 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "usage" in err.lower()
 
 
+@pytest.mark.parametrize("dinkelbach", [
+    {"epsilon": float("nan")},
+    {"epsilon": float("inf")},
+    {"max_iters": float("nan")},
+])
+def test_non_finite_dinkelbach_config_is_validation_error(
+        tmp_path, scenario_file, capsys, dinkelbach):
+    # json writes NaN and Infinity, and the CLI's json.load reads them back
+    cfg = str(tmp_path / "br.json")
+    json.dump({"scenario": {"file": scenario_file}, "player": 0,
+               "dinkelbach": dinkelbach}, open(cfg, "w"))
+    assert cli(["br", "solve", "--config", cfg, "--quiet"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_config_file_is_validation_error():
     assert cli(["br", "solve", "--config", "/nonexistent.json"]) == EXIT_USAGE
     assert cli(["br", "solve"]) == EXIT_USAGE  # no scenario section

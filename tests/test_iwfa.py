@@ -58,6 +58,9 @@ def test_asynchronous_schedule_statistics():
 def test_schedule_validation():
     with pytest.raises(InvalidInputError):
         make_schedule("asynchronous", 2, {"rho": 0.0})
+    for rho in (float("nan"), [0.5, float("nan")], float("inf"), 1.5):
+        with pytest.raises(InvalidInputError):
+            make_schedule("asynchronous", 2, {"rho": rho})
     with pytest.raises(InvalidInputError):
         make_schedule("asynchronous", 2, {"rho": 0.5, "d_max": -1})
     with pytest.raises(InvalidInputError):
@@ -272,6 +275,9 @@ def test_run_iwfa_rejects_bad_weights():
     rs = reduce_scenario(scalar_scenario())
     with pytest.raises(InvalidInputError):
         run_iwfa(rs, make_schedule("synchronous", 1), weights=np.array([0.0]))
+    for w in (np.inf, np.nan, -np.inf):
+        with pytest.raises(InvalidInputError):
+            run_iwfa(rs, make_schedule("synchronous", 1), weights=np.array([w]))
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -373,6 +373,66 @@ def test_profile_validation(rng):
         neg.validate(rs)
 
 
+def test_profile_validation_messages(rng):
+    rs = reduce_scenario(generate_scenario(2, 2, 7.0, 0.0, seed=10))
+    cases = [
+        ([np.eye(2)], "profile size does not match the scenario"),
+        ([np.eye(2), np.eye(3)], r"Qbar\[1\] has the wrong shape"),
+        ([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])], "matrix is not Hermitian"),
+        ([np.eye(2), np.full((2, 2), np.nan)], "matrix has non-finite entries"),
+        ([np.eye(2), np.diag([1.0, -1.0])], r"Qbar\[1\] is not PSD \(min eig -1.000e\+00\)"),
+        ([np.eye(2), 3.0 * np.eye(2)], r"Qbar\[1\] exceeds the power budget: 6.0 > 2.0"),
+    ]
+    for mats, message in cases:
+        with pytest.raises(InvalidInputError, match=message):
+            StrategyProfile(mats).validate(rs)
+    with pytest.raises(InvalidInputError, match=r"Qbar\[0\] has the wrong shape"):
+        StrategyProfile([np.ones((2, 3)), np.eye(2)])
+
+
+def test_ragged_profile_is_one_frozen_padded_stack(rng):
+    mats = [random_psd(rng, r, trace=1.0) for r in (2, 1, 3)]
+    prof = StrategyProfile(mats)
+    want = np.zeros((3, 3, 3), dtype=complex)
+    for q, m in enumerate(mats):
+        want[q, : len(m), : len(m)] = m
+    assert np.array_equal(prof.stack, want)
+    assert list(prof.ranks) == [2, 1, 3] and len(prof) == 3
+    for q, m in enumerate(mats):
+        assert prof[q].shape == m.shape and np.array_equal(prof[q], m)
+        assert np.array_equal(prof.mats[q], m)
+        with pytest.raises(ValueError):
+            prof[q][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        prof.stack[0, 0, 0] = 5.0
+    assert [m.shape for m in prof] == [(2, 2), (1, 1), (3, 3)]
+    assert np.array_equal(prof.traces(), [np.trace(m).real for m in mats])
+
+    # the profile owns its copy: neither the sources nor replace can change it
+    before = prof.stack.copy()
+    mats[0][0, 0] += 7.0
+    other = prof.replace(1, np.array([[0.25]]))
+    assert np.array_equal(prof.stack, before)
+    assert other[1][0, 0] == 0.25 and np.array_equal(other[2], prof[2])
+    dup = prof.copy()
+    assert np.array_equal(dup.stack, prof.stack) and dup.stack is not prof.stack
+
+
+def test_rate_of_a_tiny_covariance_matches_closed_form(rng):
+    # H = U diag(sig) V^H, so in the reduced basis the whitened gram is
+    # diag(sig^2) / sigma2 and a diagonal Qbar has rate sum log1p(sig^2 p / sigma2)
+    U, _ = np.linalg.qr(crandn(rng, 3, 3))
+    V, _ = np.linalg.qr(crandn(rng, 3, 3))
+    sig, sigma2 = np.array([3.0, 1.0, 0.2]), 0.5
+    s = scenario_from_matrices([[(U * sig) @ V.conj().T]], [sigma2 * np.eye(3)],
+                               [1.0], [1.0])
+    rs = reduce_scenario(s)
+    p = np.array([0.5, 0.3, 0.2]) * 1e-12
+    got = rate(rs, 0, StrategyProfile([np.diag(p).astype(complex)]))
+    want = float(np.log1p(sig ** 2 * p / sigma2).sum())
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_scenario_json_round_trip(tmp_path):
     s = generate_scenario(3, 2, 7.0, 3.0, seed=11)
     path = tmp_path / "scn.json"
@@ -423,12 +483,7 @@ def assert_close(got, want, rel=1e-12):
 
 
 def test_ragged_batch_matches_per_pair_formulas(rng):
-    from eeiwfa.model import (
-        _profile_stack,
-        _received_covariance,
-        _stack_rates,
-        _whitened_grams,
-    )
+    from eeiwfa.model import _grams, _rates, _received_covariance, _whitened_channels
 
     # unequal nT and nR; player 1's 3x2 direct channel has rank 1
     s = ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4])
@@ -436,8 +491,9 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
     assert list(rs.ranks) == [2, 1, 4]
     N, K = 4, 4
     mats = [random_psd(rng, int(r), trace=1.0) for r in rs.ranks]
-    P = _profile_stack(rs, mats)
-    grams = _whitened_grams(rs, range(3), [P] * 3)
+    P = StrategyProfile(mats).stack
+    X = _whitened_channels(rs, range(3), [P] * 3)
+    grams = _grams(X)
     assert grams.shape == (3, K, K)
     plain_grams = []
     for q in range(3):
@@ -462,7 +518,7 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
         np.linalg.slogdet(np.eye(len(m)) + G @ m)[1]
         for G, m in zip(plain_grams, mats)
     ])
-    assert_close(_stack_rates(rs, grams, P), plain_rates)
+    assert_close(_rates(X, P), plain_rates)
     assert_close(
         np.array([rate(rs, q, StrategyProfile(mats)) for q in range(3)]), plain_rates
     )
