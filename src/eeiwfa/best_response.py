@@ -14,9 +14,9 @@ from numbers import Real
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, check_count
 from .linalg import _eigh_descending, hermitian_evd, hermitize, psd_trace_projection
-from .model import _ct, _grams, _rank_groups, _rates, _whitened_channels
+from .model import _ct, _grams, _rank_groups, _whitened_channels, whitened_gram
 
 _D_TINY = 1e-30
 
@@ -25,17 +25,12 @@ _D_TINY = 1e-30
 class DinkelbachConfig:
     epsilon: float = 1e-9
     max_iters: int = 200
-    init: str = "uniform"   # starting covariance rule: uniform = (P_q/r_q) I
 
     def __post_init__(self):
         # NaN fails every comparison, so it is rejected with the rest
         if not (isinstance(self.epsilon, Real) and 0.0 < self.epsilon < math.inf):
             raise InvalidInputError("epsilon must be finite and positive")
-        if not (isinstance(self.max_iters, Real) and self.max_iters >= 1
-                and float(self.max_iters).is_integer()):
-            raise InvalidInputError("max_iters must be an integer >= 1")
-        if self.init not in ("uniform", "current"):
-            raise InvalidInputError("init must be 'uniform' or 'current'")
+        check_count(self.max_iters, "max_iters", 1)
 
 
 @dataclass
@@ -73,37 +68,20 @@ def waterfill(U, D, p):
     return (U * powers) @ U.conj().T
 
 
-def _gain_space(s, q, profile):
-    """Player q's whitened direct channel X (N x r_q) and the eigen-gains and
-    eigenbasis of its gram X^H X; raises if that is not positive definite."""
-    X = _whitened_channels(s, [q], [profile.stack])[0, :, : s.ranks[q]]
-    d, U = hermitian_evd(_grams(X))
-    _check_gains(q, d)
-    return X, d, U
-
-
-def _check_gains(q, d):
-    if d[-1] <= 0 and d[0] > _D_TINY:
-        raise InvalidInputError(
-            f"whitened gram of player {q} is not positive definite"
-        )
-
-
-def _unconstrained_power(s, q, X, own, d, cfg):
-    """(p_u, iterations) of player q from its whitened direct channel ``X``
-    (N x r_q), its own covariance and the eigen-gains ``d`` of X^H X
-    (descending, not yet checked)."""
-    _check_gains(q, d)
+def _unconstrained_power(s, q, d, cfg):
+    """(p_u, iterations) of player q from the eigen-gains ``d`` of its
+    whitened gram (descending), Dinkelbach started from the uniform
+    covariance (P_q / r_q) I."""
     # Defensive: a vanishing channel cannot pay for its circuit power.
     if d[0] <= _D_TINY:
         return 0.0, 0
+    if d[-1] <= 0:
+        raise InvalidInputError(
+            f"whitened gram of player {q} is not positive definite"
+        )
     # nu^(1) only needs the rate and trace of the starting covariance.
-    own_trace = float(np.trace(own).real) if cfg.init == "current" else 0.0
-    if own_trace > 0:
-        rate0, trace0 = float(_rates(X[None], own[None])[0]), own_trace
-    else:
-        trace0 = float(s.P[q])
-        rate0 = float(np.log1p(d * (trace0 / d.size)).sum())
+    trace0 = float(s.P[q])
+    rate0 = float(np.log1p(d * (trace0 / d.size)).sum())
     p_u, iters, delta, monotone = _kernels.dinkelbach_gains(
         np.ascontiguousarray(d, dtype=np.float64),
         float(s.Psi[q]), rate0, trace0, float(cfg.epsilon), int(cfg.max_iters),
@@ -122,61 +100,13 @@ def _unconstrained_power(s, q, X, own, d, cfg):
     return float(p_u), int(iters)
 
 
-def dinkelbach_power(s, q, profile, cfg=None):
-    """Unconstrained EE-optimal power of player q, with iteration count.
-
-    Iterates nu <- rate / (trace + Psi) followed by waterfilling at level
-    1/nu until the parametric objective gap falls below epsilon; the nu
-    sequence is checked to be non-decreasing.
-    """
-    cfg = cfg or DinkelbachConfig()
-    X, d, _ = _gain_space(s, q, profile)
-    return _unconstrained_power(s, q, X, profile[q], d, cfg)
-
-
-def _respond(s, qs, X, D, U, owns, cfg):
-    """Best responses of the players ``qs``, all of one rank, from their
-    stacked whitened direct channels X, the eigendecompositions
-    X^H X = U diag(D) U^H (each D descending, not yet checked) and their own
-    current covariances; the covariances come from one stacked
-    waterfilling."""
-    k = D.shape[-1]
-    p_u = np.zeros(len(qs))
-    p_hat = np.zeros(len(qs))
-    iters = [0] * len(qs)
-    for i, q in enumerate(qs):
-        p_u[i], iters[i] = _unconstrained_power(s, q, X[i], owns[i], D[i], cfg)
-        p_hat[i] = min(float(s.P[q]), p_u[i])
-    live = np.flatnonzero(p_hat > 0)
-    mu, powers = _waterfill_powers(D[live], p_hat[live])
-    Qbr = (U[live] * powers[:, None, :]) @ _ct(U[live])
-    out = [None] * len(qs)
-    for j, i in enumerate(live):
-        out[i] = BestResponseResult(Qbr[j], float(p_u[i]), float(p_hat[i]),
-                                    float(mu[j]), iters[i])
-    for i in np.flatnonzero(p_hat <= 0):
-        out[i] = BestResponseResult(np.zeros((k, k), dtype=complex), float(p_u[i]),
-                                    0.0, 0.0, iters[i], zero_power=True)
-    return out
-
-
-def best_response(s, q, profile, cfg=None):
-    """EE best response of player q against a fixed profile of the others.
-
-    Returns the waterfilled covariance at p_hat = min(P_q, p_unconstrained)
-    together with the powers, water level and Dinkelbach iteration count.
-    """
-    cfg = cfg or DinkelbachConfig()
-    X, d, U = _gain_space(s, q, profile)
-    return _respond(s, [q], X[None], d[None], U[None], profile[q][None], cfg)[0]
-
-
-def _best_responses(s, qs, X, owns, cfg):
+def _best_responses(s, qs, X, cfg):
     """Best responses of the players ``qs`` from their padded whitened
     direct channels (one (len(qs), N, K) array, see
-    model._whitened_channels) and their own current covariances (one padded
-    (len(qs), K, K) stack); eigendecompositions and waterfillings are
-    batched per rank."""
+    model._whitened_channels), each formed at the profile that player
+    measures. Every best response, of one player or of many, is computed
+    here: per rank, one batched eigendecomposition of the grams, one
+    Dinkelbach solve per player and one stacked waterfilling."""
     out = [None] * len(qs)
     grams = _grams(X)
     for k, idx in _rank_groups(s.ranks[list(qs)]):
@@ -186,12 +116,46 @@ def _best_responses(s, qs, X, owns, cfg):
             raise InvalidInputError(
                 f"whitened gram of player {qs[idx[bad[0]]]} has non-finite entries"
             )
-        vals, vecs = _eigh_descending(G)
-        group = _respond(s, [qs[i] for i in idx], X[idx, :, :k], vals, vecs,
-                         owns[idx, :k, :k], cfg)
-        for i, res in zip(idx, group):
-            out[i] = res
+        D, U = _eigh_descending(G)
+        group = [qs[i] for i in idx]
+        p_u = np.zeros(len(group))
+        p_hat = np.zeros(len(group))
+        iters = [0] * len(group)
+        for j, q in enumerate(group):
+            p_u[j], iters[j] = _unconstrained_power(s, q, D[j], cfg)
+            p_hat[j] = min(float(s.P[q]), p_u[j])
+        live = np.flatnonzero(p_hat > 0)
+        mu, powers = _waterfill_powers(D[live], p_hat[live])
+        Qbr = (U[live] * powers[:, None, :]) @ _ct(U[live])
+        for m, j in enumerate(live):
+            out[idx[j]] = BestResponseResult(Qbr[m], float(p_u[j]), float(p_hat[j]),
+                                             float(mu[m]), iters[j])
+        for j in np.flatnonzero(p_hat <= 0):
+            out[idx[j]] = BestResponseResult(np.zeros((k, k), dtype=complex),
+                                             float(p_u[j]), 0.0, 0.0, iters[j],
+                                             zero_power=True)
     return out
+
+
+def best_response(s, q, profile, cfg=None):
+    """EE best response of player q against a fixed profile of the others.
+
+    Returns the waterfilled covariance at p_hat = min(P_q, p_unconstrained)
+    together with the powers, water level and Dinkelbach iteration count.
+    """
+    X = _whitened_channels(s, [q], [profile.stack])
+    return _best_responses(s, [q], X, cfg or DinkelbachConfig())[0]
+
+
+def dinkelbach_power(s, q, profile, cfg=None):
+    """Unconstrained EE-optimal power of player q, with iteration count.
+
+    Iterates nu <- rate / (trace + Psi) followed by waterfilling at level
+    1/nu until the parametric objective gap falls below epsilon; the nu
+    sequence is checked to be non-decreasing.
+    """
+    br = best_response(s, q, profile, cfg)
+    return br.p_unconstrained, br.dinkelbach_iters
 
 
 def projection_best_response(s, q, profile, p_hat):
@@ -202,7 +166,7 @@ def projection_best_response(s, q, profile, p_hat):
     """
     if p_hat < 0:
         raise InvalidInputError("power must be >= 0")
-    _, d, U = _gain_space(s, q, profile)
+    d, U = hermitian_evd(whitened_gram(s, q, profile))
     if d[-1] <= 0:
         raise InvalidInputError(
             f"whitened gram of player {q} is not positive definite"

@@ -10,7 +10,6 @@ import json
 import sys
 
 from . import harness
-from .best_response import DinkelbachConfig
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
 from .iwfa import make_schedule, run_iwfa, write_trace_csv
 from .model import load_scenario, reduce_scenario, save_scenario
@@ -193,18 +192,17 @@ def _cmd_iwfa_run(args):
     rs = reduce_scenario(s)
     sched_cfg = dict(cfg.get("schedule", {}))
     mode = sched_cfg.pop("mode", "synchronous")
-    run_seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    run_seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sched = make_schedule(mode, rs.Q, sched_cfg or None, seed=run_seed)
-    dk = DinkelbachConfig(**cfg.get("dinkelbach", {}))
     trace = run_iwfa(
         rs, sched,
-        max_slots=int(cfg.get("max_slots", 1000)),
-        residual_tol=float(cfg.get("residual_tol", 1e-9)),
-        cfg=dk, seed=run_seed,
-        ne_every=int(cfg.get("ne_every", 1)),
+        max_slots=cfg.get("max_slots", 1000),
+        residual_tol=cfg.get("residual_tol", 1e-9),
+        cfg=harness.dinkelbach_config(cfg.get("dinkelbach", {})),
+        ne_every=cfg.get("ne_every", 1),
     )
     out = harness.resolve_out(args.out or cfg.get("out"), "iwfa_trace.csv")
-    write_trace_csv(trace, out, thin=int(cfg.get("thin", 1)))
+    write_trace_csv(trace, out, thin=cfg.get("thin", 1))
     if not args.quiet:
         final_ne = trace.ne_residual[-1] if len(trace.slots) else float("nan")
         print(f"{trace.termination} after {len(trace.slots)} slots;"

@@ -600,7 +600,7 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
         # the clipped powers of every player's batched best response
         qs = range(s.Q)
         X = _whitened_channels(s, qs, [profile.stack] * s.Q)
-        brs = _best_responses(s, qs, X, profile.stack, cfg.dinkelbach)
+        brs = _best_responses(s, qs, X, cfg.dinkelbach)
         return np.array([br.p_hat for br in brs])
 
     for i in range(cfg.n_pairs):

@@ -8,6 +8,7 @@ follows trial indices.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -271,7 +272,7 @@ def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
                 sched = make_schedule(mode, rs.Q)
             tr = run_iwfa(
                 rs, sched, max_slots=int(cfg["max_slots"]),
-                residual_tol=float(cfg["residual_tol"]), cfg=dk, seed=sd,
+                residual_tol=float(cfg["residual_tol"]), cfg=dk,
                 ne_every=int(cfg["ne_every"]),
             )
             traces[mode] = tr
@@ -365,6 +366,25 @@ def run_lemma_suite(config=None, seed=None, verbose=False):
 
 # --- single best-response / criteria evaluations ------------------------------
 
+def _section(cls, section, name):
+    """``cls`` built from the config object ``section``; a non-object or an
+    unknown key raises InvalidInputError, not a TypeError."""
+    if not isinstance(section, dict):
+        raise InvalidInputError(f"config section '{name}' must be an object")
+    unknown = sorted(set(section) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidInputError(
+            f"unknown key(s) in config section '{name}': {', '.join(unknown)}"
+        )
+    return cls(**section)
+
+
+def dinkelbach_config(section, name="dinkelbach"):
+    """DinkelbachConfig of a config's ``dinkelbach`` section, whose keys are
+    ``epsilon`` and ``max_iters``."""
+    return _section(DinkelbachConfig, section, name)
+
+
 def solve_best_response(config, seed=None):
     """Best response of one player against a profile (uniform by default)."""
     s = scenario_from_config(config["scenario"], seed=seed)
@@ -372,7 +392,7 @@ def solve_best_response(config, seed=None):
     q = int(config.get("player", 0))
     if not 0 <= q < rs.Q:
         raise InvalidInputError(f"player index {q} out of range")
-    dk = DinkelbachConfig(**config.get("dinkelbach", {}))
+    dk = dinkelbach_config(config.get("dinkelbach", {}))
     frac = float(config.get("profile_fraction", 1.0))
     profile = StrategyProfile.uniform(rs, fraction=frac)
     res = best_response(rs, q, profile, dk)
@@ -412,7 +432,11 @@ def evaluate_criteria(config, seed=None):
         raise InvalidInputError(f"unknown variant {variant!r}")
     smooth_cfg = None
     if "smoothness" in config:
-        smooth_cfg = PowerSmoothnessConfig(**config["smoothness"])
+        smooth = config["smoothness"]
+        if isinstance(smooth, dict) and "dinkelbach" in smooth:
+            dk = dinkelbach_config(smooth["dinkelbach"], "smoothness.dinkelbach")
+            smooth = {**smooth, "dinkelbach": dk}
+        smooth_cfg = _section(PowerSmoothnessConfig, smooth, "smoothness")
     rep = criteria(rs, S, smoothness_cfg=smooth_cfg)
     return rep.to_dict()
 

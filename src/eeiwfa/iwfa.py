@@ -9,14 +9,16 @@ past states.
 """
 
 import csv
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .best_response import DinkelbachConfig, _best_responses
 from .equilibrium import interference_matrix_square
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, check_count
 from .linalg import W_FLOOR, spectral_radius
 from .model import StrategyProfile, _rates, _whitened_channels, block_max_distance
 
@@ -40,7 +42,7 @@ class UpdateSchedule:
     Q: int
     rho: np.ndarray | None = None
     d_max: int = 0
-    seed: int | None = None
+    seed: int = 0
 
     def draw_slot(self, t, rng):
         """Update mask and per-pair measurement ages for slot ``t``.
@@ -59,14 +61,16 @@ class UpdateSchedule:
         return mask, ages
 
 
-def make_schedule(mode, Q, params=None, seed=None):
+def make_schedule(mode, Q, params=None, seed=0):
     """Build an update schedule.
 
     ``params`` is only consulted for the asynchronous mode: ``rho`` (scalar
-    or per-player, in (0, 1]) and ``d_max`` (>= 0). A starved player
-    (rho = 0) is rejected because it would never update.
+    or per-player, in (0, 1]) and ``d_max`` (an integer >= 0). A starved
+    player (rho = 0) is rejected because it would never update. ``seed``
+    seeds the asynchronous draws.
     """
     params = dict(params or {})
+    seed = check_count(seed, "seed", 0)
     if mode in ("sequential", "synchronous"):
         return UpdateSchedule(mode=mode, Q=Q, seed=seed)
     if mode != "asynchronous":
@@ -76,9 +80,7 @@ def make_schedule(mode, Q, params=None, seed=None):
     ).copy()
     if not np.all((rho > 0.0) & (rho <= 1.0)):
         raise InvalidInputError("update probabilities must lie in (0, 1]")
-    d_max = int(params.get("d_max", 0))
-    if d_max < 0:
-        raise InvalidInputError("d_max must be >= 0")
+    d_max = check_count(params.get("d_max", 0), "d_max", 0)
     return UpdateSchedule(mode=mode, Q=Q, rho=rho, d_max=d_max, seed=seed)
 
 
@@ -105,7 +107,6 @@ class IwfaTrace:
     weights: np.ndarray
     termination: str             # converged | max_slots | oscillating | error
     final_profile: StrategyProfile
-    snapshots: dict = field(default_factory=dict)
     error: str | None = None
     meta: dict = field(default_factory=dict)
 
@@ -147,8 +148,7 @@ class _Evaluation:
     def best_responses(self, qs, cfg):
         todo = [q for q in qs if self._brs[q] is None]
         if todo:
-            stack = self.profile.stack
-            brs = _best_responses(self.s, todo, self.whitened()[todo], stack[todo], cfg)
+            brs = _best_responses(self.s, todo, self.whitened()[todo], cfg)
             for q, br in zip(todo, brs):
                 self._brs[q] = br
         return [self._brs[q] for q in qs]
@@ -164,17 +164,17 @@ def ne_residual(s, profile, cfg=None):
     return _Evaluation(s, profile).ne_residual(cfg or DinkelbachConfig())
 
 
-def _delayed_responses(s, qs, t, ages, history, profile, cfg):
+def _delayed_responses(s, qs, t, ages, history, cfg):
     """Best responses of players ``qs`` to their delayed measurements:
     player q sees player r as it was ``ages[q, r]`` slots ago (clipped to
-    the first slot) and itself as it is now."""
+    the first slot)."""
     past = np.stack(history)
     last = len(past) - 1
     players = np.arange(s.Q)
     # entry q of each gathered stack is never read: the MUI skips r = q
     stacks = [past[np.maximum(t - ages[q], 0) - t + last, players] for q in qs]
     X = _whitened_channels(s, qs, stacks)
-    return _best_responses(s, qs, X, profile.stack[qs], cfg)
+    return _best_responses(s, qs, X, cfg)
 
 
 def _oscillating(residuals, tol):
@@ -197,7 +197,7 @@ def _oscillating(residuals, tol):
 
 
 def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
-             cfg=None, seed=0, weights=None, ne_every=1, snapshot_every=0):
+             cfg=None, weights=None, ne_every=1):
     """Simulate the asynchronous EE waterfilling game.
 
     At every slot the scheduled players recompute their best response
@@ -206,11 +206,10 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     consecutive profiles stays below ``residual_tol`` for 5 slots, when a
     periodic residual recurrence with no downward trend is detected
     ("oscillating"), or at ``max_slots``. Fully deterministic given the
-    seeds (the schedule's own seed wins over ``seed`` when set).
+    schedule's seed. A negative ``residual_tol`` runs all ``max_slots``.
 
     ``ne_every`` controls how often the equilibrium residual is evaluated
-    (0 = final slot only); ``snapshot_every`` thins stored profile
-    snapshots (0 = none).
+    (0 = final slot only).
 
     Arguments are validated before the first slot and raise. A
     ConvergenceError or InvalidInputError raised while a slot is evaluated
@@ -219,18 +218,22 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     recorded.
     """
     cfg = cfg or DinkelbachConfig()
+    max_slots = check_count(max_slots, "max_slots", 0)
+    ne_every = check_count(ne_every, "ne_every", 0)
+    if not isinstance(residual_tol, Real) or math.isnan(residual_tol):
+        raise InvalidInputError("residual_tol must be a number, not NaN")
+    residual_tol = float(residual_tol)
     profile = init if init is not None else StrategyProfile.uniform(s)
     profile.validate(s)
     w = np.asarray(weights, dtype=float) if weights is not None else default_weights(s)
     if w.shape != (s.Q,) or not np.all(np.isfinite(w) & (w > 0)):
         raise InvalidInputError("weights must be Q finite positive numbers")
-    rng = np.random.default_rng(schedule.seed if schedule.seed is not None else seed)
+    rng = np.random.default_rng(schedule.seed)
 
     evaluation = _Evaluation(s, profile)
     history = deque(maxlen=schedule.d_max + 1)   # profile stacks, newest last
     history.append(profile.stack)
     slots, ees, residuals, nes, upds = [], [], [], [], []
-    snapshots = {}
     termination = "max_slots"
     error = None
     streak = 0
@@ -250,7 +253,7 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         try:
             brs = evaluation.best_responses(current, cfg)
             if delayed:
-                brs += _delayed_responses(s, delayed, t, ages, history, profile, cfg)
+                brs += _delayed_responses(s, delayed, t, ages, history, cfg)
             new_profile = _moved(profile, current + delayed, brs)
             new_evaluation = _Evaluation(s, new_profile)
             ee = new_evaluation.energy_efficiencies()
@@ -268,8 +271,6 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         ees.append(ee)
         nes.append(ne)
         upds.append(mask.copy())
-        if snapshot_every and slot % snapshot_every == 0:
-            snapshots[slot] = new_profile
         history.append(new_profile.stack)
         profile = new_profile
         evaluation = new_evaluation
@@ -300,7 +301,6 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         weights=w,
         termination=termination,
         final_profile=profile,
-        snapshots=snapshots,
         error=error,
         meta={"mode": schedule.mode, "residual_tol": residual_tol,
               "max_slots": max_slots},
@@ -310,8 +310,7 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
 def kept_slots(n, thin):
     """Indices of an ``n``-slot trace kept when thinning: every ``thin``-th
     slot plus the last."""
-    if thin < 1:
-        raise InvalidInputError("thin must be >= 1")
+    thin = check_count(thin, "thin", 1)
     kept = list(range(0, n, thin))
     if n and kept[-1] != n - 1:
         kept.append(n - 1)

@@ -10,6 +10,7 @@ from eeiwfa.best_response import (
     waterfill,
 )
 from eeiwfa.errors import ConvergenceError, InvalidInputError
+from eeiwfa.harness import dinkelbach_config
 from eeiwfa.linalg import hermitian_evd
 from eeiwfa.model import (
     StrategyProfile,
@@ -138,7 +139,7 @@ def test_dinkelbach_config_validation():
     with pytest.raises(InvalidInputError):
         DinkelbachConfig(epsilon=0.0)
     with pytest.raises(InvalidInputError):
-        DinkelbachConfig(init="bogus")
+        dinkelbach_config({"init": "uniform"})
     for bad in (float("nan"), float("inf"), -1e-9, "tight"):
         with pytest.raises(InvalidInputError):
             DinkelbachConfig(epsilon=bad)
@@ -258,15 +259,6 @@ def test_best_response_result_fields(rng):
     d, U = hermitian_evd(whitened_gram(rs, 0, StrategyProfile.uniform(rs)))
     again = (U * np.maximum(res.water_level - 1.0 / d, 0.0)) @ U.conj().T
     assert np.abs(again - res.Qbr).max() <= 1e-9
-
-
-def test_dinkelbach_warm_start_matches_uniform():
-    s = generate_scenario(3, 2, 7.0, 5.0, seed=50)
-    rs = reduce_scenario(s)
-    prof = StrategyProfile.uniform(rs, fraction=0.7)
-    p_cold, _ = dinkelbach_power(rs, 0, prof, DinkelbachConfig())
-    p_warm, _ = dinkelbach_power(rs, 0, prof, DinkelbachConfig(init="current"))
-    assert abs(p_cold - p_warm) <= 1e-8
 
 
 def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):

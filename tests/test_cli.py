@@ -164,3 +164,46 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "scenario" in proc.stdout
+
+
+def _run(tmp_path, command, cfg):
+    path = str(tmp_path / "cfg.json")
+    json.dump(cfg, open(path, "w"))
+    return cli([*command.split(), "--config", path, "--out", str(tmp_path / "out"),
+                "--quiet"])
+
+
+@pytest.mark.parametrize("command,section", [
+    ("br solve", {"dinkelbach": {"init": "current"}}),
+    ("iwfa run", {"max_slots": 3, "dinkelbach": {"epsilon": 1e-9, "bogus": 1}}),
+    ("criteria eval", {"smoothness": {"n_pairs": 2, "dinkelbach": {"init": "uniform"}}}),
+])
+def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
+                                                command, section):
+    cfg = {"scenario": {"file": scenario_file}, **section}
+    assert _run(tmp_path, command, cfg) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown key" in err
+
+
+def test_criteria_eval_smoothness_dinkelbach_section(tmp_path, scenario_file):
+    cfg = {"scenario": {"file": scenario_file},
+           "smoothness": {"n_pairs": 4, "dinkelbach": {"epsilon": 1e-8, "max_iters": 50}}}
+    assert _run(tmp_path, "criteria eval", cfg) == EXIT_OK
+    rep = json.load(open(tmp_path / "out"))
+    assert rep["power_smoothness"]["n_pairs"] + rep["power_smoothness"]["n_skipped"] > 0
+
+
+@pytest.mark.parametrize("settings", [
+    {"max_slots": float("nan")},
+    {"max_slots": 2.5},
+    {"residual_tol": float("nan")},
+    {"ne_every": float("nan")},
+    {"thin": float("nan")},
+    {"schedule": {"mode": "asynchronous", "rho": 0.5, "d_max": float("nan")}},
+    {"seed": float("nan")},
+])
+def test_iwfa_run_rejects_non_finite_numbers(tmp_path, scenario_file, capsys, settings):
+    cfg = {"scenario": {"file": scenario_file}, "max_slots": 3, **settings}
+    assert _run(tmp_path, "iwfa run", cfg) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")

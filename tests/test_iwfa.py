@@ -5,6 +5,7 @@ from eeiwfa.best_response import DinkelbachConfig, best_response
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.iwfa import (
     block_max_distance,
+    kept_slots,
     make_schedule,
     ne_residual,
     run_iwfa,
@@ -67,6 +68,26 @@ def test_schedule_validation():
         make_schedule("jittery", 2)
 
 
+def test_non_integral_or_nan_settings_are_rejected():
+    nan = float("nan")
+    for d_max in (nan, 2.5, np.inf):
+        with pytest.raises(InvalidInputError, match="d_max"):
+            make_schedule("asynchronous", 2, {"rho": 0.5, "d_max": d_max})
+    with pytest.raises(InvalidInputError, match="seed"):
+        make_schedule("synchronous", 2, seed=nan)
+    assert make_schedule("asynchronous", 2, {"rho": 0.5}).seed == 0
+    rs = reduce_scenario(scalar_scenario())
+    sched = make_schedule("synchronous", 1)
+    for kwargs in ({"max_slots": nan}, {"max_slots": -1}, {"ne_every": nan},
+                   {"residual_tol": nan}, {"residual_tol": "1e-9"}):
+        with pytest.raises(InvalidInputError, match=next(iter(kwargs))):
+            run_iwfa(rs, sched, **kwargs)
+    trace = run_iwfa(rs, sched, max_slots=4.0, residual_tol=-1.0)
+    assert len(trace.slots) == 4
+    with pytest.raises(InvalidInputError, match="thin"):
+        kept_slots(4, nan)
+
+
 # --- engine ----------------------------------------------------------------------
 
 def test_single_player_converges_in_one_update():
@@ -90,16 +111,13 @@ def test_decoupled_game_converges_in_one_sweep():
 def test_trace_records_and_feasibility():
     s = generate_scenario(3, 2, 7.0, 5.0, seed=30)
     rs = reduce_scenario(s)
-    trace = run_iwfa(
-        rs, make_schedule("sequential", 3), max_slots=60, snapshot_every=1
-    )
+    trace = run_iwfa(rs, make_schedule("sequential", 3), max_slots=60)
     n = len(trace.slots)
     assert trace.ee.shape == (n, 3)
     assert trace.updated.shape == (n, 3)
     assert np.all(trace.block_residual >= 0.0)
     assert np.all(np.diff(trace.slots) == 1)
-    for prof in trace.snapshots.values():
-        prof.validate(rs)
+    trace.final_profile.validate(rs)
     # sequential mode updates exactly one player per slot
     assert np.all(trace.updated.sum(axis=1) == 1)
 
@@ -108,8 +126,8 @@ def test_determinism_bit_identical():
     s = generate_scenario(4, 2, 7.0, 3.0, seed=31)
     rs = reduce_scenario(s)
     sched = make_schedule("asynchronous", 4, {"rho": 0.4, "d_max": 2}, seed=5)
-    a = run_iwfa(rs, sched, max_slots=80, seed=5)
-    b = run_iwfa(rs, sched, max_slots=80, seed=5)
+    a = run_iwfa(rs, sched, max_slots=80)
+    b = run_iwfa(rs, sched, max_slots=80)
     assert np.array_equal(a.ee, b.ee)
     assert np.array_equal(a.block_residual, b.block_residual)
     assert np.array_equal(a.updated, b.updated)
@@ -244,18 +262,17 @@ def plain_run(rs, schedule, slots, cfg):
     return np.array(ees), np.array(nes)
 
 
-@pytest.mark.parametrize("mode,params,init", [
-    ("synchronous", None, "uniform"),
-    ("sequential", None, "current"),
-    ("asynchronous", {"rho": 0.6, "d_max": 2}, "uniform"),
-    ("asynchronous", {"rho": 0.6, "d_max": 2}, "current"),
+@pytest.mark.parametrize("mode,params", [
+    ("synchronous", None),
+    ("sequential", None),
+    ("asynchronous", {"rho": 0.6, "d_max": 2}),
 ])
-def test_batched_slots_match_the_per_player_loop(mode, params, init):
+def test_batched_slots_match_the_per_player_loop(mode, params):
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
     sched = make_schedule(mode, 4, params, seed=5)
-    cfg = DinkelbachConfig(init=init)
+    cfg = DinkelbachConfig()
     slots = 12
-    trace = run_iwfa(rs, sched, max_slots=slots, residual_tol=-1.0, cfg=cfg, seed=5)
+    trace = run_iwfa(rs, sched, max_slots=slots, residual_tol=-1.0, cfg=cfg)
     assert len(trace.slots) == slots
     ees, nes = plain_run(rs, sched, slots, cfg)
     assert np.abs(trace.ee - ees).max() <= 1e-12 * np.abs(ees).max()
