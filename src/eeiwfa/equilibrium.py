@@ -10,11 +10,18 @@ strategy-dependent power sets.
 """
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .best_response import DinkelbachConfig, _best_responses
-from .errors import CheckFailure, ConvergenceError, InvalidInputError
+from .errors import (
+    CheckFailure,
+    ConvergenceError,
+    InvalidInputError,
+    check_count,
+    check_number,
+)
 from .linalg import (
     W_FLOOR,
     _psd_trace_projections,
@@ -34,6 +41,7 @@ from .model import (
     _whitened_channels,
     _wide,
     block_max_distance,
+    scenario_from_matrices,
 )
 
 # Samples the verifiers evaluate per batched step: large enough to amortize
@@ -237,9 +245,8 @@ def interference_matrix_sampled(s, n_samples, seed):
     direct channels G_qr is profile-independent and the result matches
     :func:`interference_matrix_square`.
     """
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    n_samples = check_count(n_samples, "n_samples", 1)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     Q = s.Q
     S = np.zeros((Q, Q))
     for _ in range(n_samples):
@@ -253,7 +260,7 @@ def interference_matrix_sampled(s, n_samples, seed):
             G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)
             S[q] = np.maximum(S[q], _sigma_max_sq(G))
             S[q, q] = 0.0
-    return InterferenceMatrix(S, "sampled-columnrank", n_samples=int(n_samples))
+    return InterferenceMatrix(S, "sampled-columnrank", n_samples=n_samples)
 
 
 # --- uniqueness criteria ---------------------------------------------------
@@ -264,6 +271,13 @@ class PowerSmoothnessConfig:
     seed: int = 0
     perturbation: float = 0.01
     dinkelbach: DinkelbachConfig = field(default_factory=DinkelbachConfig)
+
+    def __post_init__(self):
+        self.n_pairs = check_count(self.n_pairs, "n_pairs", 0)
+        self.seed = check_count(self.seed, "seed", 0)
+        # NaN fails both comparisons, so it is rejected with the rest
+        if not (isinstance(self.perturbation, Real) and 0.0 <= self.perturbation <= 1.0):
+            raise InvalidInputError("perturbation must lie in [0, 1]")
 
 
 @dataclass
@@ -463,6 +477,8 @@ def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     Pairs are evaluated in batched chunks; the report names the first
     violating pair in sample order, as a per-pair loop would.
     """
+    n_pairs = check_count(n_pairs, "n_pairs", 0)
+    slack = check_number(slack, "slack")
     S = interference_matrix_square(s)
     L = float(np.linalg.norm(np.eye(s.Q) + S.S, 2))
     op = _qvi_operator(s)
@@ -494,6 +510,8 @@ def verify_monotonicity(s, n_pairs=500, seed=0, slack=1e-9):
     Pairs are evaluated in batched chunks; the report names the first
     violating pair in sample order.
     """
+    n_pairs = check_count(n_pairs, "n_pairs", 0)
+    slack = check_number(slack, "slack")
     S = interference_matrix_square(s)
     sr_sym, _, _ = spectral_radius(0.5 * (S.S + S.S.T))
     mu = 1.0 - float(sr_sym)
@@ -530,6 +548,8 @@ def verify_power_set_smoothness(s, n_triples=500, seed=0, slack=1e-9):
     traces from one eigendecomposition; the report names the first
     violation in sample order (within a triple, players before the
     aggregate)."""
+    n_triples = check_count(n_triples, "n_triples", 0)
+    slack = check_number(slack, "slack")
     rng = np.random.default_rng(seed)
     ranks = [int(r) for r in s.ranks]
     n_draws = _draw_offsets(ranks)[-1]
@@ -630,20 +650,19 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
 
 # --- the sqrt(Q) identity-channel construction ------------------------------
 
-def identity_channel_scenario(Q, n=2, noise=1.0, power=None, circuit_power=1.0):
-    """Scenario in which every channel matrix is the n x n identity."""
-    from .model import scenario_from_matrices
-
-    p = float(power) if power is not None else float(n)
+def identity_channel_scenario(Q, n=2, noise=1.0):
+    """Scenario in which every channel matrix is the n x n identity, with
+    budget n (unit power per antenna) and circuit power 1 for every player."""
+    Q = check_count(Q, "Q", 1)
     H = [[np.eye(n, dtype=complex) for _ in range(Q)] for _ in range(Q)]
     Rn = [noise * np.eye(n) for _ in range(Q)]
     return scenario_from_matrices(
-        H, Rn, [p] * Q, [circuit_power] * Q, meta={"identity_channels": True},
+        H, Rn, [float(n)] * Q, [1.0] * Q, meta={"identity_channels": True},
     )
 
 
-def sqrtq_observed_ratio(s, player=0, seed=0):
-    """||F(Q) - F(Q')||_F / ||Q - Q'||_F for a single-player perturbation.
+def sqrtq_observed_ratio(s, seed=0):
+    """||F(Q) - F(Q')||_F / ||Q - Q'||_F when player 0 alone is perturbed.
 
     With identity channels the numerator collapses to sqrt(Q) times the
     denominator exactly, which pins the best possible Lipschitz constant of
@@ -651,9 +670,7 @@ def sqrtq_observed_ratio(s, player=0, seed=0):
     """
     rng = np.random.default_rng(seed)
     pa = random_profile(s, rng, boundary=True)
-    pb = pa.replace(player, random_covariance(
-        int(s.ranks[player]), s.P[player], rng, boundary=True
-    ))
+    pb = pa.replace(0, random_covariance(int(s.ranks[0]), s.P[0], rng, boundary=True))
     num = _stack_frob(qvi_map(s, pa).stack - qvi_map(s, pb).stack)
     den = _stack_frob(pa.stack - pb.stack)
     return float(num / den)

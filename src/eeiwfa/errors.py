@@ -1,5 +1,6 @@
 """Exception types and the argument checks shared across the package."""
 
+import math
 from numbers import Real
 
 
@@ -28,3 +29,11 @@ def check_count(value, name, low):
     if not (isinstance(value, Real) and value >= low and float(value).is_integer()):
         raise InvalidInputError(f"{name} must be an integer >= {low}")
     return int(value)
+
+
+def check_number(value, name):
+    """``value`` as a float when it is a real number other than NaN (inf
+    included); anything else raises InvalidInputError."""
+    if not (isinstance(value, Real) and not math.isnan(value)):
+        raise InvalidInputError(f"{name} must be a number, not NaN")
+    return float(value)

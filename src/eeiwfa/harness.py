@@ -17,22 +17,20 @@ import numpy as np
 
 from .best_response import DinkelbachConfig, best_response
 from .equilibrium import (
+    PowerSmoothnessConfig,
     criteria,
     identity_channel_scenario,
+    interference_matrix_rowrank,
+    interference_matrix_sampled,
     interference_matrix_square,
     sqrtq_observed_ratio,
     verify_lipschitz,
     verify_monotonicity,
     verify_power_set_smoothness,
 )
-from .errors import CheckFailure, InvalidInputError
+from .errors import CheckFailure, InvalidInputError, check_count
 from .iwfa import block_max_distance, kept_slots, make_schedule, run_iwfa
-from .model import (
-    StrategyProfile,
-    generate_scenario,
-    load_scenario,
-    reduce_scenario,
-)
+from .model import StrategyProfile, generate_scenario, load_scenario, reduce_scenario
 
 OUT_DIR_ENV = "EEIWFA_OUT_DIR"
 
@@ -87,11 +85,8 @@ def scenario_from_config(cfg, seed=None):
         return load_scenario(cfg["file"])
     try:
         return generate_scenario(
-            Q=int(cfg["Q"]),
-            n=int(cfg["n"]),
-            snr_db=float(cfg["snr_db"]),
-            sir_db=float(cfg["sir_db"]),
-            seed=int(seed if seed is not None else cfg["seed"]),
+            Q=cfg["Q"], n=cfg["n"], snr_db=cfg["snr_db"], sir_db=cfg["sir_db"],
+            seed=seed if seed is not None else cfg["seed"],
             power=cfg.get("power"),
             circuit_power=cfg.get("circuit_power", 1.0),
             channel_kind=cfg.get("channel_kind", "full"),
@@ -103,6 +98,23 @@ def scenario_from_config(cfg, seed=None):
 
 def _trial_seed(master, cell, trial):
     return int(np.random.SeedSequence((master, cell, trial)).generate_state(1)[0])
+
+
+def _check_keys(section, allowed, name):
+    """``section`` when it is a config object whose keys are all in
+    ``allowed``; a non-object or an unknown key raises InvalidInputError."""
+    if not isinstance(section, dict):
+        raise InvalidInputError(f"{name} must be an object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise InvalidInputError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return section
+
+
+def _with_defaults(config, defaults, name, extra=()):
+    """``defaults`` updated by ``config``, whose keys must be theirs or ``extra``."""
+    config = {} if config is None else config
+    return {**defaults, **_check_keys(config, {*defaults, *extra}, name)}
 
 
 # --- criterion sweep --------------------------------------------------------
@@ -125,16 +137,6 @@ CELL_HEADER = ["snr_db", "sir_db", "trials", "frac_contraction",
                "stderr_contraction", "frac_qvi", "stderr_qvi"]
 
 
-def _criteria_trial(cfg, snr, sir, seed):
-    s = generate_scenario(
-        Q=cfg["Q"], n=cfg["n"], snr_db=snr, sir_db=sir, seed=seed,
-        power=cfg.get("power"), circuit_power=cfg.get("circuit_power", 1.0),
-        channel_kind=cfg["channel_kind"], snr_convention=cfg["snr_convention"],
-    )
-    rep = criteria(None, interference_matrix_square(reduce_scenario(s)))
-    return rep
-
-
 def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
     """Monte-Carlo sweep of the uniqueness criteria over an SNR/SIR grid.
 
@@ -143,15 +145,14 @@ def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
     fraction is non-decreasing in SIR at fixed SNR (3-sigma allowance) and
     that every trial satisfies ok_qvi => ok_contraction.
     """
-    cfg = dict(SWEEP_DEFAULTS)
-    cfg.update(config or {})
-    if seed is not None:
-        cfg["seed"] = int(seed)
+    cfg = _with_defaults(config, SWEEP_DEFAULTS, "sweep config",
+                         ("power", "circuit_power", "out"))
+    master = check_count(seed if seed is not None else cfg["seed"], "seed", 0)
+    trials = check_count(cfg["trials"], "trials", 1)
     snrs = [float(x) for x in cfg["snr_db"]]
     sirs = [float(x) for x in cfg["sir_db"]]
-    trials = int(cfg["trials"])
-    if trials < 1 or not snrs or not sirs:
-        raise InvalidInputError("sweep needs trials >= 1 and non-empty grids")
+    if not snrs or not sirs:
+        raise InvalidInputError("sweep needs non-empty SNR and SIR grids")
     out = resolve_out(out or cfg.get("out"), "criteria_sweep.csv")
     cells_out = os.path.splitext(out)[0] + "_cells.csv"
 
@@ -161,8 +162,10 @@ def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
     for ci, (snr, sir) in enumerate(
         (a, b) for a in snrs for b in sirs
     ):
-        seeds = [_trial_seed(cfg["seed"], ci, t) for t in range(trials)]
-        reps = [_criteria_trial(cfg, snr, sir, sd) for sd in seeds]
+        seeds = [_trial_seed(master, ci, t) for t in range(trials)]
+        cell = {**cfg, "snr_db": snr, "sir_db": sir}
+        reps = [criteria(None, interference_matrix_square(
+            reduce_scenario(scenario_from_config(cell, seed=sd)))) for sd in seeds]
         n_c = n_q = 0
         for t, (sd, rep) in enumerate(zip(seeds, reps)):
             if rep.interference_ok_qvi and not rep.interference_ok_contraction:
@@ -195,7 +198,7 @@ def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
                     f" {f1:.4f}@{lo} -> {f2:.4f}@{hi} beyond 3 sigma"
                 )
 
-    tag = (f"criteria-sweep schema v1 seed={cfg['seed']}"
+    tag = (f"criteria-sweep schema v1 seed={master}"
            f" channel_kind={cfg['channel_kind']} snr_convention={cfg['snr_convention']}")
     write_csv(out, tag, TRIAL_HEADER, rows)
     write_csv(cells_out, tag, CELL_HEADER, cell_rows)
@@ -245,38 +248,32 @@ def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
     summary row per seed with the block-max distance between the two
     endpoints. Trace errors are recorded per seed, not fatal to the batch.
     """
-    cfg = dict(CONV_DEFAULTS)
-    cfg.update(config or {})
-    seeds = [int(seed)] if seed is not None else [int(x) for x in cfg["seeds"]]
+    cfg = _with_defaults(config, CONV_DEFAULTS, "convergence config",
+                         ("out", "channel_kind", "snr_convention"))
+    seeds = [seed] if seed is not None else cfg["seeds"]
+    if not seeds:
+        raise InvalidInputError("the convergence experiment needs at least one seed")
     out = resolve_out(out or cfg.get("out"), "convergence.csv")
     summary_out = os.path.splitext(out)[0] + "_summary.csv"
-    dk = DinkelbachConfig(epsilon=float(cfg["epsilon"]))
+    dk = DinkelbachConfig(epsilon=cfg["epsilon"])
 
     rows = []
     summary = []
     results = {}
     for sd in seeds:
-        s = generate_scenario(
-            Q=int(cfg["Q"]), n=int(cfg["n"]), snr_db=float(cfg["snr_db"]),
-            sir_db=float(cfg["sir_db"]), seed=sd, power=cfg.get("power"),
-            circuit_power=float(cfg["circuit_power"]),
-        )
-        rs = reduce_scenario(s)
+        rs = reduce_scenario(scenario_from_config(cfg, seed=sd))
         traces = {}
         for mode in ("synchronous", "asynchronous"):
-            if mode == "asynchronous":
-                sched = make_schedule(
-                    mode, rs.Q, {"rho": cfg["rho"], "d_max": cfg["d_max"]}, seed=sd
-                )
-            else:
-                sched = make_schedule(mode, rs.Q)
+            # only the asynchronous schedule draws from its params and seed
+            sched = make_schedule(
+                mode, rs.Q, {"rho": cfg["rho"], "d_max": cfg["d_max"]}, seed=sd
+            )
             tr = run_iwfa(
-                rs, sched, max_slots=int(cfg["max_slots"]),
-                residual_tol=float(cfg["residual_tol"]), cfg=dk,
-                ne_every=int(cfg["ne_every"]),
+                rs, sched, max_slots=cfg["max_slots"],
+                residual_tol=cfg["residual_tol"], cfg=dk, ne_every=cfg["ne_every"],
             )
             traces[mode] = tr
-            for i in kept_slots(len(tr.slots), int(cfg["thin"])):
+            for i in kept_slots(len(tr.slots), cfg["thin"]):
                 for q in range(rs.Q):
                     rows.append([
                         sd, mode, int(tr.slots[i]), q, float(tr.ee[i, q]),
@@ -302,7 +299,7 @@ def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
 
     tag = "convergence schema v1"
     write_csv(out, tag, CONV_TRACE_HEADER, rows)
-    write_csv(summary_out, tag, _conv_summary_header(int(cfg["Q"])), summary)
+    write_csv(summary_out, tag, _conv_summary_header(rs.Q), summary)
     return {"out": out, "summary_out": summary_out, "results": results}
 
 
@@ -325,31 +322,28 @@ def run_lemma_suite(config=None, seed=None, verbose=False):
 
     Returns a JSON-ready report with ``passed`` false on any violation.
     """
-    cfg = dict(LEMMA_DEFAULTS)
-    cfg.update(config or {})
-    sample_seed = int(seed if seed is not None else cfg["seed"])
-    s = scenario_from_config(cfg["scenario"])
-    rs = reduce_scenario(s)
-    slack = float(cfg["slack"])
+    cfg = _with_defaults(config, LEMMA_DEFAULTS, "lemma config")
+    sample_seed = check_count(seed if seed is not None else cfg["seed"], "seed", 0)
+    rs = reduce_scenario(scenario_from_config(cfg["scenario"]))
     reports = [
-        verify_lipschitz(rs, int(cfg["n_pairs"]), seed=sample_seed, slack=slack),
-        verify_monotonicity(rs, int(cfg["n_pairs"]), seed=sample_seed + 1, slack=slack),
-        verify_power_set_smoothness(rs, int(cfg["n_triples"]), seed=sample_seed + 2,
-                                    slack=slack),
+        verify_lipschitz(rs, cfg["n_pairs"], seed=sample_seed, slack=cfg["slack"]),
+        verify_monotonicity(rs, cfg["n_pairs"], seed=sample_seed + 1, slack=cfg["slack"]),
+        verify_power_set_smoothness(rs, cfg["n_triples"], seed=sample_seed + 2,
+                                    slack=cfg["slack"]),
     ]
     sqrt_q = {}
     sqrt_ok = True
     for Q in cfg["sqrt_q"]:
-        ident = reduce_scenario(identity_channel_scenario(int(Q), n=2))
+        ident = reduce_scenario(identity_channel_scenario(Q, n=2))
         ratio = sqrtq_observed_ratio(ident, seed=sample_seed)
-        expected = math.sqrt(Q)
+        expected = math.sqrt(ident.Q)
         ok = abs(ratio - expected) <= 1e-9
         sqrt_ok = sqrt_ok and ok
-        sqrt_q[str(Q)] = {"ratio": ratio, "expected": expected, "ok": ok}
+        sqrt_q[str(ident.Q)] = {"ratio": ratio, "expected": expected, "ok": ok}
     passed = all(r.passed for r in reports) and sqrt_ok
     report = {
         "scenario": dict(cfg["scenario"]),
-        "n_pairs": int(cfg["n_pairs"]),
+        "n_pairs": cfg["n_pairs"],
         "checks": {r.name: r.to_dict() for r in reports},
         "sqrt_q": sqrt_q,
         "passed": bool(passed),
@@ -369,14 +363,8 @@ def run_lemma_suite(config=None, seed=None, verbose=False):
 def _section(cls, section, name):
     """``cls`` built from the config object ``section``; a non-object or an
     unknown key raises InvalidInputError, not a TypeError."""
-    if not isinstance(section, dict):
-        raise InvalidInputError(f"config section '{name}' must be an object")
-    unknown = sorted(set(section) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise InvalidInputError(
-            f"unknown key(s) in config section '{name}': {', '.join(unknown)}"
-        )
-    return cls(**section)
+    fields = [f.name for f in dataclasses.fields(cls)]
+    return cls(**_check_keys(section, fields, f"config section '{name}'"))
 
 
 def dinkelbach_config(section, name="dinkelbach"):
@@ -389,8 +377,8 @@ def solve_best_response(config, seed=None):
     """Best response of one player against a profile (uniform by default)."""
     s = scenario_from_config(config["scenario"], seed=seed)
     rs = reduce_scenario(s)
-    q = int(config.get("player", 0))
-    if not 0 <= q < rs.Q:
+    q = check_count(config.get("player", 0), "player", 0)
+    if q >= rs.Q:
         raise InvalidInputError(f"player index {q} out of range")
     dk = dinkelbach_config(config.get("dinkelbach", {}))
     frac = float(config.get("profile_fraction", 1.0))
@@ -411,12 +399,6 @@ def solve_best_response(config, seed=None):
 
 def evaluate_criteria(config, seed=None):
     """CriteriaReport for one scenario, choosing the matrix variant."""
-    from .equilibrium import (
-        PowerSmoothnessConfig,
-        interference_matrix_rowrank,
-        interference_matrix_sampled,
-    )
-
     s = scenario_from_config(config["scenario"], seed=seed)
     rs = reduce_scenario(s)
     variant = config.get("variant", "square")
@@ -426,7 +408,7 @@ def evaluate_criteria(config, seed=None):
         S = interference_matrix_rowrank(s)
     elif variant == "sampled":
         S = interference_matrix_sampled(
-            rs, int(config.get("n_samples", 50)), int(config.get("sample_seed", 0))
+            rs, config.get("n_samples", 50), config.get("sample_seed", 0)
         )
     else:
         raise InvalidInputError(f"unknown variant {variant!r}")

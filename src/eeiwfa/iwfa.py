@@ -9,16 +9,14 @@ past states.
 """
 
 import csv
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
 from .best_response import DinkelbachConfig, _best_responses
 from .equilibrium import interference_matrix_square
-from .errors import ConvergenceError, InvalidInputError, check_count
+from .errors import ConvergenceError, InvalidInputError, check_count, check_number
 from .linalg import W_FLOOR, spectral_radius
 from .model import StrategyProfile, _rates, _whitened_channels, block_max_distance
 
@@ -197,7 +195,7 @@ def _oscillating(residuals, tol):
 
 
 def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
-             cfg=None, weights=None, ne_every=1):
+             cfg=None, ne_every=1):
     """Simulate the asynchronous EE waterfilling game.
 
     At every slot the scheduled players recompute their best response
@@ -205,8 +203,9 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     The run stops when the weighted block-max difference between
     consecutive profiles stays below ``residual_tol`` for 5 slots, when a
     periodic residual recurrence with no downward trend is detected
-    ("oscillating"), or at ``max_slots``. Fully deterministic given the
-    schedule's seed. A negative ``residual_tol`` runs all ``max_slots``.
+    ("oscillating"), or at ``max_slots``; the block difference is weighted
+    by :func:`default_weights`. Fully deterministic given the schedule's
+    seed. A negative ``residual_tol`` runs all ``max_slots``.
 
     ``ne_every`` controls how often the equilibrium residual is evaluated
     (0 = final slot only).
@@ -220,14 +219,10 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     cfg = cfg or DinkelbachConfig()
     max_slots = check_count(max_slots, "max_slots", 0)
     ne_every = check_count(ne_every, "ne_every", 0)
-    if not isinstance(residual_tol, Real) or math.isnan(residual_tol):
-        raise InvalidInputError("residual_tol must be a number, not NaN")
-    residual_tol = float(residual_tol)
+    residual_tol = check_number(residual_tol, "residual_tol")
     profile = init if init is not None else StrategyProfile.uniform(s)
     profile.validate(s)
-    w = np.asarray(weights, dtype=float) if weights is not None else default_weights(s)
-    if w.shape != (s.Q,) or not np.all(np.isfinite(w) & (w > 0)):
-        raise InvalidInputError("weights must be Q finite positive numbers")
+    w = default_weights(s)
     rng = np.random.default_rng(schedule.seed)
 
     evaluation = _Evaluation(s, profile)

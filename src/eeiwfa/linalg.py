@@ -11,9 +11,12 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidInputError
 
-HERMITIAN_TOL = 1e-10
-RANK_TOL = 1e-10
-W_FLOOR = 1e-12
+HERMITIAN_TOL = 1e-10      # relative deviation from Hermitian symmetry
+RANK_TOL = 1e-10           # singular values below this times the largest are dropped
+BLOCK_FORM_TOL = 1e-12     # relative deviation from realify's block form
+POWER_TOL = 1e-13          # stopping test of the Perron power iteration
+POWER_MAX_ITERS = 20000
+W_FLOOR = 1e-12            # Perron weights are floored here
 
 
 def as_complex_matrix(A):
@@ -26,14 +29,14 @@ def as_complex_matrix(A):
     return A
 
 
-def check_hermitian(A, tol=HERMITIAN_TOL):
-    """Validate that ``A`` is square and Hermitian within ``tol`` (relative)."""
+def check_hermitian(A):
+    """Validate that ``A`` is square and Hermitian within HERMITIAN_TOL."""
     A = as_complex_matrix(A)
-    _check_hermitian_stack(A, tol)
+    _check_hermitian_stack(A)
     return A
 
 
-def _check_hermitian_stack(A, tol=HERMITIAN_TOL):
+def _check_hermitian_stack(A):
     """:func:`check_hermitian` on a finite matrix or on each matrix of a
     stack, each relative to its own largest entry."""
     m, n = A.shape[-2:]
@@ -43,12 +46,12 @@ def _check_hermitian_stack(A, tol=HERMITIAN_TOL):
         return
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = dev > tol * scale
+    bad = dev > HERMITIAN_TOL * scale
     if bad.any():
         first = np.flatnonzero(bad)[0]
         raise InvalidInputError(
             f"matrix is not Hermitian: max |A - A^H| = {dev.flat[first]:.3e} "
-            f"exceeds {tol:.1e} relative"
+            f"exceeds {HERMITIAN_TOL:.1e} relative"
         )
 
 
@@ -58,14 +61,14 @@ def hermitize(A):
     return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
-def hermitian_evd(A, tol=HERMITIAN_TOL):
+def hermitian_evd(A):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(vals, vecs)`` with ``A = vecs @ diag(vals) @ vecs^H`` and the
     columns of ``vecs`` orthonormal. Ties are broken by a stable sort, so
     degenerate eigenspaces come back in LAPACK's basis unchanged.
     """
-    A = check_hermitian(A, tol)
+    A = check_hermitian(A)
     return _eigh_descending(hermitize(A))
 
 
@@ -78,12 +81,12 @@ def _eigh_descending(A):
             np.take_along_axis(vecs, order[..., None, :], axis=-1))
 
 
-def compact_svd(A, rank_tol=RANK_TOL):
+def compact_svd(A):
     """Compact SVD with relative-threshold rank truncation.
 
     Returns ``(U1, sigma, V1, rank)`` with ``A = U1 @ diag(sigma) @ V1^H``,
     ``sigma`` strictly positive descending, and singular values below
-    ``rank_tol * sigma_max`` dropped. A zero matrix yields rank 0 with
+    ``RANK_TOL * sigma_max`` dropped. A zero matrix yields rank 0 with
     empty factors.
     """
     A = as_complex_matrix(A)
@@ -91,20 +94,20 @@ def compact_svd(A, rank_tol=RANK_TOL):
     if s.size == 0 or s[0] <= 0.0:
         r = 0
     else:
-        r = int(np.count_nonzero(s > rank_tol * s[0]))
+        r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return U[:, :r], s[:r], Vh[:r, :].conj().T, r
 
 
-def pseudo_inverse(A, rank_tol=RANK_TOL):
+def pseudo_inverse(A):
     """Moore-Penrose pseudoinverse via the compact SVD."""
     A = as_complex_matrix(A)
-    U1, s, V1, r = compact_svd(A, rank_tol)
+    U1, s, V1, r = compact_svd(A)
     if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
     return (V1 / s) @ U1.conj().T
 
 
-def psd_trace_projection(A, p, tol=HERMITIAN_TOL):
+def psd_trace_projection(A, p):
     """Frobenius-nearest PSD matrix with trace exactly ``p``.
 
     Shifts the spectrum of the Hermitian input: the result is
@@ -112,10 +115,10 @@ def psd_trace_projection(A, p, tol=HERMITIAN_TOL):
     the trace ``p``. ``p = 0`` gives the zero matrix.
     """
     A = as_complex_matrix(A)
-    return _psd_trace_projections(A[None], np.asarray(p, dtype=float)[None], tol)[0]
+    return _psd_trace_projections(A[None], np.asarray(p, dtype=float)[None])[0]
 
 
-def _psd_trace_projections(A, p, tol=HERMITIAN_TOL):
+def _psd_trace_projections(A, p):
     """:func:`psd_trace_projection` of a finite (..., n, n) stack onto the
     traces ``p``, which broadcast against the stack shape ``A.shape[:-2]``.
     Leading axes of ``p`` beyond the stack's project the same matrices onto
@@ -126,7 +129,7 @@ def _psd_trace_projections(A, p, tol=HERMITIAN_TOL):
         raise InvalidInputError(
             f"target trace must be >= 0, got {p.flat[bad[0]]}"
         )
-    _check_hermitian_stack(A, tol)
+    _check_hermitian_stack(A)
     if A.shape[-1] == 0:
         shape = np.broadcast_shapes(p.shape, A.shape[:-2]) + A.shape[-2:]
         return np.zeros(shape, dtype=complex)
@@ -154,7 +157,7 @@ def realify(Z):
     return R
 
 
-def complexify(R, tol=1e-12):
+def complexify(R):
     """Inverse of :func:`realify`; validates the 2x2 block structure."""
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] % 2 or R.shape[1] % 2:
@@ -164,15 +167,15 @@ def complexify(R, tol=1e-12):
     b = R[1::2, 0::2]
     c = R[0::2, 1::2]
     scale = max(1.0, float(np.abs(R).max())) if R.size else 1.0
-    if R.size and max(np.abs(a - d).max(), np.abs(b + c).max()) > tol * scale:
+    if R.size and max(np.abs(a - d).max(), np.abs(b + c).max()) > BLOCK_FORM_TOL * scale:
         raise InvalidInputError("matrix does not have the [[a,-b],[b,a]] block form")
     return a + 1j * b
 
 
-def _perron_start(A, w_floor):
+def _perron_start(A):
     """Start vector of the Perron power iteration: the modulus of the dense
     eigenvector of the eigenvalue with the largest real part when every
-    entry of it is above ``w_floor`` (an irreducible matrix, where it is the
+    entry of it is above W_FLOOR (an irreducible matrix, where it is the
     Perron vector up to rounding), else the all-ones vector.
 
     A reducible matrix keeps the all-ones start, because its weights are the
@@ -186,10 +189,10 @@ def _perron_start(A, w_floor):
         return ones
     w = np.abs(vecs[:, np.argmax(vals.real)])
     w /= np.linalg.norm(w)
-    return w if w.min() > w_floor else ones
+    return w if w.min() > W_FLOOR else ones
 
 
-def spectral_radius(A, tol=1e-13, max_iters=20000, w_floor=W_FLOOR):
+def spectral_radius(A):
     """Spectral radius and right Perron vector of a nonnegative matrix.
 
     Power iteration from a dense eigenvector when that is positive, else
@@ -198,7 +201,7 @@ def spectral_radius(A, tol=1e-13, max_iters=20000, w_floor=W_FLOOR):
     ``(sr, w, degenerate)`` with ``w > 0`` and ``||w||_2 = 1``; the flag is
     set when the iteration failed to converge, the radius is zero, or the
     Perron vector has (near-)zero entries, in which case the weights are
-    floored at ``w_floor`` and renormalized before returning.
+    floored at W_FLOOR and renormalized before returning.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -210,12 +213,12 @@ def spectral_radius(A, tol=1e-13, max_iters=20000, w_floor=W_FLOOR):
         return 0.0, np.empty(0), True
     A = np.ascontiguousarray(A, dtype=np.float64)
     sr, w, converged = _kernels.power_iteration(
-        A, _perron_start(A, w_floor), float(tol), int(max_iters)
+        A, _perron_start(A), POWER_TOL, POWER_MAX_ITERS
     )
     sr = max(float(sr), 0.0)
-    if sr <= tol * max(1.0, float(A.max(initial=0.0))):
+    if sr <= POWER_TOL * max(1.0, float(A.max(initial=0.0))):
         sr = 0.0  # below the iteration's own resolution
-    degenerate = (not converged) or sr <= w_floor or float(w.min()) < w_floor
-    w = np.maximum(w, w_floor)
+    degenerate = (not converged) or sr <= W_FLOOR or float(w.min()) < W_FLOOR
+    w = np.maximum(w, W_FLOOR)
     w = w / np.linalg.norm(w)
     return sr, w, degenerate

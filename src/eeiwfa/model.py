@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .linalg import _check_hermitian_stack, compact_svd, hermitize
 
 SNR_CONVENTIONS = ("per-stream", "total-power")
 CHANNEL_KINDS = ("full", "diagonal")
+PROFILE_TOL = 1e-10   # PSD floor (relative) and budget slack of a valid profile
 
 
 def _freeze(a):
@@ -116,10 +117,9 @@ class NetworkScenario:
         for name, arr in (("nT", self.nT), ("nR", self.nR)):
             if arr.shape != (self.Q,) or np.any(arr < 1):
                 raise InvalidInputError(f"{name} must hold Q positive antenna counts")
-        if self.P.shape != (self.Q,) or np.any(self.P <= 0):
-            raise InvalidInputError("power budgets P must be positive")
-        if self.Psi.shape != (self.Q,) or np.any(self.Psi <= 0):
-            raise InvalidInputError("circuit powers Psi must be positive")
+        for name, arr in (("power budgets P", self.P), ("circuit powers Psi", self.Psi)):
+            if arr.shape != (self.Q,) or not np.all(np.isfinite(arr) & (arr > 0)):
+                raise InvalidInputError(f"{name} must be finite and positive")
         if isinstance(self.H, ChannelTable):
             T = self.H.array
         else:
@@ -192,15 +192,13 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     channel_kind : "full" | "diagonal"
         "diagonal" draws diagonal channel matrices (parallel subchannels).
     """
-    if Q < 1 or n < 1:
-        raise InvalidInputError("Q and n must be >= 1")
-    if seed is None or int(seed) < 0:
-        raise InvalidInputError("seed must be a nonnegative integer")
+    Q = check_count(Q, "Q", 1)
+    n = check_count(n, "n", 1)
+    seed = check_count(seed, "seed", 0)
     if channel_kind not in CHANNEL_KINDS:
         raise InvalidInputError(f"channel_kind must be one of {CHANNEL_KINDS}")
     if snr_convention not in SNR_CONVENTIONS:
         raise InvalidInputError(f"snr_convention must be one of {SNR_CONVENTIONS}")
-    seed = int(seed)
     p = float(power) if power is not None else float(n)
     psi = float(circuit_power)
     snr_lin = 10.0 ** (float(snr_db) / 10.0)
@@ -335,9 +333,6 @@ class StrategyProfile:
     def mats(self):
         return list(self)
 
-    def copy(self):
-        return StrategyProfile.from_stack(self.stack.copy(), self.ranks)
-
     def replace(self, q, mat):
         mats = self.mats
         mats[q] = mat
@@ -358,8 +353,8 @@ class StrategyProfile:
     def zeros(cls, s):
         return cls([np.zeros((r, r), dtype=complex) for r in s.ranks])
 
-    def validate(self, s, tol=1e-10):
-        """Check PSD (up to an eigenvalue floor) and the trace budgets."""
+    def validate(self, s):
+        """Check PSD (eigenvalue floor) and the trace budgets within PROFILE_TOL."""
         if len(self) != s.Q:
             raise InvalidInputError("profile size does not match the scenario")
         bad = np.flatnonzero(self.ranks != s.ranks)
@@ -372,12 +367,12 @@ class StrategyProfile:
         # the zero padding adds eigenvalues 0, which pass the floor
         lo = np.linalg.eigvalsh(hermitize(A)).min(axis=-1)
         scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-        bad = np.flatnonzero(lo < -tol * scale)
+        bad = np.flatnonzero(lo < -PROFILE_TOL * scale)
         if bad.size:
             q = bad[0]
             raise InvalidInputError(f"Qbar[{q}] is not PSD (min eig {lo[q]:.3e})")
         tr = self.traces()
-        bad = np.flatnonzero(tr > s.P + tol)
+        bad = np.flatnonzero(tr > s.P + PROFILE_TOL)
         if bad.size:
             q = bad[0]
             raise InvalidInputError(
@@ -409,14 +404,13 @@ def _unwide(M, Q):
     return M.reshape(M.shape[0], Q, -1).transpose(1, 0, 2)
 
 
-def _received_covariance(s, q, P, own=False):
-    """Rn_q + sum_r Hbar_qr P_r Hbar_qr^H at receiver q, over r != q (all r
-    with ``own``), for a (Q, K, K) profile stack ``P``; (N, N), identity
-    beyond nR_q, not yet hermitized."""
+def _received_covariance(s, q, P):
+    """Rn_q + sum_r Hbar_qr P_r Hbar_qr^H at receiver q, over r != q, for a
+    (Q, K, K) profile stack ``P``; (N, N), identity beyond nR_q, not yet
+    hermitized."""
     A = s.Hbar[q].array
     T = A @ P
-    if not own:
-        T[q] = 0.0
+    T[q] = 0.0
     return s.Rn_stack[q] + _wide(T) @ _ct(_wide(A))
 
 

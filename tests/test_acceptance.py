@@ -44,7 +44,8 @@ def test_c01_br_cross_formulation():
         for k in range(100):
             Q = int(rng.integers(1, 5))
             n = int(rng.integers(1, 5))
-            s = ee.generate_scenario(Q, n, 7.0, 0.0, seed=k)
+            # one player has no cross channel: sir_db=inf draws the same scenario
+            s = ee.generate_scenario(Q, n, 7.0, 0.0 if Q > 1 else np.inf, seed=k)
             rs = ee.reduce_scenario(s)
             prof = StrategyProfile(
                 [random_psd(rng, n, trace=float(rng.uniform(0, rs.P[q])) or 0.1)

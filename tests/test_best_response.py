@@ -173,7 +173,7 @@ def test_best_response_matches_projection(rng):
     for seed in range(10):
         Q = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
-        s = generate_scenario(Q, n, 7.0, 0.0, seed=seed)
+        s = generate_scenario(Q, n, 7.0, 0.0 if Q > 1 else np.inf, seed=seed)
         rs = reduce_scenario(s)
         prof = StrategyProfile(
             [random_psd(rng, n, trace=float(rs.P[q])) for q in range(Q)]

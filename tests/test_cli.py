@@ -186,6 +186,36 @@ def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
     assert err.startswith("error: ") and "unknown key" in err
 
 
+NAN = float("nan")
+_SCN = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 10.0, "seed": 0}
+_SWEEP = {"Q": 2, "n": 2, "snr_db": [5.0], "sir_db": [10.0]}
+_LEMMAS = {"scenario": _SCN, "n_pairs": 2, "n_triples": 2, "sqrt_q": [2]}
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("br solve", {"scenario": _SCN, "player": NAN}, "player must be an integer"),
+    ("br solve", {"scenario": {**_SCN, "seed": NAN}}, "seed must be an integer"),
+    ("br solve", {"scenario": {**_SCN, "seed": 2.5}}, "seed must be an integer"),
+    ("br solve", {"scenario": {**_SCN, "Q": 2.5}}, "Q must be an integer"),
+    ("criteria eval", {"scenario": _SCN, "smoothness": {"n_pairs": NAN}},
+     "n_pairs must be an integer"),
+    ("criteria eval", {"scenario": _SCN, "variant": "sampled", "n_samples": NAN},
+     "n_samples must be an integer"),
+    ("criteria sweep", {**_SWEEP, "trials": NAN}, "trials must be an integer"),
+    ("criteria sweep", {**_SWEEP, "trials": 2.5}, "trials must be an integer"),
+    ("criteria sweep", {**_SWEEP, "trials": 2, "Q": NAN}, "Q must be an integer"),
+    ("criteria sweep", {**_SWEEP, "trails": 2}, "unknown key(s) in sweep config: trails"),
+    ("verify lemmas", {**_LEMMAS, "n_pairs": NAN}, "n_pairs must be an integer"),
+    ("verify lemmas", {**_LEMMAS, "n_pairs": 2.5}, "n_pairs must be an integer"),
+    ("verify lemmas", {**_LEMMAS, "slack": NAN}, "slack must be a number"),
+])
+def test_bad_config_numbers_and_keys_are_validation_errors(tmp_path, capsys, command,
+                                                           cfg, message):
+    assert _run(tmp_path, command, cfg) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_criteria_eval_smoothness_dinkelbach_section(tmp_path, scenario_file):
     cfg = {"scenario": {"file": scenario_file},
            "smoothness": {"n_pairs": 4, "dinkelbach": {"epsilon": 1e-8, "max_iters": 50}}}

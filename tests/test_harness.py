@@ -156,6 +156,26 @@ def test_convergence_experiment_records_a_failed_seed(tmp_path, monkeypatch):
     assert "numerically singular" in res["results"][1]["synchronous"].error
 
 
+def test_convergence_experiment_checks_its_config(tmp_path):
+    base = {"Q": 2, "n": 2, "sir_db": 15.0, "seeds": [0], "max_slots": 50}
+    for bad in ({"max_slots": 2.5}, {"seeds": [np.nan]}, {"seeds": []}, {"seed": 0}):
+        with pytest.raises(InvalidInputError):
+            run_convergence_experiment({**base, **bad}, out=str(tmp_path / "conv.csv"))
+
+
+def test_convergence_experiment_honours_channel_kind(tmp_path, monkeypatch):
+    import eeiwfa.harness as harness
+
+    kinds = []
+    real = harness.generate_scenario
+    monkeypatch.setattr(harness, "generate_scenario",
+                        lambda **kw: kinds.append(kw["channel_kind"]) or real(**kw))
+    cfg = {"Q": 2, "n": 2, "sir_db": 15.0, "seeds": [0, 1], "max_slots": 50,
+           "channel_kind": "diagonal"}
+    run_convergence_experiment(cfg, out=str(tmp_path / "conv.csv"))
+    assert kinds == ["diagonal", "diagonal"]
+
+
 def test_lemma_suite_passes_on_default_style_config():
     cfg = {
         "scenario": {"Q": 4, "n": 2, "snr_db": 7.0, "sir_db": 20.0, "seed": 2},

@@ -154,6 +154,35 @@ def test_schedule_independent_limit():
         assert dist <= 1e-4
 
 
+def test_unique_equilibrium_from_every_start():
+    # Where the contraction criterion holds the equilibrium is unique, so
+    # every start and schedule must end at the same profile.
+    from eeiwfa.equilibrium import criteria, interference_matrix_square, random_profile
+
+    kept = 0
+    for seed in range(6):
+        rs = reduce_scenario(generate_scenario(4, 2, 7.0, 10.0, seed=seed, power=2.0))
+        if not criteria(None, interference_matrix_square(rs)).interference_ok_contraction:
+            continue
+        kept += 1
+        rng = np.random.default_rng(seed)
+        starts = [StrategyProfile.uniform(rs), StrategyProfile.zeros(rs),
+                  random_profile(rs, rng), random_profile(rs, rng, boundary=True)]
+        finals = []
+        for init in starts:
+            for mode, params in (("synchronous", None),
+                                 ("asynchronous", {"rho": 0.5, "d_max": 2})):
+                tr = run_iwfa(rs, make_schedule(mode, 4, params, seed=seed), init=init,
+                              max_slots=1000)
+                assert tr.termination == "converged", (seed, mode)
+                finals.append(tr)
+        for other in finals[1:]:
+            dist = block_max_distance(finals[0].final_profile, other.final_profile,
+                                      finals[0].weights)
+            assert dist <= 1e-8, seed
+    assert kept == 5
+
+
 def test_linear_convergence_under_contraction():
     # high SIR: sr(S) < 1 so the synchronous residual decays geometrically
     s = generate_scenario(4, 2, 7.0, 25.0, seed=33)
@@ -286,15 +315,6 @@ def test_ne_residual_values():
     s = generate_scenario(3, 2, 7.0, -5.0, seed=34)
     rs2 = reduce_scenario(s)
     assert ne_residual(rs2, StrategyProfile.uniform(rs2)) > 1e-3
-
-
-def test_run_iwfa_rejects_bad_weights():
-    rs = reduce_scenario(scalar_scenario())
-    with pytest.raises(InvalidInputError):
-        run_iwfa(rs, make_schedule("synchronous", 1), weights=np.array([0.0]))
-    for w in (np.inf, np.nan, -np.inf):
-        with pytest.raises(InvalidInputError):
-            run_iwfa(rs, make_schedule("synchronous", 1), weights=np.array([w]))
 
 
 def test_trace_csv_round_trip(tmp_path):

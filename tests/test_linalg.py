@@ -393,6 +393,7 @@ def perron_family(kind, n, seed):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(PERRON_FAMILIES), st.integers(1, 8), st.integers(0, 2**32 - 1))
 @example("triangular", 2, 178)   # diagonal 0.76083, 0.76050: the oracle runs out of steps
+@example("triangular", 8, 1419864121)   # the oracle stops 5.6e-10 short of the radius
 def test_spectral_radius_matches_cold_all_ones_oracle(kind, n, seed):
     A = perron_family(kind, n, seed)
     sr, w, degenerate = spectral_radius(A)
@@ -400,10 +401,10 @@ def test_spectral_radius_matches_cold_all_ones_oracle(kind, n, seed):
     dense = float(np.abs(np.linalg.eigvals(A)).max())
     if converged0:
         assert degenerate == degenerate0
-        assert np.abs(w - w0).max() <= 1e-10
-    else:
-        # Out of steps, the oracle flags itself degenerate and its weights are
-        # off; the dense start must be at least as close to the Perron pair.
+    if not converged0 or np.abs(w - w0).max() > 1e-10:
+        # Out of steps, or stopped by its own test short of the Perron pair
+        # (slow convergence), the oracle's weights are off; the dense start
+        # must be at least as close to the Perron pair.
         assert abs(sr - dense) <= abs(sr0 - dense)
         assert np.abs(A @ w - sr * w).max() <= np.abs(A @ w0 - sr0 * w0).max()
     # 1e-12 relative, except where the oracle itself stopped further from the
@@ -416,7 +417,7 @@ def test_spectral_radius_matches_cold_all_ones_oracle(kind, n, seed):
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_power_iteration_from_the_dense_start_converges_at_once(n, seed):
     A = np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, n))
-    start = _perron_start(A, W_FLOOR)
+    start = _perron_start(A)
     assert start.min() > W_FLOOR
     sr, w, converged = _kernels.power_iteration(A, start, 1e-13, 2)
     assert converged
@@ -426,6 +427,6 @@ def test_power_iteration_from_the_dense_start_converges_at_once(n, seed):
 def test_spectral_radius_non_finite_keeps_the_all_ones_start():
     # eig rejects non-finite input; the iteration then runs as it always has
     A = np.array([[np.inf, 1.0], [1.0, 0.0]])
-    assert _perron_start(A, W_FLOOR).tolist() == [1.0, 1.0]
+    assert _perron_start(A).tolist() == [1.0, 1.0]
     with np.errstate(invalid="ignore"):
         assert spectral_radius(A)[2] and cold_spectral_radius(A)[2]

@@ -172,6 +172,17 @@ def test_scenario_validation():
         )  # singular noise covariance
     with pytest.raises(InvalidInputError):
         scenario_from_matrices([[np.eye(2)]], [np.eye(2)], [0.0], [1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            generate_scenario(2, 2, 7.0, 0.0, seed=0, circuit_power=bad)
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            scenario_from_matrices([[np.eye(2)]], [np.eye(2)], [bad], [1.0])
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            scenario_from_matrices([[np.eye(2)]], [np.eye(2)], [1.0], [bad])
+    for kw in ({"Q": 2.5}, {"n": np.nan}, {"seed": 2.5}, {"seed": -1}, {"seed": None}):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            generate_scenario(**{"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 0.0,
+                                 "seed": 0, **kw})
 
 
 # --- reduction -------------------------------------------------------------------
@@ -414,8 +425,6 @@ def test_ragged_profile_is_one_frozen_padded_stack(rng):
     other = prof.replace(1, np.array([[0.25]]))
     assert np.array_equal(prof.stack, before)
     assert other[1][0, 0] == 0.25 and np.array_equal(other[2], prof[2])
-    dup = prof.copy()
-    assert np.array_equal(dup.stack, prof.stack) and dup.stack is not prof.stack
 
 
 def test_rate_of_a_tiny_covariance_matches_closed_form(rng):
