@@ -248,9 +248,9 @@ def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
     summary row per seed with the block-max distance between the two
     endpoints. Trace errors are recorded per seed, not fatal to the batch.
     """
-    cfg = _with_defaults(config, CONV_DEFAULTS, "convergence config",
-                         ("out", "channel_kind", "snr_convention"))
-    seeds = [seed] if seed is not None else cfg["seeds"]
+    cfg = _with_defaults(config, CONV_DEFAULTS, "convergence config", ("out",))
+    seeds = [check_count(x, "seed", 0)
+             for x in ([seed] if seed is not None else cfg["seeds"])]
     if not seeds:
         raise InvalidInputError("the convergence experiment needs at least one seed")
     out = resolve_out(out or cfg.get("out"), "convergence.csv")
@@ -324,10 +324,11 @@ def run_lemma_suite(config=None, seed=None, verbose=False):
     """
     cfg = _with_defaults(config, LEMMA_DEFAULTS, "lemma config")
     sample_seed = check_count(seed if seed is not None else cfg["seed"], "seed", 0)
+    n_pairs = check_count(cfg["n_pairs"], "n_pairs", 0)
     rs = reduce_scenario(scenario_from_config(cfg["scenario"]))
     reports = [
-        verify_lipschitz(rs, cfg["n_pairs"], seed=sample_seed, slack=cfg["slack"]),
-        verify_monotonicity(rs, cfg["n_pairs"], seed=sample_seed + 1, slack=cfg["slack"]),
+        verify_lipschitz(rs, n_pairs, seed=sample_seed, slack=cfg["slack"]),
+        verify_monotonicity(rs, n_pairs, seed=sample_seed + 1, slack=cfg["slack"]),
         verify_power_set_smoothness(rs, cfg["n_triples"], seed=sample_seed + 2,
                                     slack=cfg["slack"]),
     ]
@@ -343,7 +344,7 @@ def run_lemma_suite(config=None, seed=None, verbose=False):
     passed = all(r.passed for r in reports) and sqrt_ok
     report = {
         "scenario": dict(cfg["scenario"]),
-        "n_pairs": cfg["n_pairs"],
+        "n_pairs": n_pairs,
         "checks": {r.name: r.to_dict() for r in reports},
         "sqrt_q": sqrt_q,
         "passed": bool(passed),
@@ -375,8 +376,7 @@ def dinkelbach_config(section, name="dinkelbach"):
 
 def solve_best_response(config, seed=None):
     """Best response of one player against a profile (uniform by default)."""
-    s = scenario_from_config(config["scenario"], seed=seed)
-    rs = reduce_scenario(s)
+    rs = reduce_scenario(scenario_from_config(config["scenario"], seed=seed))
     q = check_count(config.get("player", 0), "player", 0)
     if q >= rs.Q:
         raise InvalidInputError(f"player index {q} out of range")

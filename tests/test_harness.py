@@ -158,22 +158,23 @@ def test_convergence_experiment_records_a_failed_seed(tmp_path, monkeypatch):
 
 def test_convergence_experiment_checks_its_config(tmp_path):
     base = {"Q": 2, "n": 2, "sir_db": 15.0, "seeds": [0], "max_slots": 50}
-    for bad in ({"max_slots": 2.5}, {"seeds": [np.nan]}, {"seeds": []}, {"seed": 0}):
+    for bad in ({"max_slots": 2.5}, {"seeds": [np.nan]}, {"seeds": []}, {"seed": 0},
+                {"channel_kind": "diagonal"}):
         with pytest.raises(InvalidInputError):
             run_convergence_experiment({**base, **bad}, out=str(tmp_path / "conv.csv"))
 
 
-def test_convergence_experiment_honours_channel_kind(tmp_path, monkeypatch):
-    import eeiwfa.harness as harness
-
-    kinds = []
-    real = harness.generate_scenario
-    monkeypatch.setattr(harness, "generate_scenario",
-                        lambda **kw: kinds.append(kw["channel_kind"]) or real(**kw))
-    cfg = {"Q": 2, "n": 2, "sir_db": 15.0, "seeds": [0, 1], "max_slots": 50,
-           "channel_kind": "diagonal"}
-    run_convergence_experiment(cfg, out=str(tmp_path / "conv.csv"))
-    assert kinds == ["diagonal", "diagonal"]
+def test_integral_float_counts_are_written_as_integers(tmp_path):
+    base = {"Q": 2, "n": 2, "sir_db": 15.0, "max_slots": 50}
+    a = run_convergence_experiment({**base, "seeds": [1]}, out=str(tmp_path / "a.csv"))
+    b = run_convergence_experiment({**base, "seeds": [1.0]}, out=str(tmp_path / "b.csv"))
+    for key in ("out", "summary_out"):
+        with open(a[key]) as fa, open(b[key]) as fb:
+            assert fa.read() == fb.read()
+    assert [type(k) for k in b["results"]] == [int]
+    lemma = {"scenario": {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 20.0, "seed": 2},
+             "n_pairs": 10.0, "n_triples": 10, "seed": 1.0, "sqrt_q": [2]}
+    assert json.dumps(run_lemma_suite(lemma)["n_pairs"]) == "10"
 
 
 def test_lemma_suite_passes_on_default_style_config():
