@@ -11,7 +11,6 @@ import sys
 
 from . import harness
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
-from .iwfa import make_schedule, run_iwfa, write_trace_csv
 from .model import load_scenario, reduce_scenario, save_scenario
 
 EXIT_OK = 0
@@ -58,8 +57,7 @@ def build_parser():
 
     br = sub.add_parser("br", help="best-response computations")
     br_sub = br.add_subparsers(dest="action", required=True)
-    solve = br_sub.add_parser("solve", help="one player's best response")
-    common(solve)
+    common(br_sub.add_parser("solve", help="one player's best response"))
 
     crit = sub.add_parser("criteria", help="uniqueness criteria")
     crit_sub = crit.add_subparsers(dest="action", required=True)
@@ -114,14 +112,11 @@ def _flatten(obj, prefix=""):
 
 
 def _cmd_scenario_gen(args):
-    from .model import generate_scenario
-
-    s = generate_scenario(
-        Q=args.q, n=args.n, snr_db=args.snr_db, sir_db=args.sir_db,
-        seed=args.seed if args.seed is not None else 0,
-        power=args.power, circuit_power=args.circuit_power,
-        channel_kind="diagonal" if args.diagonal else "full",
-    )
+    s = harness.scenario_from_config({
+        "Q": args.q, "n": args.n, "snr_db": args.snr_db, "sir_db": args.sir_db,
+        "seed": 0, "power": args.power, "circuit_power": args.circuit_power,
+        "channel_kind": "diagonal" if args.diagonal else "full",
+    }, seed=args.seed)
     out = harness.resolve_out(args.out, "scenario.json")
     save_scenario(s, out)
     if not args.quiet:
@@ -156,28 +151,18 @@ def _cmd_scenario_show(args):
 
 
 def _cmd_br_solve(args):
-    cfg = _load_config(args)
-    if "scenario" not in cfg:
-        raise InvalidInputError("br solve needs a config with a 'scenario' section")
-    res = harness.solve_best_response(cfg, seed=args.seed)
-    _emit(res, args)
+    _emit(harness.solve_best_response(_load_config(args), seed=args.seed), args)
     return EXIT_OK
 
 
 def _cmd_criteria_eval(args):
-    cfg = _load_config(args)
-    if "scenario" not in cfg:
-        raise InvalidInputError("criteria eval needs a config with a 'scenario' section")
-    rep = harness.evaluate_criteria(cfg, seed=args.seed)
-    _emit(rep, args)
+    _emit(harness.evaluate_criteria(_load_config(args), seed=args.seed), args)
     return EXIT_OK
 
 
 def _cmd_criteria_sweep(args):
-    cfg = _load_config(args)
-    res = harness.run_criteria_sweep(
-        cfg, out=args.out, seed=args.seed, verbose=not args.quiet
-    )
+    res = harness.run_criteria_sweep(_load_config(args), out=args.out, seed=args.seed,
+                                     verbose=not args.quiet)
     if not args.quiet:
         print(res["out"])
         print(res["cells_out"])
@@ -185,43 +170,22 @@ def _cmd_criteria_sweep(args):
 
 
 def _cmd_iwfa_run(args):
-    cfg = _load_config(args)
-    if "scenario" not in cfg:
-        raise InvalidInputError("iwfa run needs a config with a 'scenario' section")
-    s = harness.scenario_from_config(cfg["scenario"], seed=args.seed)
-    rs = reduce_scenario(s)
-    sched_cfg = dict(cfg.get("schedule", {}))
-    mode = sched_cfg.pop("mode", "synchronous")
-    run_seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    sched = make_schedule(mode, rs.Q, sched_cfg or None, seed=run_seed)
-    trace = run_iwfa(
-        rs, sched,
-        max_slots=cfg.get("max_slots", 1000),
-        residual_tol=cfg.get("residual_tol", 1e-9),
-        cfg=harness.dinkelbach_config(cfg.get("dinkelbach", {})),
-        ne_every=cfg.get("ne_every", 1),
-    )
-    out = harness.resolve_out(args.out or cfg.get("out"), "iwfa_trace.csv")
-    write_trace_csv(trace, out, thin=cfg.get("thin", 1))
+    res = harness.simulate_iwfa(_load_config(args), out=args.out, seed=args.seed)
+    trace = res["trace"]
     if not args.quiet:
         final_ne = trace.ne_residual[-1] if len(trace.slots) else float("nan")
         print(f"{trace.termination} after {len(trace.slots)} slots;"
               f" final ne residual {final_ne:.3e}")
         if trace.error:
             print(f"error: {trace.error}")
-        print(out)
+        print(res["out"])
     return EXIT_OK
 
 
 def _cmd_verify_lemmas(args):
-    cfg = _load_config(args)
-    report = harness.run_lemma_suite(cfg, seed=args.seed, verbose=not args.quiet)
-    if args.out:
-        harness.write_json(report, args.out)
-        if not args.quiet:
-            print(args.out)
-    elif not args.quiet:
-        print(json.dumps(report, indent=1, sort_keys=True))
+    report = harness.run_lemma_suite(_load_config(args), seed=args.seed,
+                                     verbose=not args.quiet)
+    _emit(report, args)
     return EXIT_OK if report["passed"] else EXIT_CHECK
 
 
@@ -247,7 +211,7 @@ def cli(argv=None):
         return EXIT_USAGE
     try:
         return _COMMANDS[(args.group, args.action)](args)
-    except (InvalidInputError, ConvergenceError, FileNotFoundError,
+    except (InvalidInputError, ConvergenceError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """Exception types and the argument checks shared across the package."""
 
 import math
+import os
 from numbers import Real
 
 
@@ -31,9 +32,25 @@ def check_count(value, name, low):
     return int(value)
 
 
+def check_real(value, name):
+    """``value`` as a float when it is a real number, NaN and inf included."""
+    if not isinstance(value, Real):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_number(value, name):
     """``value`` as a float when it is a real number other than NaN (inf
     included); anything else raises InvalidInputError."""
-    if not (isinstance(value, Real) and not math.isnan(value)):
-        raise InvalidInputError(f"{name} must be a number, not NaN")
-    return float(value)
+    value = check_real(value, name)
+    if math.isnan(value):
+        raise InvalidInputError(f"{name} must be a number other than NaN")
+    return value
+
+
+def check_path(value, name):
+    """``value`` when it is a str or os.PathLike (``open`` takes an int as a
+    file descriptor)."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise InvalidInputError(f"{name} must be a path, got {value!r}")
+    return value

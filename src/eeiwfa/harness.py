@@ -1,15 +1,17 @@
-"""Batch experiment drivers behind the CLI.
+"""Experiment drivers behind the CLI, and the one reader of their configs.
 
-Monte-Carlo criterion sweeps over an SNR/SIR grid, paired synchronous and
-asynchronous convergence runs, and the bound-verification suite. All outputs
-are seeded and byte-reproducible: CSV files start with a versioned schema
-comment, floats are written in shortest round-trip form, and row order
-follows trial indices.
+Each command's JSON config goes through :func:`read_config`, section by
+section, before any work starts. The drivers run Monte-Carlo criterion
+sweeps over an SNR/SIR grid, iterative-waterfilling simulations, the
+bound-verification suite and single best-response and criteria
+evaluations. All outputs are seeded and byte-reproducible: CSV files start
+with a versioned schema comment, floats are written in shortest round-trip
+form, and row order follows trial indices.
 """
 
 import csv
 import dataclasses
-import json
+import itertools
 import math
 import os
 
@@ -28,9 +30,10 @@ from .equilibrium import (
     verify_monotonicity,
     verify_power_set_smoothness,
 )
-from .errors import CheckFailure, InvalidInputError, check_count
-from .iwfa import block_max_distance, kept_slots, make_schedule, run_iwfa
-from .model import StrategyProfile, generate_scenario, load_scenario, reduce_scenario
+from .errors import CheckFailure, InvalidInputError, check_count, check_number, check_path
+from .iwfa import make_schedule, run_iwfa, write_trace_csv
+from .model import (StrategyProfile, _complex_to_lists, generate_scenario, load_scenario,
+                    reduce_scenario)
 
 OUT_DIR_ENV = "EEIWFA_OUT_DIR"
 
@@ -38,7 +41,7 @@ OUT_DIR_ENV = "EEIWFA_OUT_DIR"
 def resolve_out(path, default_name):
     """Pick an output path: explicit > $EEIWFA_OUT_DIR/default > ./default."""
     if path:
-        return path
+        return check_path(path, "out")
     base = os.environ.get(OUT_DIR_ENV, "").strip()
     return os.path.join(base, default_name) if base else default_name
 
@@ -74,47 +77,60 @@ def read_csv(path):
     return schema, rows[0], rows[1:]
 
 
-def scenario_from_config(cfg, seed=None):
-    """Realize the ``scenario`` section of a config.
+REQUIRED = object()   # the table default of a key that every config must give
 
-    Either ``{"file": path}`` or inline generation parameters
-    (Q, n, snr_db, sir_db, seed, power, circuit_power, channel_kind,
-    snr_convention). ``seed`` overrides the config's seed.
+
+def read_config(config, table, name, seed=None):
+    """The config object ``config`` over the defaults of ``table`` (key ->
+    default), as a new dict; ``seed``, when not None, overrides its ``seed``.
+
+    A non-object, an unknown key, a key whose default is REQUIRED left out
+    and a non-list where the default is a list raise InvalidInputError.
+    Scalar values pass unconverted: the function that takes each checks it.
     """
-    if "file" in cfg:
-        return load_scenario(cfg["file"])
-    try:
-        return generate_scenario(
-            Q=cfg["Q"], n=cfg["n"], snr_db=cfg["snr_db"], sir_db=cfg["sir_db"],
-            seed=seed if seed is not None else cfg["seed"],
-            power=cfg.get("power"),
-            circuit_power=cfg.get("circuit_power", 1.0),
-            channel_kind=cfg.get("channel_kind", "full"),
-            snr_convention=cfg.get("snr_convention", "per-stream"),
-        )
-    except KeyError as exc:
-        raise InvalidInputError(f"scenario config is missing {exc}") from None
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"{name} must be an object")
+    unknown = sorted(set(config) - set(table))
+    if unknown:
+        raise InvalidInputError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    cfg = {**table, **config, **({} if seed is None else {"seed": seed})}
+    missing = [key for key, value in cfg.items() if value is REQUIRED]
+    if missing:
+        raise InvalidInputError(f"{name} is missing {', '.join(missing)}")
+    for key, default in table.items():
+        if isinstance(default, list) and not isinstance(cfg[key], list):
+            raise InvalidInputError(f"{key} in {name} must be a list")
+    return cfg
+
+
+SCENARIO_DEFAULTS = {"Q": REQUIRED, "n": REQUIRED, "snr_db": REQUIRED, "sir_db": REQUIRED,
+                     "seed": REQUIRED, "power": None, "circuit_power": 1.0,
+                     "channel_kind": "full", "snr_convention": "per-stream"}
+
+
+def scenario_config(section, seed=None):
+    """The checked ``scenario`` section: ``{"file": path}`` alone, or the
+    inline keys of SCENARIO_DEFAULTS, whose seed ``seed`` overrides."""
+    if isinstance(section, dict) and "file" in section:
+        return read_config(section, {"file": REQUIRED}, "config section 'scenario'")
+    return read_config(section, SCENARIO_DEFAULTS, "config section 'scenario'", seed)
+
+
+def scenario_from_config(section, seed=None):
+    """Load or generate the scenario of a config's ``scenario`` section."""
+    cfg = scenario_config(section, seed)
+    return load_scenario(cfg["file"]) if "file" in cfg else generate_scenario(**cfg)
+
+
+def dinkelbach_config(section, name="dinkelbach"):
+    """DinkelbachConfig of a config's ``dinkelbach`` section, whose keys are
+    ``epsilon`` and ``max_iters``."""
+    table = dataclasses.asdict(DinkelbachConfig())
+    return DinkelbachConfig(**read_config(section, table, f"config section '{name}'"))
 
 
 def _trial_seed(master, cell, trial):
     return int(np.random.SeedSequence((master, cell, trial)).generate_state(1)[0])
-
-
-def _check_keys(section, allowed, name):
-    """``section`` when it is a config object whose keys are all in
-    ``allowed``; a non-object or an unknown key raises InvalidInputError."""
-    if not isinstance(section, dict):
-        raise InvalidInputError(f"{name} must be an object")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise InvalidInputError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    return section
-
-
-def _with_defaults(config, defaults, name, extra=()):
-    """``defaults`` updated by ``config``, whose keys must be theirs or ``extra``."""
-    config = {} if config is None else config
-    return {**defaults, **_check_keys(config, {*defaults, *extra}, name)}
 
 
 # --- criterion sweep --------------------------------------------------------
@@ -128,6 +144,7 @@ SWEEP_DEFAULTS = {
     "seed": 0,
     "channel_kind": "diagonal",
     "snr_convention": "per-stream",
+    "power": None, "circuit_power": 1.0, "out": None,
 }
 
 TRIAL_HEADER = ["snr_db", "sir_db", "trial", "seed", "sr_S", "sr_Ssym",
@@ -137,7 +154,19 @@ CELL_HEADER = ["snr_db", "sir_db", "trials", "frac_contraction",
                "stderr_contraction", "frac_qvi", "stderr_qvi"]
 
 
-def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
+def sweep_config(config, seed=None):
+    """The checked ``criteria sweep`` config, its counts ints, its grids floats."""
+    cfg = read_config(config, SWEEP_DEFAULTS, "sweep config", seed)
+    cfg["seed"] = check_count(cfg["seed"], "seed", 0)
+    cfg["trials"] = check_count(cfg["trials"], "trials", 1)
+    for key in ("snr_db", "sir_db"):
+        cfg[key] = [check_number(x, key) for x in cfg[key]]
+        if not cfg[key]:
+            raise InvalidInputError("sweep needs non-empty SNR and SIR grids")
+    return cfg
+
+
+def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     """Monte-Carlo sweep of the uniqueness criteria over an SNR/SIR grid.
 
     Writes one row per trial plus a per-cell summary file with success
@@ -145,25 +174,18 @@ def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
     fraction is non-decreasing in SIR at fixed SNR (3-sigma allowance) and
     that every trial satisfies ok_qvi => ok_contraction.
     """
-    cfg = _with_defaults(config, SWEEP_DEFAULTS, "sweep config",
-                         ("power", "circuit_power", "out"))
-    master = check_count(seed if seed is not None else cfg["seed"], "seed", 0)
-    trials = check_count(cfg["trials"], "trials", 1)
-    snrs = [float(x) for x in cfg["snr_db"]]
-    sirs = [float(x) for x in cfg["sir_db"]]
-    if not snrs or not sirs:
-        raise InvalidInputError("sweep needs non-empty SNR and SIR grids")
-    out = resolve_out(out or cfg.get("out"), "criteria_sweep.csv")
+    cfg = sweep_config(config, seed)
+    master, trials, snrs, sirs = cfg["seed"], cfg["trials"], cfg["snr_db"], cfg["sir_db"]
+    base = {key: value for key, value in cfg.items() if key in SCENARIO_DEFAULTS}
+    out = resolve_out(out or cfg["out"], "criteria_sweep.csv")
     cells_out = os.path.splitext(out)[0] + "_cells.csv"
 
     rows = []
     cell_rows = []
     fractions = {}
-    for ci, (snr, sir) in enumerate(
-        (a, b) for a in snrs for b in sirs
-    ):
+    for ci, (snr, sir) in enumerate(itertools.product(snrs, sirs)):
         seeds = [_trial_seed(master, ci, t) for t in range(trials)]
-        cell = {**cfg, "snr_db": snr, "sir_db": sir}
+        cell = {**base, "snr_db": snr, "sir_db": sir}
         reps = [criteria(None, interference_matrix_square(
             reduce_scenario(scenario_from_config(cell, seed=sd)))) for sd in seeds]
         n_c = n_q = 0
@@ -205,104 +227,6 @@ def run_criteria_sweep(config=None, out=None, seed=None, verbose=False):
     return {"out": out, "cells_out": cells_out, "rows": len(rows)}
 
 
-# --- convergence experiment -------------------------------------------------
-
-CONV_DEFAULTS = {
-    "Q": 8,
-    "n": 4,
-    "snr_db": 7.0,
-    "sir_db": 0.0,
-    "power": 4.0,
-    "circuit_power": 1.0,
-    "seeds": [0],
-    "epsilon": 1e-9,
-    "max_slots": 1000,
-    "residual_tol": 1e-9,
-    "rho": 0.5,
-    "d_max": 3,
-    "thin": 1,
-    "ne_every": 1,
-}
-
-CONV_TRACE_HEADER = ["scenario_seed", "mode", "slot", "player", "ee",
-                     "block_residual", "ne_residual", "updated_flag"]
-
-
-def _conv_summary_header(Q):
-    return (["scenario_seed", "sync_termination", "sync_slots",
-             "sync_ne_residual", "async_termination", "async_slots",
-             "async_ne_residual", "endpoint_blockmax_distance"]
-            + [f"sync_final_ee_{q}" for q in range(Q)]
-            + [f"async_final_ee_{q}" for q in range(Q)])
-
-
-def _final(values):
-    # A run that ends in an error before its first slot has no last value.
-    return float(values[-1]) if len(values) else float("nan")
-
-
-def run_convergence_experiment(config=None, out=None, seed=None, verbose=False):
-    """Paired synchronous/asynchronous runs over a list of scenario seeds.
-
-    Records the full EE and residual trajectories of both runs plus a
-    summary row per seed with the block-max distance between the two
-    endpoints. Trace errors are recorded per seed, not fatal to the batch.
-    """
-    cfg = _with_defaults(config, CONV_DEFAULTS, "convergence config", ("out",))
-    seeds = [check_count(x, "seed", 0)
-             for x in ([seed] if seed is not None else cfg["seeds"])]
-    if not seeds:
-        raise InvalidInputError("the convergence experiment needs at least one seed")
-    out = resolve_out(out or cfg.get("out"), "convergence.csv")
-    summary_out = os.path.splitext(out)[0] + "_summary.csv"
-    dk = DinkelbachConfig(epsilon=cfg["epsilon"])
-
-    rows = []
-    summary = []
-    results = {}
-    for sd in seeds:
-        rs = reduce_scenario(scenario_from_config(cfg, seed=sd))
-        traces = {}
-        for mode in ("synchronous", "asynchronous"):
-            # only the asynchronous schedule draws from its params and seed
-            sched = make_schedule(
-                mode, rs.Q, {"rho": cfg["rho"], "d_max": cfg["d_max"]}, seed=sd
-            )
-            tr = run_iwfa(
-                rs, sched, max_slots=cfg["max_slots"],
-                residual_tol=cfg["residual_tol"], cfg=dk, ne_every=cfg["ne_every"],
-            )
-            traces[mode] = tr
-            for i in kept_slots(len(tr.slots), cfg["thin"]):
-                for q in range(rs.Q):
-                    rows.append([
-                        sd, mode, int(tr.slots[i]), q, float(tr.ee[i, q]),
-                        float(tr.block_residual[i]), float(tr.ne_residual[i]),
-                        bool(tr.updated[i, q]),
-                    ])
-            if verbose:
-                print(f"seed {sd} {mode}: {tr.termination} after"
-                      f" {len(tr.slots)} slots")
-        sync, asyn = traces["synchronous"], traces["asynchronous"]
-        dist = block_max_distance(
-            sync.final_profile, asyn.final_profile, sync.weights
-        )
-        results[sd] = {"synchronous": sync, "asynchronous": asyn,
-                       "endpoint_distance": float(dist)}
-        summary.append(
-            [sd, sync.termination, len(sync.slots), _final(sync.ne_residual),
-             asyn.termination, len(asyn.slots), _final(asyn.ne_residual),
-             float(dist)]
-            + [_final(sync.ee[:, q]) for q in range(rs.Q)]
-            + [_final(asyn.ee[:, q]) for q in range(rs.Q)]
-        )
-
-    tag = "convergence schema v1"
-    write_csv(out, tag, CONV_TRACE_HEADER, rows)
-    write_csv(summary_out, tag, _conv_summary_header(rs.Q), summary)
-    return {"out": out, "summary_out": summary_out, "results": results}
-
-
 # --- lemma-verification suite ------------------------------------------------
 
 LEMMA_DEFAULTS = {
@@ -316,15 +240,23 @@ LEMMA_DEFAULTS = {
 }
 
 
-def run_lemma_suite(config=None, seed=None, verbose=False):
+def lemma_config(config, seed=None):
+    """The checked ``verify lemmas`` config; ``scenario`` stays as given."""
+    cfg = read_config(config, LEMMA_DEFAULTS, "lemma config", seed)
+    scenario_config(cfg["scenario"])
+    cfg["seed"] = check_count(cfg["seed"], "seed", 0)
+    cfg["n_pairs"] = check_count(cfg["n_pairs"], "n_pairs", 0)
+    return cfg
+
+
+def run_lemma_suite(config, seed=None, verbose=False):
     """Verify the Lipschitz, strong-monotonicity and power-set-smoothness
     bounds by sampling, plus the identity-channel sqrt(Q) ratio.
 
     Returns a JSON-ready report with ``passed`` false on any violation.
     """
-    cfg = _with_defaults(config, LEMMA_DEFAULTS, "lemma config")
-    sample_seed = check_count(seed if seed is not None else cfg["seed"], "seed", 0)
-    n_pairs = check_count(cfg["n_pairs"], "n_pairs", 0)
+    cfg = lemma_config(config, seed)
+    sample_seed, n_pairs = cfg["seed"], cfg["n_pairs"]
     rs = reduce_scenario(scenario_from_config(cfg["scenario"]))
     reports = [
         verify_lipschitz(rs, n_pairs, seed=sample_seed, slack=cfg["slack"]),
@@ -333,15 +265,13 @@ def run_lemma_suite(config=None, seed=None, verbose=False):
                                     slack=cfg["slack"]),
     ]
     sqrt_q = {}
-    sqrt_ok = True
     for Q in cfg["sqrt_q"]:
         ident = reduce_scenario(identity_channel_scenario(Q, n=2))
         ratio = sqrtq_observed_ratio(ident, seed=sample_seed)
         expected = math.sqrt(ident.Q)
         ok = abs(ratio - expected) <= 1e-9
-        sqrt_ok = sqrt_ok and ok
         sqrt_q[str(ident.Q)] = {"ratio": ratio, "expected": expected, "ok": ok}
-    passed = all(r.passed for r in reports) and sqrt_ok
+    passed = all(r.passed for r in reports) and all(e["ok"] for e in sqrt_q.values())
     report = {
         "scenario": dict(cfg["scenario"]),
         "n_pairs": n_pairs,
@@ -359,33 +289,59 @@ def run_lemma_suite(config=None, seed=None, verbose=False):
     return report
 
 
+# --- iterative waterfilling run ----------------------------------------------
+
+IWFA_DEFAULTS = {"scenario": REQUIRED, "schedule": {}, "dinkelbach": {}, "max_slots": 1000,
+                 "residual_tol": 1e-9, "ne_every": 1, "thin": 1, "seed": 0, "out": None}
+SCHEDULE_DEFAULTS = {"mode": "synchronous", "rho": 0.5, "d_max": 0}
+
+
+def iwfa_config(config, seed=None):
+    """The checked ``iwfa run`` config; ``seed`` overrides both its seeds."""
+    cfg = read_config(config, IWFA_DEFAULTS, "iwfa run config", seed)
+    scenario_config(cfg["scenario"], seed)
+    cfg["schedule"] = read_config(cfg["schedule"], SCHEDULE_DEFAULTS, "config section 'schedule'")
+    cfg["dinkelbach"] = dinkelbach_config(cfg["dinkelbach"])
+    return cfg
+
+
+def simulate_iwfa(config, out=None, seed=None):
+    """Run the configured waterfilling game and write its trace CSV."""
+    cfg = iwfa_config(config, seed)
+    rs = reduce_scenario(scenario_from_config(cfg["scenario"], seed))
+    sched = dict(cfg["schedule"])
+    schedule = make_schedule(sched.pop("mode"), rs.Q, sched, seed=cfg["seed"])
+    trace = run_iwfa(
+        rs, schedule, max_slots=cfg["max_slots"], residual_tol=cfg["residual_tol"],
+        cfg=cfg["dinkelbach"], ne_every=cfg["ne_every"],
+    )
+    out = resolve_out(out or cfg["out"], "iwfa_trace.csv")
+    write_trace_csv(trace, out, thin=cfg["thin"])
+    return {"trace": trace, "out": out}
+
+
 # --- single best-response / criteria evaluations ------------------------------
 
-def _section(cls, section, name):
-    """``cls`` built from the config object ``section``; a non-object or an
-    unknown key raises InvalidInputError, not a TypeError."""
-    fields = [f.name for f in dataclasses.fields(cls)]
-    return cls(**_check_keys(section, fields, f"config section '{name}'"))
+BEST_RESPONSE_DEFAULTS = {"scenario": REQUIRED, "player": 0, "dinkelbach": {}}
 
 
-def dinkelbach_config(section, name="dinkelbach"):
-    """DinkelbachConfig of a config's ``dinkelbach`` section, whose keys are
-    ``epsilon`` and ``max_iters``."""
-    return _section(DinkelbachConfig, section, name)
+def best_response_config(config, seed=None):
+    """The checked ``br solve`` config, with ``player`` as an int."""
+    cfg = read_config(config, BEST_RESPONSE_DEFAULTS, "br solve config")
+    scenario_config(cfg["scenario"], seed)
+    cfg["player"] = check_count(cfg["player"], "player", 0)
+    cfg["dinkelbach"] = dinkelbach_config(cfg["dinkelbach"])
+    return cfg
 
 
 def solve_best_response(config, seed=None):
-    """Best response of one player against a profile (uniform by default)."""
-    rs = reduce_scenario(scenario_from_config(config["scenario"], seed=seed))
-    q = check_count(config.get("player", 0), "player", 0)
+    """Best response of one player against the uniform full-power profile."""
+    cfg = best_response_config(config, seed)
+    rs = reduce_scenario(scenario_from_config(cfg["scenario"], seed))
+    q = cfg["player"]
     if q >= rs.Q:
         raise InvalidInputError(f"player index {q} out of range")
-    dk = dinkelbach_config(config.get("dinkelbach", {}))
-    frac = float(config.get("profile_fraction", 1.0))
-    profile = StrategyProfile.uniform(rs, fraction=frac)
-    res = best_response(rs, q, profile, dk)
-    from .model import _complex_to_lists
-
+    res = best_response(rs, q, StrategyProfile.uniform(rs), cfg["dinkelbach"])
     return {
         "player": q,
         "p_unconstrained": res.p_unconstrained,
@@ -397,33 +353,34 @@ def solve_best_response(config, seed=None):
     }
 
 
+CRITERIA_DEFAULTS = {"scenario": REQUIRED, "variant": "square", "n_samples": 50,
+                     "sample_seed": 0, "smoothness": None}
+
+
+def criteria_config(config, seed=None):
+    """The checked ``criteria eval`` config, ``smoothness`` built when given."""
+    cfg = read_config(config, CRITERIA_DEFAULTS, "criteria eval config")
+    scenario_config(cfg["scenario"], seed)
+    if cfg["variant"] not in ("square", "rowrank", "sampled"):
+        raise InvalidInputError(f"unknown variant {cfg['variant']!r}")
+    if cfg["smoothness"] is not None:
+        table = dataclasses.asdict(PowerSmoothnessConfig())
+        smooth = read_config(cfg["smoothness"], table, "config section 'smoothness'")
+        smooth["dinkelbach"] = dinkelbach_config(smooth["dinkelbach"], "smoothness.dinkelbach")
+        cfg["smoothness"] = PowerSmoothnessConfig(**smooth)
+    return cfg
+
+
 def evaluate_criteria(config, seed=None):
     """CriteriaReport for one scenario, choosing the matrix variant."""
-    s = scenario_from_config(config["scenario"], seed=seed)
+    cfg = criteria_config(config, seed)
+    s = scenario_from_config(cfg["scenario"], seed)
     rs = reduce_scenario(s)
-    variant = config.get("variant", "square")
-    if variant == "square":
+    if cfg["variant"] == "square":
         S = interference_matrix_square(rs)
-    elif variant == "rowrank":
+    elif cfg["variant"] == "rowrank":
         S = interference_matrix_rowrank(s)
-    elif variant == "sampled":
-        S = interference_matrix_sampled(
-            rs, config.get("n_samples", 50), config.get("sample_seed", 0)
-        )
     else:
-        raise InvalidInputError(f"unknown variant {variant!r}")
-    smooth_cfg = None
-    if "smoothness" in config:
-        smooth = config["smoothness"]
-        if isinstance(smooth, dict) and "dinkelbach" in smooth:
-            dk = dinkelbach_config(smooth["dinkelbach"], "smoothness.dinkelbach")
-            smooth = {**smooth, "dinkelbach": dk}
-        smooth_cfg = _section(PowerSmoothnessConfig, smooth, "smoothness")
-    rep = criteria(rs, S, smoothness_cfg=smooth_cfg)
-    return rep.to_dict()
+        S = interference_matrix_sampled(rs, cfg["n_samples"], cfg["sample_seed"])
+    return criteria(rs, S, smoothness_cfg=cfg["smoothness"]).to_dict()
 
-
-def write_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")

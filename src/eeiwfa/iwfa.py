@@ -73,9 +73,10 @@ def make_schedule(mode, Q, params=None, seed=0):
         return UpdateSchedule(mode=mode, Q=Q, seed=seed)
     if mode != "asynchronous":
         raise InvalidInputError(f"unknown schedule mode {mode!r}")
-    rho = np.broadcast_to(
-        np.asarray(params.get("rho", 0.5), dtype=float), (Q,)
-    ).copy()
+    try:
+        rho = np.broadcast_to(np.asarray(params.get("rho", 0.5), dtype=float), (Q,)).copy()
+    except (TypeError, ValueError):
+        raise InvalidInputError("rho must be a number or one per player") from None
     if not np.all((rho > 0.0) & (rho <= 1.0)):
         raise InvalidInputError("update probabilities must lie in (0, 1]")
     d_max = check_count(params.get("d_max", 0), "d_max", 0)

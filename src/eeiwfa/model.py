@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_number, check_path, check_real
 from .linalg import _check_hermitian_stack, compact_svd, hermitize
 
 SNR_CONVENTIONS = ("per-stream", "total-power")
@@ -199,18 +199,21 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
         raise InvalidInputError(f"channel_kind must be one of {CHANNEL_KINDS}")
     if snr_convention not in SNR_CONVENTIONS:
         raise InvalidInputError(f"snr_convention must be one of {SNR_CONVENTIONS}")
-    p = float(power) if power is not None else float(n)
-    psi = float(circuit_power)
-    snr_lin = 10.0 ** (float(snr_db) / 10.0)
+    # A NaN or inf budget reaches NetworkScenario, which says what is wrong.
+    p = check_real(power, "power") if power is not None else float(n)
+    psi = check_real(circuit_power, "circuit_power")
+    snr_db = check_number(snr_db, "snr_db")
+    sir_db = check_number(sir_db, "sir_db")
+    snr_lin = 10.0 ** (snr_db / 10.0)
     sigma_n2 = (p / n) / snr_lin if snr_convention == "per-stream" else p / snr_lin
 
     meta = {
-        "snr_db": float(snr_db),
-        "sir_db": float(sir_db),
+        "snr_db": snr_db,
+        "sir_db": sir_db,
         "snr_convention": snr_convention,
         "channel_kind": channel_kind,
     }
-    sir_lin = 10.0 ** (float(sir_db) / 10.0)
+    sir_lin = 10.0 ** (sir_db / 10.0)
     if Q == 1:
         if np.isfinite(sir_db):
             warnings.warn("single-player scenario: sir_db has no effect")
@@ -548,5 +551,5 @@ def save_scenario(s, path):
 
 
 def load_scenario(path):
-    with open(path) as fh:
+    with open(check_path(path, "scenario file")) as fh:
         return scenario_from_dict(json.load(fh))

@@ -147,9 +147,17 @@ def test_non_finite_dinkelbach_config_is_validation_error(
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_missing_config_file_is_validation_error():
+def test_missing_config_file_is_validation_error(tmp_path, scenario_file, capsys):
     assert cli(["br", "solve", "--config", "/nonexistent.json"]) == EXIT_USAGE
     assert cli(["br", "solve"]) == EXIT_USAGE  # no scenario section
+    # a directory where a file is expected: the config, a scenario file, --out
+    assert cli(["br", "solve", "--config", str(tmp_path)]) == EXIT_USAGE
+    assert _run(tmp_path, "br solve", {"scenario": {"file": str(tmp_path)}}) == EXIT_USAGE
+    cfg = str(tmp_path / "br.json")
+    json.dump({"scenario": {"file": scenario_file}}, open(cfg, "w"))
+    assert cli(["br", "solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
 def test_console_entry_point():
@@ -173,10 +181,23 @@ def _run(tmp_path, command, cfg):
                 "--quiet"])
 
 
+NAN = float("nan")
+_SCN = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 10.0, "seed": 0}
+_SWEEP = {"Q": 2, "n": 2, "snr_db": [5.0], "sir_db": [10.0]}
+_LEMMAS = {"scenario": _SCN, "n_pairs": 2, "n_triples": 2, "sqrt_q": [2]}
+
+
 @pytest.mark.parametrize("command,section", [
     ("br solve", {"dinkelbach": {"init": "current"}}),
     ("iwfa run", {"max_slots": 3, "dinkelbach": {"epsilon": 1e-9, "bogus": 1}}),
     ("criteria eval", {"smoothness": {"n_pairs": 2, "dinkelbach": {"init": "uniform"}}}),
+    ("iwfa run", {"max_slot": 3}),
+    ("br solve", {"scenario": {**_SCN, "chanel_kind": "full"}}),
+    ("iwfa run", {"max_slots": 3, "schedule": {"mode": "asynchronous", "dmax": 2}}),
+    ("br solve", {"playr": 1}),
+    ("br solve", {"profile_fraction": 2.0}),
+    ("criteria eval", {"variant": "sampled", "n_sample": 3}),
+    ("verify lemmas", {**_LEMMAS, "scenario": {**_SCN, "sed": 1}}),
 ])
 def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
                                                 command, section):
@@ -184,12 +205,6 @@ def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
     assert _run(tmp_path, command, cfg) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown key" in err
-
-
-NAN = float("nan")
-_SCN = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 10.0, "seed": 0}
-_SWEEP = {"Q": 2, "n": 2, "snr_db": [5.0], "sir_db": [10.0]}
-_LEMMAS = {"scenario": _SCN, "n_pairs": 2, "n_triples": 2, "sqrt_q": [2]}
 
 
 @pytest.mark.parametrize("command,cfg,message", [
@@ -208,6 +223,18 @@ _LEMMAS = {"scenario": _SCN, "n_pairs": 2, "n_triples": 2, "sqrt_q": [2]}
     ("verify lemmas", {**_LEMMAS, "n_pairs": NAN}, "n_pairs must be an integer"),
     ("verify lemmas", {**_LEMMAS, "n_pairs": 2.5}, "n_pairs must be an integer"),
     ("verify lemmas", {**_LEMMAS, "slack": NAN}, "slack must be a number"),
+    ("iwfa run", {"scenario": _SCN, "max_slots": 3, "schedule": 3},
+     "config section 'schedule' must be an object"),
+    ("br solve", {"scenario": 5}, "config section 'scenario' must be an object"),
+    ("br solve", {"scenario": {**_SCN, "snr_db": "x"}}, "snr_db must be a number"),
+    ("br solve", {"scenario": {**_SCN, "power": "x"}}, "power must be a number"),
+    ("br solve", {"scenario": {"file": ["a"]}}, "scenario file must be a path"),
+    ("iwfa run", {"scenario": _SCN, "max_slots": 3,
+                  "schedule": {"mode": "asynchronous", "rho": "x"}},
+     "rho must be a number"),
+    ("criteria sweep", {**_SWEEP, "snr_db": 5.0}, "snr_db in sweep config must be a list"),
+    ("criteria sweep", {**_SWEEP, "snr_db": ["x"]}, "snr_db must be a number"),
+    ("verify lemmas", {**_LEMMAS, "sqrt_q": 3}, "sqrt_q in lemma config must be a list"),
 ])
 def test_bad_config_numbers_and_keys_are_validation_errors(tmp_path, capsys, command,
                                                            cfg, message):

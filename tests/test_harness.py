@@ -1,18 +1,23 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.harness import (
+    best_response_config,
+    criteria_config,
     evaluate_criteria,
+    iwfa_config,
+    lemma_config,
     read_csv,
     resolve_out,
-    run_convergence_experiment,
     run_criteria_sweep,
     run_lemma_suite,
     scenario_from_config,
     solve_best_response,
+    sweep_config,
 )
 
 SMALL_SWEEP = {
@@ -32,6 +37,8 @@ def test_resolve_out_env(monkeypatch, tmp_path):
     assert resolve_out("y.csv", "x.csv") == "y.csv"
     monkeypatch.delenv("EEIWFA_OUT_DIR")
     assert resolve_out(None, "x.csv") == "x.csv"
+    with pytest.raises(InvalidInputError, match="out must be a path"):
+        resolve_out(1, "x.csv")  # open() would write to file descriptor 1
 
 
 # Per-trial (sr_S, sr_Ssym, ok_qvi, ok_contraction) of a tiny sweep, as the
@@ -73,6 +80,8 @@ def test_scenario_from_config_inline_and_file(tmp_path):
     assert np.array_equal(t.H[0][1], s.H[0][1])
     with pytest.raises(InvalidInputError):
         scenario_from_config({"Q": 2})
+    with pytest.raises(InvalidInputError, match="unknown key"):
+        scenario_from_config({"file": str(path), "seed": 1})  # a file section is alone
 
 
 def test_criteria_sweep_rows_and_cells(tmp_path):
@@ -106,75 +115,30 @@ def test_criteria_sweep_validation():
         run_criteria_sweep({**SMALL_SWEEP, "trials": 0}, out="unused.csv")
 
 
-def test_convergence_experiment_summary(tmp_path):
-    cfg = {
-        "Q": 3, "n": 2, "snr_db": 7.0, "sir_db": 15.0, "power": 2.0,
-        "seeds": [0, 1], "max_slots": 400, "rho": 0.5, "d_max": 2,
-    }
-    out = str(tmp_path / "conv.csv")
-    res = run_convergence_experiment(cfg, out=out)
-    schema, header, rows = read_csv(res["out"])
-    assert "convergence schema v1" in schema
-    _, sheader, summary = read_csv(res["summary_out"])
-    assert len(summary) == 2
-    si = {name: i for i, name in enumerate(sheader)}
-    assert "sync_final_ee_0" in sheader and "async_final_ee_2" in sheader
-    for row in summary:
-        assert row[si["sync_termination"]] == "converged"
-        assert row[si["async_termination"]] == "converged"
-        assert float(row[si["endpoint_blockmax_distance"]]) <= 1e-4
-        for q in range(3):
-            assert float(row[si[f"sync_final_ee_{q}"]]) > 0.0
-    # the trace rows cover both modes
-    modes = {row[1] for row in rows}
-    assert modes == {"synchronous", "asynchronous"}
-
-
-def test_convergence_experiment_records_a_failed_seed(tmp_path, monkeypatch):
-    # A singular MUI covariance in one seed's runs is that seed's outcome,
-    # not the end of the batch.
-    import eeiwfa.harness as harness
-    from test_iwfa import singular_mui_scenario
-
-    real = harness.generate_scenario
-    monkeypatch.setattr(
-        harness, "generate_scenario",
-        lambda **kw: singular_mui_scenario() if kw["seed"] == 1 else real(**kw),
-    )
-    cfg = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 15.0, "power": 2.0,
-           "seeds": [0, 1, 2], "max_slots": 200}
-    res = run_convergence_experiment(cfg, out=str(tmp_path / "conv.csv"))
-    _, sheader, summary = read_csv(res["summary_out"])
-    si = {name: i for i, name in enumerate(sheader)}
-    assert [row[0] for row in summary] == ["0", "1", "2"]
-    for row in summary:
-        failed = row[0] == "1"
-        for mode in ("sync", "async"):
-            want = "error" if failed else "converged"
-            assert row[si[f"{mode}_termination"]] == want
-        assert (float(row[si["sync_final_ee_0"]]) > 0.0) != failed
-    assert "numerically singular" in res["results"][1]["synchronous"].error
-
-
-def test_convergence_experiment_checks_its_config(tmp_path):
-    base = {"Q": 2, "n": 2, "sir_db": 15.0, "seeds": [0], "max_slots": 50}
-    for bad in ({"max_slots": 2.5}, {"seeds": [np.nan]}, {"seeds": []}, {"seed": 0},
-                {"channel_kind": "diagonal"}):
-        with pytest.raises(InvalidInputError):
-            run_convergence_experiment({**base, **bad}, out=str(tmp_path / "conv.csv"))
-
-
-def test_integral_float_counts_are_written_as_integers(tmp_path):
-    base = {"Q": 2, "n": 2, "sir_db": 15.0, "max_slots": 50}
-    a = run_convergence_experiment({**base, "seeds": [1]}, out=str(tmp_path / "a.csv"))
-    b = run_convergence_experiment({**base, "seeds": [1.0]}, out=str(tmp_path / "b.csv"))
-    for key in ("out", "summary_out"):
-        with open(a[key]) as fa, open(b[key]) as fb:
-            assert fa.read() == fb.read()
-    assert [type(k) for k in b["results"]] == [int]
+def test_integral_float_counts_are_written_as_integers():
     lemma = {"scenario": {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 20.0, "seed": 2},
              "n_pairs": 10.0, "n_triples": 10, "seed": 1.0, "sqrt_q": [2]}
     assert json.dumps(run_lemma_suite(lemma)["n_pairs"]) == "10"
+
+
+# The reader of each shipped config's command; a config added to configs/
+# must be added here, so that a tightened key table cannot reject it unseen.
+CONFIG_READERS = {
+    "benchmark.json": iwfa_config,
+    "benchmark_async.json": iwfa_config,
+    "br_example.json": best_response_config,
+    "criteria_example.json": criteria_config,
+    "lemmas.json": lemma_config,
+    "sweep_grid.json": sweep_config,
+}
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1]
+                                         / "configs").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_config_passes_its_reader(path):
+    with open(path) as fh:
+        CONFIG_READERS[path.name](json.load(fh))
 
 
 def test_lemma_suite_passes_on_default_style_config():
