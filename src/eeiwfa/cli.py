@@ -6,6 +6,8 @@ or criterion check failed.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -32,11 +34,17 @@ def build_parser():
     p = _Parser(prog="eeiwfa", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="group", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--out", help="output path")
-        sp.add_argument("--format", choices=("csv", "json"), default="json")
+    flags = {
+        "config": {"help": "JSON config file"},
+        "seed": {"type": int, "help": "override the config seed"},
+        "out": {"help": "output path"},
+        "format": {"choices": ("csv", "json"), "default": "json"},
+    }
+
+    def common(sp, *names):
+        """Give ``sp`` the flags ``names`` of the table above, and --quiet."""
+        for name in names:
+            sp.add_argument(f"--{name}", **flags[name])
         sp.add_argument("--quiet", action="store_true")
 
     scen = sub.add_parser("scenario", help="generate or inspect scenarios")
@@ -50,51 +58,52 @@ def build_parser():
     gen.add_argument("--circuit-power", type=float, default=1.0)
     gen.add_argument("--diagonal", action="store_true",
                      help="diagonal (parallel-subchannel) matrices")
-    common(gen)
+    common(gen, "seed", "out")
     show = scen_sub.add_parser("show", help="summarize a scenario file")
     show.add_argument("scenario", help="scenario JSON file")
     common(show)
 
-    br = sub.add_parser("br", help="best-response computations")
-    br_sub = br.add_subparsers(dest="action", required=True)
-    common(br_sub.add_parser("solve", help="one player's best response"))
-
-    crit = sub.add_parser("criteria", help="uniqueness criteria")
-    crit_sub = crit.add_subparsers(dest="action", required=True)
-    common(crit_sub.add_parser("eval", help="criteria of one scenario"))
-    common(crit_sub.add_parser("sweep", help="Monte-Carlo SNR/SIR sweep"))
-
-    iwfa = sub.add_parser("iwfa", help="iterative waterfilling runs")
-    iwfa_sub = iwfa.add_subparsers(dest="action", required=True)
-    common(iwfa_sub.add_parser("run", help="simulate one configured run"))
-
-    ver = sub.add_parser("verify", help="numerical bound verification")
-    ver_sub = ver.add_subparsers(dest="action", required=True)
-    common(ver_sub.add_parser("lemmas", help="run the bound suite"))
+    io_flags = ("config", "seed", "out")
+    for group, group_help, actions in (
+        ("br", "best-response computations",
+         [("solve", "one player's best response", io_flags + ("format",))]),
+        ("criteria", "uniqueness criteria",
+         [("eval", "criteria of one scenario", io_flags + ("format",)),
+          ("sweep", "Monte-Carlo SNR/SIR sweep", io_flags)]),
+        ("iwfa", "iterative waterfilling runs",
+         [("run", "simulate one configured run", io_flags)]),
+        ("verify", "numerical bound verification",
+         [("lemmas", "run the bound suite", io_flags + ("format",))]),
+    ):
+        group_sub = sub.add_parser(group, help=group_help).add_subparsers(
+            dest="action", required=True)
+        for action, action_help, names in actions:
+            common(group_sub.add_parser(action, help=action_help), *names)
     return p
 
 
 def _load_config(args):
-    if not getattr(args, "config", None):
+    if not args.config:
         return {}
     with open(args.config) as fh:
         return json.load(fh)
 
 
 def _emit(obj, args):
-    fmt = getattr(args, "format", "json")
-    out = getattr(args, "out", None)
-    if fmt == "csv":
+    if args.format == "csv":
         flat = _flatten(obj)
-        rows = [list(flat.keys()), [harness._fmt(v) for v in flat.values()]]
-        text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(flat.keys())
+        w.writerow([str(harness._fmt(v)) for v in flat.values()])
+        text = buf.getvalue()
     else:
         text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
         if not args.quiet:
-            print(out)
+            print(args.out)
     elif not args.quiet:
         sys.stdout.write(text)
 

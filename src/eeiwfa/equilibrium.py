@@ -1,15 +1,15 @@
 """Nash-equilibrium uniqueness machinery.
 
 Builds the nonnegative interference matrix in its exact-square,
-pseudoinverse (full-row-rank) and sampled (full-column-rank) variants,
-evaluates the two uniqueness criteria (variational-inequality form with the
-symmetrized spectral radius, contraction form with the plain spectral
-radius), exposes the linear QVI mapping, and numerically verifies its
-Lipschitz/strong-monotonicity constants and the smoothness of the
-strategy-dependent power sets.
+pseudoinverse (full-row-rank: the exact matrix of the reduced game) and
+sampled (full-column-rank) variants, evaluates the two uniqueness criteria
+(variational-inequality form with the symmetrized spectral radius,
+contraction form with the plain spectral radius), exposes the linear QVI
+mapping, and numerically verifies its Lipschitz/strong-monotonicity
+constants and the smoothness of the strategy-dependent power sets.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -25,9 +25,7 @@ from .errors import (
 from .linalg import (
     W_FLOOR,
     _psd_trace_projections,
-    compact_svd,
     hermitize,
-    pseudo_inverse,
     spectral_radius,
 )
 from .model import (
@@ -41,6 +39,7 @@ from .model import (
     _whitened_channels,
     _wide,
     block_max_distance,
+    reduce_scenario,
     scenario_from_matrices,
 )
 
@@ -74,24 +73,21 @@ class InterferenceMatrix:
 
 
 def _sigma_max_sq(M):
-    """Squared largest singular value of a matrix or of each in a stack."""
-    return np.linalg.svd(M, compute_uv=False)[..., 0] ** 2
-
-
-def _square_direct(s, q):
-    Hqq = s.Hbar[q][q]
-    if Hqq.shape[0] != Hqq.shape[1]:
-        raise InvalidInputError(
-            f"reduced direct channel of player {q} is {Hqq.shape[0]}x"
-            f"{Hqq.shape[1]}; use interference_matrix_sampled for"
-            " full-column-rank channels"
-        )
-    return Hqq
+    """Squared largest singular value of each matrix in a stack: the largest
+    eigenvalue of its gram M^H M."""
+    return np.linalg.eigvalsh(_ct(M) @ M)[..., -1]
 
 
 def _solve_direct(s, q, B):
-    """Hbar_qq^{-1} B for player q's square reduced direct channel."""
-    Hqq = _square_direct(s, q)
+    """Hbar_qq^{-1} B for player q's reduced direct channel, which must be
+    square (its direct channel full row rank) and nonsingular."""
+    Hqq = s.Hbar[q][q]
+    if Hqq.shape[0] != Hqq.shape[1]:
+        raise InvalidInputError(
+            f"direct channel of player {q} is not full row rank (reduced to"
+            f" {Hqq.shape[0]}x{Hqq.shape[1]}); use interference_matrix_sampled"
+            " for full-column-rank channels"
+        )
     try:
         return np.linalg.solve(Hqq, B)
     except np.linalg.LinAlgError:
@@ -108,42 +104,19 @@ def interference_matrix_square(s):
     for q in range(Q):
         n = s.Hbar[q][q].shape[0]
         M = _unwide(_solve_direct(s, q, _wide(s.Hbar[q].array[:, :n, :])), Q)
-        # sigma_max^2(M) is the largest eigenvalue of the K x K gram M^H M
-        S[q] = np.linalg.eigvalsh(_ct(M) @ M)[:, -1]
+        S[q] = _sigma_max_sq(M)
         S[q, q] = 0.0
     return InterferenceMatrix(S, "exact-square")
 
 
 def interference_matrix_rowrank(s):
-    """Interference matrix from the original channels via pseudoinverses.
-
-    Requires every direct channel to be full row rank; entry (q, r) is
-    sigma_max^2(pinv(H_qq) H_qr V_{r,1}), the V factor dropping when H_rr is
-    square nonsingular (where it is unitary and changes nothing).
-    """
-    Q = s.Q
-    pinvs = []
-    V1 = []
-    square = []
-    for q in range(Q):
-        _, _, v1, r = compact_svd(s.H[q][q])
-        if r < s.nR[q]:
-            raise InvalidInputError(
-                f"direct channel of player {q} is not full row rank"
-            )
-        pinvs.append(pseudo_inverse(s.H[q][q]))
-        V1.append(v1)
-        square.append(r == s.nT[q])
-    S = np.zeros((Q, Q))
-    for q in range(Q):
-        for r in range(Q):
-            if r == q:
-                continue
-            M = pinvs[q] @ s.H[q][r]
-            if not square[r]:
-                M = M @ V1[r]
-            S[q, r] = float(_sigma_max_sq(M))
-    return InterferenceMatrix(S, "pseudoinverse-rowrank")
+    """Interference matrix of a scenario whose direct channels are all full
+    row rank. Such an H_qq = U1 Sigma V1^H reduces to the square nonsingular
+    Hbar_qq = U1 Sigma, so the pseudoinverse entry sigma_max^2(pinv(H_qq)
+    H_qr V1_r) = sigma_max^2(V1_q Hbar_qq^{-1} Hbar_qr) is the reduced game's
+    exact entry (V1_q has orthonormal columns)."""
+    S = interference_matrix_square(reduce_scenario(s))
+    return InterferenceMatrix(S.S, "pseudoinverse-rowrank")
 
 
 # --- random sampling rules -------------------------------------------------
@@ -311,25 +284,10 @@ class CriteriaReport:
     power_smoothness: PowerSmoothnessEstimate | None = None
 
     def to_dict(self):
-        d = {
-            "variant": self.variant,
-            "sr_S": self.sr_S,
-            "sr_Ssym": self.sr_Ssym,
-            "sigma_max_IplusS": self.sigma_max_IplusS,
-            "perron_w": [float(x) for x in self.perron_w],
-            "perron_degenerate": bool(self.perron_degenerate),
-            "qvi_rhs_constant": self.qvi_rhs_constant,
-            "contraction_rhs_constant": self.contraction_rhs_constant,
-            "interference_ok_qvi": bool(self.interference_ok_qvi),
-            "interference_ok_contraction": bool(self.interference_ok_contraction),
-        }
-        if self.power_smoothness is not None:
-            d["power_smoothness"] = {
-                "max_ratio_l2": self.power_smoothness.max_ratio_l2,
-                "max_ratio_weighted_inf": self.power_smoothness.max_ratio_weighted_inf,
-                "n_pairs": self.power_smoothness.n_pairs,
-                "n_skipped": self.power_smoothness.n_skipped,
-            }
+        d = asdict(self)
+        d["perron_w"] = [float(x) for x in self.perron_w]
+        if self.power_smoothness is None:
+            del d["power_smoothness"]
         return d
 
 
@@ -441,16 +399,7 @@ class VerifierReport:
         return self.status != "violation"
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "n_samples": self.n_samples,
-            "constant": self.constant,
-            "max_ratio": self.max_ratio,
-            "slack": self.slack,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _witness(s, index, pa, pb):

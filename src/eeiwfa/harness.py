@@ -302,6 +302,7 @@ def iwfa_config(config, seed=None):
     scenario_config(cfg["scenario"], seed)
     cfg["schedule"] = read_config(cfg["schedule"], SCHEDULE_DEFAULTS, "config section 'schedule'")
     cfg["dinkelbach"] = dinkelbach_config(cfg["dinkelbach"])
+    cfg["thin"] = check_count(cfg["thin"], "thin", 1)
     return cfg
 
 

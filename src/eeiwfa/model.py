@@ -167,6 +167,17 @@ def _channel_rng(seed, q, r):
     return np.random.default_rng(np.random.SeedSequence((seed, q, r)))
 
 
+def _from_db(value, name):
+    """10^(value / 10), inf where it overflows; InvalidInputError at 0."""
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        return np.inf
+    if linear == 0.0:
+        raise InvalidInputError(f"{name} = {value} is too low: 10^({name}/10) is 0")
+    return linear
+
+
 def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
                       channel_kind="full", snr_convention="per-stream"):
     """Draw a random scenario at a target SNR/SIR.
@@ -204,7 +215,7 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     psi = check_real(circuit_power, "circuit_power")
     snr_db = check_number(snr_db, "snr_db")
     sir_db = check_number(sir_db, "sir_db")
-    snr_lin = 10.0 ** (snr_db / 10.0)
+    snr_lin = _from_db(snr_db, "snr_db")
     sigma_n2 = (p / n) / snr_lin if snr_convention == "per-stream" else p / snr_lin
 
     meta = {
@@ -213,14 +224,13 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
         "snr_convention": snr_convention,
         "channel_kind": channel_kind,
     }
-    sir_lin = 10.0 ** (sir_db / 10.0)
     if Q == 1:
         if np.isfinite(sir_db):
             warnings.warn("single-player scenario: sir_db has no effect")
             meta["sir_ignored"] = True
         cross_var = 0.0
     else:
-        cross_var = 1.0 / ((Q - 1) * sir_lin)
+        cross_var = 1.0 / ((Q - 1) * _from_db(sir_db, "sir_db"))
 
     # Each (q, r) stream draws its real parts, then its imaginary parts, in
     # one call straight into a row buffer; one table holds every channel.

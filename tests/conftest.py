@@ -20,6 +20,24 @@ def random_psd(rng, n, trace=None):
     return M
 
 
+def rowrank_oracle(H):
+    """Pseudoinverse interference matrix of the Q x Q channels ``H``, pair by
+    pair: entry (q, r) is sigma_max^2(pinv(H_qq) H_qr V1_r), V1_r the right
+    singular vectors of H_rr's nonzero singular values."""
+    Q = len(H)
+    V1 = []
+    for r in range(Q):
+        _, sv, Vh = np.linalg.svd(H[r][r])
+        rank = int((sv > sv[0] * max(H[r][r].shape) * np.finfo(float).eps).sum())
+        V1.append(Vh[:rank].conj().T)
+    S = np.zeros((Q, Q))
+    for q in range(Q):
+        for r in range(Q):
+            if r != q:
+                S[q, r] = np.linalg.norm(np.linalg.pinv(H[q][q]) @ H[q][r] @ V1[r], 2) ** 2
+    return S
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eeiwfa import harness
 from eeiwfa.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, cli
 from eeiwfa.model import load_scenario
 
@@ -46,8 +48,9 @@ def test_br_solve_json_and_csv(tmp_path, scenario_file):
     out_csv = str(tmp_path / "br_out.csv")
     assert cli(["br", "solve", "--config", cfg, "--out", out_csv,
                 "--format", "csv", "--quiet"]) == EXIT_OK
-    header = open(out_csv).read().splitlines()[0]
-    assert "p_hat" in header
+    header, values = csv.reader(open(out_csv, newline=""))
+    assert "p_hat" in header and len(values) == len(header)
+    assert json.loads(values[header.index("Qbr")]) == res["Qbr"]
 
 
 def test_criteria_eval(tmp_path, scenario_file):
@@ -58,6 +61,12 @@ def test_criteria_eval(tmp_path, scenario_file):
                 "--quiet"]) == EXIT_OK
     rep = json.load(open(out))
     assert "sr_S" in rep and "contraction_rhs_constant" in rep
+    out_csv = str(tmp_path / "crit.csv")
+    assert cli(["criteria", "eval", "--config", cfg, "--out", out_csv,
+                "--format", "csv", "--quiet"]) == EXIT_OK
+    header, values = csv.reader(open(out_csv, newline=""))
+    assert set(header) == set(rep) and len(values) == len(header)
+    assert json.loads(values[header.index("perron_w")]) == rep["perron_w"]
 
 
 def test_criteria_sweep_byte_identical(tmp_path):
@@ -112,8 +121,6 @@ def test_verify_lemmas_exit_codes(tmp_path):
 
 
 def test_verify_lemmas_failure_is_exit_2(tmp_path, monkeypatch):
-    import eeiwfa.harness as harness
-
     monkeypatch.setitem(
         harness.LEMMA_DEFAULTS, "scenario",
         {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 20.0, "seed": 0},
@@ -126,8 +133,26 @@ def test_verify_lemmas_failure_is_exit_2(tmp_path, monkeypatch):
     assert cli(["verify", "lemmas", "--quiet"]) == EXIT_CHECK
 
 
-def test_unknown_flag_is_usage_error(capsys):
-    assert cli(["iwfa", "run", "--bogus"]) == EXIT_USAGE
+@pytest.mark.parametrize("argv", [
+    "iwfa run --bogus",
+    # each subcommand takes only the flags it reads
+    "scenario gen --config nope.json",
+    "scenario gen --format json",
+    "scenario show {scn} --config nope.json",
+    "scenario show {scn} --seed 1",
+    "scenario show {scn} --out shown.txt",
+    "scenario show {scn} --format json",
+    "criteria sweep --config {sweep} --format csv",
+    "iwfa run --config {iwfa} --format csv",
+])
+def test_unknown_flag_is_usage_error(tmp_path, scenario_file, capsys, monkeypatch, argv):
+    # valid configs and a scratch directory, so the flag is all that is wrong
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(harness.OUT_DIR_ENV, raising=False)
+    json.dump({**_SWEEP, "trials": 2}, open("sweep.json", "w"))
+    json.dump({"scenario": {"file": scenario_file}, "max_slots": 3}, open("iwfa.json", "w"))
+    args = argv.format(scn=scenario_file, sweep="sweep.json", iwfa="iwfa.json").split()
+    assert cli([*args, "--quiet"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "usage" in err.lower()
 
@@ -182,6 +207,7 @@ def _run(tmp_path, command, cfg):
 
 
 NAN = float("nan")
+INF = float("inf")
 _SCN = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 10.0, "seed": 0}
 _SWEEP = {"Q": 2, "n": 2, "snr_db": [5.0], "sir_db": [10.0]}
 _LEMMAS = {"scenario": _SCN, "n_pairs": 2, "n_triples": 2, "sqrt_q": [2]}
@@ -235,6 +261,12 @@ def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
     ("criteria sweep", {**_SWEEP, "snr_db": 5.0}, "snr_db in sweep config must be a list"),
     ("criteria sweep", {**_SWEEP, "snr_db": ["x"]}, "snr_db must be a number"),
     ("verify lemmas", {**_LEMMAS, "sqrt_q": 3}, "sqrt_q in lemma config must be a list"),
+    # 10^(x/10) underflows to 0 or overflows
+    ("br solve", {"scenario": {**_SCN, "snr_db": -INF}}, "snr_db = -inf is too low"),
+    ("br solve", {"scenario": {**_SCN, "snr_db": -4000.0}}, "snr_db = -4000.0 is too low"),
+    ("br solve", {"scenario": {**_SCN, "sir_db": -INF}}, "sir_db = -inf is too low"),
+    ("br solve", {"scenario": {**_SCN, "sir_db": -4000.0}}, "sir_db = -4000.0 is too low"),
+    ("br solve", {"scenario": {**_SCN, "snr_db": 4000.0}}, "Rn[0] is not positive definite"),
 ])
 def test_bad_config_numbers_and_keys_are_validation_errors(tmp_path, capsys, command,
                                                            cfg, message):
@@ -257,10 +289,18 @@ def test_criteria_eval_smoothness_dinkelbach_section(tmp_path, scenario_file):
     {"residual_tol": float("nan")},
     {"ne_every": float("nan")},
     {"thin": float("nan")},
+    {"thin": 0},
     {"schedule": {"mode": "asynchronous", "rho": 0.5, "d_max": float("nan")}},
     {"seed": float("nan")},
 ])
-def test_iwfa_run_rejects_non_finite_numbers(tmp_path, scenario_file, capsys, settings):
+def test_iwfa_run_rejects_non_finite_numbers(tmp_path, scenario_file, capsys, monkeypatch,
+                                             settings):
+    if "thin" in settings:
+        # thin is checked with the rest of the config, before any slot runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_iwfa called with a bad thin")
+
+        monkeypatch.setattr(harness, "run_iwfa", no_run)
     cfg = {"scenario": {"file": scenario_file}, "max_slots": 3, **settings}
     assert _run(tmp_path, "iwfa run", cfg) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")

@@ -76,9 +76,11 @@ def test_generate_single_player_warns_on_finite_sir():
 
 
 def test_generate_infinite_sir_zeroes_cross_channels():
-    s = generate_scenario(2, 2, 7.0, np.inf, seed=0)
-    assert np.abs(s.H[0][1]).max() == 0.0
-    assert np.abs(s.H[1][0]).max() == 0.0
+    # 10^(4000/10) overflows a float; it counts as the infinite SIR it is
+    for sir_db in (np.inf, 4000.0):
+        s = generate_scenario(2, 2, 7.0, sir_db, seed=0)
+        assert np.abs(s.H[0][1]).max() == 0.0
+        assert np.abs(s.H[1][0]).max() == 0.0
 
 
 def test_generate_diagonal_channels():
