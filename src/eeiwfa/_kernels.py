@@ -29,9 +29,8 @@ def water_level(vals, p):
     above = s + thetas > 0.0
     above[..., 0] = True   # exact for p > 0; rounding can lose it when p << |vals|
     last = n - 1 - np.argmax(above[..., ::-1], axis=-1)
-    theta = np.take_along_axis(thetas, last[..., None], axis=-1)
-    powers = np.maximum(vals + theta, 0.0)
-    theta = theta[..., 0]
+    theta = thetas[(*np.indices(last.shape, sparse=True), last)]
+    powers = np.maximum(vals + theta[..., None], 0.0)
     dry = p <= 0.0
     if dry.any():
         theta = np.where(dry, -s[..., 0], theta)

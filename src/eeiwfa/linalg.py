@@ -91,11 +91,14 @@ def compact_svd(A):
     """
     A = as_complex_matrix(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    r = int(_svd_ranks(s))
     return U[:, :r], s[:r], Vh[:r, :].conj().T, r
+
+
+def _svd_ranks(s):
+    """Count of the singular values above RANK_TOL times the largest, for
+    descending singular values ``s`` or a stack of them; 0 when all are 0."""
+    return np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
 
 
 def pseudo_inverse(A):

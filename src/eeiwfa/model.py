@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, check_count, check_number, check_path, check_real
-from .linalg import _check_hermitian_stack, compact_svd, hermitize
+from .linalg import _check_hermitian_stack, _svd_ranks, hermitize
 
 SNR_CONVENTIONS = ("per-stream", "total-power")
 CHANNEL_KINDS = ("full", "diagonal")
@@ -161,10 +161,99 @@ def scenario_from_matrices(H, Rn, P, Psi, seed=None, meta=None):
     )
 
 
-def _channel_rng(seed, q, r):
-    # Per-(q, r) stream from one master seed: matrices are reproducible and
-    # unchanged by varying Q (up to the variance scale factor).
-    return np.random.default_rng(np.random.SeedSequence((seed, q, r)))
+# --- channel streams ----------------------------------------------------------
+#
+# Channel (q, r) is drawn from np.random.default_rng(SeedSequence((seed, q, r))),
+# so that each matrix is reproducible and unchanged by varying Q (up to the
+# variance scale factor). Building Q^2 generators one by one costs several
+# times their draws, so _stream_states computes every stream's PCG64 state at
+# once: NumPy's SeedSequence hash (O'Neill's seed_seq_fe, kept stable by
+# NEP 19) as uint32 array operations, then PCG64's set-seed step (O'Neill,
+# PCG, HMC-CS-2014-0905) in 128-bit arithmetic on (high, low) uint64 pairs.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_MIX_HASH = (0x43B0D7E5, 0x931E8875)     # (initial, multiplier) of mix_entropy
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)   # (initial, multiplier) of generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+
+
+class _Hash:
+    """SeedSequence's hashmix with its running constant c: the k-th word it
+    hashes is XORed with c_k and multiplied by c_(k+1), where c_k = initial
+    * multiplier^k mod 2^32."""
+
+    def __init__(self, initial, multiplier):
+        self.c, self.multiplier = initial, multiplier
+
+    def __call__(self, words, count):
+        """Hash ``count`` rows of ``words`` (broadcast to them), in order."""
+        c = [self.c]
+        for _ in range(count):
+            c.append(c[-1] * self.multiplier & _MASK32)
+        self.c = c[-1]
+        c = np.array(c, dtype=np.uint32)[:, None]
+        words = (words ^ c[:-1]) * c[1:]
+        return words ^ (words >> 16)
+
+
+def _mix(x, y):
+    z = x * _MIX_L - y * _MIX_R
+    return z ^ (z >> 16)
+
+
+def _mul128(a, b):
+    """(high, low) of a * b mod 2^128, both (high, low) uint64 pairs."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    x0, x1, y0, y1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return high + a_lo * b_hi + a_hi * b_lo, (p00 & _MASK32) | (mid << 32)
+
+
+def _add128(a, b):
+    """(high, low) of a + b mod 2^128, both (high, low) uint64 pairs."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _stream_states(seed, Q):
+    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence((seed, q, r)))`` for
+    every q, r < Q, in (q, r) row-major order, as Python ints.
+
+    The entropy words of stream (q, r) are the 32-bit words of ``seed``,
+    low first, then q, then r; the hash runs over all Q^2 streams at once.
+    """
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # one row per entropy word, zero rows up to the pool size
+    entropy = np.zeros((max(len(words) + 2, _POOL_SIZE), Q * Q), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)], entropy[len(words) + 1] = np.divmod(np.arange(Q * Q), Q)
+    # uint32 and uint64 products wrap, as the hash and the 128-bit step need
+    with np.errstate(over="ignore"):
+        # mix_entropy: the 4-word pool, mixed with itself, then with the rest
+        mix_hash = _Hash(*_MIX_HASH)
+        pool = mix_hash(entropy[:_POOL_SIZE], _POOL_SIZE)
+        for src in range(_POOL_SIZE):
+            dst = [i for i in range(_POOL_SIZE) if i != src]
+            pool[dst] = _mix(pool[dst], mix_hash(pool[src], len(dst)))
+        for e in entropy[_POOL_SIZE:]:
+            pool = _mix(pool, mix_hash(e, _POOL_SIZE))
+        # generate_state(4, uint64): eight hashed words, paired low word first
+        out = _Hash(*_STATE_HASH)(np.tile(pool, (2, 1)), 8).astype(np.uint64)
+        seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | (out[1::2] << 32)
+        # pcg64_set_seed: inc = 2 seq + 1, state = (inc + seed) * MULT + inc
+        inc = ((seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | np.uint64(1))
+        state = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), _PCG_MULT), inc)
+    return [
+        ((s_hi << 64) | s_lo, (i_hi << 64) | i_lo)
+        for s_hi, s_lo, i_hi, i_lo in zip(*(a.tolist() for a in state + inc))
+    ]
 
 
 def _from_db(value, name):
@@ -194,7 +283,8 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     Q, n : int
         Player count and antenna count (nT = nR = n for generated scenarios).
     snr_db, sir_db : float
-        Targets in dB; ``sir_db = inf`` zeroes the cross channels.
+        Targets in dB; ``sir_db = inf`` zeroes the cross channels. An
+        ``snr_db`` high enough to set a zero noise variance is an error.
     seed : int
         Master seed; every (q, r) channel gets its own derived stream.
     power, circuit_power : float
@@ -217,6 +307,10 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     sir_db = check_number(sir_db, "sir_db")
     snr_lin = _from_db(snr_db, "snr_db")
     sigma_n2 = (p / n) / snr_lin if snr_convention == "per-stream" else p / snr_lin
+    if sigma_n2 == 0.0 and p > 0.0:   # a bad budget reaches NetworkScenario
+        raise InvalidInputError(
+            f"snr_db = {snr_db} is too high: the noise variance it sets is 0"
+        )
 
     meta = {
         "snr_db": snr_db,
@@ -232,15 +326,22 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     else:
         cross_var = 1.0 / ((Q - 1) * _from_db(sir_db, "sir_db"))
 
-    # Each (q, r) stream draws its real parts, then its imaginary parts, in
-    # one call straight into a row buffer; one table holds every channel.
+    # One generator takes each (q, r) stream's state in turn and draws its
+    # real parts, then its imaginary parts, in one call straight into a row
+    # buffer; one table holds every channel.
     diagonal = channel_kind == "diagonal"
     T = np.zeros((Q, Q, n, n), dtype=complex)
     draws = np.empty((Q, 2, n) if diagonal else (Q, 2, n, n))
     k = np.arange(n)
+    bits = np.random.PCG64(0)   # its seed is overwritten by every stream's state
+    rng = np.random.Generator(bits)
+    stream = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    states = iter(_stream_states(seed, Q))
     for q in range(Q):
         for r in range(Q):
-            _channel_rng(seed, q, r).standard_normal(out=draws[r])
+            stream["state"]["state"], stream["state"]["inc"] = next(states)
+            bits.state = stream
+            rng.standard_normal(out=draws[r])
         scale = np.full(Q, np.sqrt(cross_var / 2.0))
         scale[q] = np.sqrt(0.5)
         if diagonal:
@@ -284,17 +385,25 @@ def reduce_scenario(s):
     Raises if any player's direct channel is zero (such a player cannot
     communicate at all).
     """
-    V1 = []
-    for q in range(s.Q):
-        _, _, v1, r = compact_svd(s.H[q][q])
-        if r == 0:
-            raise InvalidInputError(f"player {q} has a zero direct channel")
-        V1.append(v1)
-    ranks = np.array([v.shape[1] for v in V1])
-    Q, K = s.Q, int(ranks.max())
+    # one SVD per distinct direct-channel shape, each player truncated by
+    # compact_svd's rank rule
+    Q = s.Q
+    ranks = np.zeros(Q, dtype=int)
+    Vh = [None] * Q
+    for nR, nT in set(zip(s.nR.tolist(), s.nT.tolist())):
+        group = np.flatnonzero((s.nR == nR) & (s.nT == nT))
+        direct = s.H.array[group, group, :nR, :nT]
+        _, sv, vh = np.linalg.svd(direct, full_matrices=False)
+        ranks[group] = _svd_ranks(sv)
+        for q, v in zip(group, vh):
+            Vh[q] = v
+    bad = np.flatnonzero(ranks == 0)
+    if bad.size:
+        raise InvalidInputError(f"player {bad[0]} has a zero direct channel")
+    K = int(ranks.max())
     V = np.zeros((Q, s.H.array.shape[3], K), dtype=complex)
-    for q, v1 in enumerate(V1):
-        V[q, : s.nT[q], : ranks[q]] = v1
+    for q, vh in enumerate(Vh):
+        V[q, : s.nT[q], : ranks[q]] = vh[: ranks[q]].conj().T
     _freeze(V)
     # (Q, Q, N, K): entry (q, r) is H_qr V1_r, zero-padded
     A = _freeze(s.H.array @ V)
@@ -355,12 +464,9 @@ class StrategyProfile:
         return np.trace(self.stack, axis1=1, axis2=2).real
 
     @classmethod
-    def uniform(cls, s, fraction=1.0):
-        """Uniform allocation Qbar_q = (fraction * P_q / r_q) I."""
-        return cls([
-            (fraction * s.P[q] / s.ranks[q]) * np.eye(s.ranks[q])
-            for q in range(s.Q)
-        ])
+    def uniform(cls, s):
+        """Uniform allocation Qbar_q = (P_q / r_q) I."""
+        return cls([(s.P[q] / s.ranks[q]) * np.eye(s.ranks[q]) for q in range(s.Q)])
 
     @classmethod
     def zeros(cls, s):

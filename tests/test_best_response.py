@@ -266,7 +266,7 @@ def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):
     from eeiwfa.iwfa import _Evaluation
 
     rs = reduce_scenario(generate_scenario(6, 3, 7.0, 5.0, seed=2))
-    prof = StrategyProfile.uniform(rs, fraction=0.5)
+    prof = StrategyProfile.from_stack(0.5 * StrategyProfile.uniform(rs).stack, rs.ranks)
     shapes = []
     water_level = _kernels.water_level
 

@@ -266,7 +266,10 @@ def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
     ("br solve", {"scenario": {**_SCN, "snr_db": -4000.0}}, "snr_db = -4000.0 is too low"),
     ("br solve", {"scenario": {**_SCN, "sir_db": -INF}}, "sir_db = -inf is too low"),
     ("br solve", {"scenario": {**_SCN, "sir_db": -4000.0}}, "sir_db = -4000.0 is too low"),
-    ("br solve", {"scenario": {**_SCN, "snr_db": 4000.0}}, "Rn[0] is not positive definite"),
+    # a noise variance of 0 is named, not left to the Rn check
+    ("br solve", {"scenario": {**_SCN, "snr_db": 4000.0}},
+     "snr_db = 4000.0 is too high: the noise variance it sets is 0"),
+    ("br solve", {"scenario": {**_SCN, "snr_db": INF}}, "snr_db = inf is too high"),
 ])
 def test_bad_config_numbers_and_keys_are_validation_errors(tmp_path, capsys, command,
                                                            cfg, message):

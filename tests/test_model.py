@@ -1,12 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eeiwfa.best_response import DinkelbachConfig
 from eeiwfa.errors import InvalidInputError
+from eeiwfa.linalg import compact_svd
 from eeiwfa.model import (
     StrategyProfile,
+    _stream_states,
     energy_efficiency,
     generate_scenario,
     load_scenario,
@@ -108,6 +112,11 @@ def plain_channel(seed, q, r, n, var, kind):
     (1, 3, np.inf, 2),
     (4, 2, np.inf, 7),
     (5, 3, 10.0, 2**32 + 17),
+    # seeds of one, two and three 32-bit words: three to five entropy words
+    (1, 2, np.inf, 0),
+    (1, 2, np.inf, 2**32 - 1),
+    (1, 3, np.inf, 2**40),
+    (1, 2, np.inf, 2**70),
 ])
 def test_generated_table_matches_per_pair_draws(kind, Q, n, sir_db, seed):
     s = generate_scenario(Q, n, 7.0, sir_db, seed=seed, channel_kind=kind)
@@ -117,6 +126,30 @@ def test_generated_table_matches_per_pair_draws(kind, Q, n, sir_db, seed):
         for r in range(Q):
             want = plain_channel(seed, q, r, n, 1.0 if q == r else cross, kind)
             assert np.array_equal(s.H[q][r], want)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**96 - 1), st.integers(1, 6))
+def test_stream_states_match_seed_sequence(seed, Q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = _stream_states(seed, Q)
+    assert len(states) == Q * Q
+    for q in range(Q):
+        for r in range(Q):
+            want = np.random.PCG64(np.random.SeedSequence((seed, q, r))).state["state"]
+            assert states[q * Q + r] == (want["state"], want["inc"])
+
+
+@pytest.mark.parametrize("snr_db, power", [
+    (np.inf, 2.0),
+    (4000.0, 2.0),      # 10^(snr_db/10) overflows
+    (300.0, 1e-300),    # 10^30 is finite, but (P/n) / 10^30 underflows
+])
+def test_generate_rejects_a_zero_noise_variance(snr_db, power):
+    with pytest.raises(InvalidInputError, match=f"^snr_db = {snr_db} is too high: "
+                                                "the noise variance it sets is 0$"):
+        generate_scenario(2, 2, snr_db, 5.0, seed=0, power=power)
 
 
 def test_ragged_table_keeps_exact_shape_views(rng):
@@ -226,11 +259,41 @@ def test_reduce_diagonal_keeps_parallel_structure(rng):
         assert np.abs(got - want).max() <= 1e-12
 
 
-def test_reduce_rejects_zero_direct_channel():
+def test_reduce_rejects_zero_direct_channel(rng):
     H = [[np.zeros((2, 2))]]
     s = scenario_from_matrices(H, [np.eye(2)], [1.0], [1.0])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^player 0 has a zero direct channel$"):
         reduce_scenario(s)
+    # the first zero player is named, whatever the shapes of the others
+    nT, nR = [2, 3, 2, 3], [2, 1, 2, 1]
+    H = [[crandn(rng, nR[q], nT[r]) for r in range(4)] for q in range(4)]
+    H[1][1] = np.zeros((1, 3))
+    H[2][2] = np.zeros((2, 2))
+    s = scenario_from_matrices(H, [np.eye(n) for n in nR], [1.0] * 4, [1.0] * 4)
+    with pytest.raises(InvalidInputError, match="^player 1 has a zero direct channel$"):
+        reduce_scenario(s)
+
+
+def test_stacked_reduction_matches_per_player_compact_svd(rng):
+    # mixed shapes, two players per shape, and a rank-1 direct channel
+    nT, nR = [3, 2, 3, 2, 4], [2, 3, 2, 3, 1]
+    H = [[crandn(rng, nR[q], nT[r]) for r in range(5)] for q in range(5)]
+    H[2][2] = np.outer(crandn(rng, 2), crandn(rng, 3))
+    s = scenario_from_matrices(H, [np.eye(n) for n in nR], [1.0] * 5, [1.0] * 5)
+    rs = reduce_scenario(s)
+    V1 = [compact_svd(s.H[q][q])[2] for q in range(5)]
+    ranks = np.array([v.shape[1] for v in V1])
+    assert ranks.tolist() == [2, 2, 1, 2, 1]
+    assert np.array_equal(rs.ranks, ranks)
+    V = np.zeros((5, 4, 2), dtype=complex)
+    for q, v in enumerate(V1):
+        V[q, : nT[q], : ranks[q]] = v
+        assert np.array_equal(rs.V1[q], v)
+    A = s.H.array @ V
+    for q in range(5):
+        assert np.array_equal(rs.Hbar[q].array, A[q])
+        for r in range(5):
+            assert np.array_equal(rs.Hbar[q][r], A[q, r, : nR[q], : ranks[r]])
 
 
 # --- evaluators --------------------------------------------------------------------
