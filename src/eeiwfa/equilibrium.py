@@ -96,15 +96,20 @@ def _solve_direct(s, q, B):
         ) from None
 
 
+def _normalized_channels(s, q):
+    """Hbar_qq^{-1} Hbar_qr for every r, one solve against [Hbar_q0 | Hbar_q1
+    | ...]: a (Q, n, K) stack, n = ranks[q] (square channels only)."""
+    n = s.Hbar[q][q].shape[0]
+    return _unwide(_solve_direct(s, q, _wide(s.Hbar.array[q, :, :n])), s.Q)
+
+
 def interference_matrix_square(s):
     """Exact interference matrix for square nonsingular direct channels:
     entry (q, r) = sigma_max^2(Hbar_qq^{-1} Hbar_qr)."""
     Q = s.Q
     S = np.zeros((Q, Q))
     for q in range(Q):
-        n = s.Hbar[q][q].shape[0]
-        M = _unwide(_solve_direct(s, q, _wide(s.Hbar[q].array[:, :n, :])), Q)
-        S[q] = _sigma_max_sq(M)
+        S[q] = _sigma_max_sq(_normalized_channels(s, q))
         S[q, q] = 0.0
     return InterferenceMatrix(S, "exact-square")
 
@@ -226,8 +231,8 @@ def interference_matrix_sampled(s, n_samples, seed):
         delta = random_profile(s, rng, rule="frame-simplex").stack
         for q in range(Q):
             k = int(s.ranks[q])
-            R = hermitize(_received_covariance(s, q, delta))
-            A = s.Hbar[q].array
+            A = s.Hbar.array[q]
+            R = hermitize(_received_covariance(A, s.Rn_stack[q], q, delta)[0])
             W = np.linalg.solve(R, A[q])[:, :k]
             T = _wide(_ct(W) @ A)
             G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)
@@ -337,38 +342,30 @@ def criteria(s, S, smoothness_cfg=None):
 # --- the linear QVI mapping and its verified properties ---------------------
 
 def _qvi_operator(s):
-    """The QVI mapping's data, computed once per scenario (square channels
-    only): C_q = Hqq^{-1} Rn_q Hqq^{-H} as a (Q, K, K) stack and X_qr =
-    Hqq^{-1} Hbar_qr as a (Q, Q, K, K) array, both zero-padded."""
-    Q, K = s.Q, s.direct.shape[2]
+    """The game normalized by its direct channels (square channels only):
+    channels X_qr = Hqq^{-1} Hbar_qr, the identity for r = q, as a (Q, Q,
+    K, K) array and noises C_q = Hqq^{-1} Rn_q Hqq^{-H} as a (Q, K, K)
+    stack, both zero-padded."""
+    Q, K = s.Q, s.Hbar.array.shape[3]
     C = np.zeros((Q, K, K), dtype=complex)
     X = np.zeros((Q, Q, K, K), dtype=complex)
     for q in range(Q):
         n = s.Hbar[q][q].shape[0]
-        Y = _solve_direct(s, q, np.hstack([s.Rn[q], _wide(s.Hbar[q].array[:, :n, :])]))
-        C[q, :n, :n] = _ct(_solve_direct(s, q, _ct(Y[:, :n])))
-        X[q, :, :n, :] = _unwide(Y[:, n:], Q)
+        X[q, :, :n] = _normalized_channels(s, q)
+        C[q, :n, :n] = _ct(_solve_direct(s, q, _ct(_solve_direct(s, q, s.Rn[q]))))
     return C, X
 
 
 def _qvi_apply(op, P):
-    """F of each padded profile in an (M, Q, K, K) stack: for every receiver
-    q, C_q + sum_r X_qr P_r X_qr^H, the sum over the transmitters r taken
-    inside one wide product as in model._received_covariance.
-
-    The profiles sit side by side, so each receiver costs Q products of
-    K x (M K) blocks and one (M K) x (Q K) by (Q K) x K product.
-    """
+    """F of each padded profile in an (M, Q, K, K) stack: F_q = P_q plus
+    player q's received covariance in the normalized game ``op``, formed
+    for the M profiles side by side."""
     C, X = op
-    M, Q, K = P.shape[0], C.shape[0], C.shape[-1]
+    M, Q, K = P.shape[:3]
     # Pw[r] = [P_r of profile 0 | P_r of profile 1 | ...], K x (M K)
     Pw = P.transpose(1, 2, 0, 3).reshape(Q, K, M * K)
-    F = np.empty(P.shape, dtype=complex)
-    for q in range(Q):
-        # row (m, a), column (r, c): (X_qr P_r)[a, c] of profile m
-        T = (X[q] @ Pw).reshape(Q, K, M, K).transpose(2, 1, 0, 3)
-        F[:, q] = C[q] + (T.reshape(M * K, Q * K) @ _ct(_wide(X[q]))).reshape(M, K, K)
-    return hermitize(F)
+    F = np.stack([_received_covariance(X[q], C[q], q, Pw) for q in range(Q)], axis=1)
+    return hermitize(F + P)
 
 
 def qvi_map(s, profile):
@@ -377,7 +374,8 @@ def qvi_map(s, profile):
 
     F_q = Hqq^{-1} Rn_q Hqq^{-H} + sum_r Hqq^{-1} Hqr Qbar_r Hqr^H Hqq^{-H},
 
-    returned as a profile whose entry q is F_q.
+    the sum over every r, so that F_q = Qbar_q + G_q^{-1} with G_q player
+    q's whitened gram; returned as a profile whose entry q is F_q.
     """
     F = _qvi_apply(_qvi_operator(s), profile.stack[None])[0]
     return StrategyProfile.from_stack(F, s.ranks)
@@ -599,12 +597,12 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
 
 # --- the sqrt(Q) identity-channel construction ------------------------------
 
-def identity_channel_scenario(Q, n=2, noise=1.0):
-    """Scenario in which every channel matrix is the n x n identity, with
-    budget n (unit power per antenna) and circuit power 1 for every player."""
+def identity_channel_scenario(Q, n=2):
+    """Scenario whose channels and noise covariances are all the n x n
+    identity, with budget n and circuit power 1 for every player."""
     Q = check_count(Q, "Q", 1)
     H = [[np.eye(n, dtype=complex) for _ in range(Q)] for _ in range(Q)]
-    Rn = [noise * np.eye(n) for _ in range(Q)]
+    Rn = [np.eye(n) for _ in range(Q)]
     return scenario_from_matrices(
         H, Rn, [float(n)] * Q, [1.0] * Q, meta={"identity_channels": True},
     )

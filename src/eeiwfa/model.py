@@ -47,7 +47,7 @@ class ChannelStack:
 
 
 class ChannelTable:
-    """All channels of a scenario in one frozen (Q, Q, N, M) complex array,
+    """All channels of a game in one frozen (Q, Q, N, M) complex array,
     N and M the largest receive and transmit dimensions: entry (q, r) holds
     H_qr in its top-left nR[q] x nT[r] block and zeros elsewhere.
     ``table[q]`` is receiver q's :class:`ChannelStack` and ``table[q][r]``
@@ -56,6 +56,7 @@ class ChannelTable:
 
     def __init__(self, array, nR, nT):
         self.array = _freeze(array)
+        self._counts = (tuple(int(n) for n in nR), tuple(int(n) for n in nT))
         self._rows = [ChannelStack(array[q], n, nT) for q, n in enumerate(nR)]
 
     def __len__(self):
@@ -89,7 +90,8 @@ class NetworkScenario:
     ``H`` is the scenario's :class:`ChannelTable`: ``H[q][r]`` is the
     nR[q] x nT[r] channel from transmitter r to receiver q. It may be given
     as a Q x Q nested sequence of matrices (copied into a new table) or as
-    a ChannelTable, whose array is kept without a copy. ``Rn[q]`` is the
+    a ChannelTable built for the same antenna counts and zero outside its
+    channels' blocks, which is kept as it is. ``Rn[q]`` is the
     positive-definite noise covariance at receiver q, a view of
     ``Rn_stack``, the covariances padded to (Q, N, N) with identity.
     ``P[q]`` is the power budget and ``Psi[q]`` the circuit power of
@@ -121,15 +123,25 @@ class NetworkScenario:
             if arr.shape != (self.Q,) or not np.all(np.isfinite(arr) & (arr > 0)):
                 raise InvalidInputError(f"{name} must be finite and positive")
         if isinstance(self.H, ChannelTable):
-            T = self.H.array
+            if self.H._counts != (tuple(self.nR.tolist()), tuple(self.nT.tolist())):
+                raise InvalidInputError("channel table was built for other antenna counts")
         else:
             T = _pack_channels(self.H, self.Q, self.nR, self.nT)
-        N = int(self.nR.max())
-        if T.shape != (self.Q, self.Q, N, int(self.nT.max())):
+            self.H = ChannelTable(T, self.nR, self.nT)
+        T = self.H.array
+        N, M = int(self.nR.max()), int(self.nT.max())
+        if T.shape != (self.Q, self.Q, N, M):
             raise InvalidInputError(f"channel table has shape {T.shape}")
         if not np.isfinite(T).all():
             raise InvalidInputError("H has non-finite entries")
-        self.H = ChannelTable(T, self.nR, self.nT)
+        rows = np.arange(N) < self.nR[:, None]
+        cols = np.arange(M) < self.nT[:, None]
+        if not (rows.all() and cols.all()):   # ragged counts: check the padding
+            inside = rows[:, None, :, None] & cols[None, :, None, :]
+            if T[~inside].any():
+                raise InvalidInputError(
+                    "channel table has nonzero entries outside its channels' blocks"
+                )
         if len(self.Rn) != self.Q:
             raise InvalidInputError("Rn must hold Q noise covariances")
         Rn = np.zeros((self.Q, N, N), dtype=complex)
@@ -361,21 +373,20 @@ class ReducedScenario:
     null directions: Hbar[q][r] = H[q][r] @ V1[r], with V1[q] the right
     factor of the compact SVD of H[q][q] and ranks[q] its rank.
 
-    ``Hbar[q]`` is receiver q's :class:`ChannelStack`. ``Rn_stack`` holds the
-    noise covariances padded to (Q, N, N) with identity and ``direct`` the
-    direct channels padded to (Q, N, K) with zeros, so that every player's
-    covariance, Cholesky factor and gram is one slice of a batched array.
+    ``Hbar`` is its :class:`ChannelTable`, K = max(ranks) columns wide, and
+    ``Rn_stack`` the noise covariances padded to (Q, N, N) with identity,
+    so that every player's covariance, Cholesky factor and gram is one
+    slice of a batched array.
     """
 
     Q: int
     ranks: np.ndarray
-    Hbar: list
+    Hbar: ChannelTable
     V1: list
     Rn: list
     P: np.ndarray
     Psi: np.ndarray
     Rn_stack: np.ndarray
-    direct: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -406,13 +417,10 @@ def reduce_scenario(s):
         V[q, : s.nT[q], : ranks[q]] = vh[: ranks[q]].conj().T
     _freeze(V)
     # (Q, Q, N, K): entry (q, r) is H_qr V1_r, zero-padded
-    A = _freeze(s.H.array @ V)
-    Hbar = [ChannelStack(A[q], s.nR[q], ranks) for q in range(Q)]
-    direct = A[np.arange(Q), np.arange(Q)]
     return ReducedScenario(
-        Q=Q, ranks=ranks, Hbar=Hbar,
+        Q=Q, ranks=ranks, Hbar=ChannelTable(s.H.array @ V, s.nR, ranks),
         V1=[V[q, : s.nT[q], : ranks[q]] for q in range(Q)], Rn=s.Rn, P=s.P,
-        Psi=s.Psi, Rn_stack=s.Rn_stack, direct=_freeze(direct), meta=dict(s.meta),
+        Psi=s.Psi, Rn_stack=s.Rn_stack, meta=dict(s.meta),
     )
 
 
@@ -523,14 +531,17 @@ def _unwide(M, Q):
     return M.reshape(M.shape[0], Q, -1).transpose(1, 0, 2)
 
 
-def _received_covariance(s, q, P):
-    """Rn_q + sum_r Hbar_qr P_r Hbar_qr^H at receiver q, over r != q, for a
-    (Q, K, K) profile stack ``P``; (N, N), identity beyond nR_q, not yet
-    hermitized."""
-    A = s.Hbar[q].array
+def _received_covariance(A, Rn, q, P):
+    """Rn + sum_r A_r P_r A_r^H over r != q at a receiver with (Q, N, K)
+    channel stack ``A`` and noise ``Rn``, for M profiles side by side: ``P``
+    is (Q, K, M K), entry r [P_r of profile 0 | P_r of profile 1 | ...], so
+    a (Q, K, K) stack is M = 1. One (M, N, N) stack, not yet hermitized."""
+    Q, N, K = A.shape
     T = A @ P
     T[q] = 0.0
-    return s.Rn_stack[q] + _wide(T) @ _ct(_wide(A))
+    # row (m, a), column (r, c): (A_r P_r)[a, c] of profile m
+    T = T.reshape(Q, N, -1, K).transpose(2, 1, 0, 3).reshape(-1, Q * K)
+    return Rn + (T @ _ct(_wide(A))).reshape(-1, N, N)
 
 
 def _whitened_channels(s, qs, stacks):
@@ -538,11 +549,10 @@ def _whitened_channels(s, qs, stacks):
     L L^H = R_q the MUI covariance of each at its own (Q, K, K) profile
     stack; one (len(qs), N, K) array, zero beyond each player's receive
     dimension and rank. X^H X is the whitened gram Hbar_qq^H R_q^{-1} Hbar_qq."""
-    N = s.Rn_stack.shape[1]
-    R = np.empty((len(qs), N, N), dtype=complex)
-    for i, (q, P) in enumerate(zip(qs, stacks)):
-        R[i] = _received_covariance(s, q, P)
-    R = hermitize(R)
+    R = hermitize(np.concatenate([
+        _received_covariance(s.Hbar.array[q], s.Rn_stack[q], q, P)
+        for q, P in zip(qs, stacks)
+    ]))
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
@@ -554,7 +564,7 @@ def _whitened_channels(s, qs, stacks):
                     f"MUI covariance of player {q} is numerically singular"
                 ) from None
         raise
-    return np.linalg.solve(L, s.direct[list(qs)])
+    return np.linalg.solve(L, s.Hbar.array[qs, qs])
 
 
 def _grams(X):
@@ -591,8 +601,8 @@ def block_max_distance(pa, pb, w):
 def mui_covariance(s, q, profile):
     """Interference-plus-noise covariance at receiver q."""
     n = s.Rn[q].shape[0]
-    R = _received_covariance(s, q, profile.stack)
-    return hermitize(R[:n, :n])
+    return hermitize(_received_covariance(s.Hbar.array[q], s.Rn_stack[q], q,
+                                          profile.stack)[0, :n, :n])
 
 
 def whitened_gram(s, q, profile):

@@ -185,18 +185,31 @@ def test_missing_config_file_is_validation_error(tmp_path, scenario_file, capsys
     assert len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
-def test_console_entry_point():
-    # the child finds the package where this process found it, installed or not
+def _child(*args):
+    """Run a fresh interpreter that finds the package where this process
+    found it, installed or not."""
     import eeiwfa
 
     src = str(Path(eeiwfa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eeiwfa.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = _child("-m", "eeiwfa.cli", "--help")
     assert proc.returncode == 0
     assert "scenario" in proc.stdout
+
+
+def test_cli_needs_numpy_only():
+    proc = _child("-c", "import sys, eeiwfa.cli; print(*sys.modules)")
+    assert proc.returncode == 0
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "numba", "hypothesis"}
 
 
 def _run(tmp_path, command, cfg):

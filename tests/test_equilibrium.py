@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from eeiwfa.best_response import best_response
 
 from eeiwfa.equilibrium import (
     InterferenceMatrix,
@@ -19,12 +22,13 @@ from eeiwfa.equilibrium import (
     verify_power_set_smoothness,
 )
 from eeiwfa.errors import InvalidInputError
-from eeiwfa.linalg import pseudo_inverse
+from eeiwfa.linalg import pseudo_inverse, psd_trace_projection
 from eeiwfa.model import (
     StrategyProfile,
     generate_scenario,
     reduce_scenario,
     scenario_from_matrices,
+    whitened_gram,
 )
 
 from conftest import crandn, random_psd, rowrank_oracle
@@ -216,7 +220,9 @@ def test_criteria_to_dict_serializes():
 # --- the QVI mapping -----------------------------------------------------------
 
 def test_qvi_map_identity_channels_zero_profile():
-    rs = reduce_scenario(identity_channel_scenario(3, n=2, noise=0.7))
+    H = [[np.eye(2, dtype=complex) for _ in range(3)] for _ in range(3)]
+    rs = reduce_scenario(scenario_from_matrices(H, [0.7 * np.eye(2)] * 3, [2.0] * 3,
+                                                [1.0] * 3))
     F = qvi_map(rs, StrategyProfile.zeros(rs))
     for q in range(3):
         assert np.abs(F[q] - 0.7 * np.eye(2)).max() <= 1e-12
@@ -243,6 +249,37 @@ def test_qvi_map_matches_direct_formula(rng):
         G = whitened_gram(rs, q, prof)
         want = prof[q] + np.linalg.inv(G)
         assert np.abs(F[q] - want).max() <= 1e-9
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 1)), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+@example([(1, 0)], 0)
+@example([(1, 0), (1, 1)], 1)
+@example([(2, 1), (1, 0), (3, 0)], 2)
+def test_qvi_map_is_the_best_response_route(shapes, seed):
+    # square reduced games: nR[q] receive antennas and a full-row-rank direct
+    # channel with nR[q] + extra[q] transmit antennas
+    rng = np.random.default_rng(seed)
+    Q = len(shapes)
+    nR = [n for n, _ in shapes]
+    nT = [n + extra for n, extra in shapes]
+    H = [[crandn(rng, nR[q], nT[r]) for r in range(Q)] for q in range(Q)]
+    Rn = [np.eye(n) + random_psd(rng, n, trace=0.5) for n in nR]
+    rs = reduce_scenario(scenario_from_matrices(H, Rn, rng.uniform(0.5, 4.0, Q),
+                                                [1.0] * Q))
+    assert list(rs.ranks) == nR
+    for _ in range(4):
+        prof = random_profile(rs, rng)
+        F = qvi_map(rs, prof)
+        for q in range(Q):
+            # F_q = Qbar_q + G_q^{-1}, G_q the whitened gram
+            want = prof[q] + np.linalg.inv(whitened_gram(rs, q, prof))
+            assert np.abs(F[q] - want).max() <= 1e-11 * np.abs(want).max()
+            # so the best response is the projection of Qbar_q - F_q = -G_q^{-1}
+            br = best_response(rs, q, prof)
+            got = psd_trace_projection(prof[q] - F[q], br.p_hat)
+            assert np.abs(got - br.Qbr).max() <= 1e-9 * max(br.p_hat, 1e-300)
 
 
 def test_qvi_map_is_affine(rng):

@@ -9,6 +9,8 @@ from eeiwfa.best_response import DinkelbachConfig
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.linalg import compact_svd
 from eeiwfa.model import (
+    ChannelTable,
+    NetworkScenario,
     StrategyProfile,
     _stream_states,
     energy_efficiency,
@@ -198,6 +200,28 @@ def test_scenario_rejects_bad_channel_tables():
                                [1.0], [1.0])  # not Hermitian
 
 
+def test_scenario_keeps_a_given_channel_table_and_checks_it(rng):
+    s = generate_scenario(3, 2, 7.0, 0.0, seed=0)
+    t = NetworkScenario(Q=3, nT=s.nT, nR=s.nR, H=s.H, Rn=s.Rn, P=s.P, Psi=s.Psi)
+    assert t.H is s.H
+    # ragged Q=2: receiver 0 has one antenna, so row 1 of H_00 and H_01 is padding
+    nT, nR = [2, 2], [1, 2]
+    H = [[crandn(rng, nR[q], nT[r]) for r in range(2)] for q in range(2)]
+    Rn = [np.eye(n) for n in nR]
+    good = scenario_from_matrices(H, Rn, [1.0] * 2, [1.0] * 2)
+    assert scenario_from_matrices(good.H, Rn, [1.0] * 2, [1.0] * 2).H is good.H
+    T = good.H.array.copy()
+    T[0, 1, 1] = 1.0
+    padded = ChannelTable(T, nR, nT)
+    assert all(np.array_equal(padded[q][r], H[q][r]) for q in range(2) for r in range(2))
+    with pytest.raises(InvalidInputError, match="nonzero entries outside"):
+        scenario_from_matrices(padded, Rn, [1.0] * 2, [1.0] * 2)
+    # a table built for two receive antennas at both receivers
+    full = ChannelTable(good.H.array.copy(), [2, 2], nT)
+    with pytest.raises(InvalidInputError, match="built for other antenna counts"):
+        NetworkScenario(Q=2, nT=nT, nR=nR, H=full, Rn=Rn, P=[1.0] * 2, Psi=[1.0] * 2)
+
+
 def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         generate_scenario(0, 2, 7.0, 0.0, seed=0)
@@ -290,6 +314,8 @@ def test_stacked_reduction_matches_per_player_compact_svd(rng):
         V[q, : nT[q], : ranks[q]] = v
         assert np.array_equal(rs.V1[q], v)
     A = s.H.array @ V
+    assert isinstance(rs.Hbar, ChannelTable)
+    assert np.array_equal(rs.Hbar.array, A)
     for q in range(5):
         assert np.array_equal(rs.Hbar[q].array, A[q])
         for r in range(5):
@@ -566,6 +592,11 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
     N, K = 4, 4
     mats = [random_psd(rng, int(r), trace=1.0) for r in rs.ranks]
     P = StrategyProfile(mats).stack
+    # M = 4 profiles side by side, the first of them P
+    profiles = [mats] + [[random_psd(rng, int(r), trace=1.0) for r in rs.ranks]
+                         for _ in range(3)]
+    Ps = np.stack([StrategyProfile(m).stack for m in profiles])
+    Pw = Ps.transpose(1, 2, 0, 3).reshape(3, K, 4 * K)
     X = _whitened_channels(rs, range(3), [P] * 3)
     grams = _grams(X)
     assert grams.shape == (3, K, K)
@@ -577,10 +608,16 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
             assert_close(rs.Hbar[q][r], s.H[q][r] @ rs.V1[r])
         assert rs.Hbar[q].array.shape == (3, N, K)
         R = plain_mui(rs, q, mats)
-        padded = _received_covariance(rs, q, P)
-        assert_close(padded[:n, :n], R)
-        assert np.array_equal(padded[n:, n:], np.eye(N - n))
-        assert not padded[:n, n:].any() and not padded[n:, :n].any()
+        stacked = _received_covariance(rs.Hbar.array[q], rs.Rn_stack[q], q, Pw)
+        assert stacked.shape == (4, N, N)
+        for m, padded in enumerate(stacked):
+            one = _received_covariance(rs.Hbar.array[q], rs.Rn_stack[q], q, Ps[m])
+            assert one.shape == (1, N, N)
+            assert_close(padded, one[0], rel=1e-14)
+            assert_close(padded[:n, :n], plain_mui(rs, q, profiles[m]))
+            assert np.array_equal(padded[n:, n:], np.eye(N - n))
+            assert not padded[:n, n:].any() and not padded[n:, :n].any()
+        assert_close(stacked[0, :n, :n], R)
         assert_close(mui_covariance(rs, q, StrategyProfile(mats)), R)
         Hqq = rs.Hbar[q][q]
         G = Hqq.conj().T @ np.linalg.solve(R, Hqq)

@@ -32,7 +32,7 @@ from eeiwfa.errors import ConvergenceError, InvalidInputError
 from eeiwfa.iwfa import block_max_distance
 from eeiwfa.linalg import hermitize, psd_trace_projection, spectral_radius
 from eeiwfa.model import (
-    ChannelStack,
+    ChannelTable,
     StrategyProfile,
     _complex_to_lists,
     generate_scenario,
@@ -285,13 +285,9 @@ def singular_direct_scenario():
     """A reduced scenario whose square direct channel of player 1 has a zero
     row, so its LU factorization meets an exactly zero pivot."""
     s = reduce_scenario(generate_scenario(3, 2, 7.0, 10.0, seed=8))
-    A = s.Hbar[1].array.copy()
-    A[1, 0, :] = 0.0
-    Hbar = list(s.Hbar)
-    Hbar[1] = ChannelStack(A, 2, s.ranks)
-    direct = s.direct.copy()
-    direct[1] = A[1]
-    return replace(s, Hbar=Hbar, direct=direct)
+    A = s.Hbar.array.copy()
+    A[1, 1, 0, :] = 0.0
+    return replace(s, Hbar=ChannelTable(A, [2] * 3, s.ranks))
 
 
 def test_singular_direct_channel_is_an_input_error():
