@@ -38,7 +38,6 @@ from .model import (
     _unwide,
     _whitened_channels,
     _wide,
-    block_max_distance,
     reduce_scenario,
     scenario_from_matrices,
 )
@@ -126,14 +125,6 @@ def interference_matrix_rowrank(s):
 
 # --- random sampling rules -------------------------------------------------
 
-def haar_unitary(n, rng):
-    """Haar-distributed unitary via QR with phase correction."""
-    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    Qm, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    return Qm * (d / np.abs(d))
-
-
 def _draw_offsets(ranks):
     """Where each player's block starts in a row of raw normal draws: its
     r x r real parts, then its r x r imaginary parts, players in order."""
@@ -150,34 +141,57 @@ def _gaussians(Z, ranks, idx, k):
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def _random_covariances(rng, ranks, P, count, boundary=False):
-    """``count`` Wishart profiles of players with ``ranks`` and budgets
-    ``P``, in the stream order of ``count`` calls of :func:`random_profile`;
-    one (count, Q, K, K) stack, zero-padded beyond each player's rank.
+def _random_covariances(rng, ranks, P, count, boundary=False, rule="wishart"):
+    """``count`` random profiles of players with ``ranks`` and budgets
+    ``P``; one (count, Q, K, K) stack, zero-padded beyond each player's rank.
+    Every random profile is drawn here, under one of two rules:
 
-    Only the draws are made one player at a time (one call for the whole
-    stack on the boundary, where no uniform draw sits between them); A A^H
-    and the trace scaling are batched per rank.
+    - ``"wishart"``: B B^H for a complex Gaussian r x r matrix B, scaled to
+      a uniform random trace in [0, P_q], or to P_q on the ``boundary``;
+    - ``"frame-simplex"``: U diag(P_q lambda) U^H with U the Haar unitary of
+      the QR of B / sqrt(2), phases fixed (Mezzadri, Notices AMS 2007), and
+      lambda ~ dirichlet(ones(r)) uniform on the simplex. These profiles are
+      always on the budget, so ``boundary`` does not apply.
+
+    The stream order is that of a per-player loop: for each profile and
+    player, the 2 r^2 normal draws of B, then that player's trace or simplex
+    draw. Only the draws are made one player at a time (one call for the
+    whole stack on the Wishart boundary, where nothing sits between them);
+    the algebra is batched per rank.
     """
+    if rule not in ("wishart", "frame-simplex"):
+        raise InvalidInputError(f"unknown sampling rule {rule!r}")
+    simplex = rule == "frame-simplex"
     ranks = [int(r) for r in ranks]
+    P = np.asarray(P, dtype=float)
     Q, K = len(ranks), max(ranks)
     off = _draw_offsets(ranks)
     Z = np.empty((count, off[-1]))
-    target = np.empty((count, Q))
-    if boundary:
+    own = np.zeros((count, Q, K if simplex else 1))   # simplex weights or traces
+    if boundary and not simplex:
         rng.standard_normal(out=Z)
-        target[:] = P
+        own[:] = P[:, None]
     else:
         for m in range(count):
-            for q in range(Q):
+            for q, r in enumerate(ranks):
                 rng.standard_normal(out=Z[m, off[q] : off[q + 1]])
-                target[m, q] = rng.uniform(0.0, P[q])
+                if simplex:
+                    own[m, q, :r] = rng.dirichlet(np.ones(r))
+                else:
+                    own[m, q] = P[q] * rng.random()
     out = np.zeros((count, Q, K, K), dtype=complex)
     for k, idx in _rank_groups(ranks):
         B = _gaussians(Z, ranks, idx, k)
+        if simplex:
+            U, R = np.linalg.qr(B / np.sqrt(2))
+            d = np.diagonal(R, axis1=-2, axis2=-1)
+            U = U * (d / np.abs(d))[..., None, :]
+            lam = P[idx, None] * own[:, idx, :k]
+            out[:, idx, :k, :k] = hermitize((U * lam[..., None, :]) @ _ct(U))
+            continue
         M = B @ _ct(B)
         tr = np.trace(M, axis1=-2, axis2=-1).real
-        t = target[:, idx]
+        t = own[:, idx, 0]
         M *= np.divide(t, tr, out=np.zeros_like(t), where=tr > 0)[..., None, None]
         dry = tr <= 0
         M[dry] = (t[dry] / k)[:, None, None] * np.eye(k)
@@ -194,22 +208,14 @@ def random_covariance(r, p, rng, boundary=False):
 def random_frame_simplex_covariance(r, p, rng):
     """Full-budget PSD draw: Haar eigenvector frame with eigenvalues from
     the uniform simplex scaled to trace p."""
-    U = haar_unitary(r, rng)
-    lam = p * rng.dirichlet(np.ones(r))
-    return hermitize((U * lam) @ U.conj().T)
+    return _random_covariances(rng, [r], [float(p)], 1, rule="frame-simplex")[0, 0]
 
 
 def random_profile(s, rng, boundary=False, rule="wishart"):
-    """Random feasible strategy profile of the reduced game."""
-    if rule == "wishart":
-        P = _random_covariances(rng, s.ranks, s.P, 1, boundary)[0]
-        return StrategyProfile.from_stack(P, s.ranks)
-    if rule == "frame-simplex":
-        return StrategyProfile([
-            random_frame_simplex_covariance(int(s.ranks[q]), s.P[q], rng)
-            for q in range(s.Q)
-        ])
-    raise InvalidInputError(f"unknown sampling rule {rule!r}")
+    """Random feasible strategy profile of the reduced game, drawn under
+    ``rule`` (see :func:`_random_covariances`)."""
+    P = _random_covariances(rng, s.ranks, s.P, 1, boundary, rule)[0]
+    return StrategyProfile.from_stack(P, s.ranks)
 
 
 def interference_matrix_sampled(s, n_samples, seed):
@@ -227,17 +233,22 @@ def interference_matrix_sampled(s, n_samples, seed):
     rng = np.random.default_rng(check_count(seed, "seed", 0))
     Q = s.Q
     S = np.zeros((Q, Q))
-    for _ in range(n_samples):
-        delta = random_profile(s, rng, rule="frame-simplex").stack
-        for q in range(Q):
-            k = int(s.ranks[q])
-            A = s.Hbar.array[q]
-            R = hermitize(_received_covariance(A, s.Rn_stack[q], q, delta)[0])
-            W = np.linalg.solve(R, A[q])[:, :k]
-            T = _wide(_ct(W) @ A)
-            G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)
-            S[q] = np.maximum(S[q], _sigma_max_sq(G))
-            S[q, q] = 0.0
+    for start in range(0, n_samples, _CHUNK):
+        D = _random_covariances(rng, s.ranks, s.P, min(_CHUNK, n_samples - start),
+                                rule="frame-simplex")
+        # One sample at a time: the wide product in _received_covariance
+        # rounds differently with more profiles side by side, which would
+        # let an entry fall as n_samples grows.
+        for delta in D:
+            for q in range(Q):
+                k = int(s.ranks[q])
+                A = s.Hbar.array[q]
+                R = hermitize(_received_covariance(A, s.Rn_stack[q], q, delta)[0])
+                W = np.linalg.solve(R, A[q])[:, :k]
+                T = _wide(_ct(W) @ A)
+                G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)
+                S[q] = np.maximum(S[q], _sigma_max_sq(G))
+                S[q, q] = 0.0
     return InterferenceMatrix(S, "sampled-columnrank", n_samples=n_samples)
 
 
@@ -508,7 +519,7 @@ def verify_power_set_smoothness(s, n_triples=500, seed=0, slack=1e-9):
         pab = np.empty((m, 2, s.Q))
         for i in range(m):
             rng.standard_normal(out=Z[i])
-            pab[i] = rng.uniform(0.0, s.P, size=(2, s.Q))
+            pab[i] = s.P * rng.random((2, s.Q))
         pa, pb = pab[:, 0], pab[:, 1]
         dists = np.empty((m, s.Q))
         for k, idx in _rank_groups(ranks):
@@ -558,40 +569,28 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
         _, weights, _ = spectral_radius(S.S)
     w = np.maximum(np.asarray(weights, dtype=float), W_FLOOR)
     rng = np.random.default_rng(cfg.seed)
-    max_l2 = 0.0
-    max_winf = 0.0
-    used = 0
-    skipped = 0
-
-    def powers_of(profile):
-        # the clipped powers of every player's batched best response
-        qs = range(s.Q)
-        X = _whitened_channels(s, qs, [profile.stack] * s.Q)
-        brs = _best_responses(s, qs, X, cfg.dinkelbach)
-        return np.array([br.p_hat for br in brs])
-
-    for i in range(cfg.n_pairs):
-        pa = random_profile(s, rng)
-        if i % 2 == 0:
-            pb = random_profile(s, rng)
-        else:
-            ref = random_profile(s, rng)
-            t = cfg.perturbation
-            pb = StrategyProfile.from_stack((1.0 - t) * pa.stack + t * ref.stack,
-                                            s.ranks)
-        den_f = float(_stack_frob(pa.stack - pb.stack))
-        den_w = block_max_distance(pa, pb, w)
-        if den_f <= 1e-12 or den_w <= 1e-12:
-            continue
-        try:
-            va = powers_of(pa)
-            vb = powers_of(pb)
-        except ConvergenceError:
-            skipped += 1
-            continue
-        used += 1
-        max_l2 = max(max_l2, float(np.linalg.norm(va - vb)) / den_f)
-        max_winf = max(max_winf, float(np.max(np.abs(va - vb) / w)) / den_w)
+    t = cfg.perturbation
+    max_l2 = max_winf = 0.0
+    used = skipped = 0
+    qs = list(range(s.Q)) * 2   # every player at profile a, then at profile b
+    for start, Pa, Pb in _pair_chunks(s, cfg.n_pairs, rng, boundary=False):
+        # an odd pair's second draw is the reference its first moves toward
+        odd = (start + np.arange(len(Pa))) % 2 == 1
+        Pb[odd] = (1.0 - t) * Pa[odd] + t * Pb[odd]
+        den_f = _stack_frob(Pa - Pb)
+        den_w = (_stack_frob((Pa - Pb)[:, :, None]) / w).max(axis=1)
+        for j in np.flatnonzero((den_f > 1e-12) & (den_w > 1e-12)):
+            try:
+                X = _whitened_channels(s, qs, [Pa[j]] * s.Q + [Pb[j]] * s.Q)
+                brs = _best_responses(s, qs, X, cfg.dinkelbach)
+            except ConvergenceError:
+                skipped += 1
+                continue
+            used += 1
+            pa, pb = np.array([br.p_hat for br in brs]).reshape(2, s.Q)
+            dp = pa - pb
+            max_l2 = max(max_l2, float(np.linalg.norm(dp)) / den_f[j])
+            max_winf = max(max_winf, float(np.max(np.abs(dp) / w)) / den_w[j])
     return PowerSmoothnessEstimate(max_l2, max_winf, used, skipped)
 
 

@@ -181,14 +181,15 @@ def scenario_from_matrices(H, Rn, P, Psi, seed=None, meta=None):
 # times their draws, so _stream_states computes every stream's PCG64 state at
 # once: NumPy's SeedSequence hash (O'Neill's seed_seq_fe, kept stable by
 # NEP 19) as uint32 array operations, then PCG64's set-seed step (O'Neill,
-# PCG, HMC-CS-2014-0905) in 128-bit arithmetic on (high, low) uint64 pairs.
+# PCG, HMC-CS-2014-0905) in 128-bit arithmetic on Python ints.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _MIX_HASH = (0x43B0D7E5, 0x931E8875)     # (initial, multiplier) of mix_entropy
 _STATE_HASH = (0x8B51F9DD, 0x58F38DED)   # (initial, multiplier) of generate_state
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 class _Hash:
@@ -215,22 +216,6 @@ def _mix(x, y):
     return z ^ (z >> 16)
 
 
-def _mul128(a, b):
-    """(high, low) of a * b mod 2^128, both (high, low) uint64 pairs."""
-    (a_hi, a_lo), (b_hi, b_lo) = a, b
-    x0, x1, y0, y1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
-    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    high = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return high + a_lo * b_hi + a_hi * b_lo, (p00 & _MASK32) | (mid << 32)
-
-
-def _add128(a, b):
-    """(high, low) of a + b mod 2^128, both (high, low) uint64 pairs."""
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < a[1]), low
-
-
 def _stream_states(seed, Q):
     """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence((seed, q, r)))`` for
     every q, r < Q, in (q, r) row-major order, as Python ints.
@@ -246,7 +231,7 @@ def _stream_states(seed, Q):
     entropy = np.zeros((max(len(words) + 2, _POOL_SIZE), Q * Q), dtype=np.uint32)
     entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
     entropy[len(words)], entropy[len(words) + 1] = np.divmod(np.arange(Q * Q), Q)
-    # uint32 and uint64 products wrap, as the hash and the 128-bit step need
+    # uint32 products wrap, as the hash needs
     with np.errstate(over="ignore"):
         # mix_entropy: the 4-word pool, mixed with itself, then with the rest
         mix_hash = _Hash(*_MIX_HASH)
@@ -258,14 +243,14 @@ def _stream_states(seed, Q):
             pool = _mix(pool, mix_hash(e, _POOL_SIZE))
         # generate_state(4, uint64): eight hashed words, paired low word first
         out = _Hash(*_STATE_HASH)(np.tile(pool, (2, 1)), 8).astype(np.uint64)
-        seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | (out[1::2] << 32)
+    words = (out[0::2] | (out[1::2] << 32)).tolist()
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words):
         # pcg64_set_seed: inc = 2 seq + 1, state = (inc + seed) * MULT + inc
-        inc = ((seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | np.uint64(1))
-        state = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), _PCG_MULT), inc)
-    return [
-        ((s_hi << 64) | s_lo, (i_hi << 64) | i_lo)
-        for s_hi, s_lo, i_hi, i_lo in zip(*(a.tolist() for a in state + inc))
-    ]
+        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
+        state = (((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT) + inc) & _MASK128
+        states.append((state, inc))
+    return states
 
 
 def _from_db(value, name):

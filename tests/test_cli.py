@@ -320,3 +320,31 @@ def test_iwfa_run_rejects_non_finite_numbers(tmp_path, scenario_file, capsys, mo
     cfg = {"scenario": {"file": scenario_file}, "max_slots": 3, **settings}
     assert _run(tmp_path, "iwfa run", cfg) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The full JSON report of a tiny sampled-variant evaluation with a smoothness
+# section, as the per-player frame-simplex draws and the per-pair Dinkelbach
+# loop computed it: a change in either sampling rule's draws or stream order,
+# or in how the sampled pairs are evaluated, shows here.
+GOLDEN_EVAL_CONFIG = {"scenario": {"Q": 3, "n": 2, "snr_db": 5.0, "sir_db": 0.0, "seed": 2},
+                      "variant": "sampled", "n_samples": 20, "smoothness": {"n_pairs": 20}}
+GOLDEN_EVAL = {
+    "contraction_rhs_constant": -10.835503360851193,
+    "interference_ok_contraction": False,
+    "interference_ok_qvi": False,
+    "perron_degenerate": False,
+    "perron_w": [0.06443487132889333, 0.8304890620243618, 0.5532956399744398],
+    "power_smoothness": {"max_ratio_l2": 1.0338797491315455,
+                         "max_ratio_weighted_inf": 0.6217534993483563,
+                         "n_pairs": 20, "n_skipped": 0},
+    "qvi_rhs_constant": -0.6387048183354217,
+    "sigma_max_IplusS": 20.69689666292919,
+    "sr_S": 11.835503360851193,
+    "sr_Ssym": 14.219207623203184,
+    "variant": "sampled-columnrank",
+}
+
+
+def test_criteria_eval_sampled_golden_report(tmp_path):
+    assert _run(tmp_path, "criteria eval", GOLDEN_EVAL_CONFIG) == EXIT_OK
+    assert json.load(open(tmp_path / "out")) == GOLDEN_EVAL

@@ -132,14 +132,16 @@ def test_sampled_equals_square_for_square_channels():
 
 
 def test_sampled_monotone_in_sample_count(rng):
-    H = [[crandn(rng, 4, 2) for _ in range(3)] for _ in range(3)]
-    rs = reduce_scenario(
-        scenario_from_matrices(H, [np.eye(4)] * 3, [2.0] * 3, [1.0] * 3)
-    )
-    S1 = interference_matrix_sampled(rs, 1, seed=7)
-    S20 = interference_matrix_sampled(rs, 20, seed=7)
-    assert np.all(S20.S >= S1.S - 1e-15)
-    assert np.all(np.isfinite(S20.S))
+    # square, tall and rank-deficient direct channels; 16 and 17 samples sit
+    # on either side of a draw-chunk boundary
+    from test_model import ragged_scenario
+
+    rs = reduce_scenario(ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4]))
+    S = [interference_matrix_sampled(rs, n, seed=7).S for n in (1, 16, 17, 40)]
+    assert all(np.isfinite(Sn).all() for Sn in S)
+    for fewer, more in zip(S, S[1:]):
+        assert np.all(more >= fewer)
+    assert np.any(S[-1] > S[0])
 
 
 def test_sampled_tall_channels_match_per_sample_oracle(rng):

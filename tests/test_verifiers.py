@@ -23,6 +23,7 @@ from eeiwfa.equilibrium import (
     interference_matrix_square,
     qvi_map,
     random_covariance,
+    random_frame_simplex_covariance,
     random_profile,
     verify_lipschitz,
     verify_monotonicity,
@@ -54,6 +55,17 @@ def oracle_covariance(r, p, rng, boundary):
 
 def oracle_profile(s, rng, boundary=False):
     return [oracle_covariance(int(r), p, rng, boundary) for r, p in zip(s.ranks, s.P)]
+
+
+def oracle_frame_simplex(r, p, rng):
+    """One player's full-budget draw: a Haar unitary from the phase-corrected
+    QR of a complex Gaussian, then eigenvalues p * dirichlet(ones(r))."""
+    Z = (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))) / np.sqrt(2)
+    U, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    U = U * (d / np.abs(d))
+    lam = p * rng.dirichlet(np.ones(r))
+    return hermitize((U * lam) @ U.conj().T)
 
 
 def oracle_qvi(s, mats):
@@ -271,6 +283,35 @@ def test_batched_sampler_equals_per_profile_draws(ranks, boundary, seed, count):
     assert one.random() == plain.random()   # the streams end in the same place
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 20))
+def test_frame_simplex_draws_equal_per_player_loop(ranks, seed, count):
+    P = np.linspace(0.5, 4.0, len(ranks))
+    rng = np.random.default_rng(seed)
+    stack = _random_covariances(rng, ranks, P, count, rule="frame-simplex")
+    plain = np.random.default_rng(seed)
+    for m in range(count):
+        for q, r in enumerate(ranks):
+            assert np.array_equal(stack[m, q, :r, :r], oracle_frame_simplex(r, P[q], plain))
+            assert not stack[m, q, r:].any() and not stack[m, q, :, r:].any()
+    assert rng.random() == plain.random()   # the streams end in the same place
+
+
+def test_frame_simplex_views_and_rule_check():
+    game = SimpleNamespace(Q=3, ranks=np.array([2, 1, 3]), P=np.array([1.0, 2.0, 3.0]))
+    want = _random_covariances(np.random.default_rng(4), game.ranks, game.P, 1,
+                               rule="frame-simplex")[0]
+    for boundary in (False, True):   # always on the budget: boundary is moot
+        prof = random_profile(game, np.random.default_rng(4), boundary, "frame-simplex")
+        assert np.array_equal(prof.stack, want)
+    assert np.abs(prof.traces() - game.P).max() <= 1e-12 * game.P.max()
+    one = random_frame_simplex_covariance(3, 2.0, np.random.default_rng(6))
+    assert np.array_equal(one, oracle_frame_simplex(3, 2.0, np.random.default_rng(6)))
+    with pytest.raises(InvalidInputError, match="unknown sampling rule 'haar'"):
+        random_profile(game, np.random.default_rng(0), rule="haar")
+
+
 def test_random_covariance_is_the_one_item_sampler():
     for boundary in (False, True):
         a = random_covariance(3, 2.0, np.random.default_rng(9), boundary=boundary)
@@ -304,8 +345,9 @@ def test_singular_direct_channel_is_an_input_error():
 # --- the power-smoothness estimate against its per-player loop -------------------
 
 def oracle_power_smoothness(s, cfg, w):
-    """The estimate as a plain loop: each player's clipped Dinkelbach power
-    from its own gram and EVD (``dinkelbach_power``), one player at a time."""
+    """The estimate as a plain loop: pairs drawn one matrix at a time
+    (``oracle_profile``), and each player's clipped Dinkelbach power from its
+    own gram and EVD (``dinkelbach_power``), one player at a time."""
     rng = np.random.default_rng(cfg.seed)
     max_l2 = max_winf = 0.0
     used = skipped = 0
@@ -315,8 +357,8 @@ def oracle_power_smoothness(s, cfg, w):
                          for q in range(s.Q)])
 
     for i in range(cfg.n_pairs):
-        pa = random_profile(s, rng)
-        ref = random_profile(s, rng)
+        pa = StrategyProfile(oracle_profile(s, rng))
+        ref = StrategyProfile(oracle_profile(s, rng))
         t = cfg.perturbation
         pb = ref if i % 2 == 0 else StrategyProfile(
             [(1.0 - t) * a + t * b for a, b in zip(pa, ref)])
@@ -334,6 +376,16 @@ def oracle_power_smoothness(s, cfg, w):
     return max_l2, max_winf, used, skipped
 
 
+def assert_power_smoothness_matches_oracle(s, cfg):
+    w = np.maximum(spectral_radius(interference_matrix_square(s).S)[1], 1e-12)
+    got = estimate_power_smoothness(s, cfg)
+    l2, winf, used, skipped = oracle_power_smoothness(s, cfg, w)
+    assert (got.n_pairs, got.n_skipped) == (used, skipped)
+    assert abs(got.max_ratio_l2 - l2) <= 1e-12 * l2
+    assert abs(got.max_ratio_weighted_inf - winf) <= 1e-12 * winf
+    return got
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("dinkelbach", [
     DinkelbachConfig(),
@@ -341,11 +393,14 @@ def oracle_power_smoothness(s, cfg, w):
     DinkelbachConfig(max_iters=3),    # every pair fails to converge and is skipped
 ])
 def test_power_smoothness_matches_per_player_loop(scenario, dinkelbach):
-    s = SCENARIOS[scenario]()
     cfg = PowerSmoothnessConfig(n_pairs=12, seed=3, dinkelbach=dinkelbach)
-    w = np.maximum(spectral_radius(interference_matrix_square(s).S)[1], 1e-12)
-    got = estimate_power_smoothness(s, cfg)
-    l2, winf, used, skipped = oracle_power_smoothness(s, cfg, w)
-    assert (got.n_pairs, got.n_skipped) == (used, skipped)
-    assert abs(got.max_ratio_l2 - l2) <= 1e-12 * l2
-    assert abs(got.max_ratio_weighted_inf - winf) <= 1e-12 * winf
+    assert_power_smoothness_matches_oracle(SCENARIOS[scenario](), cfg)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_power_smoothness_across_chunk_boundaries(scenario):
+    # 37 pairs: two full chunks, then a partial one starting on an even pair
+    assert 2 * _CHUNK < 37 < 3 * _CHUNK
+    cfg = PowerSmoothnessConfig(n_pairs=37, seed=5, perturbation=0.3)
+    got = assert_power_smoothness_matches_oracle(SCENARIOS[scenario](), cfg)
+    assert got.n_pairs + got.n_skipped == 37
