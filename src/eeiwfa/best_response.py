@@ -57,8 +57,12 @@ def waterfill(U, D, p):
     (to 1e-12 * max(1, p)). ``p = 0`` returns the zero matrix.
     """
     D = np.asarray(D, dtype=float)
+    if not np.isfinite(p):
+        raise InvalidInputError(f"power p must be finite, got {p}")
     if p < 0:
         raise InvalidInputError("power must be >= 0")
+    if not np.isfinite(D).all():
+        raise InvalidInputError("eigen-gains D have non-finite entries")
     if np.any(D <= 0):
         raise InvalidInputError("eigen-gains must be strictly positive")
     U = np.asarray(U, dtype=complex)

@@ -243,7 +243,7 @@ def interference_matrix_sampled(s, n_samples, seed):
             for q in range(Q):
                 k = int(s.ranks[q])
                 A = s.Hbar.array[q]
-                R = hermitize(_received_covariance(A, s.Rn_stack[q], q, delta)[0])
+                R = hermitize(_received_covariance(A, s.Rn.stack[q], q, delta)[0])
                 W = np.linalg.solve(R, A[q])[:, :k]
                 T = _wide(_ct(W) @ A)
                 G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)

@@ -171,8 +171,9 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
 
     Writes one row per trial plus a per-cell summary file with success
     fractions and their binomial standard errors; checks that the success
-    fraction is non-decreasing in SIR at fixed SNR (3-sigma allowance) and
-    that every trial satisfies ok_qvi => ok_contraction.
+    fraction is non-decreasing in SIR at fixed SNR (3-sigma allowance from
+    the pooled two-proportion standard error of each adjacent pair of
+    cells) and that every trial satisfies ok_qvi => ok_contraction.
     """
     cfg = sweep_config(config, seed)
     master, trials, snrs, sirs = cfg["seed"], cfg["trials"], cfg["snr_db"], cfg["sir_db"]
@@ -204,7 +205,7 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
             ])
         f_c, f_q = n_c / trials, n_q / trials
         se = lambda f: math.sqrt(f * (1.0 - f) / trials)
-        fractions[(snr, sir)] = (f_c, se(f_c))
+        fractions[(snr, sir)] = f_c
         cell_rows.append([snr, sir, trials, f_c, se(f_c), f_q, se(f_q)])
         if verbose:
             print(f"cell snr={snr} sir={sir}: contraction {f_c:.3f} qvi {f_q:.3f}")
@@ -212,9 +213,12 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     for snr in snrs:
         ordered = sorted(sirs)
         for lo, hi in zip(ordered, ordered[1:]):
-            f1, s1 = fractions[(snr, lo)]
-            f2, s2 = fractions[(snr, hi)]
-            if f2 < f1 - 3.0 * math.sqrt(s1 ** 2 + s2 ** 2) - 1e-12:
+            f1, f2 = fractions[(snr, lo)], fractions[(snr, hi)]
+            # pooled two-proportion standard error: the per-cell Wald errors
+            # are both 0 when each cell is all-or-nothing, this one only
+            # when the two fractions agree
+            pooled = (f1 + f2) / 2.0
+            if f2 < f1 - 3.0 * math.sqrt(pooled * (1.0 - pooled) * 2.0 / trials) - 1e-12:
                 raise CheckFailure(
                     f"success fraction decreased in SIR at snr={snr}:"
                     f" {f1:.4f}@{lo} -> {f2:.4f}@{hi} beyond 3 sigma"

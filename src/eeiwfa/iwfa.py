@@ -34,6 +34,11 @@ class UpdateSchedule:
     synchronous: every player updates every slot, zero delay.
     asynchronous: player q updates with probability rho[q] per slot and
     measures player r with a uniform integer age in [0, d_max].
+
+    ``rho`` (scalar or per-player, in (0, 1], default 0.5) and ``d_max``
+    (an integer >= 0) only apply to the asynchronous mode and are reset to
+    None and 0 for the others. A starved player (rho = 0) is rejected
+    because it would never update. ``seed`` seeds the asynchronous draws.
     """
 
     mode: str
@@ -41,6 +46,24 @@ class UpdateSchedule:
     rho: np.ndarray | None = None
     d_max: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        self.seed = check_count(self.seed, "seed", 0)
+        self.Q = check_count(self.Q, "Q", 1)
+        if self.mode in ("sequential", "synchronous"):
+            self.rho, self.d_max = None, 0
+            return
+        if self.mode != "asynchronous":
+            raise InvalidInputError(f"unknown schedule mode {self.mode!r}")
+        rho = 0.5 if self.rho is None else self.rho
+        try:
+            rho = np.broadcast_to(np.asarray(rho, dtype=float), (self.Q,)).copy()
+        except (TypeError, ValueError):
+            raise InvalidInputError("rho must be a number or one per player") from None
+        if not np.all((rho > 0.0) & (rho <= 1.0)):
+            raise InvalidInputError("update probabilities must lie in (0, 1]")
+        self.rho = rho
+        self.d_max = check_count(self.d_max, "d_max", 0)
 
     def draw_slot(self, t, rng):
         """Update mask and per-pair measurement ages for slot ``t``.
@@ -60,27 +83,10 @@ class UpdateSchedule:
 
 
 def make_schedule(mode, Q, params=None, seed=0):
-    """Build an update schedule.
-
-    ``params`` is only consulted for the asynchronous mode: ``rho`` (scalar
-    or per-player, in (0, 1]) and ``d_max`` (an integer >= 0). A starved
-    player (rho = 0) is rejected because it would never update. ``seed``
-    seeds the asynchronous draws.
-    """
+    """Build an update schedule; ``params`` holds the asynchronous mode's
+    ``rho`` and ``d_max`` (see :class:`UpdateSchedule`)."""
     params = dict(params or {})
-    seed = check_count(seed, "seed", 0)
-    if mode in ("sequential", "synchronous"):
-        return UpdateSchedule(mode=mode, Q=Q, seed=seed)
-    if mode != "asynchronous":
-        raise InvalidInputError(f"unknown schedule mode {mode!r}")
-    try:
-        rho = np.broadcast_to(np.asarray(params.get("rho", 0.5), dtype=float), (Q,)).copy()
-    except (TypeError, ValueError):
-        raise InvalidInputError("rho must be a number or one per player") from None
-    if not np.all((rho > 0.0) & (rho <= 1.0)):
-        raise InvalidInputError("update probabilities must lie in (0, 1]")
-    d_max = check_count(params.get("d_max", 0), "d_max", 0)
-    return UpdateSchedule(mode=mode, Q=Q, rho=rho, d_max=d_max, seed=seed)
+    return UpdateSchedule(mode, Q, params.get("rho"), params.get("d_max", 0), seed)
 
 
 def default_weights(s):
@@ -221,6 +227,10 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     max_slots = check_count(max_slots, "max_slots", 0)
     ne_every = check_count(ne_every, "ne_every", 0)
     residual_tol = check_number(residual_tol, "residual_tol")
+    if schedule.Q != s.Q:
+        raise InvalidInputError(
+            f"schedule is for {schedule.Q} players, the scenario has {s.Q}"
+        )
     profile = init if init is not None else StrategyProfile.uniform(s)
     profile.validate(s)
     w = default_weights(s)

@@ -127,6 +127,9 @@ def _psd_trace_projections(A, p):
     Leading axes of ``p`` beyond the stack's project the same matrices onto
     several traces with one eigendecomposition each."""
     p = np.asarray(p, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        raise InvalidInputError(f"target trace p must be finite, got {p.flat[bad[0]]}")
     bad = np.flatnonzero(p < 0)
     if bad.size:
         raise InvalidInputError(
@@ -209,6 +212,8 @@ def spectral_radius(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError("expected a square matrix")
+    if not np.isfinite(A).all():
+        raise InvalidInputError("A has non-finite entries")
     if A.size and A.min() < 0.0:
         raise InvalidInputError("matrix must be entrywise nonnegative")
     n = A.shape[0]

@@ -2,8 +2,9 @@
 
 Random channel generation at a target SNR/SIR, rank reduction of the direct
 channels to a full-column-rank game, and the per-player interference-plus-
-noise covariance, achievable rate and energy efficiency. Scenario objects
-are immutable after construction; all evaluators are pure functions.
+noise covariance, achievable rate and energy efficiency. Every ragged
+per-player array is a :class:`PaddedStack`. Scenario objects are immutable
+after construction; all evaluators are pure functions.
 """
 
 import json
@@ -25,62 +26,65 @@ def _freeze(a):
     return a
 
 
-class ChannelStack:
-    """The channels into one receiver, stacked over the transmitters.
+@dataclass(frozen=True, eq=False)
+class PaddedStack:
+    """Ragged matrices in one frozen padded array.
 
-    ``array`` is one frozen (Q, N, K) array, N and K the largest receive and
-    transmit dimensions: entry r holds the channel from r in its top-left
-    nR x cols[r] block and zeros elsewhere. ``stack[r]`` is that block, a
-    read-only view with the exact shape of the channel.
+    ``stack`` is a (Q, R, C) array, R and C the largest of the int tuples
+    ``rows`` and ``cols``: entry q holds a rows[q] x cols[q] matrix in its
+    top-left block and padding elsewhere (zeros, or identity for noise
+    covariances). ``ps[q]`` is that block as an exact-shape read-only view.
     """
 
-    def __init__(self, array, nR, cols):
-        self.array = _freeze(array)
-        self._nR = int(nR)
-        self._cols = cols
+    stack: np.ndarray
+    rows: tuple
+    cols: tuple
+
+    def __post_init__(self):
+        _freeze(self.stack)
+        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "cols", tuple(self.cols))
 
     def __len__(self):
-        return self.array.shape[0]
+        return self.stack.shape[0]
 
-    def __getitem__(self, r):
-        return self.array[r, : self._nR, : self._cols[r]]
+    def __getitem__(self, q):
+        return self.stack[q, : self.rows[q], : self.cols[q]]
+
+
+def _pack(mats, rows, cols, name):
+    """Matrices q = 0, 1, ... of shapes rows[q] x cols[q] as one zero-padded
+    (Q, max rows, max cols) complex array; a wrong count or shape raises,
+    naming the entry as ``name[q]``."""
+    if len(mats) != len(rows):
+        raise InvalidInputError(f"{name} must hold {len(rows)} matrices")
+    out = np.zeros((len(rows), max(rows, default=0), max(cols, default=0)), dtype=complex)
+    for q, (m, n, k) in enumerate(zip(mats, rows, cols)):
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (n, k):
+            raise InvalidInputError(f"{name}[{q}] has the wrong shape {m.shape}, not {(n, k)}")
+        out[q, :n, :k] = m
+    return out
 
 
 class ChannelTable:
     """All channels of a game in one frozen (Q, Q, N, M) complex array,
     N and M the largest receive and transmit dimensions: entry (q, r) holds
     H_qr in its top-left nR[q] x nT[r] block and zeros elsewhere.
-    ``table[q]`` is receiver q's :class:`ChannelStack` and ``table[q][r]``
-    the exact-shape read-only view of H_qr.
+    ``table[q]`` is receiver q's channels as a :class:`PaddedStack` over the
+    transmitters and ``table[q][r]`` the exact-shape read-only view of H_qr.
     """
 
     def __init__(self, array, nR, nT):
         self.array = _freeze(array)
-        self._counts = (tuple(int(n) for n in nR), tuple(int(n) for n in nT))
-        self._rows = [ChannelStack(array[q], n, nT) for q, n in enumerate(nR)]
+        nR, nT = self._counts = tuple(map(int, nR)), tuple(map(int, nT))
+        self._rows = [PaddedStack(array[q], (n,) * len(nT), nT) for q, n in enumerate(nR)]
 
     def __len__(self):
         return len(self._rows)
 
     def __getitem__(self, q):
         return self._rows[q]
-
-
-def _pack_channels(H, Q, nR, nT):
-    """A Q x Q nested sequence of matrices as one zero-padded table."""
-    if len(H) != Q or any(len(row) != Q for row in H):
-        raise InvalidInputError("H must be a Q x Q table of matrices")
-    T = np.zeros((Q, Q, nR.max(), nT.max()), dtype=complex)
-    for q in range(Q):
-        for r in range(Q):
-            M = np.asarray(H[q][r], dtype=complex)
-            want = (nR[q], nT[r])
-            if M.shape != want:
-                raise InvalidInputError(
-                    f"H[{q}][{r}] has shape {M.shape}, expected {want}"
-                )
-            T[q, r, : nR[q], : nT[r]] = M
-    return T
 
 
 @dataclass
@@ -91,23 +95,22 @@ class NetworkScenario:
     nR[q] x nT[r] channel from transmitter r to receiver q. It may be given
     as a Q x Q nested sequence of matrices (copied into a new table) or as
     a ChannelTable built for the same antenna counts and zero outside its
-    channels' blocks, which is kept as it is. ``Rn[q]`` is the
-    positive-definite noise covariance at receiver q, a view of
-    ``Rn_stack``, the covariances padded to (Q, N, N) with identity.
-    ``P[q]`` is the power budget and ``Psi[q]`` the circuit power of
-    player q.
+    channels' blocks, which is kept as it is. ``Rn`` is a
+    :class:`PaddedStack` whose entry q is the positive-definite noise
+    covariance at receiver q, padded to (N, N) with identity; it may be
+    given as any sequence of Q matrices. ``P[q]`` is the power budget and
+    ``Psi[q]`` the circuit power of player q.
     """
 
     Q: int
     nT: np.ndarray
     nR: np.ndarray
     H: ChannelTable
-    Rn: list
+    Rn: PaddedStack
     P: np.ndarray
     Psi: np.ndarray
     seed: int | None = None
     meta: dict = field(default_factory=dict)
-    Rn_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.Q < 1:
@@ -122,14 +125,17 @@ class NetworkScenario:
         for name, arr in (("power budgets P", self.P), ("circuit powers Psi", self.Psi)):
             if arr.shape != (self.Q,) or not np.all(np.isfinite(arr) & (arr > 0)):
                 raise InvalidInputError(f"{name} must be finite and positive")
-        if isinstance(self.H, ChannelTable):
-            if self.H._counts != (tuple(self.nR.tolist()), tuple(self.nT.tolist())):
-                raise InvalidInputError("channel table was built for other antenna counts")
-        else:
-            T = _pack_channels(self.H, self.Q, self.nR, self.nT)
-            self.H = ChannelTable(T, self.nR, self.nT)
-        T = self.H.array
         N, M = int(self.nR.max()), int(self.nT.max())
+        if not isinstance(self.H, ChannelTable):
+            if len(self.H) != self.Q:
+                raise InvalidInputError("H must be a Q x Q table of matrices")
+            T = np.zeros((self.Q, self.Q, N, M), dtype=complex)
+            for q, n in enumerate(self.nR):
+                T[q, :, :n] = _pack(self.H[q], [n] * self.Q, self.nT, f"H[{q}]")
+            self.H = ChannelTable(T, self.nR, self.nT)
+        elif self.H._counts != (tuple(self.nR.tolist()), tuple(self.nT.tolist())):
+            raise InvalidInputError("channel table was built for other antenna counts")
+        T = self.H.array
         if T.shape != (self.Q, self.Q, N, M):
             raise InvalidInputError(f"channel table has shape {T.shape}")
         if not np.isfinite(T).all():
@@ -142,15 +148,9 @@ class NetworkScenario:
                 raise InvalidInputError(
                     "channel table has nonzero entries outside its channels' blocks"
                 )
-        if len(self.Rn) != self.Q:
-            raise InvalidInputError("Rn must hold Q noise covariances")
-        Rn = np.zeros((self.Q, N, N), dtype=complex)
-        for q, n in enumerate(self.nR):
-            R = np.asarray(self.Rn[q], dtype=complex)
-            if R.shape != (n, n):
-                raise InvalidInputError(f"Rn[{q}] has the wrong shape")
-            Rn[q, :n, :n] = R
-            Rn[q, n:, n:] = np.eye(N - n)
+        Rn = _pack(self.Rn, self.nR, self.nR, "Rn")
+        q, k = np.nonzero(np.arange(N) >= self.nR[:, None])
+        Rn[q, k, k] = 1.0   # identity on the padding
         if not np.isfinite(Rn).all():
             raise InvalidInputError("Rn has non-finite entries")
         _check_hermitian_stack(Rn)
@@ -158,8 +158,7 @@ class NetworkScenario:
         bad = np.flatnonzero(np.linalg.eigvalsh(hermitize(Rn)).min(axis=-1) <= 0)
         if bad.size:
             raise InvalidInputError(f"Rn[{bad[0]}] is not positive definite")
-        self.Rn_stack = _freeze(Rn)
-        self.Rn = [Rn[q, :n, :n] for q, n in enumerate(self.nR)]
+        self.Rn = PaddedStack(Rn, self.nR, self.nR)
 
 
 def scenario_from_matrices(H, Rn, P, Psi, seed=None, meta=None):
@@ -358,20 +357,19 @@ class ReducedScenario:
     null directions: Hbar[q][r] = H[q][r] @ V1[r], with V1[q] the right
     factor of the compact SVD of H[q][q] and ranks[q] its rank.
 
-    ``Hbar`` is its :class:`ChannelTable`, K = max(ranks) columns wide, and
-    ``Rn_stack`` the noise covariances padded to (Q, N, N) with identity,
-    so that every player's covariance, Cholesky factor and gram is one
-    slice of a batched array.
+    ``Hbar`` is its :class:`ChannelTable`, K = max(ranks) columns wide;
+    ``V1`` (entry q nT[q] x ranks[q]) and the noise covariances ``Rn`` are
+    padded stacks, so that every player's covariance, Cholesky factor and
+    gram is one slice of a batched array.
     """
 
     Q: int
     ranks: np.ndarray
     Hbar: ChannelTable
-    V1: list
-    Rn: list
+    V1: PaddedStack
+    Rn: PaddedStack
     P: np.ndarray
     Psi: np.ndarray
-    Rn_stack: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -383,66 +381,48 @@ def reduce_scenario(s):
     """
     # one SVD per distinct direct-channel shape, each player truncated by
     # compact_svd's rank rule
-    Q = s.Q
-    ranks = np.zeros(Q, dtype=int)
-    Vh = [None] * Q
+    ranks = np.zeros(s.Q, dtype=int)
+    V1 = [None] * s.Q
     for nR, nT in set(zip(s.nR.tolist(), s.nT.tolist())):
         group = np.flatnonzero((s.nR == nR) & (s.nT == nT))
-        direct = s.H.array[group, group, :nR, :nT]
-        _, sv, vh = np.linalg.svd(direct, full_matrices=False)
+        _, sv, vh = np.linalg.svd(s.H.array[group, group, :nR, :nT], full_matrices=False)
         ranks[group] = _svd_ranks(sv)
-        for q, v in zip(group, vh):
-            Vh[q] = v
+        for q, v in zip(group, _ct(vh)):
+            V1[q] = v[:, : ranks[q]]
     bad = np.flatnonzero(ranks == 0)
     if bad.size:
         raise InvalidInputError(f"player {bad[0]} has a zero direct channel")
-    K = int(ranks.max())
-    V = np.zeros((Q, s.H.array.shape[3], K), dtype=complex)
-    for q, vh in enumerate(Vh):
-        V[q, : s.nT[q], : ranks[q]] = vh[: ranks[q]].conj().T
-    _freeze(V)
+    V1 = PaddedStack(_pack(V1, s.nT, ranks, "V1"), s.nT, ranks)
     # (Q, Q, N, K): entry (q, r) is H_qr V1_r, zero-padded
     return ReducedScenario(
-        Q=Q, ranks=ranks, Hbar=ChannelTable(s.H.array @ V, s.nR, ranks),
-        V1=[V[q, : s.nT[q], : ranks[q]] for q in range(Q)], Rn=s.Rn, P=s.P,
-        Psi=s.Psi, Rn_stack=s.Rn_stack, meta=dict(s.meta),
+        Q=s.Q, ranks=ranks, Hbar=ChannelTable(s.H.array @ V1.stack, s.nR, ranks), V1=V1,
+        Rn=s.Rn, P=s.P, Psi=s.Psi, meta=dict(s.meta),
     )
 
 
-class StrategyProfile:
-    """The per-player transmit covariances of the reduced game.
-
-    ``stack`` is one frozen (Q, K, K) complex array, K the largest rank:
-    entry q holds Qbar_q in its top-left ranks[q] x ranks[q] block and
-    zeros elsewhere. A list of matrices is copied into a new stack once;
-    ``profile[q]`` is the exact-shape read-only view of Qbar_q.
+class StrategyProfile(PaddedStack):
+    """The per-player transmit covariances of the reduced game: a
+    :class:`PaddedStack` whose entry q is Qbar_q, ranks[q] x ranks[q],
+    zero-padded to (K, K), K the largest rank. ``StrategyProfile(mats)``
+    copies a list of matrices into a new stack once.
     """
 
     def __init__(self, mats):
         mats = [np.asarray(m, dtype=complex) for m in mats]
-        for q, m in enumerate(mats):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise InvalidInputError(f"Qbar[{q}] has the wrong shape")
-        ranks = [len(m) for m in mats]
-        stack = np.zeros((len(mats),) + (max(ranks, default=0),) * 2, dtype=complex)
-        for q, (m, r) in enumerate(zip(mats, ranks)):
-            stack[q, :r, :r] = m
-        self.stack, self.ranks = _freeze(stack), _freeze(np.array(ranks, dtype=int))
+        ranks = [len(m) if m.ndim else 0 for m in mats]
+        super().__init__(_pack(mats, ranks, ranks, "Qbar"), ranks, ranks)
 
     @classmethod
     def from_stack(cls, stack, ranks):
         """The profile whose padded (Q, K, K) stack is ``stack``, which is
         kept without a copy and frozen."""
         self = cls.__new__(cls)
-        self.stack, self.ranks = _freeze(stack), _freeze(np.array(ranks, dtype=int))
+        PaddedStack.__init__(self, stack, ranks, ranks)
         return self
 
-    def __len__(self):
-        return self.stack.shape[0]
-
-    def __getitem__(self, q):
-        r = self.ranks[q]
-        return self.stack[q, :r, :r]
+    @property
+    def ranks(self):
+        return self.rows
 
     @property
     def mats(self):
@@ -535,7 +515,7 @@ def _whitened_channels(s, qs, stacks):
     stack; one (len(qs), N, K) array, zero beyond each player's receive
     dimension and rank. X^H X is the whitened gram Hbar_qq^H R_q^{-1} Hbar_qq."""
     R = hermitize(np.concatenate([
-        _received_covariance(s.Hbar.array[q], s.Rn_stack[q], q, P)
+        _received_covariance(s.Hbar.array[q], s.Rn.stack[q], q, P)
         for q, P in zip(qs, stacks)
     ]))
     try:
@@ -586,7 +566,7 @@ def block_max_distance(pa, pb, w):
 def mui_covariance(s, q, profile):
     """Interference-plus-noise covariance at receiver q."""
     n = s.Rn[q].shape[0]
-    return hermitize(_received_covariance(s.Hbar.array[q], s.Rn_stack[q], q,
+    return hermitize(_received_covariance(s.Hbar.array[q], s.Rn.stack[q], q,
                                           profile.stack)[0, :n, :n])
 
 

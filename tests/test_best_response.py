@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eeiwfa.best_response import (
     BestResponseResult,
     DinkelbachConfig,
+    _best_responses,
     best_response,
     dinkelbach_power,
     projection_best_response,
@@ -13,7 +17,10 @@ from eeiwfa.errors import ConvergenceError, InvalidInputError
 from eeiwfa.harness import dinkelbach_config
 from eeiwfa.linalg import hermitian_evd
 from eeiwfa.model import (
+    ChannelTable,
     StrategyProfile,
+    _grams,
+    _whitened_channels,
     energy_efficiency,
     generate_scenario,
     reduce_scenario,
@@ -77,6 +84,18 @@ def test_waterfill_zero_power_and_validation():
         waterfill(np.eye(2), [1.0, 0.0], 1.0)
     with pytest.raises(InvalidInputError):
         waterfill(np.eye(2), [1.0, 1.0], -1.0)
+
+
+def test_waterfill_rejects_non_finite_inputs():
+    for p in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match=f"^power p must be finite, got {p}$"):
+            waterfill(np.eye(2), [1.0, 2.0], p)
+    for d in ([1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(InvalidInputError, match="^eigen-gains D have non-finite entries$"):
+            waterfill(np.eye(2), d, 1.0)
+    rs = reduce_scenario(generate_scenario(2, 2, 7.0, 0.0, seed=14))
+    with pytest.raises(InvalidInputError, match="^target trace p must be finite, got nan$"):
+        projection_best_response(rs, 0, StrategyProfile.uniform(rs), np.nan)
 
 
 def test_waterfill_matches_active_set_oracle(rng):
@@ -283,3 +302,81 @@ def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):
         assert np.abs(br.Qbr - single.Qbr).max() <= 1e-12 * np.abs(single.Qbr).max()
         assert (br.p_hat, br.dinkelbach_iters) == (single.p_hat, single.dinkelbach_iters)
         assert br.water_level == pytest.approx(single.water_level, rel=1e-12)
+
+
+# --- properties of the best response on random ragged games -----------------------
+
+def random_game(rng):
+    """A reduced game of 1-4 players with 1-3 antennas each side (so ragged,
+    tall and wide direct channels), correlated noise, and a random profile."""
+    Q = int(rng.integers(1, 5))
+    nT, nR = rng.integers(1, 4, size=Q), rng.integers(1, 4, size=Q)
+    H = [[crandn(rng, nR[q], nT[r]) * (1.0 if q == r else 0.5) for r in range(Q)]
+         for q in range(Q)]
+    Rn = [0.5 * np.eye(n) + 0.1 * random_psd(rng, n) for n in nR]
+    rs = reduce_scenario(scenario_from_matrices(
+        H, Rn, rng.uniform(0.5, 5.0, size=Q), rng.uniform(0.2, 2.0, size=Q)))
+    prof = StrategyProfile([random_psd(rng, k, trace=rng.uniform(0.0, p))
+                            for k, p in zip(rs.ranks, rs.P)])
+    return rs, prof
+
+
+def haar_unitary(rng, k):
+    """Haar-distributed k x k unitary: the phase-corrected QR of a complex
+    Gaussian matrix (Mezzadri 2007)."""
+    Z, R = np.linalg.qr(crandn(rng, k, k))
+    d = np.diag(R)
+    return Z * (d / np.abs(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_best_response_is_invariant_under_a_unitary_change_of_transmit_basis(seed):
+    # every transmitter r expresses its covariance in a new orthonormal basis
+    # U_r: Hbar_qr -> Hbar_qr U_r and Qbar_r -> U_r^H Qbar_r U_r. Received
+    # signals are unchanged, so each best response turns with its basis and
+    # keeps its power and energy efficiency.
+    rng = np.random.default_rng(seed)
+    rs, prof = random_game(rng)
+    U = [haar_unitary(rng, k) for k in rs.ranks]
+    A = rs.Hbar.array.copy()
+    for r, (u, k) in enumerate(zip(U, rs.ranks)):
+        A[:, r, :, :k] = A[:, r, :, :k] @ u
+    turned = replace(rs, Hbar=ChannelTable(A, rs.Rn.rows, rs.ranks))
+    turned_prof = StrategyProfile([u.conj().T @ m @ u for u, m in zip(U, prof)])
+    for q, u in enumerate(U):
+        br, br_t = best_response(rs, q, prof), best_response(turned, q, turned_prof)
+        scale = max(1.0, float(np.abs(br.Qbr).max()))
+        assert br_t.p_hat == pytest.approx(br.p_hat, rel=1e-9, abs=1e-12)
+        assert np.abs(u @ br_t.Qbr @ u.conj().T - br.Qbr).max() <= 1e-9 * scale
+        ee = energy_efficiency(rs, q, prof.replace(q, br.Qbr))
+        ee_t = energy_efficiency(turned, q, turned_prof.replace(q, br_t.Qbr))
+        assert ee_t == pytest.approx(ee, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_best_responses_satisfy_the_waterfilling_kkt_conditions(seed):
+    # In the eigenbasis of the whitened gram G = U diag(d) U^H, each best
+    # response is diagonal with powers (mu - 1/d_k)^+ summing to p_hat, and
+    # complementary slackness holds: a mode with power sits at the water
+    # level (1/d_k + power_k = mu), an idle one at or above it (1/d_k >= mu).
+    rng = np.random.default_rng(seed)
+    rs, prof = random_game(rng)
+    qs = list(range(rs.Q))
+    X = _whitened_channels(rs, qs, [prof.stack] * rs.Q)
+    for q, br in zip(qs, _best_responses(rs, qs, X, DinkelbachConfig())):
+        k = rs.ranks[q]
+        d, U = np.linalg.eigh(_grams(X[q])[:k, :k])
+        mu = br.water_level
+        tol = 1e-10 * max(1.0, mu, br.p_hat)
+        D = U.conj().T @ br.Qbr @ U
+        powers = np.diag(D).real
+        assert np.abs(D - np.diag(powers)).max() <= tol
+        assert np.abs(powers - np.maximum(mu - 1.0 / d, 0.0)).max() <= tol
+        assert powers.min() >= -tol
+        assert abs(powers.sum() - br.p_hat) <= tol
+        assert br.p_hat == min(float(rs.P[q]), br.p_unconstrained)
+        slack = mu - 1.0 / d - powers
+        assert slack.max() <= tol
+        assert np.minimum(np.abs(powers), np.abs(slack)).max() <= tol

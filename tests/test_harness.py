@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from eeiwfa.errors import InvalidInputError
+from eeiwfa import harness
+from eeiwfa.errors import CheckFailure, InvalidInputError
 from eeiwfa.harness import (
     best_response_config,
     criteria_config,
@@ -108,6 +110,36 @@ def test_criteria_sweep_deterministic(tmp_path):
     run_criteria_sweep(SMALL_SWEEP, out=out1)
     run_criteria_sweep(SMALL_SWEEP, out=out2)
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_sweep_allows_all_or_nothing_cells_of_one_trial(tmp_path):
+    # one trial per cell: each fraction is 0 or 1, where the per-cell
+    # standard error is 0; these seeds each have a 1 -> 0 step in SIR
+    grid = {"Q": 8, "n": 4, "snr_db": [10.0], "sir_db": [8.0, 10.0, 12.0, 14.0],
+            "trials": 1}
+    for seed in (6, 10, 11, 12, 20, 26):
+        res = run_criteria_sweep({**grid, "seed": seed}, out=str(tmp_path / "s.csv"))
+        assert res["rows"] == 4
+
+
+def test_sweep_still_rejects_a_real_drop_in_sir(tmp_path, monkeypatch):
+    # every trial passes the contraction criterion on one side of 11 dB SIR
+    # and none on the other: 20/20 -> 0/20 is far beyond the allowance
+    passes_below = [True]
+    monkeypatch.setattr(harness, "interference_matrix_square", lambda rs: rs.meta["sir_db"])
+    monkeypatch.setattr(harness, "criteria", lambda _, sir: SimpleNamespace(
+        sr_S=0.5, sr_Ssym=0.5, sigma_max_IplusS=1.5, qvi_rhs_constant=0.5,
+        contraction_rhs_constant=0.5, interference_ok_qvi=False,
+        interference_ok_contraction=(sir < 11.0) == passes_below[0]))
+    grid = {"Q": 2, "n": 2, "snr_db": [5.0], "sir_db": [10.0, 12.0], "trials": 20}
+    out = str(tmp_path / "s.csv")
+    with pytest.raises(CheckFailure, match=r"1\.0000@10\.0 -> 0\.0000@12\.0 beyond 3 sigma"):
+        run_criteria_sweep(grid, out=out)
+    # a rise passes, and the cell file keeps the per-cell (Wald) standard errors
+    passes_below[0] = False
+    run_criteria_sweep(grid, out=out)
+    cells = (tmp_path / "s_cells.csv").read_text().splitlines()
+    assert cells[-2:] == ["5.0,10.0,20,0.0,0.0,0.0,0.0", "5.0,12.0,20,1.0,0.0,0.0,0.0"]
 
 
 def test_criteria_sweep_validation():

@@ -4,6 +4,7 @@ import pytest
 from eeiwfa.best_response import DinkelbachConfig, best_response
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.iwfa import (
+    UpdateSchedule,
     block_max_distance,
     kept_slots,
     make_schedule,
@@ -66,6 +67,38 @@ def test_schedule_validation():
         make_schedule("asynchronous", 2, {"rho": 0.5, "d_max": -1})
     with pytest.raises(InvalidInputError):
         make_schedule("jittery", 2)
+
+
+def test_schedule_checks_itself_when_built_directly():
+    with pytest.raises(InvalidInputError, match="^unknown schedule mode 'bogus'$"):
+        UpdateSchedule("bogus", 3)
+    sched = UpdateSchedule("asynchronous", 3)
+    assert sched.rho.tolist() == [0.5] * 3 and sched.d_max == 0
+    for kwargs, message in (({"rho": 0.0}, "update probabilities"),
+                            ({"rho": [0.5, 0.5]}, "rho must be a number or one per player"),
+                            ({"d_max": -1}, "d_max"), ({"seed": 1.5}, "seed")):
+        with pytest.raises(InvalidInputError, match=message):
+            UpdateSchedule("asynchronous", 3, **kwargs)
+    with pytest.raises(InvalidInputError, match="^Q must be an integer >= 1$"):
+        UpdateSchedule("synchronous", 0)
+    # the factory is the dataclass with the asynchronous parameters unpacked
+    made = make_schedule("asynchronous", 3, {"rho": [0.2, 0.5, 1.0], "d_max": 2}, seed=4)
+    direct = UpdateSchedule("asynchronous", 3, [0.2, 0.5, 1.0], 2, 4)
+    assert made.rho.tolist() == direct.rho.tolist() == [0.2, 0.5, 1.0]
+    assert (made.d_max, made.seed) == (direct.d_max, direct.seed) == (2, 4)
+    # the asynchronous parameters do not apply to the other modes
+    sync = UpdateSchedule("synchronous", 3, rho=0.0, d_max=4)
+    assert sync.rho is None and sync.d_max == 0
+
+
+def test_run_rejects_a_schedule_for_another_player_count():
+    rs = reduce_scenario(generate_scenario(3, 2, 7.0, 0.0, seed=0))
+    for sched in (make_schedule("synchronous", 5),
+                  make_schedule("asynchronous", 5, {"rho": 0.5, "d_max": 2}),
+                  make_schedule("sequential", 2)):
+        with pytest.raises(InvalidInputError,
+                           match=f"^schedule is for {sched.Q} players, the scenario has 3$"):
+            run_iwfa(rs, sched, max_slots=5)
 
 
 def test_non_integral_or_nan_settings_are_rejected():

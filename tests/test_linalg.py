@@ -207,6 +207,15 @@ def test_stacked_projection_equals_single_projections(n, m, copies, seed, with_z
             assert np.array_equal(out[c, i], psd_trace_projection(A[i], p[c, i]))
 
 
+def test_projection_rejects_a_non_finite_target_trace(rng):
+    A = random_hermitian(rng, 3)
+    for p in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match=f"^target trace p must be finite, got {p}$"):
+            psd_trace_projection(A, p)
+    with pytest.raises(InvalidInputError, match="^target trace p must be finite, got nan$"):
+        _psd_trace_projections(np.stack([A, A]), np.array([1.0, np.nan]))
+
+
 def test_stacked_projection_rejects_what_the_single_one_rejects(rng):
     A = np.stack([random_hermitian(rng, 3) for _ in range(4)])
     with pytest.raises(InvalidInputError, match="target trace must be >= 0, got -0.5"):
@@ -425,8 +434,10 @@ def test_power_iteration_from_the_dense_start_converges_at_once(n, seed):
 
 
 def test_spectral_radius_non_finite_keeps_the_all_ones_start():
-    # eig rejects non-finite input; the iteration then runs as it always has
+    # eig rejects non-finite input, so the start falls back to all-ones;
+    # spectral_radius itself rejects such a matrix before iterating
     A = np.array([[np.inf, 1.0], [1.0, 0.0]])
     assert _perron_start(A).tolist() == [1.0, 1.0]
-    with np.errstate(invalid="ignore"):
-        assert spectral_radius(A)[2] and cold_spectral_radius(A)[2]
+    for bad in (A, np.array([[np.nan, 1.0], [1.0, 0.0]])):
+        with pytest.raises(InvalidInputError, match="^A has non-finite entries$"):
+            spectral_radius(bad)

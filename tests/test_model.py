@@ -317,7 +317,7 @@ def test_stacked_reduction_matches_per_player_compact_svd(rng):
     assert isinstance(rs.Hbar, ChannelTable)
     assert np.array_equal(rs.Hbar.array, A)
     for q in range(5):
-        assert np.array_equal(rs.Hbar[q].array, A[q])
+        assert np.array_equal(rs.Hbar[q].stack, A[q])
         for r in range(5):
             assert np.array_equal(rs.Hbar[q][r], A[q, r, : nR[q], : ranks[r]])
 
@@ -606,12 +606,12 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
         for r in range(3):
             assert rs.Hbar[q][r].shape == (n, rs.ranks[r])
             assert_close(rs.Hbar[q][r], s.H[q][r] @ rs.V1[r])
-        assert rs.Hbar[q].array.shape == (3, N, K)
+        assert rs.Hbar[q].stack.shape == (3, N, K)
         R = plain_mui(rs, q, mats)
-        stacked = _received_covariance(rs.Hbar.array[q], rs.Rn_stack[q], q, Pw)
+        stacked = _received_covariance(rs.Hbar.array[q], rs.Rn.stack[q], q, Pw)
         assert stacked.shape == (4, N, N)
         for m, padded in enumerate(stacked):
-            one = _received_covariance(rs.Hbar.array[q], rs.Rn_stack[q], q, Ps[m])
+            one = _received_covariance(rs.Hbar.array[q], rs.Rn.stack[q], q, Ps[m])
             assert one.shape == (1, N, N)
             assert_close(padded, one[0], rel=1e-14)
             assert_close(padded[:n, :n], plain_mui(rs, q, profiles[m]))
