@@ -9,12 +9,11 @@ trace-p PSD set) is kept as an independent cross-check of the same map.
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError, InvalidInputError, check_count
+from .errors import ConvergenceError, InvalidInputError, check_count, is_real
 from .linalg import _eigh_descending, hermitian_evd, hermitize, psd_trace_projection
 from .model import _ct, _grams, _rank_groups, _whitened_channels, whitened_gram
 
@@ -28,7 +27,7 @@ class DinkelbachConfig:
 
     def __post_init__(self):
         # NaN fails every comparison, so it is rejected with the rest
-        if not (isinstance(self.epsilon, Real) and 0.0 < self.epsilon < math.inf):
+        if not (is_real(self.epsilon) and 0.0 < self.epsilon < math.inf):
             raise InvalidInputError("epsilon must be finite and positive")
         check_count(self.max_iters, "max_iters", 1)
 
@@ -110,35 +109,26 @@ def _best_responses(s, qs, X, cfg):
     model._whitened_channels), each formed at the profile that player
     measures. Every best response, of one player or of many, is computed
     here: per rank, one batched eigendecomposition of the grams, one
-    Dinkelbach solve per player and one stacked waterfilling."""
-    out = [None] * len(qs)
+    Dinkelbach solve per player and one stacked waterfilling. Returns the
+    zero-padded (len(qs), K, K) stack of best responses (a zero row at zero
+    power) and arrays over ``qs`` of p_unconstrained, p_hat, the water
+    level (0 at zero power) and the Dinkelbach iterations."""
     grams = _grams(X)
+    bad = np.flatnonzero(~np.isfinite(grams).all(axis=(1, 2)))
+    if bad.size:
+        raise InvalidInputError(f"whitened gram of player {qs[bad[0]]} has non-finite entries")
+    Qbr = np.zeros(grams.shape, dtype=complex)
+    p_u, p_hat, mu = np.zeros((3, len(qs)))
+    iters = np.zeros(len(qs), dtype=int)
     for k, idx in _rank_groups(s.ranks[list(qs)]):
-        G = grams[idx, :k, :k]
-        bad = np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))
-        if bad.size:
-            raise InvalidInputError(
-                f"whitened gram of player {qs[idx[bad[0]]]} has non-finite entries"
-            )
-        D, U = _eigh_descending(G)
-        group = [qs[i] for i in idx]
-        p_u = np.zeros(len(group))
-        p_hat = np.zeros(len(group))
-        iters = [0] * len(group)
-        for j, q in enumerate(group):
-            p_u[j], iters[j] = _unconstrained_power(s, q, D[j], cfg)
-            p_hat[j] = min(float(s.P[q]), p_u[j])
-        live = np.flatnonzero(p_hat > 0)
-        mu, powers = _waterfill_powers(D[live], p_hat[live])
-        Qbr = (U[live] * powers[:, None, :]) @ _ct(U[live])
-        for m, j in enumerate(live):
-            out[idx[j]] = BestResponseResult(Qbr[m], float(p_u[j]), float(p_hat[j]),
-                                             float(mu[m]), iters[j])
-        for j in np.flatnonzero(p_hat <= 0):
-            out[idx[j]] = BestResponseResult(np.zeros((k, k), dtype=complex),
-                                             float(p_u[j]), 0.0, 0.0, iters[j],
-                                             zero_power=True)
-    return out
+        D, U = _eigh_descending(grams[idx, :k, :k])
+        for j, i in enumerate(idx):
+            p_u[i], iters[i] = _unconstrained_power(s, qs[i], D[j], cfg)
+            p_hat[i] = max(0.0, min(float(s.P[qs[i]]), p_u[i]))
+        live = p_hat[idx] > 0
+        mu[idx[live]], powers = _waterfill_powers(D[live], p_hat[idx[live]])
+        Qbr[idx[live], :k, :k] = (U[live] * powers[:, None, :]) @ _ct(U[live])
+    return Qbr, p_u, p_hat, mu, iters
 
 
 def best_response(s, q, profile, cfg=None):
@@ -148,7 +138,10 @@ def best_response(s, q, profile, cfg=None):
     together with the powers, water level and Dinkelbach iteration count.
     """
     X = _whitened_channels(s, [q], [profile.stack])
-    return _best_responses(s, [q], X, cfg or DinkelbachConfig())[0]
+    Qbr, p_u, p_hat, mu, iters = _best_responses(s, [q], X, cfg or DinkelbachConfig())
+    k = s.ranks[q]
+    return BestResponseResult(Qbr[0, :k, :k], float(p_u[0]), float(p_hat[0]), float(mu[0]),
+                              int(iters[0]), zero_power=bool(p_hat[0] == 0.0))
 
 
 def dinkelbach_power(s, q, profile, cfg=None):

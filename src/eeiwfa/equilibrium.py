@@ -10,7 +10,6 @@ constants and the smoothness of the strategy-dependent power sets.
 """
 
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .errors import (
     InvalidInputError,
     check_count,
     check_number,
+    is_real,
 )
 from .linalg import (
     W_FLOOR,
@@ -265,7 +265,7 @@ class PowerSmoothnessConfig:
         self.n_pairs = check_count(self.n_pairs, "n_pairs", 0)
         self.seed = check_count(self.seed, "seed", 0)
         # NaN fails both comparisons, so it is rejected with the rest
-        if not (isinstance(self.perturbation, Real) and 0.0 <= self.perturbation <= 1.0):
+        if not (is_real(self.perturbation) and 0.0 <= self.perturbation <= 1.0):
             raise InvalidInputError("perturbation must lie in [0, 1]")
 
 
@@ -582,12 +582,12 @@ def estimate_power_smoothness(s, cfg=None, weights=None):
         for j in np.flatnonzero((den_f > 1e-12) & (den_w > 1e-12)):
             try:
                 X = _whitened_channels(s, qs, [Pa[j]] * s.Q + [Pb[j]] * s.Q)
-                brs = _best_responses(s, qs, X, cfg.dinkelbach)
+                p_hat = _best_responses(s, qs, X, cfg.dinkelbach)[2]
             except ConvergenceError:
                 skipped += 1
                 continue
             used += 1
-            pa, pb = np.array([br.p_hat for br in brs]).reshape(2, s.Q)
+            pa, pb = p_hat.reshape(2, s.Q)
             dp = pa - pb
             max_l2 = max(max_l2, float(np.linalg.norm(dp)) / den_f[j])
             max_winf = max(max_winf, float(np.max(np.abs(dp) / w)) / den_w[j])

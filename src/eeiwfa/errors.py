@@ -24,17 +24,22 @@ class CheckFailure(RuntimeError):
     """A numeric criterion or bound check failed (maps to CLI exit 2)."""
 
 
+def is_real(value):
+    """Whether ``value`` is a real number other than a bool (JSON ``true``)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_count(value, name, low):
     """``value`` as an int when it is an integral real number >= ``low``;
     anything else, NaN and inf included, raises InvalidInputError."""
-    if not (isinstance(value, Real) and value >= low and float(value).is_integer()):
+    if not (is_real(value) and value >= low and float(value).is_integer()):
         raise InvalidInputError(f"{name} must be an integer >= {low}")
     return int(value)
 
 
 def check_real(value, name):
     """``value`` as a float when it is a real number, NaN and inf included."""
-    if not isinstance(value, Real):
+    if not is_real(value):
         raise InvalidInputError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -18,7 +18,7 @@ from .best_response import DinkelbachConfig, _best_responses
 from .equilibrium import interference_matrix_square
 from .errors import ConvergenceError, InvalidInputError, check_count, check_number
 from .linalg import W_FLOOR, spectral_radius
-from .model import StrategyProfile, _rates, _whitened_channels, block_max_distance
+from .model import StrategyProfile, _rates, _stack_frob, _whitened_channels, block_max_distance
 
 SUSTAIN_SLOTS = 5        # consecutive below-tolerance slots before stopping
 OSC_WINDOW = 50          # residual history inspected for periodic recurrence
@@ -55,9 +55,11 @@ class UpdateSchedule:
             return
         if self.mode != "asynchronous":
             raise InvalidInputError(f"unknown schedule mode {self.mode!r}")
-        rho = 0.5 if self.rho is None else self.rho
         try:
-            rho = np.broadcast_to(np.asarray(rho, dtype=float), (self.Q,)).copy()
+            rho = np.asarray(0.5 if self.rho is None else self.rho)
+            if rho.dtype.kind not in "iuf":   # strings, booleans, None
+                raise TypeError
+            rho = np.broadcast_to(rho.astype(float), (self.Q,)).copy()
         except (TypeError, ValueError):
             raise InvalidInputError("rho must be a number or one per player") from None
         if not np.all((rho > 0.0) & (rho <= 1.0)):
@@ -116,34 +118,26 @@ class IwfaTrace:
     meta: dict = field(default_factory=dict)
 
 
-def _moved(profile, qs, brs):
-    """``profile`` with each player of ``qs`` moved to its best response."""
-    stack = profile.stack.copy()
-    for q, br in zip(qs, brs):
-        k = br.Qbr.shape[0]
-        stack[q, :k, :k] = br.Qbr
-    return StrategyProfile.from_stack(stack, profile.ranks)
-
-
 class _Evaluation:
     """One strategy profile evaluated for every player at once.
 
     The whitened direct channels of all players come from one batched pass
     and give every player's EE; best responses are computed from them on
-    demand, in one batch, and kept, so the NE residual of a slot's profile
-    is also the next slot's set of zero-delay updates.
+    demand, in one batch, and kept in a (Q, K, K) stack, so the NE residual
+    of a slot's profile is also the next slot's set of zero-delay updates.
     """
 
     def __init__(self, s, profile):
         self.s = s
         self.profile = profile
         self._X = None
-        self._brs = [None] * s.Q
+        self._brs = np.zeros_like(profile.stack)
+        self._computed = np.zeros(s.Q, dtype=bool)
 
     def whitened(self):
         if self._X is None:
-            qs = range(self.s.Q)
-            self._X = _whitened_channels(self.s, qs, [self.profile.stack] * self.s.Q)
+            Q = self.s.Q
+            self._X = _whitened_channels(self.s, range(Q), [self.profile.stack] * Q)
         return self._X
 
     def energy_efficiencies(self):
@@ -151,17 +145,15 @@ class _Evaluation:
         return rates / (self.s.Psi + self.profile.traces())
 
     def best_responses(self, qs, cfg):
-        todo = [q for q in qs if self._brs[q] is None]
+        todo = [q for q in qs if not self._computed[q]]
         if todo:
-            brs = _best_responses(self.s, todo, self.whitened()[todo], cfg)
-            for q, br in zip(todo, brs):
-                self._brs[q] = br
-        return [self._brs[q] for q in qs]
+            self._brs[todo] = _best_responses(self.s, todo, self.whitened()[todo], cfg)[0]
+            self._computed[todo] = True
+        return self._brs[list(qs)]
 
     def ne_residual(self, cfg):
-        qs = range(self.s.Q)
-        target = _moved(self.profile, qs, self.best_responses(qs, cfg))
-        return block_max_distance(self.profile, target, 1.0)
+        moves = self.profile.stack - self.best_responses(range(self.s.Q), cfg)
+        return float(_stack_frob(moves[:, None]).max())
 
 
 def ne_residual(s, profile, cfg=None):
@@ -170,16 +162,15 @@ def ne_residual(s, profile, cfg=None):
 
 
 def _delayed_responses(s, qs, t, ages, history, cfg):
-    """Best responses of players ``qs`` to their delayed measurements:
-    player q sees player r as it was ``ages[q, r]`` slots ago (clipped to
-    the first slot)."""
+    """Best responses of players ``qs`` to their delayed measurements, as
+    stack rows: player q sees player r as it was ``ages[q, r]`` slots ago
+    (clipped to the first slot)."""
     past = np.stack(history)
     last = len(past) - 1
     players = np.arange(s.Q)
     # entry q of each gathered stack is never read: the MUI skips r = q
     stacks = [past[np.maximum(t - ages[q], 0) - t + last, players] for q in qs]
-    X = _whitened_channels(s, qs, stacks)
-    return _best_responses(s, qs, X, cfg)
+    return _best_responses(s, qs, _whitened_channels(s, qs, stacks), cfg)[0]
 
 
 def _oscillating(residuals, tol):
@@ -253,20 +244,18 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         stale = ages > 0
         np.fill_diagonal(stale, False)
         stale = stale.any(axis=1) & (t > 0)
-        updating = np.flatnonzero(mask).tolist()
-        current = [q for q in updating if not stale[q]]
-        delayed = [q for q in updating if stale[q]]
+        current = np.flatnonzero(mask & ~stale)
+        delayed = np.flatnonzero(mask & stale)
         try:
-            brs = evaluation.best_responses(current, cfg)
-            if delayed:
-                brs += _delayed_responses(s, delayed, t, ages, history, cfg)
-            new_profile = _moved(profile, current + delayed, brs)
+            stack = profile.stack.copy()
+            stack[current] = evaluation.best_responses(current, cfg)
+            if delayed.size:
+                stack[delayed] = _delayed_responses(s, delayed, t, ages, history, cfg)
+            new_profile = StrategyProfile.from_stack(stack, profile.ranks)
             new_evaluation = _Evaluation(s, new_profile)
             ee = new_evaluation.energy_efficiencies()
-            if ne_every and slot % ne_every == 0:
-                ne = new_evaluation.ne_residual(cfg)
-            else:
-                ne = float("nan")
+            due = ne_every and slot % ne_every == 0
+            ne = new_evaluation.ne_residual(cfg) if due else float("nan")
         except (ConvergenceError, InvalidInputError) as exc:
             termination = "error"
             error = str(exc)

@@ -115,16 +115,17 @@ class NetworkScenario:
     def __post_init__(self):
         if self.Q < 1:
             raise InvalidInputError("need at least one player")
-        self.nT = np.asarray(self.nT, dtype=int)
-        self.nR = np.asarray(self.nR, dtype=int)
-        self.P = _freeze(np.asarray(self.P, dtype=float).copy())
-        self.Psi = _freeze(np.asarray(self.Psi, dtype=float).copy())
+        # the dtype kinds keep strings, booleans and fractions from being cast
+        self.nT, self.nR, P, Psi = map(np.asarray, (self.nT, self.nR, self.P, self.Psi))
         for name, arr in (("nT", self.nT), ("nR", self.nR)):
-            if arr.shape != (self.Q,) or np.any(arr < 1):
+            if arr.dtype.kind not in "iu" or arr.shape != (self.Q,) or np.any(arr < 1):
                 raise InvalidInputError(f"{name} must hold Q positive antenna counts")
-        for name, arr in (("power budgets P", self.P), ("circuit powers Psi", self.Psi)):
-            if arr.shape != (self.Q,) or not np.all(np.isfinite(arr) & (arr > 0)):
+        for name, arr in (("power budgets P", P), ("circuit powers Psi", Psi)):
+            if (arr.dtype.kind not in "iuf" or arr.shape != (self.Q,)
+                    or not np.all(np.isfinite(arr) & (arr > 0))):
                 raise InvalidInputError(f"{name} must be finite and positive")
+        self.nT, self.nR = self.nT.astype(int, copy=False), self.nR.astype(int, copy=False)
+        self.P, self.Psi = _freeze(P.astype(float)), _freeze(Psi.astype(float))
         N, M = int(self.nR.max()), int(self.nT.max())
         if not isinstance(self.H, ChannelTable):
             if len(self.H) != self.Q:
@@ -605,8 +606,11 @@ def _complex_to_lists(A):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A, dtype=complex)]
 
 
-def _lists_to_complex(L):
-    return np.array([[complex(e[0], e[1]) for e in row] for row in L], dtype=complex)
+def _lists_to_complex(L, name):
+    try:
+        return np.array([[complex(e[0], e[1]) for e in row] for row in L], dtype=complex)
+    except (TypeError, ValueError, IndexError):
+        raise InvalidInputError(f"{name} is not a matrix of [re, im] pairs") from None
 
 
 def scenario_to_dict(s):
@@ -625,13 +629,19 @@ def scenario_to_dict(s):
 
 def scenario_from_dict(d):
     try:
-        H = [[_lists_to_complex(d["H"][q][r]) for r in range(d["Q"])] for q in range(d["Q"])]
-        Rn = [_lists_to_complex(R) for R in d["Rn"]]
+        Q = check_count(d["Q"], "Q", 1)
+        H = [[_lists_to_complex(d["H"][q][r], f"H[{q}][{r}]") for r in range(Q)] for q in range(Q)]
+        Rn = [_lists_to_complex(R, f"Rn[{q}]") for q, R in enumerate(d["Rn"])]
+        for key in ("nT", "nR", "P", "Psi"):   # numpy would read true as 1
+            if any(isinstance(x, bool) for x in d[key]):
+                raise InvalidInputError(f"{key} must hold numbers, not booleans")
         return NetworkScenario(
-            Q=d["Q"], nT=d["nT"], nR=d["nR"], H=H, Rn=Rn,
+            Q=Q, nT=d["nT"], nR=d["nR"], H=H, Rn=Rn,
             P=d["P"], Psi=d["Psi"], seed=d.get("seed"), meta=d.get("meta", {}),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except InvalidInputError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidInputError(f"malformed scenario document: {exc}") from None
 
 

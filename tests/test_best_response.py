@@ -282,10 +282,10 @@ def test_best_response_result_fields(rng):
 
 def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):
     from eeiwfa import _kernels
-    from eeiwfa.iwfa import _Evaluation
 
     rs = reduce_scenario(generate_scenario(6, 3, 7.0, 5.0, seed=2))
     prof = StrategyProfile.from_stack(0.5 * StrategyProfile.uniform(rs).stack, rs.ranks)
+    X = _whitened_channels(rs, range(6), [prof.stack] * 6)
     shapes = []
     water_level = _kernels.water_level
 
@@ -294,14 +294,42 @@ def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):
         return water_level(vals, p)
 
     monkeypatch.setattr(_kernels, "water_level", counted)
-    batched = _Evaluation(rs, prof).best_responses(range(6), DinkelbachConfig())
+    Qbr, _, p_hat, mu, iters = _best_responses(rs, range(6), X, DinkelbachConfig())
     assert shapes == [(6, 3)]
     monkeypatch.undo()
-    for q, br in enumerate(batched):
+    for q in range(6):
         single = best_response(rs, q, prof)
-        assert np.abs(br.Qbr - single.Qbr).max() <= 1e-12 * np.abs(single.Qbr).max()
-        assert (br.p_hat, br.dinkelbach_iters) == (single.p_hat, single.dinkelbach_iters)
-        assert br.water_level == pytest.approx(single.water_level, rel=1e-12)
+        assert np.abs(Qbr[q] - single.Qbr).max() <= 1e-12 * np.abs(single.Qbr).max()
+        assert (p_hat[q], iters[q]) == (single.p_hat, single.dinkelbach_iters)
+        assert mu[q] == pytest.approx(single.water_level, rel=1e-12)
+
+
+def vanishing_channel_game():
+    """Three players, player 0's direct channel scaled by 1e-17 under unit
+    noise: its gains (~1e-34) cannot pay for the circuit power."""
+    g = generate_scenario(3, 2, 7.0, 10.0, seed=5)
+    H = [[np.array(g.H[q][r]) * (1e-17 if q == r == 0 else 1.0) for r in range(3)]
+         for q in range(3)]
+    return reduce_scenario(scenario_from_matrices(H, [np.eye(2)] * 3, g.P, g.Psi))
+
+
+def test_vanishing_direct_channel_gives_the_zero_power_response():
+    # gains below 1e-30 stop before Dinkelbach: zero power and level 0
+    rs = vanishing_channel_game()
+    prof = StrategyProfile.uniform(rs)
+    br = best_response(rs, 0, prof)
+    assert br.zero_power and br.p_hat == br.p_unconstrained == br.water_level == 0.0
+    assert br.dinkelbach_iters == 0 and not br.Qbr.any() and br.Qbr.shape == (2, 2)
+    assert not best_response(rs, 1, prof).zero_power
+
+
+def test_zero_power_player_is_a_zero_row_of_the_batch():
+    rs = vanishing_channel_game()
+    prof = StrategyProfile.uniform(rs)
+    X = _whitened_channels(rs, range(3), [prof.stack] * 3)
+    Qbr, p_u, p_hat, mu, iters = _best_responses(rs, range(3), X, DinkelbachConfig())
+    assert not Qbr[0].any() and (p_u[0], p_hat[0], mu[0], iters[0]) == (0.0, 0.0, 0.0, 0)
+    assert (p_hat[1:] > 0).all() and (iters[1:] > 0).all()
 
 
 # --- properties of the best response on random ragged games -----------------------
@@ -365,18 +393,20 @@ def test_best_responses_satisfy_the_waterfilling_kkt_conditions(seed):
     rs, prof = random_game(rng)
     qs = list(range(rs.Q))
     X = _whitened_channels(rs, qs, [prof.stack] * rs.Q)
-    for q, br in zip(qs, _best_responses(rs, qs, X, DinkelbachConfig())):
+    Qbr, p_u, p_hat, levels, _ = _best_responses(rs, qs, X, DinkelbachConfig())
+    for q in qs:
         k = rs.ranks[q]
         d, U = np.linalg.eigh(_grams(X[q])[:k, :k])
-        mu = br.water_level
-        tol = 1e-10 * max(1.0, mu, br.p_hat)
-        D = U.conj().T @ br.Qbr @ U
+        mu = levels[q]
+        tol = 1e-10 * max(1.0, mu, p_hat[q])
+        assert not Qbr[q, k:].any() and not Qbr[q, :, k:].any()
+        D = U.conj().T @ Qbr[q, :k, :k] @ U
         powers = np.diag(D).real
         assert np.abs(D - np.diag(powers)).max() <= tol
         assert np.abs(powers - np.maximum(mu - 1.0 / d, 0.0)).max() <= tol
         assert powers.min() >= -tol
-        assert abs(powers.sum() - br.p_hat) <= tol
-        assert br.p_hat == min(float(rs.P[q]), br.p_unconstrained)
+        assert abs(powers.sum() - p_hat[q]) <= tol
+        assert p_hat[q] == min(float(rs.P[q]), p_u[q])
         slack = mu - 1.0 / d - powers
         assert slack.max() <= tol
         assert np.minimum(np.abs(powers), np.abs(slack)).max() <= tol

@@ -10,7 +10,7 @@ import pytest
 
 from eeiwfa import harness
 from eeiwfa.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, cli
-from eeiwfa.model import load_scenario
+from eeiwfa.model import load_scenario, save_scenario, scenario_from_matrices
 
 
 @pytest.fixture
@@ -283,6 +283,19 @@ def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
     ("br solve", {"scenario": {**_SCN, "snr_db": 4000.0}},
      "snr_db = 4000.0 is too high: the noise variance it sets is 0"),
     ("br solve", {"scenario": {**_SCN, "snr_db": INF}}, "snr_db = inf is too high"),
+    # bool is a numbers.Real in Python, so JSON true would otherwise pass as 1
+    ("br solve", {"scenario": _SCN, "dinkelbach": {"epsilon": True}},
+     "epsilon must be finite and positive"),
+    ("br solve", {"scenario": _SCN, "player": False}, "player must be an integer"),
+    ("br solve", {"scenario": {**_SCN, "power": True}}, "power must be a number"),
+    ("criteria sweep", {**_SWEEP, "trials": True}, "trials must be an integer"),
+    ("criteria sweep", {**_SWEEP, "snr_db": [True]}, "snr_db must be a number"),
+    ("criteria eval", {"scenario": _SCN, "smoothness": {"perturbation": True}},
+     "perturbation must lie in [0, 1]"),
+    ("iwfa run", {"scenario": {**_SCN, "n": True}, "max_slots": 3}, "n must be an integer"),
+    ("iwfa run", {"scenario": _SCN, "max_slots": True}, "max_slots must be an integer"),
+    ("iwfa run", {"scenario": _SCN, "max_slots": 3,
+                  "schedule": {"mode": "asynchronous", "rho": True}}, "rho must be a number"),
 ])
 def test_bad_config_numbers_and_keys_are_validation_errors(tmp_path, capsys, command,
                                                            cfg, message):
@@ -348,3 +361,61 @@ GOLDEN_EVAL = {
 def test_criteria_eval_sampled_golden_report(tmp_path):
     assert _run(tmp_path, "criteria eval", GOLDEN_EVAL_CONFIG) == EXIT_OK
     assert json.load(open(tmp_path / "out")) == GOLDEN_EVAL
+
+
+# --- malformed scenario documents -------------------------------------------------
+
+@pytest.mark.parametrize("field,value,message", [
+    ("H", None, "H[0][1] is not a matrix of [re, im] pairs"),   # a ragged row
+    ("nT", [2.7, 2], "nT must hold Q positive antenna counts"),
+    ("Q", True, "Q must be an integer >= 1"),
+    ("nR", [True, 2], "nR must hold numbers, not booleans"),
+    ("P", [True, 2.0], "P must hold numbers, not booleans"),
+    ("P", ["2", "2"], "power budgets P must be finite and positive"),
+    ("Psi", [1.0, [1.0]], "malformed scenario document"),
+])
+def test_malformed_scenario_document_is_validation_error(tmp_path, capsys, field, value,
+                                                         message):
+    path = str(tmp_path / "scn.json")
+    assert cli(["scenario", "gen", "--q", "2", "--n", "2", "--seed", "1",
+                "--out", path, "--quiet"]) == EXIT_OK
+    doc = json.load(open(path))
+    if field == "H":
+        doc["H"][0][1][1].pop()
+    else:
+        doc[field] = value
+    json.dump(doc, open(path, "w"))
+    assert cli(["scenario", "show", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert _run(tmp_path, "br solve", {"scenario": {"file": path}}) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+# --- exit codes and report lines no other test reaches ------------------------------
+
+def test_check_failure_is_exit_2(tmp_path, capsys, monkeypatch):
+    from eeiwfa.errors import CheckFailure
+
+    def failing(*a, **k):
+        raise CheckFailure("criterion constants are inconsistently ordered")
+
+    monkeypatch.setattr(harness, "evaluate_criteria", failing)
+    assert _run(tmp_path, "criteria eval", {"scenario": _SCN}) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert err == "check failed: criterion constants are inconsistently ordered\n"
+
+
+def test_scenario_show_on_non_square_reduced_channels(tmp_path, capsys):
+    # tall direct channels (nR > nT) reduce to non-square ones: no exact
+    # interference matrix, so no spectral radius to show
+    rng = np.random.default_rng(3)
+    nT, nR = [2, 1], [3, 2]
+    H = [[rng.standard_normal((nR[q], nT[r])) + 0j for r in range(2)] for q in range(2)]
+    s = scenario_from_matrices(H, [np.eye(n) for n in nR], [1.0, 1.0], [1.0, 1.0])
+    path = str(tmp_path / "tall.json")
+    save_scenario(s, path)
+    assert cli(["scenario", "show", path]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "antennas nT: [2, 1] nR: [3, 2]"
+    assert out[-1] == "sr(S): n/a (non-square reduced channels)"

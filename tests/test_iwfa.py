@@ -20,6 +20,7 @@ from eeiwfa.model import (
     scenario_from_matrices,
 )
 
+from test_best_response import vanishing_channel_game
 from test_equilibrium import scaled_identity_scenario
 from test_model import scalar_scenario
 
@@ -391,3 +392,39 @@ def test_quiet_async_slots_do_not_fake_convergence():
     if trace.termination == "converged":
         assert int(trace.updated.any(axis=1).sum()) >= 5
         assert ne_residual(rs, trace.final_profile) <= 1e-6
+
+
+# --- paths the runs above never take ----------------------------------------------
+
+def test_kept_slots_adds_the_last_slot_when_thin_does_not_divide():
+    assert kept_slots(8, 3) == [0, 3, 6, 7]
+    assert kept_slots(7, 3) == [0, 3, 6]
+    assert kept_slots(1, 5) == [0]
+    assert kept_slots(0, 2) == []
+
+
+def test_a_vanishing_direct_channel_sits_out_at_zero_power():
+    # player 0's best response is the zero matrix at every slot while the
+    # others settle
+    rs = vanishing_channel_game()
+    trace = run_iwfa(rs, make_schedule("synchronous", 3), max_slots=200)
+    assert trace.termination == "converged" and len(trace.slots) == 15
+    assert trace.final_profile.traces()[0] == 0.0
+    assert not trace.ee[:, 0].any()
+    assert trace.ne_residual[-1] <= 1e-9
+
+
+def test_tall_direct_channels_run_with_all_ones_weights():
+    # tall direct channels (nR > nT) reduce to non-square ones, which have no
+    # exact interference matrix: the block residual is weighted uniformly
+    rng = np.random.default_rng(11)
+    nT, nR = [2, 1, 2], [3, 3, 4]
+    H = [[(rng.standard_normal((nR[q], nT[r])) + 1j * rng.standard_normal((nR[q], nT[r])))
+          * (1.0 if q == r else 0.3) for r in range(3)] for q in range(3)]
+    rs = reduce_scenario(scenario_from_matrices(
+        H, [np.eye(n) for n in nR], [1.0, 2.0, 1.5], [1.0] * 3))
+    sched = make_schedule("asynchronous", 3, {"rho": 0.5, "d_max": 2}, seed=3)
+    trace = run_iwfa(rs, sched, max_slots=400)
+    assert np.array_equal(trace.weights, np.ones(3))
+    assert trace.termination == "converged" and len(trace.slots) == 31
+    assert trace.ne_residual[-1] <= 1e-9

@@ -117,3 +117,85 @@ def test_dinkelbach_gains_matches_plain_loop(log_gains, psi, p0):
     _, q = _kernels.water_level(-1.0 / d, trace)
     assert float(np.log1p(d * q).sum()) == pytest.approx(o_rate, rel=1e-9)
 
+
+
+# --- exact oracle for the unconstrained power -------------------------------------
+#
+# On k active modes (gains sorted descending, s_k = sum 1/d_i, c_k = sum log d_i)
+# the waterfilling at level mu has trace p = k mu - s_k and rate
+# k log mu + c_k, so EE stationarity, k + (Psi - s_k) / mu = k log mu + c_k,
+# is w e^w = z for w = log mu + c_k/k - 1 and z = ((Psi - s_k)/k) e^(c_k/k - 1).
+# EE is a concave rate over an affine power, so the stationary point of the
+# piece whose level brackets it, 1/d_k < mu <= 1/d_(k+1), is the optimum.
+
+def lambert_w0(z):
+    """Principal branch of Lambert W (w e^w = z, w >= -1) for z > -1/e, by
+    Halley's iteration: started from the branch-point series in
+    p = sqrt(2 (e z + 1)) near -1/e and from log1p(z) elsewhere."""
+    z = np.asarray(z, dtype=float)
+    p = np.sqrt(2.0 * np.maximum(np.e * z + 1.0, 0.0))
+    w = np.where(z < -0.25, -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3,
+                 np.log1p(np.maximum(z, -0.25)))
+    for _ in range(40):
+        ew = np.exp(w)
+        f = w * ew - z
+        w = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
+
+
+def exact_unconstrained_power(d, psi):
+    """Unconstrained EE-optimal power over the gains ``d``, in closed form."""
+    d = np.sort(np.asarray(d, dtype=float))[::-1]
+    k = np.arange(1, d.size + 1)
+    s, c = np.cumsum(1.0 / d), np.cumsum(np.log(d))
+    z = (psi - s) / k * np.exp(c / k - 1.0)
+    # below -1/e the piece has no stationary point (AM-GM allows it for k > 1)
+    ok = np.flatnonzero(z > -1.0 / np.e)
+    mu = np.exp(lambert_w0(z[ok]) - c[ok] / k[ok] + 1.0)
+    upper = np.append(1.0 / d[1:], np.inf)[ok]
+    # rounding may put the optimum a hair outside a bracket it sits on
+    inside = np.flatnonzero((1.0 / d[ok] < mu * (1 + 1e-12)) & (mu <= upper * (1 + 1e-12)))
+    j = inside[0]
+    return float(k[ok][j] * mu[j] - s[ok][j])
+
+
+def energy_efficiency_at(d, psi, p):
+    """EE of the waterfilling of power ``p`` > 0 over the gains ``d``."""
+    d = np.sort(np.asarray(d, dtype=float))[::-1]
+    k = np.arange(1, d.size + 1)
+    level = (p + np.cumsum(1.0 / d)) / k
+    n = np.flatnonzero(1.0 / d < level)[-1] + 1   # the active modes
+    return float(np.log(d[:n] * level[n - 1]).sum()) / (p + psi)
+
+
+def test_lambert_w0_known_values_and_identity():
+    assert lambert_w0(0.0) == 0.0
+    assert lambert_w0(np.e) == pytest.approx(1.0, rel=1e-15)
+    assert lambert_w0(1.0) == pytest.approx(0.5671432904097838, rel=1e-15)   # omega
+    z = np.concatenate([-1.0 / np.e + np.logspace(-15, -1, 15), np.logspace(-8, 6, 29)])
+    w = lambert_w0(z)
+    assert np.all(w >= -1.0)
+    # w e^w rounds to about (1 + w) ulps of z
+    assert np.all(np.abs(w * np.exp(w) - z) <= 1e-15 * (1.0 + np.abs(w)) * np.abs(z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8), st.floats(-6.0, 6.0),
+       st.floats(-3.0, 3.0))
+def test_dinkelbach_power_is_within_its_gap_of_the_exact_optimum(log_gains, log_psi,
+                                                                 log_p0):
+    # Dinkelbach's gap bounds its ratio: nu* - nu_k <= F(nu_k) / (p* + Psi)
+    # <= eps / Psi, and its last iterate's EE is at least nu_k.
+    d, psi, p0, eps = np.exp(log_gains), math.exp(log_psi), math.exp(log_p0), 1e-9
+    rate0 = float(np.log1p(d * (p0 / d.size)).sum())
+    p_dk, _, delta, monotone = _kernels.dinkelbach_gains(
+        np.sort(d)[::-1], psi, rate0, p0, eps, 200)
+    assert delta <= eps and monotone
+    p_star = exact_unconstrained_power(d, psi)
+    ee_star = energy_efficiency_at(d, psi, p_star)
+    gap = ee_star - energy_efficiency_at(d, psi, p_dk)
+    rounding = 1e-12 * ee_star
+    assert -rounding <= gap <= eps / psi + rounding
+    # and p* is a local maximum of the EE
+    for t in (1.0 - 1e-3, 1.0 + 1e-3):
+        assert energy_efficiency_at(d, psi, t * p_star) <= ee_star + rounding

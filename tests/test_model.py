@@ -636,15 +636,18 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
 
 
 def test_ragged_batched_best_responses_match_single_player(rng):
-    from eeiwfa.best_response import best_response
-    from eeiwfa.iwfa import _Evaluation
+    from eeiwfa.best_response import _best_responses, best_response
+    from eeiwfa.model import _whitened_channels
 
     s = ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4])
     rs = reduce_scenario(s)
     prof = StrategyProfile([random_psd(rng, int(r), trace=1.0) for r in rs.ranks])
-    batched = _Evaluation(rs, prof).best_responses(range(3), DinkelbachConfig())
-    for q, br in enumerate(batched):
+    X = _whitened_channels(rs, range(3), [prof.stack] * 3)
+    Qbr, _, _, _, iters = _best_responses(rs, range(3), X, DinkelbachConfig())
+    assert Qbr.shape == (3, 4, 4)
+    for q in range(3):
         single = best_response(rs, q, prof)
-        assert br.Qbr.shape == (rs.ranks[q],) * 2
-        assert_close(br.Qbr, single.Qbr, rel=1e-9)
-        assert br.dinkelbach_iters == single.dinkelbach_iters
+        k = rs.ranks[q]
+        assert not Qbr[q, k:].any() and not Qbr[q, :, k:].any()
+        assert_close(Qbr[q, :k, :k], single.Qbr, rel=1e-9)
+        assert iters[q] == single.dinkelbach_iters
