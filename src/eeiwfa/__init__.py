@@ -9,7 +9,6 @@ waterfilling simulator with Monte-Carlo experiment drivers.
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
 from .linalg import (
     compact_svd,
-    complexify,
     hermitian_evd,
     hermitize,
     pseudo_inverse,
@@ -35,9 +34,7 @@ from .best_response import (
     BestResponseResult,
     DinkelbachConfig,
     best_response,
-    dinkelbach_power,
     projection_best_response,
-    waterfill,
 )
 from .equilibrium import (
     CriteriaReport,

@@ -48,29 +48,6 @@ def _waterfill_powers(D, p):
     return _kernels.water_level(-1.0 / np.asarray(D, dtype=np.float64), p)
 
 
-def waterfill(U, D, p):
-    """Waterfilling covariance U diag((mu - 1/d_k)^+) U^H with trace p.
-
-    ``U`` is the eigenbasis and ``D`` the positive eigen-gains of the
-    whitened channel; the level mu is set so the trace equals ``p``
-    (to 1e-12 * max(1, p)). ``p = 0`` returns the zero matrix.
-    """
-    D = np.asarray(D, dtype=float)
-    if not np.isfinite(p):
-        raise InvalidInputError(f"power p must be finite, got {p}")
-    if p < 0:
-        raise InvalidInputError("power must be >= 0")
-    if not np.isfinite(D).all():
-        raise InvalidInputError("eigen-gains D have non-finite entries")
-    if np.any(D <= 0):
-        raise InvalidInputError("eigen-gains must be strictly positive")
-    U = np.asarray(U, dtype=complex)
-    if p == 0:
-        return np.zeros((U.shape[0], U.shape[0]), dtype=complex)
-    _, powers = _waterfill_powers(D, p)
-    return (U * powers) @ U.conj().T
-
-
 def _unconstrained_power(s, q, d, cfg):
     """(p_u, iterations) of player q from the eigen-gains ``d`` of its
     whitened gram (descending), Dinkelbach started from the uniform
@@ -144,22 +121,11 @@ def best_response(s, q, profile, cfg=None):
                               int(iters[0]), zero_power=bool(p_hat[0] == 0.0))
 
 
-def dinkelbach_power(s, q, profile, cfg=None):
-    """Unconstrained EE-optimal power of player q, with iteration count.
-
-    Iterates nu <- rate / (trace + Psi) followed by waterfilling at level
-    1/nu until the parametric objective gap falls below epsilon; the nu
-    sequence is checked to be non-decreasing.
-    """
-    br = best_response(s, q, profile, cfg)
-    return br.p_unconstrained, br.dinkelbach_iters
-
-
 def projection_best_response(s, q, profile, p_hat):
     """Best response as the projection of -G^{-1} onto {Q >= 0, tr Q = p_hat}.
 
-    Equals :func:`waterfill` on the same inputs; kept as an independent
-    formulation for cross-checking.
+    Equals the eigen-waterfilling of :func:`best_response` at the same
+    p_hat; kept as an independent formulation for cross-checking.
     """
     if p_hat < 0:
         raise InvalidInputError("power must be >= 0")

@@ -205,16 +205,10 @@ def random_covariance(r, p, rng, boundary=False):
     return _random_covariances(rng, [r], [float(p)], 1, boundary)[0, 0]
 
 
-def random_frame_simplex_covariance(r, p, rng):
-    """Full-budget PSD draw: Haar eigenvector frame with eigenvalues from
-    the uniform simplex scaled to trace p."""
-    return _random_covariances(rng, [r], [float(p)], 1, rule="frame-simplex")[0, 0]
-
-
-def random_profile(s, rng, boundary=False, rule="wishart"):
-    """Random feasible strategy profile of the reduced game, drawn under
-    ``rule`` (see :func:`_random_covariances`)."""
-    P = _random_covariances(rng, s.ranks, s.P, 1, boundary, rule)[0]
+def random_profile(s, rng, boundary=False):
+    """Random feasible strategy profile of the reduced game, Wishart-drawn
+    (see :func:`_random_covariances`)."""
+    P = _random_covariances(rng, s.ranks, s.P, 1, boundary)[0]
     return StrategyProfile.from_stack(P, s.ranks)
 
 
@@ -394,6 +388,11 @@ def qvi_map(s, profile):
 
 @dataclass
 class VerifierReport:
+    """One sampled bound check. ``max_ratio`` is the worst sampled value,
+    or on a violation the value of the reported sample: for Lipschitz and
+    power-set smoothness a ratio of the two sides, for monotonicity the
+    smallest margin Re tr(dF^H dQ) - mu ||dQ||_F^2, not a ratio."""
+
     name: str
     status: str              # "ok" | "violation" | "skipped"
     n_samples: int

@@ -16,7 +16,7 @@ import numpy as np
 
 from .best_response import DinkelbachConfig, _best_responses
 from .equilibrium import interference_matrix_square
-from .errors import ConvergenceError, InvalidInputError, check_count, check_number
+from .errors import ConvergenceError, InvalidInputError, check_count, check_number, is_real
 from .linalg import W_FLOOR, spectral_radius
 from .model import StrategyProfile, _rates, _stack_frob, _whitened_channels, block_max_distance
 
@@ -55,11 +55,12 @@ class UpdateSchedule:
             return
         if self.mode != "asynchronous":
             raise InvalidInputError(f"unknown schedule mode {self.mode!r}")
+        rho = 0.5 if self.rho is None else self.rho
         try:
-            rho = np.asarray(0.5 if self.rho is None else self.rho)
-            if rho.dtype.kind not in "iuf":   # strings, booleans, None
+            # entry by entry: numpy would read [true, 0.5] as [1.0, 0.5]
+            if not all(map(is_real, np.asarray(rho, dtype=object).ravel())):
                 raise TypeError
-            rho = np.broadcast_to(rho.astype(float), (self.Q,)).copy()
+            rho = np.broadcast_to(np.asarray(rho, dtype=float), (self.Q,)).copy()
         except (TypeError, ValueError):
             raise InvalidInputError("rho must be a number or one per player") from None
         if not np.all((rho > 0.0) & (rho <= 1.0)):

@@ -1,8 +1,8 @@
 """Dense complex-matrix primitives.
 
 Hermitian eigendecomposition, compact SVD, Moore-Penrose pseudoinverse,
-Frobenius projection onto the trace-constrained PSD set, the complex/real
-block bijection, and Perron/spectral-radius utilities for nonnegative
+Frobenius projection onto the trace-constrained PSD set, the complex-to-real
+block form, and Perron/spectral-radius utilities for nonnegative
 matrices. Everything is a pure function of its inputs.
 """
 
@@ -13,7 +13,6 @@ from .errors import InvalidInputError
 
 HERMITIAN_TOL = 1e-10      # relative deviation from Hermitian symmetry
 RANK_TOL = 1e-10           # singular values below this times the largest are dropped
-BLOCK_FORM_TOL = 1e-12     # relative deviation from realify's block form
 POWER_TOL = 1e-13          # stopping test of the Perron power iteration
 POWER_MAX_ITERS = 20000
 W_FLOOR = 1e-12            # Perron weights are floored here
@@ -161,21 +160,6 @@ def realify(Z):
     R[1::2, 0::2] = Z.imag
     R[1::2, 1::2] = Z.real
     return R
-
-
-def complexify(R):
-    """Inverse of :func:`realify`; validates the 2x2 block structure."""
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] % 2 or R.shape[1] % 2:
-        raise InvalidInputError("realified matrix must have even dimensions")
-    a = R[0::2, 0::2]
-    d = R[1::2, 1::2]
-    b = R[1::2, 0::2]
-    c = R[0::2, 1::2]
-    scale = max(1.0, float(np.abs(R).max())) if R.size else 1.0
-    if R.size and max(np.abs(a - d).max(), np.abs(b + c).max()) > BLOCK_FORM_TOL * scale:
-        raise InvalidInputError("matrix does not have the [[a,-b],[b,a]] block form")
-    return a + 1j * b
 
 
 def _perron_start(A):

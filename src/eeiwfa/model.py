@@ -425,12 +425,8 @@ class StrategyProfile(PaddedStack):
     def ranks(self):
         return self.rows
 
-    @property
-    def mats(self):
-        return list(self)
-
     def replace(self, q, mat):
-        mats = self.mats
+        mats = list(self)
         mats[q] = mat
         return StrategyProfile(mats)
 

@@ -60,7 +60,7 @@ def test_c01_br_cross_formulation():
 def test_c02_dinkelbach_vs_grid_oracle():
     with criterion(2, "Dinkelbach vs grid oracle", 5.0):
         rs = ee.reduce_scenario(scalar_scenario(g=1.0, sigma2=1.0, psi=1.0))
-        p_u, _ = ee.dinkelbach_power(rs, 0, StrategyProfile.uniform(rs))
+        p_u = ee.best_response(rs, 0, StrategyProfile.uniform(rs)).p_unconstrained
         assert abs(p_u - scalar_ee_grid_max(1.0, 1.0)) <= 1e-6
         assert abs(p_u - (np.e - 1.0)) <= 1e-6
         rng = np.random.default_rng(202)
@@ -68,7 +68,7 @@ def test_c02_dinkelbach_vs_grid_oracle():
             g = float(rng.uniform(0.3, 3.0))
             psi = float(rng.uniform(0.3, 3.0))
             rs = ee.reduce_scenario(scalar_scenario(g=g, sigma2=1.0, psi=psi))
-            p_u, _ = ee.dinkelbach_power(rs, 0, StrategyProfile.uniform(rs))
+            p_u = ee.best_response(rs, 0, StrategyProfile.uniform(rs)).p_unconstrained
             assert abs(p_u - scalar_ee_grid_max(g, psi)) <= 1e-5
 
 

@@ -8,10 +8,9 @@ from eeiwfa.best_response import (
     BestResponseResult,
     DinkelbachConfig,
     _best_responses,
+    _waterfill_powers,
     best_response,
-    dinkelbach_power,
     projection_best_response,
-    waterfill,
 )
 from eeiwfa.errors import ConvergenceError, InvalidInputError
 from eeiwfa.harness import dinkelbach_config
@@ -62,37 +61,23 @@ def waterfill_oracle(d, p):
 # --- waterfilling ----------------------------------------------------------------
 
 def test_waterfill_equal_gains_split():
-    out = waterfill(np.eye(2), [2.0, 2.0], 2.0)
-    assert np.abs(out - np.eye(2)).max() <= 1e-12
+    _, powers = _waterfill_powers([2.0, 2.0], 2.0)
+    assert np.abs(powers - 1.0).max() <= 1e-12
 
 
 def test_waterfill_two_level_case():
     # d = (1, 0.1), p = 11: both active, mu = (11 + 1 + 10)/2 = 11
-    out = waterfill(np.eye(2), [1.0, 0.1], 11.0)
-    assert np.abs(out - np.diag([10.0, 1.0])).max() <= 1e-10
+    _, powers = _waterfill_powers([1.0, 0.1], 11.0)
+    assert np.abs(powers - [10.0, 1.0]).max() <= 1e-10
 
 
 def test_waterfill_single_active_channel():
     # d = (1, 0.1), p = 1: mu = 2 < 10 so only the strong channel is active
-    out = waterfill(np.eye(2), [1.0, 0.1], 1.0)
-    assert np.abs(out - np.diag([1.0, 0.0])).max() <= 1e-12
+    _, powers = _waterfill_powers([1.0, 0.1], 1.0)
+    assert np.abs(powers - [1.0, 0.0]).max() <= 1e-12
 
 
-def test_waterfill_zero_power_and_validation():
-    assert np.abs(waterfill(np.eye(2), [1.0, 2.0], 0.0)).max() == 0.0
-    with pytest.raises(InvalidInputError):
-        waterfill(np.eye(2), [1.0, 0.0], 1.0)
-    with pytest.raises(InvalidInputError):
-        waterfill(np.eye(2), [1.0, 1.0], -1.0)
-
-
-def test_waterfill_rejects_non_finite_inputs():
-    for p in (np.nan, np.inf):
-        with pytest.raises(InvalidInputError, match=f"^power p must be finite, got {p}$"):
-            waterfill(np.eye(2), [1.0, 2.0], p)
-    for d in ([1.0, np.nan], [np.inf, 1.0]):
-        with pytest.raises(InvalidInputError, match="^eigen-gains D have non-finite entries$"):
-            waterfill(np.eye(2), d, 1.0)
+def test_projection_best_response_rejects_a_non_finite_p_hat():
     rs = reduce_scenario(generate_scenario(2, 2, 7.0, 0.0, seed=14))
     with pytest.raises(InvalidInputError, match="^target trace p must be finite, got nan$"):
         projection_best_response(rs, 0, StrategyProfile.uniform(rs), np.nan)
@@ -103,14 +88,13 @@ def test_waterfill_matches_active_set_oracle(rng):
         n = int(rng.integers(1, 8))
         d = rng.uniform(0.05, 5.0, size=n)
         p = float(rng.uniform(0.0, 20.0))
-        U = np.linalg.qr(crandn(rng, n, n))[0]
-        out = waterfill(U, d, p)
-        powers, _ = waterfill_oracle(d, p)
-        # compare in the eigenbasis wherever gains are distinct
-        want = (U * powers[np.argsort(np.argsort(1.0 / d))]) @ U.conj().T
-        assert abs(np.trace(out).real - p) <= 1e-12 * max(1.0, p)
+        _, powers = _waterfill_powers(d, p)
+        want, _ = waterfill_oracle(d, p)
+        # the oracle lists the powers in ascending order of 1/d
+        want = want[np.argsort(np.argsort(1.0 / d))]
+        assert abs(powers.sum() - p) <= 1e-12 * max(1.0, p)
         if np.abs(np.subtract.outer(d, d))[~np.eye(n, dtype=bool)].min() > 1e-3 if n > 1 else True:
-            assert np.abs(out - want).max() <= 1e-9
+            assert np.abs(powers - want).max() <= 1e-9
 
 
 # --- Dinkelbach ----------------------------------------------------------------
@@ -118,7 +102,8 @@ def test_waterfill_matches_active_set_oracle(rng):
 def test_dinkelbach_scalar_e_minus_one():
     rs = reduce_scenario(scalar_scenario(g=1.0, sigma2=1.0, psi=1.0))
     prof = StrategyProfile.uniform(rs)
-    p_u, iters = dinkelbach_power(rs, 0, prof)
+    br = best_response(rs, 0, prof)
+    p_u, iters = br.p_unconstrained, br.dinkelbach_iters
     assert abs(p_u - (np.e - 1.0)) <= 1e-7
     assert abs(p_u - scalar_ee_grid_max(1.0, 1.0)) <= 1e-6
     assert 1 <= iters <= 200
@@ -128,7 +113,7 @@ def test_dinkelbach_scalar_e_minus_one():
 @pytest.mark.parametrize("psi", [0.5, 1.0, 2.0])
 def test_dinkelbach_scalar_grid_oracle(g, psi):
     rs = reduce_scenario(scalar_scenario(g=g, sigma2=1.0, psi=psi))
-    p_u, _ = dinkelbach_power(rs, 0, StrategyProfile.uniform(rs))
+    p_u = best_response(rs, 0, StrategyProfile.uniform(rs)).p_unconstrained
     assert abs(p_u - scalar_ee_grid_max(g, psi)) <= 1e-5
     # first-order stationarity: ln(1 + g p) = g (psi + p) / (1 + g p)
     resid = np.log1p(g * p_u) - g * (psi + p_u) / (1.0 + g * p_u)
@@ -138,7 +123,7 @@ def test_dinkelbach_scalar_grid_oracle(g, psi):
 def test_dinkelbach_two_equal_eigenchannels():
     s = scenario_from_matrices([[np.eye(2)]], [np.eye(2)], [100.0], [1.0])
     rs = reduce_scenario(s)
-    p_u, _ = dinkelbach_power(rs, 0, StrategyProfile.uniform(rs))
+    p_u = best_response(rs, 0, StrategyProfile.uniform(rs)).p_unconstrained
     # per-channel problem: maximize ln(1 + u) / (0.5 + u), total = 2 u*
     u_star = scalar_ee_grid_max(1.0, 0.5, hi=50.0)
     assert abs(p_u - 2.0 * u_star) <= 1e-5
@@ -150,7 +135,7 @@ def test_dinkelbach_non_convergence_error():
     rs = reduce_scenario(scalar_scenario())
     cfg = DinkelbachConfig(epsilon=1e-12, max_iters=1)
     with pytest.raises(ConvergenceError) as err:
-        dinkelbach_power(rs, 0, StrategyProfile.uniform(rs), cfg)
+        best_response(rs, 0, StrategyProfile.uniform(rs), cfg)
     assert err.value.delta is not None and err.value.delta > 0
 
 

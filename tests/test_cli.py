@@ -212,11 +212,11 @@ def test_cli_needs_numpy_only():
     assert not loaded & {"scipy", "numba", "hypothesis"}
 
 
-def _run(tmp_path, command, cfg):
+def _run(tmp_path, command, cfg, quiet=True):
     path = str(tmp_path / "cfg.json")
     json.dump(cfg, open(path, "w"))
     return cli([*command.split(), "--config", path, "--out", str(tmp_path / "out"),
-                "--quiet"])
+                *(["--quiet"] if quiet else [])])
 
 
 NAN = float("nan")
@@ -296,6 +296,14 @@ def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
     ("iwfa run", {"scenario": _SCN, "max_slots": True}, "max_slots must be an integer"),
     ("iwfa run", {"scenario": _SCN, "max_slots": 3,
                   "schedule": {"mode": "asynchronous", "rho": True}}, "rho must be a number"),
+    # numpy would read [true, 0.5] as [1.0, 0.5]
+    ("iwfa run", {"scenario": _SCN, "max_slots": 3,
+                  "schedule": {"mode": "asynchronous", "rho": [True, 0.5]}},
+     "rho must be a number"),
+    ("criteria sweep", {**_SWEEP, "snr_db": []}, "sweep needs non-empty SNR and SIR grids"),
+    ("br solve", {"scenario": {**_SCN, "channel_kind": "dense"}}, "channel_kind must be one of"),
+    ("br solve", {"scenario": {**_SCN, "snr_convention": "peak"}},
+     "snr_convention must be one of"),
 ])
 def test_bad_config_numbers_and_keys_are_validation_errors(tmp_path, capsys, command,
                                                            cfg, message):
@@ -373,6 +381,8 @@ def test_criteria_eval_sampled_golden_report(tmp_path):
     ("P", [True, 2.0], "P must hold numbers, not booleans"),
     ("P", ["2", "2"], "power budgets P must be finite and positive"),
     ("Psi", [1.0, [1.0]], "malformed scenario document"),
+    ("Rn", [[[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * 2,
+     "Rn has non-finite entries"),
 ])
 def test_malformed_scenario_document_is_validation_error(tmp_path, capsys, field, value,
                                                          message):
@@ -419,3 +429,40 @@ def test_scenario_show_on_non_square_reduced_channels(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "antennas nT: [2, 1] nR: [3, 2]"
     assert out[-1] == "sr(S): n/a (non-square reduced channels)"
+
+
+def test_iwfa_run_reports_an_error_inside_the_slot_loop(tmp_path, capsys):
+    # the first Dinkelbach solve cannot reach 1e-13 in one iteration; the run
+    # ends at once, keeps its (empty) trace and still exits 0
+    cfg = {"scenario": _SCN, "max_slots": 3,
+           "dinkelbach": {"epsilon": 1e-13, "max_iters": 1}}
+    assert _run(tmp_path, "iwfa run", cfg, quiet=False) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "error after 0 slots; final ne residual nan",
+        "error: Dinkelbach did not reach epsilon=1e-13 within 1 iterations"
+        " (last gap 2.696e-01)",
+        str(tmp_path / "out"),
+    ]
+
+
+def test_criteria_sweep_prints_one_line_per_cell(tmp_path, capsys):
+    cfg = {**_SWEEP, "sir_db": [10.0, 20.0], "trials": 2}
+    assert _run(tmp_path, "criteria sweep", cfg, quiet=False) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "cell snr=5.0 sir=10.0: contraction 0.500 qvi 0.500",
+        "cell snr=5.0 sir=20.0: contraction 1.000 qvi 1.000",
+        str(tmp_path / "out"),
+        str(tmp_path / "out_cells.csv"),
+    ]
+
+
+def test_verify_lemmas_prints_each_check_and_the_sqrtq_ratio(tmp_path, capsys):
+    assert _run(tmp_path, "verify lemmas", _LEMMAS, quiet=False) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "lipschitz: ok (max ratio 1.02124, constant 1.43126)",
+        # the monotonicity "max ratio" is its smallest margin, not a ratio
+        "monotonicity: ok (max ratio 0.856199, constant 0.591138)",
+        "power-set-smoothness: ok (max ratio 1, constant 1)",
+        "sqrt(Q) ratio Q=2: 1.414213562373 vs 1.414213562373",
+        str(tmp_path / "out"),
+    ]

@@ -6,6 +6,7 @@ from eeiwfa.best_response import best_response
 
 from eeiwfa.equilibrium import (
     InterferenceMatrix,
+    _random_covariances,
     PowerSmoothnessConfig,
     criteria,
     estimate_power_smoothness,
@@ -14,7 +15,6 @@ from eeiwfa.equilibrium import (
     interference_matrix_sampled,
     interference_matrix_square,
     qvi_map,
-    random_frame_simplex_covariance,
     random_profile,
     sqrtq_observed_ratio,
     verify_lipschitz,
@@ -152,13 +152,11 @@ def test_sampled_tall_channels_match_per_sample_oracle(rng):
     )
     n_samples, seed = 5, 31
     got = interference_matrix_sampled(rs, n_samples, seed=seed)
-    from eeiwfa.equilibrium import random_frame_simplex_covariance
-
     rng2 = np.random.default_rng(seed)
     want = np.zeros((2, 2))
     for _ in range(n_samples):
         delta = [
-            random_frame_simplex_covariance(int(rs.ranks[q]), rs.P[q], rng2)
+            _random_covariances(rng2, [rs.ranks[q]], [rs.P[q]], 1, rule="frame-simplex")[0, 0]
             for q in range(2)
         ]
         for q in range(2):
@@ -456,7 +454,7 @@ def test_ragged_qvi_map_and_interference_matrices_match_per_pair_formulas(rng):
     draw = np.random.default_rng(11)
     want = np.zeros((3, 3))
     for _ in range(3):
-        delta = [random_frame_simplex_covariance(int(r), p, draw)
+        delta = [_random_covariances(draw, [r], [p], 1, rule="frame-simplex")[0, 0]
                  for r, p in zip(rs.ranks, rs.P)]
         for q in range(3):
             Rinv = np.linalg.inv(plain_mui(rs, q, delta))

@@ -308,7 +308,7 @@ def plain_run(rs, schedule, slots, cfg):
     for t in range(slots):
         mask, ages = schedule.draw_slot(t, rng)
         now = profiles[-1]
-        mats = list(now.mats)
+        mats = list(now)
         for q in np.flatnonzero(mask):
             measured = [
                 now[q] if r == q else profiles[max(t - int(ages[q, r]), 0)][r]

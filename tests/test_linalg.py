@@ -11,7 +11,6 @@ from eeiwfa.linalg import (
     _perron_start,
     _psd_trace_projections,
     compact_svd,
-    complexify,
     hermitian_evd,
     pseudo_inverse,
     psd_trace_projection,
@@ -230,7 +229,7 @@ def test_stacked_projection_rejects_what_the_single_one_rejects(rng):
         _psd_trace_projections(np.zeros((2, 2, 3)), np.ones(2))
 
 
-# --- realify / complexify ------------------------------------------------------
+# --- realify -------------------------------------------------------------------
 
 def test_realify_scalar_one():
     assert np.array_equal(realify(np.array([[1.0 + 0j]])), np.eye(2))
@@ -273,16 +272,12 @@ def test_realify_trace_and_frobenius_factors(rng):
     assert abs(np.linalg.norm(R, "fro") ** 2 - 2.0 * np.linalg.norm(Z, "fro") ** 2) <= 1e-10
 
 
-def test_complexify_round_trip(rng):
+def test_realify_round_trip(rng):
     Z = crandn(rng, 2, 4)
-    assert np.array_equal(complexify(realify(Z)), Z)
-
-
-def test_complexify_rejects_bad_blocks():
-    R = np.eye(4)
-    R[0, 1] = 0.5  # breaks the [[a,-b],[b,a]] structure
-    with pytest.raises(InvalidInputError):
-        complexify(R)
+    R = realify(Z)
+    assert np.array_equal(R[0::2, 0::2], R[1::2, 1::2])
+    assert np.array_equal(R[1::2, 0::2], -R[0::2, 1::2])
+    assert np.array_equal(R[0::2, 0::2] + 1j * R[1::2, 0::2], Z)
 
 
 # --- spectral radius -----------------------------------------------------------

@@ -502,7 +502,6 @@ def test_ragged_profile_is_one_frozen_padded_stack(rng):
     assert list(prof.ranks) == [2, 1, 3] and len(prof) == 3
     for q, m in enumerate(mats):
         assert prof[q].shape == m.shape and np.array_equal(prof[q], m)
-        assert np.array_equal(prof.mats[q], m)
         with pytest.raises(ValueError):
             prof[q][0, 0] = 5.0
     with pytest.raises(ValueError):

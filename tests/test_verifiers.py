@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeiwfa.best_response import DinkelbachConfig, dinkelbach_power
+from eeiwfa.best_response import DinkelbachConfig, best_response
 from eeiwfa.equilibrium import (
     _CHUNK,
     PowerSmoothnessConfig,
@@ -23,7 +23,6 @@ from eeiwfa.equilibrium import (
     interference_matrix_square,
     qvi_map,
     random_covariance,
-    random_frame_simplex_covariance,
     random_profile,
     verify_lipschitz,
     verify_monotonicity,
@@ -299,17 +298,17 @@ def test_frame_simplex_draws_equal_per_player_loop(ranks, seed, count):
 
 
 def test_frame_simplex_views_and_rule_check():
-    game = SimpleNamespace(Q=3, ranks=np.array([2, 1, 3]), P=np.array([1.0, 2.0, 3.0]))
-    want = _random_covariances(np.random.default_rng(4), game.ranks, game.P, 1,
-                               rule="frame-simplex")[0]
+    ranks, P = [2, 1, 3], np.array([1.0, 2.0, 3.0])
+    want = _random_covariances(np.random.default_rng(4), ranks, P, 1, rule="frame-simplex")[0]
     for boundary in (False, True):   # always on the budget: boundary is moot
-        prof = random_profile(game, np.random.default_rng(4), boundary, "frame-simplex")
-        assert np.array_equal(prof.stack, want)
-    assert np.abs(prof.traces() - game.P).max() <= 1e-12 * game.P.max()
-    one = random_frame_simplex_covariance(3, 2.0, np.random.default_rng(6))
+        got = _random_covariances(np.random.default_rng(4), ranks, P, 1, boundary,
+                                  rule="frame-simplex")[0]
+        assert np.array_equal(got, want)
+    assert np.abs(np.trace(got, axis1=1, axis2=2).real - P).max() <= 1e-12 * P.max()
+    one = _random_covariances(np.random.default_rng(6), [3], [2.0], 1, rule="frame-simplex")[0, 0]
     assert np.array_equal(one, oracle_frame_simplex(3, 2.0, np.random.default_rng(6)))
     with pytest.raises(InvalidInputError, match="unknown sampling rule 'haar'"):
-        random_profile(game, np.random.default_rng(0), rule="haar")
+        _random_covariances(np.random.default_rng(0), ranks, P, 1, rule="haar")
 
 
 def test_random_covariance_is_the_one_item_sampler():
@@ -347,13 +346,14 @@ def test_singular_direct_channel_is_an_input_error():
 def oracle_power_smoothness(s, cfg, w):
     """The estimate as a plain loop: pairs drawn one matrix at a time
     (``oracle_profile``), and each player's clipped Dinkelbach power from its
-    own gram and EVD (``dinkelbach_power``), one player at a time."""
+    own gram and EVD (``best_response``), one player at a time."""
     rng = np.random.default_rng(cfg.seed)
     max_l2 = max_winf = 0.0
     used = skipped = 0
 
     def powers_of(profile):
-        return np.array([min(float(s.P[q]), dinkelbach_power(s, q, profile, cfg.dinkelbach)[0])
+        return np.array([min(float(s.P[q]),
+                             best_response(s, q, profile, cfg.dinkelbach).p_unconstrained)
                          for q in range(s.Q)])
 
     for i in range(cfg.n_pairs):
