@@ -2,12 +2,14 @@
 
 Everything here operates on plain float64 arrays; the complex matrix work
 (EVD, SVD, solves) stays in the callers, where LAPACK already does the
-heavy lifting. The water level and the Dinkelbach iteration are exact on
-sorted prefix sums (Palomar & Fonollosa, IEEE TSP 2005; Dinkelbach 1967).
+heavy lifting. The water level and the Dinkelbach iteration each take a
+stack of rows and are exact on sorted prefix sums (Palomar & Fonollosa,
+IEEE TSP 2005; Dinkelbach 1967).
 """
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,40 +40,45 @@ def water_level(vals, p):
     return theta[()], powers
 
 
-def dinkelbach_gains(d, psi, rate0, trace0, eps, max_iters):
-    """Dinkelbach ratio iteration on the eigen-gains ``d`` of the whitened
-    channel; returns (trace, iterations, final gap, nu non-decreasing).
+def dinkelbach_gains(D, psi, p0, eps, max_iters):
+    """Dinkelbach ratio iteration on each row of descending gains ``D`` (B,
+    k) > 0, with circuit powers ``psi`` and budgets ``p0`` (B,), from the
+    uniform covariance (p0 / k) I: one (trace, iterations, final gap, nu
+    non-decreasing) tuple per row.
 
     Each iterate is the waterfilling at level 1/nu, so only the gains and
     the running rate/trace of the iterate are needed: the channels with
     1/d_k < level are active, and on them 1 + d_k q_k = d_k level.
     """
-    ds = np.sort(d)[::-1]
-    inv = 1.0 / ds   # ascending: the active channels are a prefix
-    cinv = np.cumsum(inv).tolist()
-    clog = np.cumsum(np.log(ds)).tolist()
-    inv = inv.tolist()
-    rate = rate0
-    trace = trace0
-    nu_prev = 0.0
-    monotone = True
-    delta = 2.0 * eps
-    iters = 0
-    while delta > eps and iters < max_iters:
-        nu = rate / (trace + psi)
-        if iters > 0 and nu < nu_prev - 1e-12 * max(1.0, abs(nu_prev)):
-            monotone = False
-        nu_prev = nu
-        level = 1.0 / nu
-        k = bisect_left(inv, level)
-        if k:
-            trace = k * level - cinv[k - 1]
-            rate = k * math.log(level) + clog[k - 1]
-        else:
-            trace = rate = 0.0
-        delta = abs(rate - nu * (trace + psi))
-        iters += 1
-    return trace, iters, delta, monotone
+    inv = 1.0 / D   # ascending along each row: the active channels are a prefix
+    # nu^(1) only needs the rate and trace of the starting covariance
+    rate0 = np.log1p(D * (p0 / D.shape[-1])[:, None]).sum(axis=-1)
+    out = []
+    for inv, cinv, d, rate, trace, psi in zip(
+            inv.tolist(), np.cumsum(inv, axis=-1).tolist(), D.tolist(),
+            rate0.tolist(), p0.tolist(), psi.tolist()):
+        # libm's log, not numpy's SIMD one, whose last bit varies with the CPU
+        clog = list(accumulate(map(math.log, d)))
+        nu_prev = 0.0
+        monotone = True
+        delta = 2.0 * eps
+        iters = 0
+        while delta > eps and iters < max_iters:
+            nu = rate / (trace + psi)
+            if iters > 0 and nu < nu_prev - 1e-12 * max(1.0, abs(nu_prev)):
+                monotone = False
+            nu_prev = nu
+            level = 1.0 / nu
+            k = bisect_left(inv, level)
+            if k:
+                trace = k * level - cinv[k - 1]
+                rate = k * math.log(level) + clog[k - 1]
+            else:
+                trace = rate = 0.0
+            delta = abs(rate - nu * (trace + psi))
+            iters += 1
+        out.append((trace, iters, delta, monotone))
+    return out
 
 
 def power_iteration(A, w, tol, max_iters):

@@ -48,60 +48,50 @@ def _waterfill_powers(D, p):
     return _kernels.water_level(-1.0 / np.asarray(D, dtype=np.float64), p)
 
 
-def _unconstrained_power(s, q, d, cfg):
-    """(p_u, iterations) of player q from the eigen-gains ``d`` of its
-    whitened gram (descending), Dinkelbach started from the uniform
-    covariance (P_q / r_q) I."""
-    # Defensive: a vanishing channel cannot pay for its circuit power.
-    if d[0] <= _D_TINY:
-        return 0.0, 0
-    if d[-1] <= 0:
-        raise InvalidInputError(
-            f"whitened gram of player {q} is not positive definite"
-        )
-    # nu^(1) only needs the rate and trace of the starting covariance.
-    trace0 = float(s.P[q])
-    rate0 = float(np.log1p(d * (trace0 / d.size)).sum())
-    p_u, iters, delta, monotone = _kernels.dinkelbach_gains(
-        np.ascontiguousarray(d, dtype=np.float64),
-        float(s.Psi[q]), rate0, trace0, float(cfg.epsilon), int(cfg.max_iters),
-    )
-    if delta > cfg.epsilon:
-        raise ConvergenceError(
-            f"Dinkelbach did not reach epsilon={cfg.epsilon:g} within "
-            f"{cfg.max_iters} iterations (last gap {delta:.3e})",
-            delta=float(delta),
-        )
-    if not monotone:
-        raise ConvergenceError(
-            "Dinkelbach ratio sequence decreased; numerical failure",
-            delta=float(delta),
-        )
-    return float(p_u), int(iters)
-
-
 def _best_responses(s, qs, X, cfg):
     """Best responses of the players ``qs`` from their padded whitened
     direct channels (one (len(qs), N, K) array, see
     model._whitened_channels), each formed at the profile that player
     measures. Every best response, of one player or of many, is computed
     here: per rank, one batched eigendecomposition of the grams, one
-    Dinkelbach solve per player and one stacked waterfilling. Returns the
-    zero-padded (len(qs), K, K) stack of best responses (a zero row at zero
-    power) and arrays over ``qs`` of p_unconstrained, p_hat, the water
-    level (0 at zero power) and the Dinkelbach iterations."""
+    Dinkelbach call on the group's gains and one stacked waterfilling.
+    Returns the zero-padded (len(qs), K, K) stack of best responses (a zero
+    row at zero power) and arrays over ``qs`` of p_unconstrained, p_hat, the
+    water level (0 at zero power) and the Dinkelbach iterations."""
     grams = _grams(X)
     bad = np.flatnonzero(~np.isfinite(grams).all(axis=(1, 2)))
     if bad.size:
         raise InvalidInputError(f"whitened gram of player {qs[bad[0]]} has non-finite entries")
+    players = list(qs)
+    P, Psi = s.P[players], s.Psi[players]
     Qbr = np.zeros(grams.shape, dtype=complex)
     p_u, p_hat, mu = np.zeros((3, len(qs)))
     iters = np.zeros(len(qs), dtype=int)
-    for k, idx in _rank_groups(s.ranks[list(qs)]):
+    for k, idx in _rank_groups(s.ranks[players]):
         D, U = _eigh_descending(grams[idx, :k, :k])
+        # A vanishing channel cannot pay for its circuit power: p_u = 0.
+        vanishing = D[:, 0] <= _D_TINY
+        solve = ~vanishing & (D[:, -1] > 0)
+        rows = iter(_kernels.dinkelbach_gains(
+            D[solve], Psi[idx[solve]], P[idx[solve]], cfg.epsilon, cfg.max_iters))
+        # the first failure in player order is the one raised
         for j, i in enumerate(idx):
-            p_u[i], iters[i] = _unconstrained_power(s, qs[i], D[j], cfg)
-            p_hat[i] = max(0.0, min(float(s.P[qs[i]]), p_u[i]))
+            if vanishing[j]:
+                continue
+            if not solve[j]:
+                raise InvalidInputError(
+                    f"whitened gram of player {qs[i]} is not positive definite")
+            p_u[i], iters[i], delta, monotone = next(rows)
+            if delta > cfg.epsilon:
+                raise ConvergenceError(
+                    f"Dinkelbach did not reach epsilon={cfg.epsilon:g} within "
+                    f"{cfg.max_iters} iterations (last gap {delta:.3e})",
+                    delta=float(delta))
+            if not monotone:
+                raise ConvergenceError(
+                    "Dinkelbach ratio sequence decreased; numerical failure",
+                    delta=float(delta))
+        p_hat[idx] = np.clip(p_u[idx], 0.0, P[idx])
         live = p_hat[idx] > 0
         mu[idx[live]], powers = _waterfill_powers(D[live], p_hat[idx[live]])
         Qbr[idx[live], :k, :k] = (U[live] * powers[:, None, :]) @ _ct(U[live])

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: scenario gen|show, br solve, criteria eval|sweep, iwfa run,
-verify lemmas. Exit codes: 0 success, 1 validation/usage error, 2 a lemma
-or criterion check failed.
+verify lemmas. Exit codes: 0 success, 1 validation/usage error or a failed
+solve, 2 a lemma or criterion check failed.
 """
 
 import argparse
@@ -188,7 +188,7 @@ def _cmd_iwfa_run(args):
         if trace.error:
             print(f"error: {trace.error}")
         print(res["out"])
-    return EXIT_OK
+    return EXIT_USAGE if trace.termination == "error" else EXIT_OK
 
 
 def _cmd_verify_lemmas(args):

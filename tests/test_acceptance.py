@@ -134,6 +134,9 @@ def test_c06_benchmark_convergence():
         )
         assert sync.termination == "converged"
         assert asyn.termination == "converged"
+        # the runs of configs/benchmark.json and configs/benchmark_async.json
+        assert len(sync.slots) == 24
+        assert len(asyn.slots) == 83
         assert sync.ne_residual[-1] <= 1e-6
         assert asyn.ne_residual[-1] <= 1e-6
         dist = ee.block_max_distance(sync.final_profile, asyn.final_profile,

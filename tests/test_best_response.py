@@ -271,16 +271,20 @@ def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):
     rs = reduce_scenario(generate_scenario(6, 3, 7.0, 5.0, seed=2))
     prof = StrategyProfile.from_stack(0.5 * StrategyProfile.uniform(rs).stack, rs.ranks)
     X = _whitened_channels(rs, range(6), [prof.stack] * 6)
-    shapes = []
-    water_level = _kernels.water_level
+    shapes = {"water_level": [], "dinkelbach_gains": []}
 
-    def counted(vals, p):
-        shapes.append(np.shape(vals))
-        return water_level(vals, p)
+    def counting(name):
+        real = getattr(_kernels, name)
 
-    monkeypatch.setattr(_kernels, "water_level", counted)
+        def counted(vals, *args):
+            shapes[name].append(np.shape(vals))
+            return real(vals, *args)
+        return counted
+
+    for name in shapes:
+        monkeypatch.setattr(_kernels, name, counting(name))
     Qbr, _, p_hat, mu, iters = _best_responses(rs, range(6), X, DinkelbachConfig())
-    assert shapes == [(6, 3)]
+    assert shapes == {"water_level": [(6, 3)], "dinkelbach_gains": [(6, 3)]}
     monkeypatch.undo()
     for q in range(6):
         single = best_response(rs, q, prof)
@@ -315,6 +319,24 @@ def test_zero_power_player_is_a_zero_row_of_the_batch():
     Qbr, p_u, p_hat, mu, iters = _best_responses(rs, range(3), X, DinkelbachConfig())
     assert not Qbr[0].any() and (p_u[0], p_hat[0], mu[0], iters[0]) == (0.0, 0.0, 0.0, 0)
     assert (p_hat[1:] > 0).all() and (iters[1:] > 0).all()
+
+
+@pytest.mark.parametrize("cfg", [DinkelbachConfig(), DinkelbachConfig(1e-13, 1)],
+                         ids=["default", "one-iteration"])
+@pytest.mark.parametrize("qs", [[0, 1, 2], [2, 0, 1]])
+def test_first_failing_player_of_the_batch_raises(qs, cfg):
+    # Player 0's gram is singular; with one iteration allowed, every
+    # Dinkelbach solve fails too. The error raised is that of the first
+    # failing player in the order of qs, whichever check it fails.
+    rs = reduce_scenario(generate_scenario(3, 2, 7.0, 10.0, seed=5))
+    X = _whitened_channels(rs, qs, [StrategyProfile.uniform(rs).stack] * 3)
+    X[qs.index(0), :, 1] = 0.0
+    if qs[0] == 2 and cfg.max_iters == 1:
+        with pytest.raises(ConvergenceError, match="did not reach epsilon=1e-13"):
+            _best_responses(rs, qs, X, cfg)
+    else:
+        with pytest.raises(InvalidInputError, match="player 0 is not positive definite"):
+            _best_responses(rs, qs, X, cfg)
 
 
 # --- properties of the best response on random ragged games -----------------------

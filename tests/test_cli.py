@@ -433,10 +433,11 @@ def test_scenario_show_on_non_square_reduced_channels(tmp_path, capsys):
 
 def test_iwfa_run_reports_an_error_inside_the_slot_loop(tmp_path, capsys):
     # the first Dinkelbach solve cannot reach 1e-13 in one iteration; the run
-    # ends at once, keeps its (empty) trace and still exits 0
+    # ends at once, keeps its (empty) trace and exits 1, as br solve does
     cfg = {"scenario": _SCN, "max_slots": 3,
            "dinkelbach": {"epsilon": 1e-13, "max_iters": 1}}
-    assert _run(tmp_path, "iwfa run", cfg, quiet=False) == EXIT_OK
+    assert _run(tmp_path, "iwfa run", cfg, quiet=False) == EXIT_USAGE
+    assert (tmp_path / "out").is_file()
     assert capsys.readouterr().out.splitlines() == [
         "error after 0 slots; final ne residual nan",
         "error: Dinkelbach did not reach epsilon=1e-13 within 1 iterations"

@@ -99,24 +99,33 @@ def _dinkelbach_oracle(d, psi, rate, trace, eps, max_iters):
 
 
 @settings(deadline=None)
-@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
-       st.floats(1e-2, 1e2), st.floats(1e-2, 1e2))
-def test_dinkelbach_gains_matches_plain_loop(log_gains, psi, p0):
-    d = np.sort(10.0 ** np.array(log_gains))
-    rate0 = float(np.log1p(d * (p0 / d.size)).sum())
-    trace, iters, delta, monotone = _kernels.dinkelbach_gains(
-        d, psi, rate0, p0, 1e-9, 200)
-    o_trace, o_rate, o_iters, o_delta, o_monotone = _dinkelbach_oracle(
-        d, psi, rate0, p0, 1e-9, 200)
-    assert iters == o_iters
-    assert monotone == o_monotone
-    assert trace == pytest.approx(o_trace, rel=1e-9, abs=1e-12)
-    assert abs(delta - o_delta) <= 1e-9 * max(1.0, o_rate)
-    # The kernel does not return the rate: the last iterate is the
-    # waterfilling at its trace, so recompute the rate from there.
-    _, q = _kernels.water_level(-1.0 / d, trace)
-    assert float(np.log1p(d * q).sum()) == pytest.approx(o_rate, rel=1e-9)
-
+@given(st.integers(1, 16),
+       st.lists(st.tuples(st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
+                          st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
+                min_size=1, max_size=8))
+def test_dinkelbach_gains_matches_plain_loop(k, rows):
+    # One call on a stack of descending rows: every row matches the plain
+    # loop, and the tuple a one-row call returns for it bit for bit.
+    D = np.sort(10.0 ** np.array([g[:k] for g, _, _ in rows]), axis=-1)[:, ::-1]
+    psi = np.array([c for _, c, _ in rows])
+    p0 = np.array([b for _, _, b in rows])
+    out = _kernels.dinkelbach_gains(D, psi, p0, 1e-9, 200)
+    assert len(out) == len(rows)
+    for j, (trace, iters, delta, monotone) in enumerate(out):
+        assert _kernels.dinkelbach_gains(D[j:j + 1], psi[j:j + 1], p0[j:j + 1],
+                                         1e-9, 200) == [out[j]]
+        d = D[j]
+        rate0 = float(np.log1p(d * (p0[j] / k)).sum())
+        o_trace, o_rate, o_iters, o_delta, o_monotone = _dinkelbach_oracle(
+            d, psi[j], rate0, p0[j], 1e-9, 200)
+        assert iters == o_iters
+        assert monotone == o_monotone
+        assert trace == pytest.approx(o_trace, rel=1e-9, abs=1e-12)
+        assert abs(delta - o_delta) <= 1e-9 * max(1.0, o_rate)
+        # The kernel does not return the rate: the last iterate is the
+        # waterfilling at its trace, so recompute the rate from there.
+        _, q = _kernels.water_level(-1.0 / d, trace)
+        assert float(np.log1p(d * q).sum()) == pytest.approx(o_rate, rel=1e-9)
 
 
 # --- exact oracle for the unconstrained power -------------------------------------
@@ -187,9 +196,8 @@ def test_dinkelbach_power_is_within_its_gap_of_the_exact_optimum(log_gains, log_
     # Dinkelbach's gap bounds its ratio: nu* - nu_k <= F(nu_k) / (p* + Psi)
     # <= eps / Psi, and its last iterate's EE is at least nu_k.
     d, psi, p0, eps = np.exp(log_gains), math.exp(log_psi), math.exp(log_p0), 1e-9
-    rate0 = float(np.log1p(d * (p0 / d.size)).sum())
-    p_dk, _, delta, monotone = _kernels.dinkelbach_gains(
-        np.sort(d)[::-1], psi, rate0, p0, eps, 200)
+    [(p_dk, _, delta, monotone)] = _kernels.dinkelbach_gains(
+        np.sort(d)[::-1][None], np.array([psi]), np.array([p0]), eps, 200)
     assert delta <= eps and monotone
     p_star = exact_unconstrained_power(d, psi)
     ee_star = energy_efficiency_at(d, psi, p_star)
