@@ -188,6 +188,8 @@ def _cmd_iwfa_run(args):
         if trace.error:
             print(f"error: {trace.error}")
         print(res["out"])
+    elif trace.error:
+        print(f"error: {trace.error}", file=sys.stderr)
     return EXIT_USAGE if trace.termination == "error" else EXIT_OK
 
 

@@ -126,6 +126,8 @@ class _Evaluation:
     and give every player's EE; best responses are computed from them on
     demand, in one batch, and kept in a (Q, K, K) stack, so the NE residual
     of a slot's profile is also the next slot's set of zero-delay updates.
+    ``ahead`` holds the next slot's delayed updates once :meth:`look_ahead`
+    has computed them.
     """
 
     def __init__(self, s, profile):
@@ -134,12 +136,30 @@ class _Evaluation:
         self._X = None
         self._brs = np.zeros_like(profile.stack)
         self._computed = np.zeros(s.Q, dtype=bool)
+        self.ahead = None
 
     def whitened(self):
         if self._X is None:
             Q = self.s.Q
             self._X = _whitened_channels(self.s, range(Q), [self.profile.stack] * Q)
         return self._X
+
+    def look_ahead(self, rows, readers, stacks, cfg):
+        """Whiten every player at this profile and the players ``readers``
+        at their measured ``stacks`` in one pass, then compute this
+        profile's best responses ``rows`` and the readers' best responses
+        (kept in ``ahead``) in one batch. A batch that raises leaves no
+        best response computed."""
+        Q = self.s.Q
+        X = _whitened_channels(self.s, [*range(Q), *readers], [self.profile.stack] * Q + stacks)
+        self._X = X[:Q]
+        rows = list(rows)
+        if rows or len(readers):
+            brs = _best_responses(self.s, [*rows, *readers],
+                                  X[[*rows, *range(Q, len(X))]], cfg)[0]
+            self._brs[rows] = brs[:len(rows)]
+            self._computed[rows] = True
+            self.ahead = brs[len(rows):]
 
     def energy_efficiencies(self):
         rates = _rates(self.whitened(), self.profile.stack)
@@ -162,16 +182,28 @@ def ne_residual(s, profile, cfg=None):
     return _Evaluation(s, profile).ne_residual(cfg or DinkelbachConfig())
 
 
-def _delayed_responses(s, qs, t, ages, history, cfg):
-    """Best responses of players ``qs`` to their delayed measurements, as
-    stack rows: player q sees player r as it was ``ages[q, r]`` slots ago
-    (clipped to the first slot)."""
+def _readers(mask, ages, t):
+    """The players updating at slot ``t`` that measure the current profile
+    and those that measure a delayed one. A player measures the current
+    profile when every age it sees is zero (always at the first slot)."""
+    stale = ages > 0
+    np.fill_diagonal(stale, False)
+    stale = stale.any(axis=1) & (t > 0)
+    return np.flatnonzero(mask & ~stale), np.flatnonzero(mask & stale)
+
+
+def _measured_stacks(qs, t, ages, history):
+    """The profile stacks the players ``qs`` measure at slot ``t``: player q
+    sees player r as it was ``ages[q, r]`` slots ago (clipped to the first
+    slot); ``history`` holds the recent profile stacks, the current one
+    last."""
+    if not len(qs):
+        return []
     past = np.stack(history)
     last = len(past) - 1
-    players = np.arange(s.Q)
+    players = np.arange(past.shape[1])
     # entry q of each gathered stack is never read: the MUI skips r = q
-    stacks = [past[np.maximum(t - ages[q], 0) - t + last, players] for q in qs]
-    return _best_responses(s, qs, _whitened_channels(s, qs, stacks), cfg)[0]
+    return [past[np.maximum(t - ages[q], 0) - t + last, players] for q in qs]
 
 
 def _oscillating(residuals, tol):
@@ -213,7 +245,8 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     ConvergenceError or InvalidInputError raised while a slot is evaluated
     (say, a numerically singular MUI covariance) ends the run with
     termination "error" and the message in ``error``; that slot is not
-    recorded.
+    recorded. Each slot also computes the next slot's updates ahead of time;
+    a failure among those is raised by the next slot, never by this one.
     """
     cfg = cfg or DinkelbachConfig()
     max_slots = check_count(max_slots, "max_slots", 0)
@@ -236,26 +269,40 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     error = None
     streak = 0
 
+    # Each slot is drawn one slot early: the draws do not depend on the
+    # trajectory, and the next slot's updates depend only on the profiles up
+    # to this slot's, so one pass evaluates this slot's profile and computes
+    # the best responses the next slot will apply.
+    draw = schedule.draw_slot(0, rng)
     for t in range(max_slots):
-        mask, ages = schedule.draw_slot(t, rng)
+        mask, ages = draw
         slot = t + 1
-        # A player measures the current profile when every age it sees is
-        # zero (always at the first slot): its update is the best response
-        # already computed, or now computed, for the current evaluation.
-        stale = ages > 0
-        np.fill_diagonal(stale, False)
-        stale = stale.any(axis=1) & (t > 0)
-        current = np.flatnonzero(mask & ~stale)
-        delayed = np.flatnonzero(mask & stale)
+        current, delayed = _readers(mask, ages, t)
         try:
             stack = profile.stack.copy()
             stack[current] = evaluation.best_responses(current, cfg)
             if delayed.size:
-                stack[delayed] = _delayed_responses(s, delayed, t, ages, history, cfg)
+                if evaluation.ahead is None:   # the look-ahead pass failed
+                    stacks = _measured_stacks(delayed, t, ages, history)
+                    evaluation.ahead = _best_responses(
+                        s, delayed, _whitened_channels(s, delayed, stacks), cfg)[0]
+                stack[delayed] = evaluation.ahead
             new_profile = StrategyProfile.from_stack(stack, profile.ranks)
+            history.append(new_profile.stack)
             new_evaluation = _Evaluation(s, new_profile)
-            ee = new_evaluation.energy_efficiencies()
             due = ne_every and slot % ne_every == 0
+            draw = schedule.draw_slot(slot, rng)
+            next_current, next_delayed = _readers(*draw, slot)
+            try:
+                new_evaluation.look_ahead(
+                    range(s.Q) if due else next_current, next_delayed,
+                    _measured_stacks(next_delayed, slot, draw[1], history), cfg)
+            except (ConvergenceError, InvalidInputError):
+                # Evaluate this slot alone, as if nothing were looked ahead:
+                # a failure of this slot's profile raises below, one of the
+                # next slot's updates raises when that slot recomputes it.
+                pass
+            ee = new_evaluation.energy_efficiencies()
             ne = new_evaluation.ne_residual(cfg) if due else float("nan")
         except (ConvergenceError, InvalidInputError) as exc:
             termination = "error"
@@ -267,7 +314,6 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         ees.append(ee)
         nes.append(ne)
         upds.append(mask.copy())
-        history.append(new_profile.stack)
         profile = new_profile
         evaluation = new_evaluation
 

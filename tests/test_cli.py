@@ -446,6 +446,19 @@ def test_iwfa_run_reports_an_error_inside_the_slot_loop(tmp_path, capsys):
     ]
 
 
+def test_iwfa_run_quiet_still_reports_its_error_on_stderr(tmp_path, capsys):
+    # --quiet silences stdout, not the reason a run failed: the error line
+    # reaches stderr, as every other command's error does
+    cfg = {"scenario": _SCN, "max_slots": 3,
+           "dinkelbach": {"epsilon": 1e-13, "max_iters": 1}}
+    assert _run(tmp_path, "iwfa run", cfg) == EXIT_USAGE
+    assert (tmp_path / "out").is_file()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Dinkelbach did not reach epsilon=1e-13 within 1"
+                            " iterations (last gap 2.696e-01)\n")
+
+
 def test_criteria_sweep_prints_one_line_per_cell(tmp_path, capsys):
     cfg = {**_SWEEP, "sir_db": [10.0, 20.0], "trials": 2}
     assert _run(tmp_path, "criteria sweep", cfg, quiet=False) == EXIT_OK

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import eeiwfa.iwfa as iwfa
 from eeiwfa.best_response import DinkelbachConfig, best_response
-from eeiwfa.errors import InvalidInputError
+from eeiwfa.errors import ConvergenceError, InvalidInputError
 from eeiwfa.iwfa import (
     UpdateSchedule,
     block_max_distance,
@@ -14,6 +15,7 @@ from eeiwfa.iwfa import (
 )
 from eeiwfa.model import (
     StrategyProfile,
+    _whitened_channels,
     energy_efficiency,
     generate_scenario,
     reduce_scenario,
@@ -300,22 +302,28 @@ def test_synchronous_run_computes_each_best_response_once(monkeypatch):
     assert 0 < sum(rows) <= Q * (len(trace.slots) + 1)
 
 
+def measured(profiles, t, q, ages):
+    """Player q's measurement at slot t (0-based) of the run whose profile
+    after k slots is profiles[k]: its own block now, every other player r as
+    it was ages[q, r] slots ago (clipped to the first slot)."""
+    return StrategyProfile([
+        profiles[t][q] if r == q else profiles[max(t - int(ages[q, r]), 0)][r]
+        for r in range(len(ages))
+    ])
+
+
 def plain_run(rs, schedule, slots, cfg):
     """The engine's slot loop written per player: every update, EE and NE
-    residual evaluated from scratch against the measured profile."""
+    residual evaluated from scratch against the measured profile. Returns
+    the per-slot EEs and NE residuals and the profiles after 0..slots slots."""
     rng = np.random.default_rng(schedule.seed)
     profiles = [StrategyProfile.uniform(rs)]   # profiles[k]: after k slots
     ees, nes = [], []
     for t in range(slots):
         mask, ages = schedule.draw_slot(t, rng)
-        now = profiles[-1]
-        mats = list(now)
+        mats = list(profiles[t])
         for q in np.flatnonzero(mask):
-            measured = [
-                now[q] if r == q else profiles[max(t - int(ages[q, r]), 0)][r]
-                for r in range(rs.Q)
-            ]
-            mats[q] = best_response(rs, q, StrategyProfile(measured), cfg).Qbr
+            mats[q] = best_response(rs, q, measured(profiles, t, q, ages), cfg).Qbr
         new = StrategyProfile(mats)
         profiles.append(new)
         ees.append([energy_efficiency(rs, q, new) for q in range(rs.Q)])
@@ -323,24 +331,97 @@ def plain_run(rs, schedule, slots, cfg):
             np.linalg.norm(new[q] - best_response(rs, q, new, cfg).Qbr, "fro")
             for q in range(rs.Q)
         ))
-    return np.array(ees), np.array(nes)
+    return np.array(ees), np.array(nes), profiles
 
 
-@pytest.mark.parametrize("mode,params", [
-    ("synchronous", None),
-    ("sequential", None),
-    ("asynchronous", {"rho": 0.6, "d_max": 2}),
+_ASYNC = {"rho": 0.6, "d_max": 2}
+
+
+@pytest.mark.parametrize("mode,params,ne_every", [
+    pytest.param("synchronous", None, 1, id="synchronous-None"),
+    pytest.param("sequential", None, 1, id="sequential-None"),
+    pytest.param("asynchronous", _ASYNC, 1, id="asynchronous-params2"),
+    pytest.param("sequential", None, 0, id="sequential-ne_every0"),
+    pytest.param("sequential", None, 3, id="sequential-ne_every3"),
+    pytest.param("asynchronous", _ASYNC, 0, id="asynchronous-ne_every0"),
+    pytest.param("asynchronous", _ASYNC, 3, id="asynchronous-ne_every3"),
 ])
-def test_batched_slots_match_the_per_player_loop(mode, params):
+def test_batched_slots_match_the_per_player_loop(mode, params, ne_every):
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
     sched = make_schedule(mode, 4, params, seed=5)
     cfg = DinkelbachConfig()
     slots = 12
-    trace = run_iwfa(rs, sched, max_slots=slots, residual_tol=-1.0, cfg=cfg)
+    trace = run_iwfa(rs, sched, max_slots=slots, residual_tol=-1.0, cfg=cfg,
+                     ne_every=ne_every)
     assert len(trace.slots) == slots
-    ees, nes = plain_run(rs, sched, slots, cfg)
+    ees, nes, _ = plain_run(rs, sched, slots, cfg)
     assert np.abs(trace.ee - ees).max() <= 1e-12 * np.abs(ees).max()
-    assert np.abs(trace.ne_residual - nes).max() <= 1e-10
+    # the NE residual is evaluated every ne_every slots and at the last one
+    due = (trace.slots % ne_every == 0) if ne_every else np.zeros(slots, dtype=bool)
+    due[-1] = True
+    assert np.array_equal(~np.isnan(trace.ne_residual), due)
+    assert np.abs(trace.ne_residual[due] - nes[due]).max() <= 1e-10
+
+
+def test_a_failed_look_ahead_fails_in_its_own_slot(monkeypatch):
+    # Slot k - 1 may evaluate slot k's delayed updates ahead of time. A best
+    # response that fails there must still end the run at slot k, with its
+    # own message, and a run that stops at slot k - 1 must never see it.
+    rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
+    sched = make_schedule("asynchronous", 4, _ASYNC, seed=5)
+    cfg = DinkelbachConfig()
+    _, _, profiles = plain_run(rs, sched, 12, cfg)
+
+    def others(p, q):
+        return np.delete(p.stack, q, axis=0)
+
+    # the first update at a slot k >= 3 whose measurement of the others is
+    # none of the profiles before it (so a delayed one), whose channel no
+    # earlier batch reads
+    rng = np.random.default_rng(sched.seed)
+    for t in range(12):
+        mask, ages = sched.draw_slot(t, rng)
+        unseen = [q for q in np.flatnonzero(mask) if not any(
+            np.array_equal(others(measured(profiles, t, q, ages), q), others(p, q))
+            for p in profiles[:t + 1])]
+        if t >= 2 and unseen:
+            break
+    k, q = t + 1, unseen[0]
+    assert k >= 3
+    # the whitened channel that player q's delayed update at slot k reads
+    target = _whitened_channels(rs, [q], [measured(profiles, t, q, ages).stack])[0]
+    real = iwfa._best_responses
+
+    def failing(s, qs, X, cfg):
+        if any(np.array_equal(x, target) for x in X):
+            raise ConvergenceError("injected failure")
+        return real(s, qs, X, cfg)
+
+    monkeypatch.setattr(iwfa, "_best_responses", failing)
+    trace = run_iwfa(rs, sched, max_slots=12, residual_tol=-1.0, cfg=cfg)
+    assert (trace.termination, len(trace.slots), trace.error) == ("error", k - 1, "injected failure")
+    trace = run_iwfa(rs, sched, max_slots=k - 1, residual_tol=-1.0, cfg=cfg)
+    assert (trace.termination, len(trace.slots), trace.error) == ("max_slots", k - 1, None)
+
+
+def test_an_asynchronous_slot_whitens_and_best_responds_once(monkeypatch):
+    # A slot's evaluation and the next slot's delayed updates share one
+    # whitening pass and one best-response batch, so the benchmark's
+    # asynchronous run makes one call of each per slot, plus the first
+    # slot's, not two per slot.
+    calls = {}
+    for name in ("_whitened_channels", "_best_responses"):
+        def counted(*args, name=name, real=getattr(iwfa, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(iwfa, name, counted)
+    rs = reduce_scenario(generate_scenario(8, 4, 7.0, 0.0, seed=0, power=4.0))
+    sched = make_schedule("asynchronous", 8, {"rho": 0.5, "d_max": 3}, seed=0)
+    trace = run_iwfa(rs, sched)
+    assert trace.termination == "converged" and len(trace.slots) == 83
+    assert sorted(calls) == ["_best_responses", "_whitened_channels"]
+    assert max(calls.values()) <= len(trace.slots) + 1
 
 
 def test_ne_residual_values():
