@@ -67,6 +67,7 @@ def _best_responses(s, qs, X, cfg):
     Qbr = np.zeros(grams.shape, dtype=complex)
     p_u, p_hat, mu = np.zeros((3, len(qs)))
     iters = np.zeros(len(qs), dtype=int)
+    failures = []   # (batch position, error): the first failure of each rank group
     for k, idx in _rank_groups(s.ranks[players]):
         D, U = _eigh_descending(grams[idx, :k, :k])
         # A vanishing channel cannot pay for its circuit power: p_u = 0.
@@ -74,27 +75,33 @@ def _best_responses(s, qs, X, cfg):
         solve = ~vanishing & (D[:, -1] > 0)
         rows = iter(_kernels.dinkelbach_gains(
             D[solve], Psi[idx[solve]], P[idx[solve]], cfg.epsilon, cfg.max_iters))
-        # the first failure in player order is the one raised
         for j, i in enumerate(idx):
             if vanishing[j]:
                 continue
             if not solve[j]:
-                raise InvalidInputError(
+                error = InvalidInputError(
                     f"whitened gram of player {qs[i]} is not positive definite")
-            p_u[i], iters[i], delta, monotone = next(rows)
-            if delta > cfg.epsilon:
-                raise ConvergenceError(
+            else:
+                p_u[i], iters[i], delta, monotone = next(rows)
+                open_gap = delta > cfg.epsilon
+                if monotone and not open_gap:
+                    continue
+                error = ConvergenceError(
                     f"Dinkelbach did not reach epsilon={cfg.epsilon:g} within "
-                    f"{cfg.max_iters} iterations (last gap {delta:.3e})",
+                    f"{cfg.max_iters} iterations (last gap {delta:.3e})" if open_gap
+                    else "Dinkelbach ratio sequence decreased; numerical failure",
                     delta=float(delta))
-            if not monotone:
-                raise ConvergenceError(
-                    "Dinkelbach ratio sequence decreased; numerical failure",
-                    delta=float(delta))
+            failures.append((i, error))
+            break
+        if failures:   # nothing after a failure is returned
+            continue
         p_hat[idx] = np.clip(p_u[idx], 0.0, P[idx])
         live = p_hat[idx] > 0
         mu[idx[live]], powers = _waterfill_powers(D[live], p_hat[idx[live]])
         Qbr[idx[live], :k, :k] = (U[live] * powers[:, None, :]) @ _ct(U[live])
+    if failures:
+        # the first failure in batch order is the one raised
+        raise min(failures, key=lambda f: f[0])[1]
     return Qbr, p_u, p_hat, mu, iters
 
 

@@ -119,67 +119,34 @@ class IwfaTrace:
     meta: dict = field(default_factory=dict)
 
 
-class _Evaluation:
-    """One strategy profile evaluated for every player at once.
+def _evaluate(s, profile, rows, readers=(), measured=(), *, cfg):
+    """Evaluate ``profile`` for every player and the best responses of the
+    players ``rows`` at it and of the players ``readers`` at their
+    ``measured`` stacks: one whitening pass over all of them and one
+    best-response batch, ``rows`` first. Returns every player's EE and a
+    (Q + len(readers), K, K) stack whose first Q rows hold the ``rows`` at
+    their players' positions (zero elsewhere) and whose last rows are the
+    readers'."""
+    Q = s.Q
+    stack = profile.stack
+    X = _whitened_channels(s, [*range(Q), *readers], [stack] * Q + list(measured))
+    ee = _rates(X[:Q], stack) / (s.Psi + profile.traces())
+    brs = np.zeros((len(X), *stack.shape[1:]), dtype=complex)
+    picked = [*rows, *range(Q, len(X))]
+    if picked:
+        brs[picked] = _best_responses(s, [*rows, *readers], X[picked], cfg)[0]
+    return ee, brs
 
-    The whitened direct channels of all players come from one batched pass
-    and give every player's EE; best responses are computed from them on
-    demand, in one batch, and kept in a (Q, K, K) stack, so the NE residual
-    of a slot's profile is also the next slot's set of zero-delay updates.
-    ``ahead`` holds the next slot's delayed updates once :meth:`look_ahead`
-    has computed them.
-    """
 
-    def __init__(self, s, profile):
-        self.s = s
-        self.profile = profile
-        self._X = None
-        self._brs = np.zeros_like(profile.stack)
-        self._computed = np.zeros(s.Q, dtype=bool)
-        self.ahead = None
-
-    def whitened(self):
-        if self._X is None:
-            Q = self.s.Q
-            self._X = _whitened_channels(self.s, range(Q), [self.profile.stack] * Q)
-        return self._X
-
-    def look_ahead(self, rows, readers, stacks, cfg):
-        """Whiten every player at this profile and the players ``readers``
-        at their measured ``stacks`` in one pass, then compute this
-        profile's best responses ``rows`` and the readers' best responses
-        (kept in ``ahead``) in one batch. A batch that raises leaves no
-        best response computed."""
-        Q = self.s.Q
-        X = _whitened_channels(self.s, [*range(Q), *readers], [self.profile.stack] * Q + stacks)
-        self._X = X[:Q]
-        rows = list(rows)
-        if rows or len(readers):
-            brs = _best_responses(self.s, [*rows, *readers],
-                                  X[[*rows, *range(Q, len(X))]], cfg)[0]
-            self._brs[rows] = brs[:len(rows)]
-            self._computed[rows] = True
-            self.ahead = brs[len(rows):]
-
-    def energy_efficiencies(self):
-        rates = _rates(self.whitened(), self.profile.stack)
-        return rates / (self.s.Psi + self.profile.traces())
-
-    def best_responses(self, qs, cfg):
-        todo = [q for q in qs if not self._computed[q]]
-        if todo:
-            self._brs[todo] = _best_responses(self.s, todo, self.whitened()[todo], cfg)[0]
-            self._computed[todo] = True
-        return self._brs[list(qs)]
-
-    def ne_residual(self, cfg):
-        moves = self.profile.stack - self.best_responses(range(self.s.Q), cfg)
-        return float(_stack_frob(moves[:, None]).max())
+def _max_move(stack, brs):
+    """max_q ||stack_q - brs_q||_F over the players of ``stack``."""
+    return float(_stack_frob((stack - brs[:len(stack)])[:, None]).max())
 
 
 def ne_residual(s, profile, cfg=None):
     """max_q ||Qbar_q - BR_q(Qbar_{-q})||_F; ~0 exactly at an equilibrium."""
-    return _Evaluation(s, profile).ne_residual(cfg or DinkelbachConfig())
+    brs = _evaluate(s, profile, range(s.Q), cfg=cfg or DinkelbachConfig())[1]
+    return _max_move(profile.stack, brs)
 
 
 def _readers(mask, ages, t):
@@ -245,8 +212,11 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     ConvergenceError or InvalidInputError raised while a slot is evaluated
     (say, a numerically singular MUI covariance) ends the run with
     termination "error" and the message in ``error``; that slot is not
-    recorded. Each slot also computes the next slot's updates ahead of time;
-    a failure among those is raised by the next slot, never by this one.
+    recorded, except when only the last slot's NE residual fails: that slot
+    is kept with a NaN residual. Each slot but the last also computes the
+    next slot's updates; when that pass fails, the slot is evaluated alone
+    and the next slot recomputes its updates, so a failure among them is
+    raised by the next slot, never by this one.
     """
     cfg = cfg or DinkelbachConfig()
     max_slots = check_count(max_slots, "max_slots", 0)
@@ -260,86 +230,80 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     profile.validate(s)
     w = default_weights(s)
     rng = np.random.default_rng(schedule.seed)
+    Q = s.Q
 
-    evaluation = _Evaluation(s, profile)
     history = deque(maxlen=schedule.d_max + 1)   # profile stacks, newest last
     history.append(profile.stack)
     slots, ees, residuals, nes, upds = [], [], [], [], []
     termination = "max_slots"
     error = None
     streak = 0
+    updates = None   # this slot's best responses, laid out as _evaluate returns them
 
     # Each slot is drawn one slot early: the draws do not depend on the
     # trajectory, and the next slot's updates depend only on the profiles up
     # to this slot's, so one pass evaluates this slot's profile and computes
-    # the best responses the next slot will apply.
+    # the best responses the next slot will apply. The last slot is known
+    # before its pass, and looks nothing ahead.
     draw = schedule.draw_slot(0, rng)
     for t in range(max_slots):
         mask, ages = draw
         slot = t + 1
         current, delayed = _readers(mask, ages, t)
         try:
+            if updates is None:   # the first slot, or the pass before failed
+                updates = _evaluate(s, profile, current, delayed,
+                                    _measured_stacks(delayed, t, ages, history), cfg=cfg)[1]
             stack = profile.stack.copy()
-            stack[current] = evaluation.best_responses(current, cfg)
-            if delayed.size:
-                if evaluation.ahead is None:   # the look-ahead pass failed
-                    stacks = _measured_stacks(delayed, t, ages, history)
-                    evaluation.ahead = _best_responses(
-                        s, delayed, _whitened_channels(s, delayed, stacks), cfg)[0]
-                stack[delayed] = evaluation.ahead
+            stack[current] = updates[current]
+            stack[delayed] = updates[Q:]
             new_profile = StrategyProfile.from_stack(stack, profile.ranks)
-            history.append(new_profile.stack)
-            new_evaluation = _Evaluation(s, new_profile)
-            due = ne_every and slot % ne_every == 0
-            draw = schedule.draw_slot(slot, rng)
-            next_current, next_delayed = _readers(*draw, slot)
+            history.append(stack)
+            residuals.append(block_max_distance(new_profile, profile, w))
+            # quiet asynchronous slots (nobody updated) have zero residual by
+            # construction; they must not advance the convergence streak
+            if mask.any():
+                streak = streak + 1 if residuals[-1] <= residual_tol else 0
+            stop = ("converged" if streak >= SUSTAIN_SLOTS else
+                    "oscillating" if _oscillating(residuals, residual_tol) else
+                    "max_slots" if slot == max_slots else None)
+            due = bool(ne_every) and slot % ne_every == 0
+            full = due or stop is not None   # the NE residual is evaluated
+            rows, readers, measured = range(Q), [], []
+            if stop is None:
+                draw = schedule.draw_slot(slot, rng)
+                next_current, readers = _readers(*draw, slot)
+                rows = rows if due else next_current
+                measured = _measured_stacks(readers, slot, draw[1], history)
+            failure = None
             try:
-                new_evaluation.look_ahead(
-                    range(s.Q) if due else next_current, next_delayed,
-                    _measured_stacks(next_delayed, slot, draw[1], history), cfg)
-            except (ConvergenceError, InvalidInputError):
-                # Evaluate this slot alone, as if nothing were looked ahead:
-                # a failure of this slot's profile raises below, one of the
-                # next slot's updates raises when that slot recomputes it.
-                pass
-            ee = new_evaluation.energy_efficiencies()
-            ne = new_evaluation.ne_residual(cfg) if due else float("nan")
+                ee, brs = _evaluate(s, new_profile, rows, readers, measured, cfg=cfg)
+            except (ConvergenceError, InvalidInputError) as exc:
+                # Evaluate this slot alone: a failure of its own profile
+                # raises here, one of the next slot's updates when that slot
+                # recomputes them, one of the last slot's NE residual only
+                # after the slot is recorded.
+                failure, full = exc, due
+                ee, brs = _evaluate(s, new_profile, range(Q) if due else [], cfg=cfg)
         except (ConvergenceError, InvalidInputError) as exc:
             termination = "error"
             error = str(exc)
             break
-        r_t = block_max_distance(new_profile, profile, w)
         slots.append(slot)
-        residuals.append(r_t)
         ees.append(ee)
-        nes.append(ne)
+        nes.append(_max_move(stack, brs) if full else float("nan"))
         upds.append(mask.copy())
-        profile = new_profile
-        evaluation = new_evaluation
-
-        # quiet asynchronous slots (nobody updated) have zero residual by
-        # construction; they must not advance the convergence streak
-        if mask.any():
-            streak = streak + 1 if r_t <= residual_tol else 0
-        if streak >= SUSTAIN_SLOTS:
-            termination = "converged"
-            break
-        if _oscillating(residuals, residual_tol):
-            termination = "oscillating"
+        profile, updates = new_profile, None if failure else brs
+        if stop is not None:
+            termination, error = ("error", str(failure)) if failure else (stop, None)
             break
 
-    if nes and np.isnan(nes[-1]) and termination != "error":
-        try:
-            nes[-1] = evaluation.ne_residual(cfg)
-        except (ConvergenceError, InvalidInputError) as exc:
-            termination = "error"
-            error = str(exc)
     return IwfaTrace(
         slots=np.asarray(slots, dtype=int),
-        ee=np.asarray(ees, dtype=float).reshape(len(slots), s.Q),
-        block_residual=np.asarray(residuals, dtype=float),
+        ee=np.asarray(ees, dtype=float).reshape(len(slots), Q),
+        block_residual=np.asarray(residuals[:len(slots)], dtype=float),
         ne_residual=np.asarray(nes, dtype=float),
-        updated=np.asarray(upds, dtype=bool).reshape(len(slots), s.Q),
+        updated=np.asarray(upds, dtype=bool).reshape(len(slots), Q),
         weights=w,
         termination=termination,
         final_profile=profile,

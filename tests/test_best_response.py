@@ -321,15 +321,33 @@ def test_zero_power_player_is_a_zero_row_of_the_batch():
     assert (p_hat[1:] > 0).all() and (iters[1:] > 0).all()
 
 
+def three_player_game():
+    return reduce_scenario(generate_scenario(3, 2, 7.0, 10.0, seed=5))
+
+
+def mixed_rank_game():
+    # nR = nT = [2, 1]: player 0 is in the rank-2 group, player 1 in the rank-1 one
+    rng = np.random.default_rng(0)
+    n = [2, 1]
+    H = [[crandn(rng, n[q], n[r]) for r in range(2)] for q in range(2)]
+    return reduce_scenario(scenario_from_matrices(H, [np.eye(k) for k in n], [2.0, 1.0],
+                                                  [1.0, 1.0]))
+
+
 @pytest.mark.parametrize("cfg", [DinkelbachConfig(), DinkelbachConfig(1e-13, 1)],
                          ids=["default", "one-iteration"])
-@pytest.mark.parametrize("qs", [[0, 1, 2], [2, 0, 1]])
-def test_first_failing_player_of_the_batch_raises(qs, cfg):
+@pytest.mark.parametrize("game,qs", [
+    pytest.param(three_player_game, [0, 1, 2], id="qs0"),
+    pytest.param(three_player_game, [2, 0, 1], id="qs1"),
+    pytest.param(mixed_rank_game, [0, 1], id="mixed-ranks"),
+])
+def test_first_failing_player_of_the_batch_raises(game, qs, cfg):
     # Player 0's gram is singular; with one iteration allowed, every
     # Dinkelbach solve fails too. The error raised is that of the first
-    # failing player in the order of qs, whichever check it fails.
-    rs = reduce_scenario(generate_scenario(3, 2, 7.0, 10.0, seed=5))
-    X = _whitened_channels(rs, qs, [StrategyProfile.uniform(rs).stack] * 3)
+    # failing player in the order of qs, whichever check it fails and
+    # whichever rank group it is in.
+    rs = game()
+    X = _whitened_channels(rs, qs, [StrategyProfile.uniform(rs).stack] * len(qs))
     X[qs.index(0), :, 1] = 0.0
     if qs[0] == 2 and cfg.max_iters == 1:
         with pytest.raises(ConvergenceError, match="did not reach epsilon=1e-13"):

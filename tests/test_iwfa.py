@@ -424,6 +424,54 @@ def test_an_asynchronous_slot_whitens_and_best_responds_once(monkeypatch):
     assert max(calls.values()) <= len(trace.slots) + 1
 
 
+def test_a_failed_ne_residual_on_the_last_slot_is_recorded(monkeypatch):
+    # With ne_every=0 only the last slot evaluates the NE residual. When that
+    # fails and the slot's EE does not, the slot is kept with a NaN residual
+    # and the run ends with the error; a longer run never reads that row.
+    rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
+    sched = make_schedule("sequential", 4)
+    final = run_iwfa(rs, sched, max_slots=5, residual_tol=-1.0, ne_every=0).final_profile
+    target = _whitened_channels(rs, [3], [final.stack])[0]
+    real = iwfa._best_responses
+
+    def failing(s, qs, X, cfg):
+        if any(np.array_equal(x, target) for x in X):
+            raise ConvergenceError("injected failure")
+        return real(s, qs, X, cfg)
+
+    monkeypatch.setattr(iwfa, "_best_responses", failing)
+    trace = run_iwfa(rs, sched, max_slots=5, residual_tol=-1.0, ne_every=0)
+    assert (trace.termination, len(trace.slots), trace.error) == ("error", 5, "injected failure")
+    assert np.isnan(trace.ne_residual).all() and np.isfinite(trace.ee).all()
+    trace = run_iwfa(rs, sched, max_slots=6, residual_tol=-1.0, ne_every=0)
+    assert (trace.termination, len(trace.slots), trace.error) == ("max_slots", 6, None)
+
+
+@pytest.mark.parametrize("max_slots,draws", [(1000, 83), (40, 40)],
+                         ids=["converged", "max_slots"])
+def test_a_run_draws_only_the_slots_it_runs(monkeypatch, max_slots, draws):
+    # The last slot looks nothing ahead: it draws no further slot and
+    # whitens only the Q rows of its own profile.
+    counts = {"draws": 0, "rows": []}
+    real_draw, real_whiten = UpdateSchedule.draw_slot, iwfa._whitened_channels
+
+    def draw_slot(self, t, rng):
+        counts["draws"] += 1
+        return real_draw(self, t, rng)
+
+    def whitened(s, qs, stacks):
+        counts["rows"].append(len(qs))
+        return real_whiten(s, qs, stacks)
+
+    monkeypatch.setattr(UpdateSchedule, "draw_slot", draw_slot)
+    monkeypatch.setattr(iwfa, "_whitened_channels", whitened)
+    rs = reduce_scenario(generate_scenario(8, 4, 7.0, 0.0, seed=0, power=4.0))
+    sched = make_schedule("asynchronous", 8, {"rho": 0.5, "d_max": 3}, seed=0)
+    trace = run_iwfa(rs, sched, max_slots=max_slots)
+    assert len(trace.slots) == counts["draws"] == draws
+    assert counts["rows"][-1] == 8
+
+
 def test_ne_residual_values():
     rs = reduce_scenario(scalar_scenario(p=100.0))
     prof = StrategyProfile([np.array([[np.e - 1.0 + 0j]])])
