@@ -77,38 +77,36 @@ def _sigma_max_sq(M):
     return np.linalg.eigvalsh(_ct(M) @ M)[..., -1]
 
 
-def _solve_direct(s, q, B):
-    """Hbar_qq^{-1} B for player q's reduced direct channel, which must be
-    square (its direct channel full row rank) and nonsingular."""
-    Hqq = s.Hbar[q][q]
-    if Hqq.shape[0] != Hqq.shape[1]:
-        raise InvalidInputError(
-            f"direct channel of player {q} is not full row rank (reduced to"
-            f" {Hqq.shape[0]}x{Hqq.shape[1]}); use interference_matrix_sampled"
-            " for full-column-rank channels"
-        )
-    try:
-        return np.linalg.solve(Hqq, B)
-    except np.linalg.LinAlgError:
-        raise InvalidInputError(
-            f"reduced direct channel of player {q} is singular"
-        ) from None
-
-
-def _normalized_channels(s, q):
-    """Hbar_qq^{-1} Hbar_qr for every r, one solve against [Hbar_q0 | Hbar_q1
-    | ...]: a (Q, n, K) stack, n = ranks[q] (square channels only)."""
-    n = s.Hbar[q][q].shape[0]
-    return _unwide(_solve_direct(s, q, _wide(s.Hbar.array[q, :, :n])), s.Q)
+def _normalized_rows(s):
+    """The game normalized by its direct channels, one receiver at a time
+    (square channels only): for each player q in order, (q, Hbar_qq,
+    Hbar_qq^{-1} [Hbar_q0 | Hbar_q1 | ...] as a (Q, n, K) stack), n =
+    ranks[q], from one solve per receiver. Hbar_qq must be square (its
+    direct channel full row rank) and nonsingular."""
+    for q in range(s.Q):
+        Hqq = s.Hbar[q][q]
+        n = Hqq.shape[0]
+        if n != Hqq.shape[1]:
+            raise InvalidInputError(
+                f"direct channel of player {q} is not full row rank (reduced to"
+                f" {n}x{Hqq.shape[1]}); use interference_matrix_sampled"
+                " for full-column-rank channels"
+            )
+        try:
+            X = np.linalg.solve(Hqq, _wide(s.Hbar.array[q, :, :n]))
+        except np.linalg.LinAlgError:
+            raise InvalidInputError(
+                f"reduced direct channel of player {q} is singular"
+            ) from None
+        yield q, Hqq, _unwide(X, s.Q)
 
 
 def interference_matrix_square(s):
     """Exact interference matrix for square nonsingular direct channels:
     entry (q, r) = sigma_max^2(Hbar_qq^{-1} Hbar_qr)."""
-    Q = s.Q
-    S = np.zeros((Q, Q))
-    for q in range(Q):
-        S[q] = _sigma_max_sq(_normalized_channels(s, q))
+    S = np.zeros((s.Q, s.Q))
+    for q, _, X in _normalized_rows(s):
+        S[q] = _sigma_max_sq(X)
         S[q, q] = 0.0
     return InterferenceMatrix(S, "exact-square")
 
@@ -348,16 +346,17 @@ def criteria(s, S, smoothness_cfg=None):
 
 def _qvi_operator(s):
     """The game normalized by its direct channels (square channels only):
-    channels X_qr = Hqq^{-1} Hbar_qr, the identity for r = q, as a (Q, Q,
-    K, K) array and noises C_q = Hqq^{-1} Rn_q Hqq^{-H} as a (Q, K, K)
-    stack, both zero-padded."""
+    channels X_qr = Hqq^{-1} Hbar_qr as a (Q, Q, K, K) array and noises
+    C_q = Hqq^{-1} Rn_q Hqq^{-H} as a (Q, K, K) stack, both zero-padded and
+    filled in one pass over the receivers. X_qq is computed and never read:
+    the MUI skips r = q."""
     Q, K = s.Q, s.Hbar.array.shape[3]
     C = np.zeros((Q, K, K), dtype=complex)
     X = np.zeros((Q, Q, K, K), dtype=complex)
-    for q in range(Q):
-        n = s.Hbar[q][q].shape[0]
-        X[q, :, :n] = _normalized_channels(s, q)
-        C[q, :n, :n] = _ct(_solve_direct(s, q, _ct(_solve_direct(s, q, s.Rn[q]))))
+    for q, Hqq, Xq in _normalized_rows(s):
+        n = Hqq.shape[0]
+        X[q, :, :n] = Xq
+        C[q, :n, :n] = _ct(np.linalg.solve(Hqq, _ct(np.linalg.solve(Hqq, s.Rn[q]))))
     return C, X
 
 

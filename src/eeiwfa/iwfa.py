@@ -119,23 +119,22 @@ class IwfaTrace:
     meta: dict = field(default_factory=dict)
 
 
-def _evaluate(s, profile, rows, readers=(), measured=(), *, cfg):
-    """Evaluate ``profile`` for every player and the best responses of the
-    players ``rows`` at it and of the players ``readers`` at their
-    ``measured`` stacks: one whitening pass over all of them and one
-    best-response batch, ``rows`` first. Returns every player's EE and a
-    (Q + len(readers), K, K) stack whose first Q rows hold the ``rows`` at
-    their players' positions (zero elsewhere) and whose last rows are the
+def _evaluate(s, stack, rows, readers=(), measured=(), *, cfg):
+    """Whiten every player at the profile ``stack`` and compute the best
+    responses of the players ``rows`` at it and of the players ``readers``
+    at their ``measured`` stacks: one whitening pass over all of them and
+    one best-response batch, ``rows`` first. Returns the (Q + len(readers),
+    N, K) whitened channels, every player's at ``stack`` first, and a (Q +
+    len(readers), K, K) stack whose first Q rows hold the ``rows`` at their
+    players' positions (zero elsewhere) and whose last rows are the
     readers'."""
     Q = s.Q
-    stack = profile.stack
     X = _whitened_channels(s, [*range(Q), *readers], [stack] * Q + list(measured))
-    ee = _rates(X[:Q], stack) / (s.Psi + profile.traces())
     brs = np.zeros((len(X), *stack.shape[1:]), dtype=complex)
     picked = [*rows, *range(Q, len(X))]
     if picked:
         brs[picked] = _best_responses(s, [*rows, *readers], X[picked], cfg)[0]
-    return ee, brs
+    return X, brs
 
 
 def _max_move(stack, brs):
@@ -145,7 +144,7 @@ def _max_move(stack, brs):
 
 def ne_residual(s, profile, cfg=None):
     """max_q ||Qbar_q - BR_q(Qbar_{-q})||_F; ~0 exactly at an equilibrium."""
-    brs = _evaluate(s, profile, range(s.Q), cfg=cfg or DinkelbachConfig())[1]
+    brs = _evaluate(s, profile.stack, range(s.Q), cfg=cfg or DinkelbachConfig())[1]
     return _max_move(profile.stack, brs)
 
 
@@ -252,7 +251,7 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         current, delayed = _readers(mask, ages, t)
         try:
             if updates is None:   # the first slot, or the pass before failed
-                updates = _evaluate(s, profile, current, delayed,
+                updates = _evaluate(s, profile.stack, current, delayed,
                                     _measured_stacks(delayed, t, ages, history), cfg=cfg)[1]
             stack = profile.stack.copy()
             stack[current] = updates[current]
@@ -277,20 +276,20 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
                 measured = _measured_stacks(readers, slot, draw[1], history)
             failure = None
             try:
-                ee, brs = _evaluate(s, new_profile, rows, readers, measured, cfg=cfg)
+                X, brs = _evaluate(s, stack, rows, readers, measured, cfg=cfg)
             except (ConvergenceError, InvalidInputError) as exc:
                 # Evaluate this slot alone: a failure of its own profile
                 # raises here, one of the next slot's updates when that slot
                 # recomputes them, one of the last slot's NE residual only
                 # after the slot is recorded.
                 failure, full = exc, due
-                ee, brs = _evaluate(s, new_profile, range(Q) if due else [], cfg=cfg)
+                X, brs = _evaluate(s, stack, range(Q) if due else [], cfg=cfg)
         except (ConvergenceError, InvalidInputError) as exc:
             termination = "error"
             error = str(exc)
             break
         slots.append(slot)
-        ees.append(ee)
+        ees.append(_rates(X[:Q], stack) / (s.Psi + new_profile.traces()))
         nes.append(_max_move(stack, brs) if full else float("nan"))
         upds.append(mask.copy())
         profile, updates = new_profile, None if failure else brs

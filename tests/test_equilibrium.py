@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +8,7 @@ from eeiwfa.best_response import best_response
 
 from eeiwfa.equilibrium import (
     InterferenceMatrix,
+    _qvi_apply,
     _random_covariances,
     PowerSmoothnessConfig,
     criteria,
@@ -24,7 +27,11 @@ from eeiwfa.equilibrium import (
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.linalg import pseudo_inverse, psd_trace_projection
 from eeiwfa.model import (
+    ChannelTable,
     StrategyProfile,
+    _ct,
+    _unwide,
+    _wide,
     generate_scenario,
     reduce_scenario,
     scenario_from_matrices,
@@ -81,6 +88,64 @@ def test_square_matrix_rejects_tall_channels(rng):
     )
     with pytest.raises(InvalidInputError, match="sampled"):
         interference_matrix_square(rs)
+
+
+def per_receiver_reference(rs):
+    """The interference matrix and the QVI operator (C, X) as a loop over
+    the receivers, each with one np.linalg.solve(Hqq, [Hbar_q0 | Hbar_q1 |
+    ...]) for its normalized channels and two more for its noise."""
+    Q, K = rs.Q, rs.Hbar.array.shape[3]
+    S = np.zeros((Q, Q))
+    C = np.zeros((Q, K, K), dtype=complex)
+    X = np.zeros((Q, Q, K, K), dtype=complex)
+    for q in range(Q):
+        Hqq = rs.Hbar[q][q]
+        n = Hqq.shape[0]
+        Xq = _unwide(np.linalg.solve(Hqq, _wide(rs.Hbar.array[q, :, :n])), Q)
+        S[q] = np.linalg.eigvalsh(_ct(Xq) @ Xq)[..., -1]
+        S[q, q] = 0.0
+        X[q, :, :n] = Xq
+        C[q, :n, :n] = _ct(np.linalg.solve(Hqq, _ct(np.linalg.solve(Hqq, rs.Rn[q]))))
+    return S, (C, X)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.integers(0, 2**16))
+@example([1, 4], 0)
+@example([4, 1, 3, 2, 4], 1)
+def test_one_receiver_pass_matches_the_per_receiver_loop(ns, seed):
+    rng = np.random.default_rng(seed)
+    Q = len(ns)
+    H = [[crandn(rng, ns[q], ns[r]) for r in range(Q)] for q in range(Q)]
+    Rn = [np.eye(n) + random_psd(rng, n, trace=0.5) for n in ns]
+    rs = reduce_scenario(scenario_from_matrices(H, Rn, rng.uniform(0.5, 4.0, Q), [1.0] * Q))
+    assert list(rs.ranks) == ns
+    S, op = per_receiver_reference(rs)
+    profile = random_profile(rs, rng)
+    assert np.array_equal(interference_matrix_square(rs).S, S)
+    assert np.array_equal(qvi_map(rs, profile).stack, _qvi_apply(op, profile.stack[None])[0])
+
+
+@pytest.mark.parametrize("tall,singular", [(0, 1), (1, 0)])
+def test_the_lower_failing_direct_channel_is_reported(rng, tall, singular):
+    # Player `tall` keeps a 3x2 reduced direct channel, player `singular`
+    # a square one with a zero row; the error names the lower of the two.
+    nR = [2, 2, 2]
+    nR[tall] = 3
+    H = [[crandn(rng, nR[q], 2) for _ in range(3)] for q in range(3)]
+    rs = reduce_scenario(scenario_from_matrices(
+        H, [np.eye(n) for n in nR], [2.0] * 3, [1.0] * 3))
+    A = rs.Hbar.array.copy()
+    A[singular, singular, 0, :] = 0.0
+    rs = replace(rs, Hbar=ChannelTable(A, nR, rs.ranks))
+    msg = (f"direct channel of player 0 is not full row rank (reduced to 3x2);"
+           " use interference_matrix_sampled for full-column-rank channels"
+           if tall == 0 else "reduced direct channel of player 0 is singular")
+    for call in (lambda: interference_matrix_square(rs),
+                 lambda: qvi_map(rs, StrategyProfile.uniform(rs))):
+        with pytest.raises(InvalidInputError) as err:
+            call()
+        assert str(err.value) == msg
 
 
 def test_interference_matrix_validation():

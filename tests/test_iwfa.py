@@ -424,6 +424,31 @@ def test_an_asynchronous_slot_whitens_and_best_responds_once(monkeypatch):
     assert max(calls.values()) <= len(trace.slots) + 1
 
 
+@pytest.mark.parametrize("mode,params,ne_every", [
+    ("synchronous", None, 1),
+    ("asynchronous", {"rho": 0.5, "d_max": 3}, 0),
+    ("sequential", None, 3),
+])
+def test_each_recorded_slot_computes_its_ee_once(monkeypatch, mode, params, ne_every):
+    # The EE is computed where a slot is recorded, from its profile's
+    # whitened rows: ne_residual and the first slot's updates compute none.
+    calls = []
+    real = iwfa._rates
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(iwfa, "_rates", counted)
+    rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=2))
+    ne_residual(rs, StrategyProfile.uniform(rs))
+    ne_calls = len(calls)
+    trace = run_iwfa(rs, make_schedule(mode, 4, params, seed=1), max_slots=60,
+                     ne_every=ne_every)
+    assert trace.error is None and len(trace.slots) > 1
+    assert (ne_calls, calls[ne_calls:]) == (0, [4] * len(trace.slots))
+
+
 def test_a_failed_ne_residual_on_the_last_slot_is_recorded(monkeypatch):
     # With ne_every=0 only the last slot evaluates the NE residual. When that
     # fails and the slot's EE does not, the slot is kept with a NaN residual
