@@ -208,14 +208,13 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     (0 = final slot only).
 
     Arguments are validated before the first slot and raise. A
-    ConvergenceError or InvalidInputError raised while a slot is evaluated
-    (say, a numerically singular MUI covariance) ends the run with
-    termination "error" and the message in ``error``; that slot is not
-    recorded, except when only the last slot's NE residual fails: that slot
-    is kept with a NaN residual. Each slot but the last also computes the
-    next slot's updates; when that pass fails, the slot is evaluated alone
-    and the next slot recomputes its updates, so a failure among them is
-    raised by the next slot, never by this one.
+    ConvergenceError or InvalidInputError raised while a profile is
+    evaluated (say, a numerically singular MUI covariance) ends the run with
+    termination "error" and the message in ``error``. Each slot's pass also
+    computes the next slot's updates; when it raises, the slot's own part
+    (its EE, and its NE residual when due) is evaluated alone: the slot is
+    dropped if that raises too, and kept otherwise, the run ending with the
+    pass's error.
     """
     cfg = cfg or DinkelbachConfig()
     max_slots = check_count(max_slots, "max_slots", 0)
@@ -231,33 +230,23 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     rng = np.random.default_rng(schedule.seed)
     Q = s.Q
 
-    history = deque(maxlen=schedule.d_max + 1)   # profile stacks, newest last
-    history.append(profile.stack)
+    stack = profile.stack   # profile t's
+    history = deque([stack], maxlen=schedule.d_max + 1)   # profile stacks, newest last
     slots, ees, residuals, nes, upds = [], [], [], [], []
     termination = "max_slots"
     error = None
     streak = 0
-    updates = None   # this slot's best responses, laid out as _evaluate returns them
+    stop, due = None, False
 
-    # Each slot is drawn one slot early: the draws do not depend on the
-    # trajectory, and the next slot's updates depend only on the profiles up
-    # to this slot's, so one pass evaluates this slot's profile and computes
-    # the best responses the next slot will apply. The last slot is known
-    # before its pass, and looks nothing ahead.
-    draw = schedule.draw_slot(0, rng)
-    for t in range(max_slots):
-        mask, ages = draw
-        slot = t + 1
-        current, delayed = _readers(mask, ages, t)
-        try:
-            if updates is None:   # the first slot, or the pass before failed
-                updates = _evaluate(s, profile.stack, current, delayed,
-                                    _measured_stacks(delayed, t, ages, history), cfg=cfg)[1]
-            stack = profile.stack.copy()
-            stack[current] = updates[current]
-            stack[delayed] = updates[Q:]
+    # Profile t is the initial one at t = 0 and slot t's after it. Slot t + 1
+    # is drawn at profile t: the draws do not depend on the trajectory, and
+    # slot t + 1's updates depend only on the profiles up to t, so one pass
+    # evaluates profile t and computes the best responses slot t + 1
+    # applies. The last slot is known before its pass, and looks nothing
+    # ahead. A run of no slots evaluates nothing.
+    for t in range(max_slots + 1) if max_slots else ():
+        if t:
             new_profile = StrategyProfile.from_stack(stack, profile.ranks)
-            history.append(stack)
             residuals.append(block_max_distance(new_profile, profile, w))
             # quiet asynchronous slots (nobody updated) have zero residual by
             # construction; they must not advance the convergence streak
@@ -265,37 +254,39 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
                 streak = streak + 1 if residuals[-1] <= residual_tol else 0
             stop = ("converged" if streak >= SUSTAIN_SLOTS else
                     "oscillating" if _oscillating(residuals, residual_tol) else
-                    "max_slots" if slot == max_slots else None)
-            due = bool(ne_every) and slot % ne_every == 0
-            full = due or stop is not None   # the NE residual is evaluated
-            rows, readers, measured = range(Q), [], []
-            if stop is None:
-                draw = schedule.draw_slot(slot, rng)
-                next_current, readers = _readers(*draw, slot)
-                rows = rows if due else next_current
-                measured = _measured_stacks(readers, slot, draw[1], history)
-            failure = None
+                    "max_slots" if t == max_slots else None)
+            due = bool(ne_every) and t % ne_every == 0
+        full = due or stop is not None   # the NE residual is evaluated
+        rows, readers, measured = range(Q), [], []
+        if stop is None:
+            draw = schedule.draw_slot(t, rng)
+            current, readers = _readers(*draw, t)
+            rows = rows if due else current
+            measured = _measured_stacks(readers, t, draw[1], history)
+        failure = None
+        try:
             try:
                 X, brs = _evaluate(s, stack, rows, readers, measured, cfg=cfg)
             except (ConvergenceError, InvalidInputError) as exc:
-                # Evaluate this slot alone: a failure of its own profile
-                # raises here, one of the next slot's updates when that slot
-                # recomputes them, one of the last slot's NE residual only
-                # after the slot is recorded.
-                failure, full = exc, due
+                failure, full = exc, due   # evaluate slot t's own part alone
                 X, brs = _evaluate(s, stack, range(Q) if due else [], cfg=cfg)
         except (ConvergenceError, InvalidInputError) as exc:
-            termination = "error"
-            error = str(exc)
+            termination, error = "error", str(exc)
             break
-        slots.append(slot)
-        ees.append(_rates(X[:Q], stack) / (s.Psi + new_profile.traces()))
-        nes.append(_max_move(stack, brs) if full else float("nan"))
-        upds.append(mask.copy())
-        profile, updates = new_profile, None if failure else brs
-        if stop is not None:
+        if t:
+            slots.append(t)
+            ees.append(_rates(X[:Q], stack) / (s.Psi + new_profile.traces()))
+            nes.append(_max_move(stack, brs) if full else float("nan"))
+            upds.append(mask.copy())
+            profile = new_profile
+        if failure or stop:
             termination, error = ("error", str(failure)) if failure else (stop, None)
             break
+        mask = draw[0]
+        stack = stack.copy()
+        stack[current] = brs[current]
+        stack[readers] = brs[Q:]
+        history.append(stack)
 
     return IwfaTrace(
         slots=np.asarray(slots, dtype=int),

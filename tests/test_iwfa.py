@@ -1,3 +1,6 @@
+import itertools
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from eeiwfa.iwfa import (
 )
 from eeiwfa.model import (
     StrategyProfile,
+    _rates,
     _whitened_channels,
     energy_efficiency,
     generate_scenario,
@@ -470,6 +474,143 @@ def test_a_failed_ne_residual_on_the_last_slot_is_recorded(monkeypatch):
     assert np.isnan(trace.ne_residual).all() and np.isfinite(trace.ee).all()
     trace = run_iwfa(rs, sched, max_slots=6, residual_tol=-1.0, ne_every=0)
     assert (trace.termination, len(trace.slots), trace.error) == ("max_slots", 6, None)
+
+
+
+# --- fault injection: the failure rule against a loop that looks nothing ahead
+
+
+def _faulty(rate, salt):
+    """Whitening and best-response stand-ins that raise on checksum-selected
+    rows: a whitening is keyed on the player and the blocks it measures of
+    the others (its own is never read), a best response on its whitened
+    row, so a row fails the same way in whatever batch it is computed.
+    Within a call the first selected row raises, as the real ones do. A
+    slot whitens and best-responds several rows, so a whitening fails with
+    probability rate / 3 and a best response with rate / 10."""
+    real_whiten, real_respond = iwfa._whitened_channels, iwfa._best_responses
+
+    def selected(kind, data, rate):
+        crc = zlib.crc32(data, zlib.crc32(kind + salt))
+        return crc if crc % 1000 < rate * 1000 else None
+
+    def whiten(s, qs, stacks):
+        for q, P in zip(qs, stacks):
+            crc = selected(b"w%d" % q, np.delete(P, q, axis=0).tobytes(), rate / 3)
+            if crc is not None:
+                raise InvalidInputError(f"injected singular covariance {crc:08x}")
+        return real_whiten(s, qs, stacks)
+
+    def respond(s, qs, X, cfg):
+        for x in X:
+            crc = selected(b"b", x.tobytes(), rate / 10)
+            if crc is not None:
+                raise ConvergenceError(f"injected Dinkelbach failure {crc:08x}")
+        return real_respond(s, qs, X, cfg)
+
+    return whiten, respond
+
+
+def lookahead_free_run(rs, schedule, max_slots, residual_tol, ne_every, cfg, whiten, respond):
+    """run_iwfa's failure rule with nothing looked ahead: profile t is
+    whitened for every player, then slot t + 1 whitens its delayed players
+    at their measured profiles and best-responds [zero-delay, delayed] in
+    that order; its profile is then evaluated (the EE, and the NE residual
+    when due or last). A failure in the updates or in the EE or a due NE
+    residual drops the slot; a failed NE residual that is not due keeps it
+    with NaN. Ends at max_slots, on convergence or at the first error."""
+    Q = rs.Q
+    rng = np.random.default_rng(schedule.seed)
+    w = iwfa.default_weights(rs)
+    stacks = [StrategyProfile.uniform(rs).stack]   # stacks[k]: after k slots
+    out = {"ee": [], "res": [], "ne": [], "upd": []}
+    streak, stop = 0, None
+
+    def evaluate(stack, qs):
+        return [whiten(rs, [q], [stack])[0] for q in qs]
+
+    def brs(qs, X):
+        return [respond(rs, [q], x[None], cfg)[0][0] for q, x in zip(qs, X)]
+
+    try:
+        X = evaluate(stacks[0], range(Q)) if max_slots else None
+        for t in range(max_slots):
+            mask, ages = schedule.draw_slot(t, rng)
+            stale = (ages > 0) & ~np.eye(Q, dtype=bool)
+            delayed = [q for q in np.flatnonzero(mask) if t and stale[q].any()]
+            current = [q for q in np.flatnonzero(mask) if q not in delayed]
+            views = [stacks[t].copy() for _ in delayed]
+            for view, q in zip(views, delayed):
+                for r in range(Q):
+                    view[r] = stacks[max(t - ages[q, r], 0)][r]
+            Xd = [whiten(rs, [q], [view])[0] for q, view in zip(delayed, views)]
+            new = stacks[t].copy()
+            for q, b in zip(current + delayed, brs(current + delayed, [X[q] for q in current] + Xd)):
+                new[q] = b
+            stacks.append(new)
+            res = max(np.linalg.norm(new[q] - stacks[t][q]) / w[q] for q in range(Q))
+            if mask.any():
+                streak = streak + 1 if res <= residual_tol else 0
+            slot = t + 1
+            stop = ("converged" if streak >= iwfa.SUSTAIN_SLOTS else
+                    "max_slots" if slot == max_slots else None)
+            due = bool(ne_every) and slot % ne_every == 0
+            X = evaluate(new, range(Q))
+            ee = _rates(np.array(X), new) / (rs.Psi + np.trace(new, axis1=1, axis2=2).real)
+            failure, ne = None, float("nan")
+            if due or stop:
+                try:
+                    ne = max(np.linalg.norm(new[q] - b) for q, b in enumerate(brs(range(Q), X)))
+                except (ConvergenceError, InvalidInputError) as exc:
+                    if due:
+                        raise
+                    failure = exc
+            out["ee"].append(ee)
+            out["res"].append(res)
+            out["ne"].append(ne)
+            out["upd"].append(mask)
+            if failure:
+                raise failure
+            if stop:
+                break
+        termination, error = stop or "max_slots", None
+    except (ConvergenceError, InvalidInputError) as exc:
+        termination, error = "error", str(exc)
+    return termination, error, out, stacks[len(out["ee"])]
+
+
+def test_injected_failures_end_the_run_where_a_plain_loop_ends_it(monkeypatch):
+    # Each pass looks one slot ahead, yet every fault must end the run where
+    # a loop that looks nothing ahead ends it: same termination, message,
+    # recorded slots and final profile (the last recorded slot's).
+    rs = reduce_scenario(generate_scenario(3, 2, 7.0, 0.0, seed=8))
+    cfg = DinkelbachConfig()
+    outcomes = set()
+    modes = [("sequential", None), ("synchronous", None), ("asynchronous", {"rho": 0.5, "d_max": 2})]
+    for (mode, params), rate, salt in itertools.product(
+            modes, (0.01, 0.03, 0.1, 0.3, 0.6), (b"a", b"b")):
+        sched = make_schedule(mode, 3, params, seed=4)
+        whiten, respond = _faulty(rate, salt + str(rate).encode())
+        monkeypatch.setattr(iwfa, "_whitened_channels", whiten)
+        monkeypatch.setattr(iwfa, "_best_responses", respond)
+        for max_slots, tol, ne_every in itertools.product((0, 1, 7, 40), (-1.0, 1e-3), (0, 1, 3)):
+            trace = run_iwfa(rs, sched, max_slots=max_slots, residual_tol=tol, cfg=cfg,
+                             ne_every=ne_every)
+            termination, error, ref, final = lookahead_free_run(
+                rs, sched, max_slots, tol, ne_every, cfg, whiten, respond)
+            T = len(ref["ee"])
+            assert (trace.termination, trace.error, len(trace.slots)) == (termination, error, T)
+            assert np.array_equal(trace.slots, np.arange(1, T + 1))
+            assert np.array_equal(trace.updated, np.reshape(ref["upd"], (T, 3)))
+            for got, want in [(trace.ee, ref["ee"]), (trace.block_residual, ref["res"]),
+                              (trace.ne_residual, ref["ne"]), (trace.final_profile.stack, final)]:
+                assert np.allclose(got, np.reshape(want, np.shape(got)), rtol=1e-12,
+                                   atol=0.0, equal_nan=True)
+            outcomes.add((termination, T > 0, np.isnan(trace.ne_residual[-1:]).all()))
+    # the grid reaches every ending: errors before any slot and after some,
+    # with the last NE residual evaluated or not, and both clean stops
+    assert outcomes >= {("error", False, True), ("error", True, False), ("error", True, True),
+                        ("max_slots", True, False), ("converged", True, False)}
 
 
 @pytest.mark.parametrize("max_slots,draws", [(1000, 83), (40, 40)],
