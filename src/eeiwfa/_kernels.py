@@ -9,7 +9,9 @@ IEEE TSP 2005; Dinkelbach 1967).
 
 import math
 from bisect import bisect_left
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -51,14 +53,14 @@ def dinkelbach_gains(D, psi, p0, eps, max_iters):
     1/d_k < level are active, and on them 1 + d_k q_k = d_k level.
     """
     inv = 1.0 / D   # ascending along each row: the active channels are a prefix
-    # nu^(1) only needs the rate and trace of the starting covariance
-    rate0 = np.log1p(D * (p0 / D.shape[-1])[:, None]).sum(axis=-1)
     out = []
-    for inv, cinv, d, rate, trace, psi in zip(
+    for inv, cinv, d, trace, psi in zip(
             inv.tolist(), np.cumsum(inv, axis=-1).tolist(), D.tolist(),
-            rate0.tolist(), p0.tolist(), psi.tolist()):
-        # libm's log, not numpy's SIMD one, whose last bit varies with the CPU
+            p0.tolist(), psi.tolist()):
+        # libm's logs, not numpy's SIMD ones, whose last bit varies with the CPU
         clog = list(accumulate(map(math.log, d)))
+        # nu^(1) only needs the rate and trace of the starting covariance
+        rate = _log1p_sum(x * (trace / len(d)) for x in d)
         nu_prev = 0.0
         monotone = True
         delta = 2.0 * eps
@@ -79,6 +81,12 @@ def dinkelbach_gains(D, psi, p0, eps, max_iters):
             iters += 1
         out.append((trace, iters, delta, monotone))
     return out
+
+
+def _log1p_sum(xs):
+    """sum_k log1p(xs[k]) from libm, added left to right: functools.reduce,
+    as ``sum`` compensates its float additions from Python 3.12 on."""
+    return reduce(add, map(math.log1p, xs), 0.0)
 
 
 def power_iteration(A, w, tol, max_iters):

@@ -12,7 +12,9 @@ import json
 import sys
 
 from . import harness
+from .equilibrium import interference_matrix_square
 from .errors import CheckFailure, ConvergenceError, InvalidInputError
+from .linalg import spectral_radius
 from .model import load_scenario, reduce_scenario, save_scenario
 
 EXIT_OK = 0
@@ -146,9 +148,6 @@ def _cmd_scenario_show(args):
         f"meta: {s.meta}",
     ]
     try:
-        from .equilibrium import interference_matrix_square
-        from .linalg import spectral_radius
-
         S = interference_matrix_square(rs)
         sr, _, _ = spectral_radius(S.S)
         lines.append(f"sr(S): {sr:.6g}")

@@ -233,17 +233,14 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     stack = profile.stack   # profile t's
     history = deque([stack], maxlen=schedule.d_max + 1)   # profile stacks, newest last
     slots, ees, residuals, nes, upds = [], [], [], [], []
-    termination = "max_slots"
-    error = None
-    streak = 0
+    termination, error, streak = "max_slots", None, 0
     stop, due = None, False
 
-    # Profile t is the initial one at t = 0 and slot t's after it. Slot t + 1
-    # is drawn at profile t: the draws do not depend on the trajectory, and
-    # slot t + 1's updates depend only on the profiles up to t, so one pass
-    # evaluates profile t and computes the best responses slot t + 1
-    # applies. The last slot is known before its pass, and looks nothing
-    # ahead. A run of no slots evaluates nothing.
+    # Profile t is the initial one at t = 0 and slot t's after it. The draws
+    # do not depend on the trajectory and slot t + 1's updates only on the
+    # profiles up to t, so slot t + 1 is drawn and its updates computed in
+    # the pass that evaluates profile t. The last slot is known before its
+    # pass and looks nothing ahead. A run of no slots evaluates nothing.
     for t in range(max_slots + 1) if max_slots else ():
         if t:
             new_profile = StrategyProfile.from_stack(stack, profile.ranks)

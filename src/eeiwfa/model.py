@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _log1p_sum
 from .errors import InvalidInputError, check_count, check_number, check_path, check_real
 from .linalg import _check_hermitian_stack, _svd_ranks, hermitize
 
@@ -538,8 +539,8 @@ def _rates(X, P):
     """log det(I + X^H X Qbar) of stacked whitened channels ``X`` and
     covariances ``P`` (zero-padded or exact alike): the sum of log1p over
     the eigenvalues of X Qbar X^H, whose padding adds only zeros."""
-    lam = np.linalg.eigvalsh(hermitize(X @ P @ _ct(X)))
-    return np.log1p(np.maximum(lam, 0.0)).sum(axis=-1)
+    lam = np.maximum(np.linalg.eigvalsh(hermitize(X @ P @ _ct(X))), 0.0)
+    return np.array([_log1p_sum(row) for row in lam.tolist()])
 
 
 def _rank_groups(ranks):

@@ -12,6 +12,8 @@ from eeiwfa import harness
 from eeiwfa.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, cli
 from eeiwfa.model import load_scenario, save_scenario, scenario_from_matrices
 
+import numpy_dispatch
+
 
 @pytest.fixture
 def scenario_file(tmp_path):
@@ -185,17 +187,38 @@ def test_missing_config_file_is_validation_error(tmp_path, scenario_file, capsys
     assert len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
-def _child(*args):
+def _child(*args, cwd=None, **env):
     """Run a fresh interpreter that finds the package where this process
-    found it, installed or not."""
+    found it, installed or not, with the variables ``env`` added."""
     import eeiwfa
 
     src = str(Path(eeiwfa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
+
+
+def test_iwfa_traces_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # The rates take their logs from libm, so a trace is the same bytes
+    # whichever of its SIMD loops numpy dispatches to on this CPU.
+    found = numpy_dispatch.found()
+    if not found:
+        pytest.skip("numpy found no SIMD target above its baseline")
+    off = {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}
+    lost = _child(numpy_dispatch.__file__, **off)
+    assert (lost.returncode, lost.stdout.split()) == (0, [])
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for config in ("benchmark.json", "benchmark_async.json"):
+        runs = []
+        for name, env in (("default", {}), ("baseline", off)):
+            (tmp_path / name).mkdir(exist_ok=True)
+            proc = _child("-m", "eeiwfa.cli", "iwfa", "run", "--config", str(configs / config),
+                          "--out", config + ".csv", cwd=tmp_path / name, **env)
+            runs.append((proc.returncode, proc.stdout, proc.stderr,
+                         (tmp_path / name / (config + ".csv")).read_bytes()))
+        assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 def test_console_entry_point():

@@ -411,8 +411,8 @@ def test_a_failed_look_ahead_fails_in_its_own_slot(monkeypatch):
 def test_an_asynchronous_slot_whitens_and_best_responds_once(monkeypatch):
     # A slot's evaluation and the next slot's delayed updates share one
     # whitening pass and one best-response batch, so the benchmark's
-    # asynchronous run makes one call of each per slot, plus the first
-    # slot's, not two per slot.
+    # asynchronous run makes one call of each per slot, plus the initial
+    # profile's, not two per slot.
     calls = {}
     for name in ("_whitened_channels", "_best_responses"):
         def counted(*args, name=name, real=getattr(iwfa, name)):
@@ -435,7 +435,7 @@ def test_an_asynchronous_slot_whitens_and_best_responds_once(monkeypatch):
 ])
 def test_each_recorded_slot_computes_its_ee_once(monkeypatch, mode, params, ne_every):
     # The EE is computed where a slot is recorded, from its profile's
-    # whitened rows: ne_residual and the first slot's updates compute none.
+    # whitened rows: ne_residual and the initial profile's pass compute none.
     calls = []
     real = iwfa._rates
 
@@ -518,7 +518,8 @@ def lookahead_free_run(rs, schedule, max_slots, residual_tol, ne_every, cfg, whi
     that order; its profile is then evaluated (the EE, and the NE residual
     when due or last). A failure in the updates or in the EE or a due NE
     residual drops the slot; a failed NE residual that is not due keeps it
-    with NaN. Ends at max_slots, on convergence or at the first error."""
+    with NaN. Ends at max_slots, on convergence or at the first error; it
+    has no oscillation test, whose window is longer than these runs."""
     Q = rs.Q
     rng = np.random.default_rng(schedule.seed)
     w = iwfa.default_weights(rs)
@@ -545,7 +546,8 @@ def lookahead_free_run(rs, schedule, max_slots, residual_tol, ne_every, cfg, whi
                     view[r] = stacks[max(t - ages[q, r], 0)][r]
             Xd = [whiten(rs, [q], [view])[0] for q, view in zip(delayed, views)]
             new = stacks[t].copy()
-            for q, b in zip(current + delayed, brs(current + delayed, [X[q] for q in current] + Xd)):
+            updates = brs(current + delayed, [X[q] for q in current] + Xd)
+            for q, b in zip(current + delayed, updates):
                 new[q] = b
             stacks.append(new)
             res = max(np.linalg.norm(new[q] - stacks[t][q]) / w[q] for q in range(Q))
@@ -586,7 +588,8 @@ def test_injected_failures_end_the_run_where_a_plain_loop_ends_it(monkeypatch):
     rs = reduce_scenario(generate_scenario(3, 2, 7.0, 0.0, seed=8))
     cfg = DinkelbachConfig()
     outcomes = set()
-    modes = [("sequential", None), ("synchronous", None), ("asynchronous", {"rho": 0.5, "d_max": 2})]
+    modes = [("sequential", None), ("synchronous", None),
+             ("asynchronous", {"rho": 0.5, "d_max": 2})]
     for (mode, params), rate, salt in itertools.product(
             modes, (0.01, 0.03, 0.1, 0.3, 0.6), (b"a", b"b")):
         sched = make_schedule(mode, 3, params, seed=4)
