@@ -56,7 +56,6 @@ from .iwfa import (
     IwfaTrace,
     UpdateSchedule,
     block_max_distance,
-    make_schedule,
     ne_residual,
     run_iwfa,
     write_trace_csv,

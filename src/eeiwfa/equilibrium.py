@@ -56,7 +56,6 @@ class InterferenceMatrix:
 
     S: np.ndarray
     variant: str
-    n_samples: int = 0
 
     def __post_init__(self):
         self.S = np.asarray(self.S, dtype=float)
@@ -241,7 +240,7 @@ def interference_matrix_sampled(s, n_samples, seed):
                 G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)
                 S[q] = np.maximum(S[q], _sigma_max_sq(G))
                 S[q, q] = 0.0
-    return InterferenceMatrix(S, "sampled-columnrank", n_samples=n_samples)
+    return InterferenceMatrix(S, "sampled-columnrank")
 
 
 # --- uniqueness criteria ---------------------------------------------------
@@ -289,21 +288,17 @@ class CriteriaReport:
     contraction_rhs_constant: float
     interference_ok_qvi: bool
     interference_ok_contraction: bool
-    power_smoothness: PowerSmoothnessEstimate | None = None
 
     def to_dict(self):
         d = asdict(self)
         d["perron_w"] = [float(x) for x in self.perron_w]
-        if self.power_smoothness is None:
-            del d["power_smoothness"]
         return d
 
 
-def criteria(s, S, smoothness_cfg=None):
-    """Evaluate both uniqueness criteria for an interference matrix.
-
-    ``s`` (a reduced scenario) is only needed when ``smoothness_cfg`` asks
-    for the sampled power-mapping modulus; pass ``s=None`` otherwise.
+def criteria(S):
+    """Evaluate both uniqueness criteria, which read only the interference
+    matrix S. The power-mapping half of each is sampled on its own by
+    :func:`estimate_power_smoothness`, weighted by the report's ``perron_w``.
     """
     M = S.S
     Q = M.shape[0]
@@ -322,11 +317,6 @@ def criteria(s, S, smoothness_cfg=None):
     ok_contraction = bool(sr_S < 1.0)
     if ok_qvi and ok_contraction and qvi_rhs > contraction_rhs + 1e-9:
         raise CheckFailure("criterion constants are inconsistently ordered")
-    smooth = None
-    if smoothness_cfg is not None:
-        if s is None:
-            raise InvalidInputError("a scenario is required for the smoothness estimate")
-        smooth = estimate_power_smoothness(s, smoothness_cfg, weights=w)
     return CriteriaReport(
         variant=S.variant,
         sr_S=float(sr_S),
@@ -338,7 +328,6 @@ def criteria(s, S, smoothness_cfg=None):
         contraction_rhs_constant=float(contraction_rhs),
         interference_ok_qvi=ok_qvi,
         interference_ok_contraction=ok_contraction,
-        power_smoothness=smooth,
     )
 
 
@@ -428,15 +417,16 @@ def _pair_chunks(s, n_pairs, rng, boundary):
 
 def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     """Sample profile pairs and check the Lipschitz bound
-    ||F(Q) - F(Q')||_F <= sigma_max(I + S) ||Q - Q'||_F.
+    ||F(Q) - F(Q')||_F <= sigma_max(I + S) ||Q - Q'||_F, the constant
+    taken from :func:`criteria` (which raises CheckFailure on a numerical
+    fault in its constants).
 
     Pairs are evaluated in batched chunks; the report names the first
     violating pair in sample order, as a per-pair loop would.
     """
     n_pairs = check_count(n_pairs, "n_pairs", 0)
     slack = check_number(slack, "slack")
-    S = interference_matrix_square(s)
-    L = float(np.linalg.norm(np.eye(s.Q) + S.S, 2))
+    L = criteria(interference_matrix_square(s)).sigma_max_IplusS
     op = _qvi_operator(s)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
@@ -463,14 +453,14 @@ def verify_monotonicity(s, n_pairs=500, seed=0, slack=1e-9):
 
     The bound is stated on the full-power boundary and only certifies a
     unique equilibrium when sr(S^s) < 1; above that the check is skipped.
+    sr(S^s) is taken from :func:`criteria`, as in :func:`verify_lipschitz`.
     Pairs are evaluated in batched chunks; the report names the first
     violating pair in sample order.
     """
     n_pairs = check_count(n_pairs, "n_pairs", 0)
     slack = check_number(slack, "slack")
-    S = interference_matrix_square(s)
-    sr_sym, _, _ = spectral_radius(0.5 * (S.S + S.S.T))
-    mu = 1.0 - float(sr_sym)
+    sr_sym = criteria(interference_matrix_square(s)).sr_Ssym
+    mu = 1.0 - sr_sym
     if mu <= 0.0:
         return VerifierReport(
             "monotonicity", "skipped", 0, mu, float("nan"), slack,
@@ -552,19 +542,16 @@ def verify_power_set_smoothness(s, n_triples=500, seed=0, slack=1e-9):
     return VerifierReport("power-set-smoothness", "ok", n_triples, 1.0, worst, slack)
 
 
-def estimate_power_smoothness(s, cfg=None, weights=None):
+def estimate_power_smoothness(s, cfg, weights):
     """Sampled lower bound on the Lipschitz modulus of the optimal-power map.
 
-    Draws profile pairs (half independent, half small perturbations of one
-    another), computes the clipped Dinkelbach powers, and reports the
-    largest observed ||p(Q) - p(Q')|| / ||Q - Q'|| in the Euclidean/Frobenius
-    metric and in the Perron-weighted max/block-max metric. Pairs on which
-    Dinkelbach fails to converge are skipped and counted.
+    Draws ``cfg.n_pairs`` profile pairs (half independent, half small
+    perturbations of one another), computes the clipped Dinkelbach powers,
+    and reports the largest observed ||p(Q) - p(Q')|| / ||Q - Q'|| in the
+    Euclidean/Frobenius metric and in the max/block-max metric weighted by
+    ``weights`` (a criteria report's ``perron_w``, floored at W_FLOOR).
+    Pairs on which Dinkelbach fails to converge are skipped and counted.
     """
-    cfg = cfg or PowerSmoothnessConfig()
-    if weights is None:
-        S = interference_matrix_square(s)
-        _, weights, _ = spectral_radius(S.S)
     w = np.maximum(np.asarray(weights, dtype=float), W_FLOOR)
     rng = np.random.default_rng(cfg.seed)
     t = cfg.perturbation

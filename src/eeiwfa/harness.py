@@ -21,6 +21,7 @@ from .best_response import DinkelbachConfig, best_response
 from .equilibrium import (
     PowerSmoothnessConfig,
     criteria,
+    estimate_power_smoothness,
     identity_channel_scenario,
     interference_matrix_rowrank,
     interference_matrix_sampled,
@@ -31,7 +32,7 @@ from .equilibrium import (
     verify_power_set_smoothness,
 )
 from .errors import CheckFailure, InvalidInputError, check_count, check_number, check_path
-from .iwfa import make_schedule, run_iwfa, write_trace_csv
+from .iwfa import UpdateSchedule, run_iwfa, write_trace_csv
 from .model import (StrategyProfile, _complex_to_lists, generate_scenario, load_scenario,
                     reduce_scenario)
 
@@ -187,7 +188,7 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     for ci, (snr, sir) in enumerate(itertools.product(snrs, sirs)):
         seeds = [_trial_seed(master, ci, t) for t in range(trials)]
         cell = {**base, "snr_db": snr, "sir_db": sir}
-        reps = [criteria(None, interference_matrix_square(
+        reps = [criteria(interference_matrix_square(
             reduce_scenario(scenario_from_config(cell, seed=sd)))) for sd in seeds]
         n_c = n_q = 0
         for t, (sd, rep) in enumerate(zip(seeds, reps)):
@@ -250,6 +251,8 @@ def lemma_config(config, seed=None):
     scenario_config(cfg["scenario"])
     cfg["seed"] = check_count(cfg["seed"], "seed", 0)
     cfg["n_pairs"] = check_count(cfg["n_pairs"], "n_pairs", 0)
+    cfg["n_triples"] = check_count(cfg["n_triples"], "n_triples", 0)
+    cfg["sqrt_q"] = [check_count(Q, f"sqrt_q[{i}]", 1) for i, Q in enumerate(cfg["sqrt_q"])]
     return cfg
 
 
@@ -314,8 +317,7 @@ def simulate_iwfa(config, out=None, seed=None):
     """Run the configured waterfilling game and write its trace CSV."""
     cfg = iwfa_config(config, seed)
     rs = reduce_scenario(scenario_from_config(cfg["scenario"], seed))
-    sched = dict(cfg["schedule"])
-    schedule = make_schedule(sched.pop("mode"), rs.Q, sched, seed=cfg["seed"])
+    schedule = UpdateSchedule(Q=rs.Q, seed=cfg["seed"], **cfg["schedule"])
     trace = run_iwfa(
         rs, schedule, max_slots=cfg["max_slots"], residual_tol=cfg["residual_tol"],
         cfg=cfg["dinkelbach"], ne_every=cfg["ne_every"],
@@ -377,7 +379,9 @@ def criteria_config(config, seed=None):
 
 
 def evaluate_criteria(config, seed=None):
-    """CriteriaReport for one scenario, choosing the matrix variant."""
+    """The criteria report of one scenario as a dict, for the chosen matrix
+    variant; with a ``smoothness`` section, the power-smoothness estimate
+    (weighted by the report's Perron vector) is added as its last key."""
     cfg = criteria_config(config, seed)
     s = scenario_from_config(cfg["scenario"], seed)
     rs = reduce_scenario(s)
@@ -387,5 +391,10 @@ def evaluate_criteria(config, seed=None):
         S = interference_matrix_rowrank(s)
     else:
         S = interference_matrix_sampled(rs, cfg["n_samples"], cfg["sample_seed"])
-    return criteria(rs, S, smoothness_cfg=cfg["smoothness"]).to_dict()
+    report = criteria(S)
+    out = report.to_dict()
+    if cfg["smoothness"] is not None:
+        out["power_smoothness"] = dataclasses.asdict(
+            estimate_power_smoothness(rs, cfg["smoothness"], report.perron_w))
+    return out
 

@@ -85,13 +85,6 @@ class UpdateSchedule:
         return mask, ages
 
 
-def make_schedule(mode, Q, params=None, seed=0):
-    """Build an update schedule; ``params`` holds the asynchronous mode's
-    ``rho`` and ``d_max`` (see :class:`UpdateSchedule`)."""
-    params = dict(params or {})
-    return UpdateSchedule(mode, Q, params.get("rho"), params.get("d_max", 0), seed)
-
-
 def default_weights(s):
     """Perron weights of the interference matrix; all-ones when the reduced
     channels are not square (no exact interference matrix there)."""

@@ -126,10 +126,10 @@ def test_c06_benchmark_convergence():
         dk = ee.DinkelbachConfig(epsilon=1e-9)
         s = ee.generate_scenario(sir_db=0.0, seed=0, **BENCH_NET)
         rs = ee.reduce_scenario(s)
-        sync = ee.run_iwfa(rs, ee.make_schedule("synchronous", 8),
+        sync = ee.run_iwfa(rs, ee.UpdateSchedule("synchronous", 8),
                            max_slots=400, residual_tol=1e-9, cfg=dk)
         asyn = ee.run_iwfa(
-            rs, ee.make_schedule("asynchronous", 8, {"rho": 0.5, "d_max": 3}, seed=0),
+            rs, ee.UpdateSchedule("asynchronous", 8, rho=0.5, d_max=3, seed=0),
             max_slots=1200, residual_tol=1e-9, cfg=dk,
         )
         assert sync.termination == "converged"
@@ -156,7 +156,7 @@ def test_c07_low_sir_phenomenology():
         for seed in range(10):
             s = ee.generate_scenario(sir_db=-18.0, seed=seed, **BENCH_NET)
             rs = ee.reduce_scenario(s)
-            tr = ee.run_iwfa(rs, ee.make_schedule("synchronous", 8),
+            tr = ee.run_iwfa(rs, ee.UpdateSchedule("synchronous", 8),
                              max_slots=600, residual_tol=1e-9, cfg=dk,
                              ne_every=0)
             assert tr.error is None

@@ -326,7 +326,9 @@ def test_unknown_config_key_is_validation_error(tmp_path, scenario_file, capsys,
     ("criteria sweep", {**_SWEEP, "snr_db": []}, "sweep needs non-empty SNR and SIR grids"),
     ("br solve", {"scenario": {**_SCN, "channel_kind": "dense"}}, "channel_kind must be one of"),
     ("br solve", {"scenario": {**_SCN, "snr_convention": "peak"}},
-     "snr_convention must be one of"),
+     "snr_convention must be one of"),    ("verify lemmas", {**_LEMMAS, "n_triples": -1}, "n_triples must be an integer >= 0"),
+    ("verify lemmas", {**_LEMMAS, "sqrt_q": [0]}, "sqrt_q[0] must be an integer >= 1"),
+    ("verify lemmas", {**_LEMMAS, "sqrt_q": [2, "x"]}, "sqrt_q[1] must be an integer >= 1"),
 ])
 def test_bad_config_numbers_and_keys_are_validation_errors(tmp_path, capsys, command,
                                                            cfg, message):
@@ -366,6 +368,22 @@ def test_iwfa_run_rejects_non_finite_numbers(tmp_path, scenario_file, capsys, mo
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("settings", [
+    {"n_triples": -1},
+    {"n_triples": 2.5},
+    {"sqrt_q": [0]},
+    {"sqrt_q": [2, True]},
+])
+def test_verify_lemmas_checks_its_config_before_any_verifier(tmp_path, capsys, monkeypatch,
+                                                             settings):
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify_lipschitz called with a bad config")
+
+    monkeypatch.setattr(harness, "verify_lipschitz", no_run)
+    assert _run(tmp_path, "verify lemmas", {**_LEMMAS, **settings}) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # The full JSON report of a tiny sampled-variant evaluation with a smoothness
 # section, as the per-player frame-simplex draws and the per-pair Dinkelbach
 # loop computed it: a change in either sampling rule's draws or stream order,
@@ -392,6 +410,23 @@ GOLDEN_EVAL = {
 def test_criteria_eval_sampled_golden_report(tmp_path):
     assert _run(tmp_path, "criteria eval", GOLDEN_EVAL_CONFIG) == EXIT_OK
     assert json.load(open(tmp_path / "out")) == GOLDEN_EVAL
+
+
+def test_criteria_eval_csv_puts_the_smoothness_columns_last(tmp_path):
+    # the JSON report sorts its keys; the CSV keeps the report's own order
+    path = str(tmp_path / "c.json")
+    json.dump(GOLDEN_EVAL_CONFIG, open(path, "w"))
+    out = str(tmp_path / "crit.csv")
+    assert cli(["criteria", "eval", "--config", path, "--out", out,
+                "--format", "csv", "--quiet"]) == EXIT_OK
+    header, _ = csv.reader(open(out, newline=""))
+    assert header == [
+        "variant", "sr_S", "sr_Ssym", "sigma_max_IplusS", "perron_w", "perron_degenerate",
+        "qvi_rhs_constant", "contraction_rhs_constant", "interference_ok_qvi",
+        "interference_ok_contraction", "power_smoothness.max_ratio_l2",
+        "power_smoothness.max_ratio_weighted_inf", "power_smoothness.n_pairs",
+        "power_smoothness.n_skipped",
+    ]
 
 
 # --- malformed scenario documents -------------------------------------------------

@@ -64,7 +64,7 @@ def test_square_matrix_identity_alpha():
 def test_square_matrix_two_player_symmetric():
     rs = reduce_scenario(scaled_identity_scenario(2, 0.7))
     S = interference_matrix_square(rs)
-    rep = criteria(None, S)
+    rep = criteria(S)
     assert abs(rep.sr_S - 0.49) <= 1e-9
     assert np.abs(rep.perron_w - np.sqrt(0.5)).max() <= 1e-8
 
@@ -244,7 +244,7 @@ def test_sampled_tall_channels_match_per_sample_oracle(rng):
 # --- criteria -----------------------------------------------------------------
 
 def test_criteria_zero_interference():
-    rep = criteria(None, InterferenceMatrix(np.zeros((3, 3)), "exact-square"))
+    rep = criteria(InterferenceMatrix(np.zeros((3, 3)), "exact-square"))
     assert rep.sr_S == 0.0 and rep.sr_Ssym == 0.0
     assert rep.interference_ok_qvi and rep.interference_ok_contraction
     assert abs(rep.qvi_rhs_constant - 1.0) <= 1e-12
@@ -254,7 +254,7 @@ def test_criteria_zero_interference():
 
 def test_criteria_symmetric_matrix():
     S = np.array([[0.0, 0.3], [0.3, 0.0]])
-    rep = criteria(None, InterferenceMatrix(S, "exact-square"))
+    rep = criteria(InterferenceMatrix(S, "exact-square"))
     assert abs(rep.sr_S - rep.sr_Ssym) <= 1e-12
 
 
@@ -263,7 +263,7 @@ def test_criteria_random_against_dense_solver(rng):
         n = int(rng.integers(2, 8))
         S = rng.uniform(0.0, 1.5, size=(n, n))
         np.fill_diagonal(S, 0.0)
-        rep = criteria(None, InterferenceMatrix(S, "exact-square"))
+        rep = criteria(InterferenceMatrix(S, "exact-square"))
         dense_sr = np.abs(np.linalg.eigvals(S)).max()
         dense_sym = np.linalg.eigvalsh(0.5 * (S + S.T)).max()
         assert abs(rep.sr_S - dense_sr) <= 1e-8 * max(1.0, dense_sr)
@@ -278,7 +278,7 @@ def test_criteria_random_against_dense_solver(rng):
 def test_criteria_to_dict_serializes():
     import json
 
-    rep = criteria(None, InterferenceMatrix(np.zeros((2, 2)), "exact-square"))
+    rep = criteria(InterferenceMatrix(np.zeros((2, 2)), "exact-square"))
     assert json.dumps(rep.to_dict())
 
 
@@ -426,9 +426,15 @@ def test_verify_power_set_smoothness_random():
     assert rep.max_ratio <= 1.0 + 1e-9
 
 
+def perron_smoothness(rs, cfg):
+    """The smoothness estimate weighted by the Perron vector of S, as
+    ``criteria eval`` weights it."""
+    return estimate_power_smoothness(rs, cfg, criteria(interference_matrix_square(rs)).perron_w)
+
+
 def test_estimate_power_smoothness_interference_free():
     rs = reduce_scenario(scaled_identity_scenario(3, 0.0))
-    est = estimate_power_smoothness(rs, PowerSmoothnessConfig(n_pairs=10, seed=0))
+    est = perron_smoothness(rs, PowerSmoothnessConfig(n_pairs=10, seed=0))
     assert est.max_ratio_l2 <= 1e-9
     assert est.max_ratio_weighted_inf <= 1e-9
 
@@ -437,13 +443,13 @@ def test_estimate_power_smoothness_all_clipped():
     # tiny budgets: p_u > P everywhere sampled, so p_hat is constant
     s = scaled_identity_scenario(2, 0.5, p=1e-4)
     rs = reduce_scenario(s)
-    est = estimate_power_smoothness(rs, PowerSmoothnessConfig(n_pairs=20, seed=1))
+    est = perron_smoothness(rs, PowerSmoothnessConfig(n_pairs=20, seed=1))
     assert est.max_ratio_l2 <= 1e-9
 
 
 def test_estimate_power_smoothness_finite_positive():
     rs = reduce_scenario(generate_scenario(3, 2, 7.0, 0.0, seed=28))
-    est = estimate_power_smoothness(rs, PowerSmoothnessConfig(n_pairs=30, seed=2))
+    est = perron_smoothness(rs, PowerSmoothnessConfig(n_pairs=30, seed=2))
     assert np.isfinite(est.max_ratio_l2) and est.max_ratio_l2 > 0.0
     assert np.isfinite(est.max_ratio_weighted_inf)
     assert est.n_pairs + est.n_skipped <= 30
@@ -481,17 +487,6 @@ def test_interference_entries_monotone_in_sir():
         from eeiwfa.linalg import spectral_radius
 
         assert spectral_radius(S1)[0] <= spectral_radius(S0)[0] + 1e-9
-
-
-def test_criteria_attaches_smoothness_estimate():
-    rs = reduce_scenario(generate_scenario(2, 2, 7.0, 10.0, seed=41))
-    S = interference_matrix_square(rs)
-    rep = criteria(rs, S, smoothness_cfg=PowerSmoothnessConfig(n_pairs=6, seed=0))
-    assert rep.power_smoothness is not None
-    assert rep.power_smoothness.n_pairs <= 6
-    assert "power_smoothness" in rep.to_dict()
-    with pytest.raises(InvalidInputError):
-        criteria(None, S, smoothness_cfg=PowerSmoothnessConfig(n_pairs=2))
 
 
 def test_ragged_qvi_map_and_interference_matrices_match_per_pair_formulas(rng):

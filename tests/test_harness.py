@@ -127,7 +127,7 @@ def test_sweep_still_rejects_a_real_drop_in_sir(tmp_path, monkeypatch):
     # and none on the other: 20/20 -> 0/20 is far beyond the allowance
     passes_below = [True]
     monkeypatch.setattr(harness, "interference_matrix_square", lambda rs: rs.meta["sir_db"])
-    monkeypatch.setattr(harness, "criteria", lambda _, sir: SimpleNamespace(
+    monkeypatch.setattr(harness, "criteria", lambda sir: SimpleNamespace(
         sr_S=0.5, sr_Ssym=0.5, sigma_max_IplusS=1.5, qvi_rhs_constant=0.5,
         contraction_rhs_constant=0.5, interference_ok_qvi=False,
         interference_ok_contraction=(sir < 11.0) == passes_below[0]))

@@ -11,7 +11,6 @@ from eeiwfa.iwfa import (
     UpdateSchedule,
     block_max_distance,
     kept_slots,
-    make_schedule,
     ne_residual,
     run_iwfa,
     write_trace_csv,
@@ -34,7 +33,7 @@ from test_model import scalar_scenario
 # --- schedules -------------------------------------------------------------------
 
 def test_sequential_schedule_round_robin():
-    sched = make_schedule("sequential", 3)
+    sched = UpdateSchedule("sequential", 3)
     rng = np.random.default_rng(0)
     for t in range(7):
         mask, ages = sched.draw_slot(t, rng)
@@ -43,13 +42,13 @@ def test_sequential_schedule_round_robin():
 
 
 def test_synchronous_schedule_all_players():
-    sched = make_schedule("synchronous", 4)
+    sched = UpdateSchedule("synchronous", 4)
     mask, ages = sched.draw_slot(5, np.random.default_rng(0))
     assert mask.all() and ages.max() == 0
 
 
 def test_asynchronous_schedule_statistics():
-    sched = make_schedule("asynchronous", 4, {"rho": 0.3, "d_max": 5}, seed=1)
+    sched = UpdateSchedule("asynchronous", 4, rho=0.3, d_max=5, seed=1)
     rng = np.random.default_rng(sched.seed)
     hits = np.zeros(4)
     max_age = 0
@@ -66,14 +65,14 @@ def test_asynchronous_schedule_statistics():
 
 def test_schedule_validation():
     with pytest.raises(InvalidInputError):
-        make_schedule("asynchronous", 2, {"rho": 0.0})
+        UpdateSchedule("asynchronous", 2, rho=0.0)
     for rho in (float("nan"), [0.5, float("nan")], float("inf"), 1.5):
         with pytest.raises(InvalidInputError):
-            make_schedule("asynchronous", 2, {"rho": rho})
+            UpdateSchedule("asynchronous", 2, rho=rho)
     with pytest.raises(InvalidInputError):
-        make_schedule("asynchronous", 2, {"rho": 0.5, "d_max": -1})
+        UpdateSchedule("asynchronous", 2, rho=0.5, d_max=-1)
     with pytest.raises(InvalidInputError):
-        make_schedule("jittery", 2)
+        UpdateSchedule("jittery", 2)
 
 
 def test_schedule_checks_itself_when_built_directly():
@@ -88,11 +87,9 @@ def test_schedule_checks_itself_when_built_directly():
             UpdateSchedule("asynchronous", 3, **kwargs)
     with pytest.raises(InvalidInputError, match="^Q must be an integer >= 1$"):
         UpdateSchedule("synchronous", 0)
-    # the factory is the dataclass with the asynchronous parameters unpacked
-    made = make_schedule("asynchronous", 3, {"rho": [0.2, 0.5, 1.0], "d_max": 2}, seed=4)
-    direct = UpdateSchedule("asynchronous", 3, [0.2, 0.5, 1.0], 2, 4)
-    assert made.rho.tolist() == direct.rho.tolist() == [0.2, 0.5, 1.0]
-    assert (made.d_max, made.seed) == (direct.d_max, direct.seed) == (2, 4)
+    made = UpdateSchedule("asynchronous", 3, rho=[0.2, 0.5, 1.0], d_max=2, seed=4)
+    assert made.rho.tolist() == [0.2, 0.5, 1.0]
+    assert (made.d_max, made.seed) == (2, 4)
     # the asynchronous parameters do not apply to the other modes
     sync = UpdateSchedule("synchronous", 3, rho=0.0, d_max=4)
     assert sync.rho is None and sync.d_max == 0
@@ -100,9 +97,9 @@ def test_schedule_checks_itself_when_built_directly():
 
 def test_run_rejects_a_schedule_for_another_player_count():
     rs = reduce_scenario(generate_scenario(3, 2, 7.0, 0.0, seed=0))
-    for sched in (make_schedule("synchronous", 5),
-                  make_schedule("asynchronous", 5, {"rho": 0.5, "d_max": 2}),
-                  make_schedule("sequential", 2)):
+    for sched in (UpdateSchedule("synchronous", 5),
+                  UpdateSchedule("asynchronous", 5, rho=0.5, d_max=2),
+                  UpdateSchedule("sequential", 2)):
         with pytest.raises(InvalidInputError,
                            match=f"^schedule is for {sched.Q} players, the scenario has 3$"):
             run_iwfa(rs, sched, max_slots=5)
@@ -112,12 +109,12 @@ def test_non_integral_or_nan_settings_are_rejected():
     nan = float("nan")
     for d_max in (nan, 2.5, np.inf):
         with pytest.raises(InvalidInputError, match="d_max"):
-            make_schedule("asynchronous", 2, {"rho": 0.5, "d_max": d_max})
+            UpdateSchedule("asynchronous", 2, rho=0.5, d_max=d_max)
     with pytest.raises(InvalidInputError, match="seed"):
-        make_schedule("synchronous", 2, seed=nan)
-    assert make_schedule("asynchronous", 2, {"rho": 0.5}).seed == 0
+        UpdateSchedule("synchronous", 2, seed=nan)
+    assert UpdateSchedule("asynchronous", 2, rho=0.5).seed == 0
     rs = reduce_scenario(scalar_scenario())
-    sched = make_schedule("synchronous", 1)
+    sched = UpdateSchedule("synchronous", 1)
     for kwargs in ({"max_slots": nan}, {"max_slots": -1}, {"ne_every": nan},
                    {"residual_tol": nan}, {"residual_tol": "1e-9"}):
         with pytest.raises(InvalidInputError, match=next(iter(kwargs))):
@@ -132,7 +129,7 @@ def test_non_integral_or_nan_settings_are_rejected():
 
 def test_single_player_converges_in_one_update():
     rs = reduce_scenario(scalar_scenario(p=100.0))
-    trace = run_iwfa(rs, make_schedule("synchronous", 1), max_slots=50)
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 1), max_slots=50)
     assert trace.termination == "converged"
     br = best_response(rs, 0, trace.final_profile)
     assert np.abs(trace.final_profile[0] - br.Qbr).max() <= 1e-10
@@ -142,7 +139,7 @@ def test_single_player_converges_in_one_update():
 
 def test_decoupled_game_converges_in_one_sweep():
     rs = reduce_scenario(scaled_identity_scenario(3, 0.0, p=10.0))
-    trace = run_iwfa(rs, make_schedule("synchronous", 3), max_slots=50)
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 3), max_slots=50)
     assert trace.termination == "converged"
     assert np.all(trace.block_residual[1:] <= 1e-10)
     assert trace.ne_residual[-1] <= 1e-8
@@ -151,7 +148,7 @@ def test_decoupled_game_converges_in_one_sweep():
 def test_trace_records_and_feasibility():
     s = generate_scenario(3, 2, 7.0, 5.0, seed=30)
     rs = reduce_scenario(s)
-    trace = run_iwfa(rs, make_schedule("sequential", 3), max_slots=60)
+    trace = run_iwfa(rs, UpdateSchedule("sequential", 3), max_slots=60)
     n = len(trace.slots)
     assert trace.ee.shape == (n, 3)
     assert trace.updated.shape == (n, 3)
@@ -165,7 +162,7 @@ def test_trace_records_and_feasibility():
 def test_determinism_bit_identical():
     s = generate_scenario(4, 2, 7.0, 3.0, seed=31)
     rs = reduce_scenario(s)
-    sched = make_schedule("asynchronous", 4, {"rho": 0.4, "d_max": 2}, seed=5)
+    sched = UpdateSchedule("asynchronous", 4, rho=0.4, d_max=2, seed=5)
     a = run_iwfa(rs, sched, max_slots=80)
     b = run_iwfa(rs, sched, max_slots=80)
     assert np.array_equal(a.ee, b.ee)
@@ -184,7 +181,7 @@ def test_schedule_independent_limit():
         ("synchronous", None),
         ("asynchronous", {"rho": 0.5, "d_max": 2}),
     ):
-        sched = make_schedule(mode, 3, params, seed=2)
+        sched = UpdateSchedule(mode, 3, **(params or {}), seed=2)
         tr = run_iwfa(rs, sched, max_slots=600, residual_tol=1e-10)
         assert tr.termination == "converged", mode
         finals.append(tr)
@@ -202,7 +199,7 @@ def test_unique_equilibrium_from_every_start():
     kept = 0
     for seed in range(6):
         rs = reduce_scenario(generate_scenario(4, 2, 7.0, 10.0, seed=seed, power=2.0))
-        if not criteria(None, interference_matrix_square(rs)).interference_ok_contraction:
+        if not criteria(interference_matrix_square(rs)).interference_ok_contraction:
             continue
         kept += 1
         rng = np.random.default_rng(seed)
@@ -212,8 +209,8 @@ def test_unique_equilibrium_from_every_start():
         for init in starts:
             for mode, params in (("synchronous", None),
                                  ("asynchronous", {"rho": 0.5, "d_max": 2})):
-                tr = run_iwfa(rs, make_schedule(mode, 4, params, seed=seed), init=init,
-                              max_slots=1000)
+                sched = UpdateSchedule(mode, 4, **(params or {}), seed=seed)
+                tr = run_iwfa(rs, sched, init=init, max_slots=1000)
                 assert tr.termination == "converged", (seed, mode)
                 finals.append(tr)
         for other in finals[1:]:
@@ -231,7 +228,7 @@ def test_linear_convergence_under_contraction():
     from eeiwfa.linalg import spectral_radius
 
     assert spectral_radius(interference_matrix_square(rs).S)[0] < 1.0
-    tr = run_iwfa(rs, make_schedule("synchronous", 4), max_slots=200,
+    tr = run_iwfa(rs, UpdateSchedule("synchronous", 4), max_slots=200,
                   residual_tol=1e-11)
     assert tr.termination == "converged"
     r = tr.block_residual
@@ -247,7 +244,7 @@ def test_oscillation_label_at_very_low_sir():
     # periodic best-response cycle instead of converging
     s = generate_scenario(8, 4, 7.0, -18.0, seed=7, power=4.0)
     rs = reduce_scenario(s)
-    trace = run_iwfa(rs, make_schedule("synchronous", 8), max_slots=400,
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 8), max_slots=400,
                      ne_every=0)
     assert trace.termination == "oscillating"
     assert len(trace.slots) < 400
@@ -257,7 +254,7 @@ def test_oscillation_label_at_very_low_sir():
 def test_error_termination_records_message():
     rs = reduce_scenario(scalar_scenario())
     cfg = DinkelbachConfig(epsilon=1e-13, max_iters=1)
-    trace = run_iwfa(rs, make_schedule("synchronous", 1), max_slots=10, cfg=cfg)
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 1), max_slots=10, cfg=cfg)
     assert trace.termination == "error"
     assert trace.error
 
@@ -272,7 +269,7 @@ def singular_mui_scenario():
 
 def test_singular_mui_mid_run_is_a_recorded_error():
     rs = reduce_scenario(singular_mui_scenario())
-    trace = run_iwfa(rs, make_schedule("synchronous", 2), max_slots=10)
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 2), max_slots=10)
     assert trace.termination == "error"
     assert "MUI covariance of player 0 is numerically singular" in trace.error
     assert len(trace.slots) == 0 and trace.ee.shape == (0, 2)
@@ -282,7 +279,7 @@ def test_input_validation_before_the_loop_still_raises():
     rs = reduce_scenario(singular_mui_scenario())
     over_budget = StrategyProfile([3.0 * np.eye(2), np.eye(2)])
     with pytest.raises(InvalidInputError):
-        run_iwfa(rs, make_schedule("synchronous", 2), init=over_budget)
+        run_iwfa(rs, UpdateSchedule("synchronous", 2), init=over_budget)
 
 
 def test_synchronous_run_computes_each_best_response_once(monkeypatch):
@@ -301,7 +298,7 @@ def test_synchronous_run_computes_each_best_response_once(monkeypatch):
     monkeypatch.setattr(kernels, "dinkelbach_gains", counted)
     Q = 4
     rs = reduce_scenario(generate_scenario(Q, 3, 7.0, 5.0, seed=3))
-    trace = run_iwfa(rs, make_schedule("synchronous", Q), max_slots=200, ne_every=1)
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", Q), max_slots=200, ne_every=1)
     assert trace.termination == "converged"
     assert 0 < sum(rows) <= Q * (len(trace.slots) + 1)
 
@@ -352,7 +349,7 @@ _ASYNC = {"rho": 0.6, "d_max": 2}
 ])
 def test_batched_slots_match_the_per_player_loop(mode, params, ne_every):
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
-    sched = make_schedule(mode, 4, params, seed=5)
+    sched = UpdateSchedule(mode, 4, **(params or {}), seed=5)
     cfg = DinkelbachConfig()
     slots = 12
     trace = run_iwfa(rs, sched, max_slots=slots, residual_tol=-1.0, cfg=cfg,
@@ -372,7 +369,7 @@ def test_a_failed_look_ahead_fails_in_its_own_slot(monkeypatch):
     # response that fails there must still end the run at slot k, with its
     # own message, and a run that stops at slot k - 1 must never see it.
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
-    sched = make_schedule("asynchronous", 4, _ASYNC, seed=5)
+    sched = UpdateSchedule("asynchronous", 4, **_ASYNC, seed=5)
     cfg = DinkelbachConfig()
     _, _, profiles = plain_run(rs, sched, 12, cfg)
 
@@ -421,7 +418,7 @@ def test_an_asynchronous_slot_whitens_and_best_responds_once(monkeypatch):
 
         monkeypatch.setattr(iwfa, name, counted)
     rs = reduce_scenario(generate_scenario(8, 4, 7.0, 0.0, seed=0, power=4.0))
-    sched = make_schedule("asynchronous", 8, {"rho": 0.5, "d_max": 3}, seed=0)
+    sched = UpdateSchedule("asynchronous", 8, rho=0.5, d_max=3, seed=0)
     trace = run_iwfa(rs, sched)
     assert trace.termination == "converged" and len(trace.slots) == 83
     assert sorted(calls) == ["_best_responses", "_whitened_channels"]
@@ -447,7 +444,7 @@ def test_each_recorded_slot_computes_its_ee_once(monkeypatch, mode, params, ne_e
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=2))
     ne_residual(rs, StrategyProfile.uniform(rs))
     ne_calls = len(calls)
-    trace = run_iwfa(rs, make_schedule(mode, 4, params, seed=1), max_slots=60,
+    trace = run_iwfa(rs, UpdateSchedule(mode, 4, **(params or {}), seed=1), max_slots=60,
                      ne_every=ne_every)
     assert trace.error is None and len(trace.slots) > 1
     assert (ne_calls, calls[ne_calls:]) == (0, [4] * len(trace.slots))
@@ -458,7 +455,7 @@ def test_a_failed_ne_residual_on_the_last_slot_is_recorded(monkeypatch):
     # fails and the slot's EE does not, the slot is kept with a NaN residual
     # and the run ends with the error; a longer run never reads that row.
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
-    sched = make_schedule("sequential", 4)
+    sched = UpdateSchedule("sequential", 4)
     final = run_iwfa(rs, sched, max_slots=5, residual_tol=-1.0, ne_every=0).final_profile
     target = _whitened_channels(rs, [3], [final.stack])[0]
     real = iwfa._best_responses
@@ -592,7 +589,7 @@ def test_injected_failures_end_the_run_where_a_plain_loop_ends_it(monkeypatch):
              ("asynchronous", {"rho": 0.5, "d_max": 2})]
     for (mode, params), rate, salt in itertools.product(
             modes, (0.01, 0.03, 0.1, 0.3, 0.6), (b"a", b"b")):
-        sched = make_schedule(mode, 3, params, seed=4)
+        sched = UpdateSchedule(mode, 3, **(params or {}), seed=4)
         whiten, respond = _faulty(rate, salt + str(rate).encode())
         monkeypatch.setattr(iwfa, "_whitened_channels", whiten)
         monkeypatch.setattr(iwfa, "_best_responses", respond)
@@ -635,7 +632,7 @@ def test_a_run_draws_only_the_slots_it_runs(monkeypatch, max_slots, draws):
     monkeypatch.setattr(UpdateSchedule, "draw_slot", draw_slot)
     monkeypatch.setattr(iwfa, "_whitened_channels", whitened)
     rs = reduce_scenario(generate_scenario(8, 4, 7.0, 0.0, seed=0, power=4.0))
-    sched = make_schedule("asynchronous", 8, {"rho": 0.5, "d_max": 3}, seed=0)
+    sched = UpdateSchedule("asynchronous", 8, rho=0.5, d_max=3, seed=0)
     trace = run_iwfa(rs, sched, max_slots=max_slots)
     assert len(trace.slots) == counts["draws"] == draws
     assert counts["rows"][-1] == 8
@@ -653,7 +650,7 @@ def test_ne_residual_values():
 def test_trace_csv_round_trip(tmp_path):
     s = generate_scenario(2, 2, 7.0, 10.0, seed=35)
     rs = reduce_scenario(s)
-    trace = run_iwfa(rs, make_schedule("synchronous", 2), max_slots=40)
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 2), max_slots=40)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     from eeiwfa.harness import read_csv
@@ -674,7 +671,7 @@ def test_trace_csv_round_trip(tmp_path):
 def test_near_decoupled_game_converges_within_ten_sweeps():
     s = generate_scenario(8, 4, 7.0, 30.0, seed=0, power=4.0)
     rs = reduce_scenario(s)
-    tr = run_iwfa(rs, make_schedule("synchronous", 8), max_slots=100,
+    tr = run_iwfa(rs, UpdateSchedule("synchronous", 8), max_slots=100,
                   residual_tol=1e-9)
     assert tr.termination == "converged"
     first_below = int(np.argmax(tr.block_residual <= 1e-9)) + 1
@@ -686,7 +683,7 @@ def test_quiet_async_slots_do_not_fake_convergence():
     # are common early on; they must not trip the sustained-residual stop
     s = generate_scenario(3, 2, 7.0, 0.0, seed=36)
     rs = reduce_scenario(s)
-    sched = make_schedule("asynchronous", 3, {"rho": 0.02, "d_max": 0}, seed=0)
+    sched = UpdateSchedule("asynchronous", 3, rho=0.02, d_max=0, seed=0)
     trace = run_iwfa(rs, sched, max_slots=400, residual_tol=1e-9, ne_every=0)
     if trace.termination == "converged":
         assert int(trace.updated.any(axis=1).sum()) >= 5
@@ -706,7 +703,7 @@ def test_a_vanishing_direct_channel_sits_out_at_zero_power():
     # player 0's best response is the zero matrix at every slot while the
     # others settle
     rs = vanishing_channel_game()
-    trace = run_iwfa(rs, make_schedule("synchronous", 3), max_slots=200)
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 3), max_slots=200)
     assert trace.termination == "converged" and len(trace.slots) == 15
     assert trace.final_profile.traces()[0] == 0.0
     assert not trace.ee[:, 0].any()
@@ -722,7 +719,7 @@ def test_tall_direct_channels_run_with_all_ones_weights():
           * (1.0 if q == r else 0.3) for r in range(3)] for q in range(3)]
     rs = reduce_scenario(scenario_from_matrices(
         H, [np.eye(n) for n in nR], [1.0, 2.0, 1.5], [1.0] * 3))
-    sched = make_schedule("asynchronous", 3, {"rho": 0.5, "d_max": 2}, seed=3)
+    sched = UpdateSchedule("asynchronous", 3, rho=0.5, d_max=2, seed=3)
     trace = run_iwfa(rs, sched, max_slots=400)
     assert np.array_equal(trace.weights, np.ones(3))
     assert trace.termination == "converged" and len(trace.slots) == 31

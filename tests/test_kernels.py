@@ -207,3 +207,12 @@ def test_dinkelbach_power_is_within_its_gap_of_the_exact_optimum(log_gains, log_
     # and p* is a local maximum of the EE
     for t in (1.0 - 1e-3, 1.0 + 1e-3):
         assert energy_efficiency_at(d, psi, t * p_star) <= ee_star + rounding
+
+
+def test_log1p_sum_adds_left_to_right():
+    # From Python 3.12 on, sum() compensates float additions: on this input
+    # it gives 1.000000000000001, the correctly rounded sum, where adding
+    # left to right absorbs every 1e-16 into the leading 1.0.
+    xs = [math.e - 1] + [1e-16] * 10
+    assert _kernels._log1p_sum(xs) == 1.0
+    assert math.fsum(map(math.log1p, xs)) == 1.000000000000001

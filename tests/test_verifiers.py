@@ -378,7 +378,7 @@ def oracle_power_smoothness(s, cfg, w):
 
 def assert_power_smoothness_matches_oracle(s, cfg):
     w = np.maximum(spectral_radius(interference_matrix_square(s).S)[1], 1e-12)
-    got = estimate_power_smoothness(s, cfg)
+    got = estimate_power_smoothness(s, cfg, w)
     l2, winf, used, skipped = oracle_power_smoothness(s, cfg, w)
     assert (got.n_pairs, got.n_skipped) == (used, skipped)
     assert abs(got.max_ratio_l2 - l2) <= 1e-12 * l2
