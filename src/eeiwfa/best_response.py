@@ -111,7 +111,7 @@ def best_response(s, q, profile, cfg=None):
     Returns the waterfilled covariance at p_hat = min(P_q, p_unconstrained)
     together with the powers, water level and Dinkelbach iteration count.
     """
-    X = _whitened_channels(s, [q], [profile.stack])
+    X = _whitened_channels(s, profile.stack[None], [[q]])
     Qbr, p_u, p_hat, mu, iters = _best_responses(s, [q], X, cfg or DinkelbachConfig())
     k = s.ranks[q]
     return BestResponseResult(Qbr[0, :k, :k], float(p_u[0]), float(p_hat[0]), float(mu[0]),

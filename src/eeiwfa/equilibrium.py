@@ -10,6 +10,7 @@ constants and the smoothness of the strategy-dependent power sets.
 """
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .model import (
     _complex_to_lists,
     _ct,
     _rank_groups,
-    _received_covariance,
+    _received_covariances,
     _stack_frob,
     _unwide,
     _whitened_channels,
@@ -222,28 +223,35 @@ def interference_matrix_sampled(s, n_samples, seed):
     """
     n_samples = check_count(n_samples, "n_samples", 1)
     rng = np.random.default_rng(check_count(seed, "seed", 0))
-    Q = s.Q
+    Q, A = s.Q, s.Hbar.array
     S = np.zeros((Q, Q))
     for start in range(0, n_samples, _CHUNK):
         D = _random_covariances(rng, s.ranks, s.P, min(_CHUNK, n_samples - start),
                                 rule="frame-simplex")
-        # One sample at a time: the wide product in _received_covariance
-        # rounds differently with more profiles side by side, which would
-        # let an entry fall as n_samples grows.
-        for delta in D:
-            for q in range(Q):
-                k = int(s.ranks[q])
-                A = s.Hbar.array[q]
-                R = hermitize(_received_covariance(A, s.Rn.stack[q], q, delta)[0])
-                W = np.linalg.solve(R, A[q])[:, :k]
-                T = _wide(_ct(W) @ A)
-                G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q][:, :k]), T), Q)
-                S[q] = np.maximum(S[q], _sigma_max_sq(G))
-                S[q, q] = 0.0
+        # A covariance has the same bits whatever profiles sit beside it,
+        # so the running maximum cannot fall as n_samples grows.
+        R = hermitize(_received_covariances(s.HbarH, s.Rn.stack, D, [range(Q)] * len(D)))
+        for i, Rq in enumerate(R):
+            q = i % Q
+            k = int(s.ranks[q])
+            W = np.linalg.solve(Rq, A[q, q])[:, :k]
+            T = _wide(_ct(W) @ A[q])
+            G = _unwide(np.linalg.solve(hermitize(_ct(W) @ A[q, q][:, :k]), T), Q)
+            S[q] = np.maximum(S[q], _sigma_max_sq(G))
+            S[q, q] = 0.0
     return InterferenceMatrix(S, "sampled-columnrank")
 
 
 # --- uniqueness criteria ---------------------------------------------------
+
+def _floored_weights(w):
+    """The Perron weights ``w`` of an interference matrix (spectral_radius's
+    or a criteria report's) as a weighted block-max metric divides by them:
+    floored at W_FLOOR, which spectral_radius's renormalization can leave an
+    entry just below. The iwfa residual and the smoothness estimate both
+    take their weights from here."""
+    return np.maximum(np.asarray(w, dtype=float), W_FLOOR)
+
 
 @dataclass
 class PowerSmoothnessConfig:
@@ -334,31 +342,31 @@ def criteria(S):
 # --- the linear QVI mapping and its verified properties ---------------------
 
 def _qvi_operator(s):
-    """The game normalized by its direct channels (square channels only):
-    channels X_qr = Hqq^{-1} Hbar_qr as a (Q, Q, K, K) array and noises
-    C_q = Hqq^{-1} Rn_q Hqq^{-H} as a (Q, K, K) stack, both zero-padded and
-    filled in one pass over the receivers. X_qq is computed and never read:
-    the MUI skips r = q."""
+    """The game normalized by its direct channels (square channels only),
+    laid out for :func:`model._received_covariances`: the channels X_qr =
+    Hqq^{-1} Hbar_qr conjugate-transposed into a (Q, K, Q, K) array G,
+    G[r, :, q, :] = X_qr^H, and the noises C_q = Hqq^{-1} Rn_q Hqq^{-H} as a
+    (Q, K, K) stack, both zero-padded and filled in one pass over the
+    receivers. X_qq is computed and never read: the MUI skips r = q."""
     Q, K = s.Q, s.Hbar.array.shape[3]
     C = np.zeros((Q, K, K), dtype=complex)
-    X = np.zeros((Q, Q, K, K), dtype=complex)
+    G = np.zeros((Q, K, Q, K), dtype=complex)
     for q, Hqq, Xq in _normalized_rows(s):
         n = Hqq.shape[0]
-        X[q, :, :n] = Xq
+        G[:, :, q, :n] = _ct(Xq)
         C[q, :n, :n] = _ct(np.linalg.solve(Hqq, _ct(np.linalg.solve(Hqq, s.Rn[q]))))
-    return C, X
+    return C, G
 
 
 def _qvi_apply(op, P):
     """F of each padded profile in an (M, Q, K, K) stack: F_q = P_q plus
     player q's received covariance in the normalized game ``op``, formed
-    for the M profiles side by side."""
-    C, X = op
-    M, Q, K = P.shape[:3]
-    # Pw[r] = [P_r of profile 0 | P_r of profile 1 | ...], K x (M K)
-    Pw = P.transpose(1, 2, 0, 3).reshape(Q, K, M * K)
-    F = np.stack([_received_covariance(X[q], C[q], q, Pw) for q in range(Q)], axis=1)
-    return hermitize(F + P)
+    for the M profiles side by side. Every receiver is always asked for,
+    so the receivers form one block."""
+    C, G = op
+    M, Q = P.shape[:2]
+    F = _received_covariances(G, C, P, [range(Q)] * M, block=Q)
+    return hermitize(F.reshape(P.shape) + P)
 
 
 def qvi_map(s, profile):
@@ -415,6 +423,29 @@ def _pair_chunks(s, n_pairs, rng, boundary):
         yield start, D[0::2], D[1::2]
 
 
+class _NormalizedGame:
+    """What the pair verifiers read of a scenario ``s`` (square channels
+    only): the criteria report of its exact interference matrix and its
+    QVI operator. Each is built on first use. ``verify lemmas`` passes one
+    to both verifiers in place of the scenario, so a run builds them once."""
+
+    def __init__(self, s):
+        self.s = s
+
+    @cached_property
+    def report(self):
+        return criteria(interference_matrix_square(self.s))
+
+    @cached_property
+    def op(self):
+        return _qvi_operator(self.s)
+
+
+def _normalized_game(s):
+    """``s`` itself when it is a _NormalizedGame, else the game of ``s``."""
+    return s if isinstance(s, _NormalizedGame) else _NormalizedGame(s)
+
+
 def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     """Sample profile pairs and check the Lipschitz bound
     ||F(Q) - F(Q')||_F <= sigma_max(I + S) ||Q - Q'||_F, the constant
@@ -426,8 +457,8 @@ def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     """
     n_pairs = check_count(n_pairs, "n_pairs", 0)
     slack = check_number(slack, "slack")
-    L = criteria(interference_matrix_square(s)).sigma_max_IplusS
-    op = _qvi_operator(s)
+    game = _normalized_game(s)
+    s, L, op = game.s, game.report.sigma_max_IplusS, game.op
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     for start, Pa, Pb in _pair_chunks(s, n_pairs, rng, boundary=False):
@@ -459,14 +490,15 @@ def verify_monotonicity(s, n_pairs=500, seed=0, slack=1e-9):
     """
     n_pairs = check_count(n_pairs, "n_pairs", 0)
     slack = check_number(slack, "slack")
-    sr_sym = criteria(interference_matrix_square(s)).sr_Ssym
+    game = _normalized_game(s)
+    s, sr_sym = game.s, game.report.sr_Ssym
     mu = 1.0 - sr_sym
     if mu <= 0.0:
         return VerifierReport(
             "monotonicity", "skipped", 0, mu, float("nan"), slack,
             notes=f"sr(S^s) = {sr_sym:.6g} >= 1: bound gives no certificate",
         )
-    op = _qvi_operator(s)
+    op = game.op
     rng = np.random.default_rng(seed)
     min_margin = float("inf")
     for start, Pa, Pb in _pair_chunks(s, n_pairs, rng, boundary=True):
@@ -552,7 +584,7 @@ def estimate_power_smoothness(s, cfg, weights):
     ``weights`` (a criteria report's ``perron_w``, floored at W_FLOOR).
     Pairs on which Dinkelbach fails to converge are skipped and counted.
     """
-    w = np.maximum(np.asarray(weights, dtype=float), W_FLOOR)
+    w = _floored_weights(weights)
     rng = np.random.default_rng(cfg.seed)
     t = cfg.perturbation
     max_l2 = max_winf = 0.0
@@ -566,7 +598,7 @@ def estimate_power_smoothness(s, cfg, weights):
         den_w = (_stack_frob((Pa - Pb)[:, :, None]) / w).max(axis=1)
         for j in np.flatnonzero((den_f > 1e-12) & (den_w > 1e-12)):
             try:
-                X = _whitened_channels(s, qs, [Pa[j]] * s.Q + [Pb[j]] * s.Q)
+                X = _whitened_channels(s, np.stack([Pa[j], Pb[j]]), [range(s.Q)] * 2)
                 p_hat = _best_responses(s, qs, X, cfg.dinkelbach)[2]
             except ConvergenceError:
                 skipped += 1

@@ -20,6 +20,7 @@ import numpy as np
 from .best_response import DinkelbachConfig, best_response
 from .equilibrium import (
     PowerSmoothnessConfig,
+    _NormalizedGame,
     criteria,
     estimate_power_smoothness,
     identity_channel_scenario,
@@ -265,9 +266,10 @@ def run_lemma_suite(config, seed=None, verbose=False):
     cfg = lemma_config(config, seed)
     sample_seed, n_pairs = cfg["seed"], cfg["n_pairs"]
     rs = reduce_scenario(scenario_from_config(cfg["scenario"]))
+    game = _NormalizedGame(rs)   # built once, read by both pair verifiers
     reports = [
-        verify_lipschitz(rs, n_pairs, seed=sample_seed, slack=cfg["slack"]),
-        verify_monotonicity(rs, n_pairs, seed=sample_seed + 1, slack=cfg["slack"]),
+        verify_lipschitz(game, n_pairs, seed=sample_seed, slack=cfg["slack"]),
+        verify_monotonicity(game, n_pairs, seed=sample_seed + 1, slack=cfg["slack"]),
         verify_power_set_smoothness(rs, cfg["n_triples"], seed=sample_seed + 2,
                                     slack=cfg["slack"]),
     ]

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .best_response import DinkelbachConfig, _best_responses
-from .equilibrium import interference_matrix_square
+from .equilibrium import _floored_weights, interference_matrix_square
 from .errors import ConvergenceError, InvalidInputError, check_count, check_number, is_real
-from .linalg import W_FLOOR, spectral_radius
+from .linalg import spectral_radius
 from .model import StrategyProfile, _rates, _stack_frob, _whitened_channels, block_max_distance
 
 SUSTAIN_SLOTS = 5        # consecutive below-tolerance slots before stopping
@@ -86,14 +86,14 @@ class UpdateSchedule:
 
 
 def default_weights(s):
-    """Perron weights of the interference matrix; all-ones when the reduced
-    channels are not square (no exact interference matrix there)."""
+    """Perron weights of the interference matrix, floored as the smoothness
+    estimate floors them; all-ones when the reduced channels are not square
+    (no exact interference matrix there)."""
     try:
         S = interference_matrix_square(s)
     except InvalidInputError:
         return np.ones(s.Q)
-    _, w, _ = spectral_radius(S.S)
-    return np.maximum(w, W_FLOOR)
+    return _floored_weights(spectral_radius(S.S)[1])
 
 
 @dataclass
@@ -122,7 +122,7 @@ def _evaluate(s, stack, rows, readers=(), measured=(), *, cfg):
     players' positions (zero elsewhere) and whose last rows are the
     readers'."""
     Q = s.Q
-    X = _whitened_channels(s, [*range(Q), *readers], [stack] * Q + list(measured))
+    X = _whitened_channels(s, np.stack([stack, *measured]), [range(Q), *([q] for q in readers)])
     brs = np.zeros((len(X), *stack.shape[1:]), dtype=complex)
     picked = [*rows, *range(Q, len(X))]
     if picked:

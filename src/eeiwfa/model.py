@@ -10,6 +10,7 @@ after construction; all evaluators are pure functions.
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -374,6 +375,18 @@ class ReducedScenario:
     Psi: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def HbarH(self):
+        """The conjugate-transposed channel table, one frozen (Q, K, Q, N)
+        array: entry [r, :, q, :] is Hbar_qr^H, zero-padded. Transmitter r's
+        row is one K x (Q N) matrix and receiver q's column one strided
+        (Q K) x N view; see :func:`_received_covariances`. Built on first
+        use, so a criteria trial, which forms no covariance, never pays for
+        it."""
+        A = self.Hbar.array
+        G = np.empty((A.shape[1], A.shape[3], A.shape[0], A.shape[2]), dtype=complex)
+        return _freeze(np.conjugate(A.transpose(1, 3, 0, 2), out=G))
+
 
 def reduce_scenario(s):
     """Reduce a scenario to its full-column-rank equivalent game.
@@ -494,32 +507,77 @@ def _unwide(M, Q):
     return M.reshape(M.shape[0], Q, -1).transpose(1, 0, 2)
 
 
-def _received_covariance(A, Rn, q, P):
-    """Rn + sum_r A_r P_r A_r^H over r != q at a receiver with (Q, N, K)
-    channel stack ``A`` and noise ``Rn``, for M profiles side by side: ``P``
-    is (Q, K, M K), entry r [P_r of profile 0 | P_r of profile 1 | ...], so
-    a (Q, K, K) stack is M = 1. One (M, N, N) stack, not yet hermitized."""
-    Q, N, K = A.shape
-    T = A @ P
-    T[q] = 0.0
-    # row (m, a), column (r, c): (A_r P_r)[a, c] of profile m
-    T = T.reshape(Q, N, -1, K).transpose(2, 1, 0, 3).reshape(-1, Q * K)
-    return Rn + (T @ _ct(_wide(A))).reshape(-1, N, N)
+# Receivers per block of a scenario's channel table (see
+# _received_covariances): few enough that a delayed reader, which forms
+# its receiver's whole block alone, pays little for it.
+_RECEIVER_BLOCK = 4
 
 
-def _whitened_channels(s, qs, stacks):
-    """Whitened direct channels X = L^{-1} Hbar_qq of the players ``qs``,
-    L L^H = R_q the MUI covariance of each at its own (Q, K, K) profile
-    stack; one (len(qs), N, K) array, zero beyond each player's receive
-    dimension and rank. X^H X is the whitened gram Hbar_qq^H R_q^{-1} Hbar_qq."""
-    R = hermitize(np.concatenate([
-        _received_covariance(s.Hbar.array[q], s.Rn.stack[q], q, P)
-        for q, P in zip(qs, stacks)
-    ]))
+def _received_covariances(G, Rn, P, qs, block=_RECEIVER_BLOCK):
+    """Rn_q + sum_{r != q} A_qr P_r A_qr^H of the receivers ``qs[m]`` at
+    each profile m of the (M, Q, K, K) stack ``P``: one (total of
+    len(qs[m]), N, N) stack, profile 0's receivers first, not yet
+    hermitized. ``G`` is the (Q, K, Q, N) conjugate-transposed channel
+    table, G[r, :, q, :] = A_qr^H, and ``Rn`` the (Q, N, N) noises.
+
+    Each term is grouped as A_qr (P_r A_qr^H), formed per block of
+    ``block`` receivers, [0, block), [block, 2 block), ..., for the
+    profiles that read the block (see :func:`_block_sums`). BLAS can round
+    a column of a product differently with the product's width, so a block
+    is formed whole whichever of its receivers are asked for: with one
+    ``block`` per table, a row has the same bits in every call that forms
+    it."""
+    Q, N = G.shape[0], G.shape[3]
+    q_of = np.array([q for players in qs for q in players], dtype=int)
+    m_of = np.repeat(np.arange(len(qs)), [len(players) for players in qs])
+    read = np.zeros((-(-Q // block), len(qs)), dtype=bool)   # block b is read at profile m
+    read[q_of // block, m_of] = True
+    place = (np.cumsum(read) - 1).reshape(read.shape)        # of each read block in Z
+    Z = np.empty((read.sum(), block, N, N), dtype=complex)
+    for b, ms in enumerate(read):
+        if ms.any():
+            Zb = _block_sums(G, P if ms.all() else P[ms], b * block, block)
+            Z[place[b, ms], :Zb.shape[1]] = Zb
+    R = Z[place[q_of // block, m_of], q_of % block]
+    np.conjugate(R, out=R)
+    R += Rn[q_of]
+    return R
+
+
+def _block_sums(G, P, start, block):
+    """The conjugates of sum_{r != q} A_qr P_r A_qr^H of the receivers
+    start <= q < start + block (see _received_covariances) at each profile
+    of the (M, Q, K, K) stack ``P``: one (M, receivers, N, N) stack.
+
+    The products P_r G[r] over the block's columns are one matmul batched
+    over the transmitters r and the profiles. Conjugated in place, they
+    give each receiver's sum as one matmul of its strided (Q K, N) views of
+    G and of them, G_q^T conj(T_q) = conj(G_q^H T_q), with no conjugate
+    copy of G."""
+    Q, K, _, N = G.shape
+    b = min(block, Q - start)
+    Gb = G[:, :, start:start + b]
+    # T[m, r, :, j] = P_r A_qr^H of profile m, q = start + j
+    T = (P @ Gb.reshape(Q, K, b * N)).reshape(len(P), Q, K, b, N)
+    j = np.arange(b)
+    T[:, start + j, :, j] = 0.0   # the MUI skips r = q
+    np.negative(T.imag, out=T.imag)
+    return (Gb.reshape(Q * K, b, N).transpose(1, 2, 0)
+            @ T.reshape(len(P), Q * K, b, N).transpose(0, 2, 1, 3))
+
+
+def _whitened_channels(s, P, qs):
+    """Whitened direct channels X = L^{-1} Hbar_qq of the players ``qs[m]``
+    at each profile m of the (M, Q, K, K) stack ``P``, L L^H = R_q the MUI
+    covariance of each; one (total of len(qs[m]), N, K) array, profile 0's
+    players first, zero beyond each player's receive dimension and rank.
+    X^H X is the whitened gram Hbar_qq^H R_q^{-1} Hbar_qq."""
+    players = [q for group in qs for q in group]
+    R = hermitize(_received_covariances(s.HbarH, s.Rn.stack, P, qs))
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
-        for q, Rq in zip(qs, R):
+        for q, Rq in zip(players, R):
             try:
                 np.linalg.cholesky(Rq)
             except np.linalg.LinAlgError:
@@ -527,7 +585,7 @@ def _whitened_channels(s, qs, stacks):
                     f"MUI covariance of player {q} is numerically singular"
                 ) from None
         raise
-    return np.linalg.solve(L, s.Hbar.array[qs, qs])
+    return np.linalg.solve(L, s.Hbar.array[players, players])
 
 
 def _grams(X):
@@ -564,8 +622,8 @@ def block_max_distance(pa, pb, w):
 def mui_covariance(s, q, profile):
     """Interference-plus-noise covariance at receiver q."""
     n = s.Rn[q].shape[0]
-    return hermitize(_received_covariance(s.Hbar.array[q], s.Rn.stack[q], q,
-                                          profile.stack)[0, :n, :n])
+    R = _received_covariances(s.HbarH, s.Rn.stack, profile.stack[None], [[q]])
+    return hermitize(R[0, :n, :n])
 
 
 def whitened_gram(s, q, profile):
@@ -575,7 +633,7 @@ def whitened_gram(s, q, profile):
     reduced direct channel has full column rank.
     """
     r = s.ranks[q]
-    return _grams(_whitened_channels(s, [q], [profile.stack]))[0, :r, :r]
+    return _grams(_whitened_channels(s, profile.stack[None], [[q]]))[0, :r, :r]
 
 
 def rate(s, q, profile):
@@ -584,7 +642,7 @@ def rate(s, q, profile):
     log det(I + G Qbar) evaluated as the sum of log1p over the eigenvalues
     of X Qbar X^H, X the whitened direct channel (G = X^H X).
     """
-    X = _whitened_channels(s, [q], [profile.stack])
+    X = _whitened_channels(s, profile.stack[None], [[q]])
     return float(_rates(X, profile.stack[q][None])[0])
 
 

@@ -270,7 +270,7 @@ def test_batched_best_responses_waterfill_each_rank_in_one_call(monkeypatch):
 
     rs = reduce_scenario(generate_scenario(6, 3, 7.0, 5.0, seed=2))
     prof = StrategyProfile.from_stack(0.5 * StrategyProfile.uniform(rs).stack, rs.ranks)
-    X = _whitened_channels(rs, range(6), [prof.stack] * 6)
+    X = _whitened_channels(rs, prof.stack[None], [range(6)])
     shapes = {"water_level": [], "dinkelbach_gains": []}
 
     def counting(name):
@@ -315,7 +315,7 @@ def test_vanishing_direct_channel_gives_the_zero_power_response():
 def test_zero_power_player_is_a_zero_row_of_the_batch():
     rs = vanishing_channel_game()
     prof = StrategyProfile.uniform(rs)
-    X = _whitened_channels(rs, range(3), [prof.stack] * 3)
+    X = _whitened_channels(rs, prof.stack[None], [range(3)])
     Qbr, p_u, p_hat, mu, iters = _best_responses(rs, range(3), X, DinkelbachConfig())
     assert not Qbr[0].any() and (p_u[0], p_hat[0], mu[0], iters[0]) == (0.0, 0.0, 0.0, 0)
     assert (p_hat[1:] > 0).all() and (iters[1:] > 0).all()
@@ -347,7 +347,7 @@ def test_first_failing_player_of_the_batch_raises(game, qs, cfg):
     # failing player in the order of qs, whichever check it fails and
     # whichever rank group it is in.
     rs = game()
-    X = _whitened_channels(rs, qs, [StrategyProfile.uniform(rs).stack] * len(qs))
+    X = _whitened_channels(rs, StrategyProfile.uniform(rs).stack[None], [qs])
     X[qs.index(0), :, 1] = 0.0
     if qs[0] == 2 and cfg.max_iters == 1:
         with pytest.raises(ConvergenceError, match="did not reach epsilon=1e-13"):
@@ -417,7 +417,7 @@ def test_best_responses_satisfy_the_waterfilling_kkt_conditions(seed):
     rng = np.random.default_rng(seed)
     rs, prof = random_game(rng)
     qs = list(range(rs.Q))
-    X = _whitened_channels(rs, qs, [prof.stack] * rs.Q)
+    X = _whitened_channels(rs, prof.stack[None], [qs])
     Qbr, p_u, p_hat, levels, _ = _best_responses(rs, qs, X, DinkelbachConfig())
     for q in qs:
         k = rs.ranks[q]

@@ -395,14 +395,14 @@ GOLDEN_EVAL = {
     "interference_ok_contraction": False,
     "interference_ok_qvi": False,
     "perron_degenerate": False,
-    "perron_w": [0.06443487132889333, 0.8304890620243618, 0.5532956399744398],
-    "power_smoothness": {"max_ratio_l2": 1.0338797491315455,
-                         "max_ratio_weighted_inf": 0.6217534993483563,
+    "perron_w": [0.06443487132889332, 0.8304890620243617, 0.5532956399744399],
+    "power_smoothness": {"max_ratio_l2": 1.0338797491315457,
+                         "max_ratio_weighted_inf": 0.6217534993482087,
                          "n_pairs": 20, "n_skipped": 0},
     "qvi_rhs_constant": -0.6387048183354217,
-    "sigma_max_IplusS": 20.69689666292919,
+    "sigma_max_IplusS": 20.6968966629292,
     "sr_S": 11.835503360851193,
-    "sr_Ssym": 14.219207623203184,
+    "sr_Ssym": 14.21920762320319,
     "variant": "sampled-columnrank",
 }
 

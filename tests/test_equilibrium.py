@@ -91,22 +91,24 @@ def test_square_matrix_rejects_tall_channels(rng):
 
 
 def per_receiver_reference(rs):
-    """The interference matrix and the QVI operator (C, X) as a loop over
+    """The interference matrix and the QVI operator (C, G) as a loop over
     the receivers, each with one np.linalg.solve(Hqq, [Hbar_q0 | Hbar_q1 |
-    ...]) for its normalized channels and two more for its noise."""
+    ...]) for its normalized channels X_qr and two more for its noise; G
+    holds X_qr^H at [r, :, q, :]."""
     Q, K = rs.Q, rs.Hbar.array.shape[3]
     S = np.zeros((Q, Q))
     C = np.zeros((Q, K, K), dtype=complex)
-    X = np.zeros((Q, Q, K, K), dtype=complex)
+    G = np.zeros((Q, K, Q, K), dtype=complex)
     for q in range(Q):
         Hqq = rs.Hbar[q][q]
         n = Hqq.shape[0]
         Xq = _unwide(np.linalg.solve(Hqq, _wide(rs.Hbar.array[q, :, :n])), Q)
         S[q] = np.linalg.eigvalsh(_ct(Xq) @ Xq)[..., -1]
         S[q, q] = 0.0
-        X[q, :, :n] = Xq
+        for r in range(Q):
+            G[r, :, q, :n] = _ct(Xq[r])
         C[q, :n, :n] = _ct(np.linalg.solve(Hqq, _ct(np.linalg.solve(Hqq, rs.Rn[q]))))
-    return S, (C, X)
+    return S, (C, G)
 
 
 @settings(deadline=None, max_examples=30)

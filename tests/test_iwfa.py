@@ -390,7 +390,7 @@ def test_a_failed_look_ahead_fails_in_its_own_slot(monkeypatch):
     k, q = t + 1, unseen[0]
     assert k >= 3
     # the whitened channel that player q's delayed update at slot k reads
-    target = _whitened_channels(rs, [q], [measured(profiles, t, q, ages).stack])[0]
+    target = _whitened_channels(rs, measured(profiles, t, q, ages).stack[None], [[q]])[0]
     real = iwfa._best_responses
 
     def failing(s, qs, X, cfg):
@@ -457,7 +457,7 @@ def test_a_failed_ne_residual_on_the_last_slot_is_recorded(monkeypatch):
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
     sched = UpdateSchedule("sequential", 4)
     final = run_iwfa(rs, sched, max_slots=5, residual_tol=-1.0, ne_every=0).final_profile
-    target = _whitened_channels(rs, [3], [final.stack])[0]
+    target = _whitened_channels(rs, final.stack[None], [[3]])[0]
     real = iwfa._best_responses
 
     def failing(s, qs, X, cfg):
@@ -491,12 +491,13 @@ def _faulty(rate, salt):
         crc = zlib.crc32(data, zlib.crc32(kind + salt))
         return crc if crc % 1000 < rate * 1000 else None
 
-    def whiten(s, qs, stacks):
-        for q, P in zip(qs, stacks):
-            crc = selected(b"w%d" % q, np.delete(P, q, axis=0).tobytes(), rate / 3)
-            if crc is not None:
-                raise InvalidInputError(f"injected singular covariance {crc:08x}")
-        return real_whiten(s, qs, stacks)
+    def whiten(s, P, qs):
+        for stack, players in zip(P, qs):
+            for q in players:
+                crc = selected(b"w%d" % q, np.delete(stack, q, axis=0).tobytes(), rate / 3)
+                if crc is not None:
+                    raise InvalidInputError(f"injected singular covariance {crc:08x}")
+        return real_whiten(s, P, qs)
 
     def respond(s, qs, X, cfg):
         for x in X:
@@ -525,7 +526,7 @@ def lookahead_free_run(rs, schedule, max_slots, residual_tol, ne_every, cfg, whi
     streak, stop = 0, None
 
     def evaluate(stack, qs):
-        return [whiten(rs, [q], [stack])[0] for q in qs]
+        return [whiten(rs, stack[None], [[q]])[0] for q in qs]
 
     def brs(qs, X):
         return [respond(rs, [q], x[None], cfg)[0][0] for q, x in zip(qs, X)]
@@ -541,7 +542,7 @@ def lookahead_free_run(rs, schedule, max_slots, residual_tol, ne_every, cfg, whi
             for view, q in zip(views, delayed):
                 for r in range(Q):
                     view[r] = stacks[max(t - ages[q, r], 0)][r]
-            Xd = [whiten(rs, [q], [view])[0] for q, view in zip(delayed, views)]
+            Xd = [whiten(rs, view[None], [[q]])[0] for q, view in zip(delayed, views)]
             new = stacks[t].copy()
             updates = brs(current + delayed, [X[q] for q in current] + Xd)
             for q, b in zip(current + delayed, updates):
@@ -625,9 +626,9 @@ def test_a_run_draws_only_the_slots_it_runs(monkeypatch, max_slots, draws):
         counts["draws"] += 1
         return real_draw(self, t, rng)
 
-    def whitened(s, qs, stacks):
-        counts["rows"].append(len(qs))
-        return real_whiten(s, qs, stacks)
+    def whitened(s, P, qs):
+        counts["rows"].append(sum(map(len, qs)))
+        return real_whiten(s, P, qs)
 
     monkeypatch.setattr(UpdateSchedule, "draw_slot", draw_slot)
     monkeypatch.setattr(iwfa, "_whitened_channels", whitened)

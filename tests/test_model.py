@@ -1,9 +1,12 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from eeiwfa import iwfa, model
 
 from eeiwfa.best_response import DinkelbachConfig
 from eeiwfa.errors import InvalidInputError
@@ -582,23 +585,29 @@ def assert_close(got, want, rel=1e-12):
 
 
 def test_ragged_batch_matches_per_pair_formulas(rng):
-    from eeiwfa.model import _grams, _rates, _received_covariance, _whitened_channels
+    from eeiwfa.model import _grams, _rates, _received_covariances, _whitened_channels
 
     # unequal nT and nR; player 1's 3x2 direct channel has rank 1
     s = ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4])
     rs = reduce_scenario(s)
     assert list(rs.ranks) == [2, 1, 4]
     N, K = 4, 4
+    assert rs.HbarH.shape == (3, K, 3, N) and not rs.HbarH.flags.writeable
+    for q in range(3):
+        for r in range(3):
+            assert np.array_equal(rs.HbarH[r, :, q, :], rs.Hbar.array[q, r].conj().T)
     mats = [random_psd(rng, int(r), trace=1.0) for r in rs.ranks]
     P = StrategyProfile(mats).stack
     # M = 4 profiles side by side, the first of them P
     profiles = [mats] + [[random_psd(rng, int(r), trace=1.0) for r in rs.ranks]
                          for _ in range(3)]
     Ps = np.stack([StrategyProfile(m).stack for m in profiles])
-    Pw = Ps.transpose(1, 2, 0, 3).reshape(3, K, 4 * K)
-    X = _whitened_channels(rs, range(3), [P] * 3)
+    X = _whitened_channels(rs, P[None], [range(3)])
     grams = _grams(X)
     assert grams.shape == (3, K, K)
+    stacked = _received_covariances(rs.HbarH, rs.Rn.stack, Ps, [range(3)] * 4)
+    assert stacked.shape == (12, N, N)
+    stacked = stacked.reshape(4, 3, N, N)
     plain_grams = []
     for q in range(3):
         n, k = s.nR[q], rs.ranks[q]
@@ -607,16 +616,14 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
             assert_close(rs.Hbar[q][r], s.H[q][r] @ rs.V1[r])
         assert rs.Hbar[q].stack.shape == (3, N, K)
         R = plain_mui(rs, q, mats)
-        stacked = _received_covariance(rs.Hbar.array[q], rs.Rn.stack[q], q, Pw)
-        assert stacked.shape == (4, N, N)
-        for m, padded in enumerate(stacked):
-            one = _received_covariance(rs.Hbar.array[q], rs.Rn.stack[q], q, Ps[m])
+        for m, padded in enumerate(stacked[:, q]):
+            one = _received_covariances(rs.HbarH, rs.Rn.stack, Ps[m][None], [[q]])
             assert one.shape == (1, N, N)
-            assert_close(padded, one[0], rel=1e-14)
+            assert np.array_equal(padded, one[0])
             assert_close(padded[:n, :n], plain_mui(rs, q, profiles[m]))
             assert np.array_equal(padded[n:, n:], np.eye(N - n))
             assert not padded[:n, n:].any() and not padded[n:, :n].any()
-        assert_close(stacked[0, :n, :n], R)
+        assert_close(stacked[0, q, :n, :n], R)
         assert_close(mui_covariance(rs, q, StrategyProfile(mats)), R)
         Hqq = rs.Hbar[q][q]
         G = Hqq.conj().T @ np.linalg.solve(R, Hqq)
@@ -634,6 +641,76 @@ def test_ragged_batch_matches_per_pair_formulas(rng):
     )
 
 
+class _Formed(Exception):
+    """Raised by a recording stand-in once a pass has formed its covariances."""
+
+
+def formed_in_evaluate(rs, stack, readers, measured):
+    """The covariances that iwfa._evaluate's whitening pass forms for every
+    player at ``stack`` and for the ``readers`` at their ``measured``
+    stacks, in the pass's row order."""
+    formed, real = [], model._received_covariances
+
+    def record(*args):
+        formed.append(real(*args))
+        raise _Formed
+
+    with mock.patch.object(model, "_received_covariances", record), pytest.raises(_Formed):
+        iwfa._evaluate(rs, stack, [], readers, measured, cfg=DinkelbachConfig())
+    return formed[0]
+
+
+def antenna_counts(Q):
+    """nR, nT and direct-channel ranks of Q players, each 1 to 3 (a rank
+    is cut to its channel's smaller side)."""
+    counts = st.lists(st.integers(1, 3), min_size=Q, max_size=Q)
+    return st.tuples(counts, counts, counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 17).flatmap(antenna_counts), st.integers(2, 4), st.integers(0, 2**32 - 1))
+@example(([2] * 3, [2] * 3, [2] * 3), 3, 0)
+@example(([3] * 17, [3] * 17, [3] * 17), 3, 0)
+def test_a_receivers_covariance_does_not_depend_on_the_call_that_forms_it(counts, M, seed):
+    # A receiver's MUI covariance has the same bits formed with every
+    # receiver at a profile, alone, among M profiles side by side, or as a
+    # delayed reader in an iwfa pass: each product is taken over a block of
+    # receivers fixed by the receiver alone. (Q, n) = (3, 2) and (17, 3)
+    # are shapes where a block that followed the call changed them.
+    from eeiwfa.equilibrium import _random_covariances
+    from eeiwfa.model import _received_covariances
+
+    rng = np.random.default_rng(seed)
+    nR, nT, ranks = counts
+    Q = len(nR)
+    ranks = [min(k, n, t) for k, n, t in zip(ranks, nR, nT)]
+    H = [[crandn(rng, nR[q], nT[r]) / np.sqrt(Q) for r in range(Q)] for q in range(Q)]
+    for q in range(Q):
+        H[q][q] = crandn(rng, nR[q], ranks[q]) @ crandn(rng, ranks[q], nT[q])
+    Rn = [np.eye(n) + random_psd(rng, n, trace=0.5) for n in nR]
+    rs = reduce_scenario(scenario_from_matrices(H, Rn, rng.uniform(0.5, 4.0, Q), [1.0] * Q))
+    assert list(rs.ranks) == ranks
+    P = _random_covariances(rng, rs.ranks, rs.P, M)
+    G, noise = rs.HbarH, rs.Rn.stack
+    every = [_received_covariances(G, noise, P[m][None], [range(Q)]) for m in range(M)]
+    assert np.array_equal(_received_covariances(G, noise, P, [range(Q)] * M),
+                          np.concatenate(every))
+    for m, R in enumerate(every):
+        for q in range(Q):
+            assert np.array_equal(_received_covariances(G, noise, P[m][None], [[q]])[0], R[q])
+    # delayed readers, each measuring a profile that mixes several
+    readers = rng.integers(0, Q, M)
+    measured = [P[view, np.arange(Q)] for view in rng.integers(0, M, (M, Q))]
+    batch = formed_in_evaluate(rs, P[0], readers, measured)
+    assert np.array_equal(batch[:Q], every[0])
+    for R, q, stack in zip(batch[Q:], readers, measured):
+        assert np.array_equal(R, _received_covariances(G, noise, stack[None], [[q]])[0])
+    for q in range(Q):
+        n = rs.Rn.rows[q]
+        assert_close(every[0][q, :n, :n],
+                     plain_mui(rs, q, StrategyProfile.from_stack(P[0], rs.ranks)))
+
+
 def test_ragged_batched_best_responses_match_single_player(rng):
     from eeiwfa.best_response import _best_responses, best_response
     from eeiwfa.model import _whitened_channels
@@ -641,7 +718,7 @@ def test_ragged_batched_best_responses_match_single_player(rng):
     s = ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4])
     rs = reduce_scenario(s)
     prof = StrategyProfile([random_psd(rng, int(r), trace=1.0) for r in rs.ranks])
-    X = _whitened_channels(rs, range(3), [prof.stack] * 3)
+    X = _whitened_channels(rs, prof.stack[None], [range(3)])
     Qbr, _, _, _, iters = _best_responses(rs, range(3), X, DinkelbachConfig())
     assert Qbr.shape == (3, 4, 4)
     for q in range(3):
