@@ -168,6 +168,13 @@ def sweep_config(config, seed=None):
     return cfg
 
 
+# A sweep draws a cell's trials with generate_scenario in chunks of at most
+# 4096 channel matrices, and of at most one Q = 64, n = 8 scenario's entries
+# when the matrices are larger: the chunk's scenarios are held together.
+_CHUNK_MATRICES = 4096
+_CHUNK_ENTRIES = 64 * 64 * 8 * 8
+
+
 def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     """Monte-Carlo sweep of the uniqueness criteria over an SNR/SIR grid.
 
@@ -179,9 +186,12 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     """
     cfg = sweep_config(config, seed)
     master, trials, snrs, sirs = cfg["seed"], cfg["trials"], cfg["snr_db"], cfg["sir_db"]
-    base = {key: value for key, value in cfg.items() if key in SCENARIO_DEFAULTS}
+    base = {key: value for key, value in cfg.items()
+            if key in SCENARIO_DEFAULTS and key != "seed"}
     out = resolve_out(out or cfg["out"], "criteria_sweep.csv")
     cells_out = os.path.splitext(out)[0] + "_cells.csv"
+    Q, n = check_count(cfg["Q"], "Q", 1), check_count(cfg["n"], "n", 1)
+    step = max(1, min(_CHUNK_MATRICES // (Q * Q), _CHUNK_ENTRIES // (Q * Q * n * n)))
 
     rows = []
     cell_rows = []
@@ -189,8 +199,9 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     for ci, (snr, sir) in enumerate(itertools.product(snrs, sirs)):
         seeds = [_trial_seed(master, ci, t) for t in range(trials)]
         cell = {**base, "snr_db": snr, "sir_db": sir}
-        reps = [criteria(interference_matrix_square(
-            reduce_scenario(scenario_from_config(cell, seed=sd)))) for sd in seeds]
+        reps = [criteria(interference_matrix_square(reduce_scenario(s)))
+                for start in range(0, trials, step)
+                for s in generate_scenario(**cell, seed=seeds[start:start + step])]
         n_c = n_q = 0
         for t, (sd, rep) in enumerate(zip(seeds, reps)):
             if rep.interference_ok_qvi and not rep.interference_ok_contraction:

@@ -314,11 +314,12 @@ def write_trace_csv(trace, path, thin=1):
             ["slot", "player", "ee", "block_residual", "ne_residual", "updated_flag"]
         )
         for i in kept:
+            # the slot's fields, formatted once for all its player rows
             slot = int(trace.slots[i])
-            for q in range(trace.ee.shape[1]):
-                writer.writerow([
-                    slot, q, repr(float(trace.ee[i, q])),
-                    repr(float(trace.block_residual[i])),
-                    repr(float(trace.ne_residual[i])),
-                    int(trace.updated[i, q]),
-                ])
+            block = repr(float(trace.block_residual[i]))
+            ne = repr(float(trace.ne_residual[i]))
+            writer.writerows(
+                [slot, q, repr(ee), block, ne, int(flag)]
+                for q, (ee, flag) in enumerate(zip(trace.ee[i].tolist(),
+                                                   trace.updated[i].tolist()))
+            )

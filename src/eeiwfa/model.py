@@ -7,6 +7,7 @@ per-player array is a :class:`PaddedStack`. Scenario objects are immutable
 after construction; all evaluators are pure functions.
 """
 
+import copy
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -141,16 +142,7 @@ class NetworkScenario:
         T = self.H.array
         if T.shape != (self.Q, self.Q, N, M):
             raise InvalidInputError(f"channel table has shape {T.shape}")
-        if not np.isfinite(T).all():
-            raise InvalidInputError("H has non-finite entries")
-        rows = np.arange(N) < self.nR[:, None]
-        cols = np.arange(M) < self.nT[:, None]
-        if not (rows.all() and cols.all()):   # ragged counts: check the padding
-            inside = rows[:, None, :, None] & cols[None, :, None, :]
-            if T[~inside].any():
-                raise InvalidInputError(
-                    "channel table has nonzero entries outside its channels' blocks"
-                )
+        _check_tables(T[None], self.nR, self.nT)
         Rn = _pack(self.Rn, self.nR, self.nR, "Rn")
         q, k = np.nonzero(np.arange(N) >= self.nR[:, None])
         Rn[q, k, k] = 1.0   # identity on the padding
@@ -162,6 +154,21 @@ class NetworkScenario:
         if bad.size:
             raise InvalidInputError(f"Rn[{bad[0]}] is not positive definite")
         self.Rn = PaddedStack(Rn, self.nR, self.nR)
+
+
+def _check_tables(T, nR, nT):
+    """Check a (trials, Q, Q, N, M) stack of channel tables of the antenna
+    counts ``nR``, ``nT``: finite, and zero outside the channels' blocks."""
+    if not np.isfinite(T).all():
+        raise InvalidInputError("H has non-finite entries")
+    rows = np.arange(T.shape[3]) < nR[:, None]
+    cols = np.arange(T.shape[4]) < nT[:, None]
+    if not (rows.all() and cols.all()):   # ragged counts: check the padding
+        inside = rows[:, None, :, None] & cols[None, :, None, :]
+        if T[:, ~inside].any():
+            raise InvalidInputError(
+                "channel table has nonzero entries outside its channels' blocks"
+            )
 
 
 def scenario_from_matrices(H, Rn, P, Psi, seed=None, meta=None):
@@ -218,21 +225,42 @@ def _mix(x, y):
     return z ^ (z >> 16)
 
 
-def _stream_states(seed, Q):
-    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence((seed, q, r)))`` for
-    every q, r < Q, in (q, r) row-major order, as Python ints.
-
-    The entropy words of stream (q, r) are the 32-bit words of ``seed``,
-    low first, then q, then r; the hash runs over all Q^2 streams at once.
-    """
+def _seed_words(seed):
+    """The 32-bit words of ``seed``, low first."""
     words = [seed & _MASK32]
     while seed > _MASK32:
         seed >>= 32
         words.append(seed & _MASK32)
-    # one row per entropy word, zero rows up to the pool size
-    entropy = np.zeros((max(len(words) + 2, _POOL_SIZE), Q * Q), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)], entropy[len(words) + 1] = np.divmod(np.arange(Q * Q), Q)
+    return words
+
+
+def _stream_states(seeds, Q):
+    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence((seed, q, r)))`` for
+    every seed of ``seeds`` and q, r < Q, as Python ints: one list per seed,
+    in (q, r) row-major order.
+
+    The entropy words of stream (q, r) are the 32-bit words of the seed,
+    low first, then q, then r; the hash runs at once over every stream of
+    the seeds with as many words.
+    """
+    words = [_seed_words(seed) for seed in seeds]
+    states = [None] * len(seeds)
+    for count in set(map(len, words)):
+        group = [i for i, w in enumerate(words) if len(w) == count]
+        # one row per entropy word, zero rows up to the pool size; one
+        # column per stream, the group's seeds one after another
+        entropy = np.zeros((max(count + 2, _POOL_SIZE), len(group), Q * Q), dtype=np.uint32)
+        entropy[:count] = np.array([words[i] for i in group], dtype=np.uint32).T[..., None]
+        entropy[count], entropy[count + 1] = np.divmod(np.arange(Q * Q), Q)
+        flat = _hashed_states(entropy.reshape(len(entropy), -1))
+        for j, i in enumerate(group):
+            states[i] = flat[j * Q * Q:(j + 1) * Q * Q]
+    return states
+
+
+def _hashed_states(entropy):
+    """PCG64 ``(state, inc)`` of the SeedSequence of each column of the
+    uint32 ``entropy`` array, whose rows are the entropy words in order."""
     # uint32 products wrap, as the hash needs
     with np.errstate(over="ignore"):
         # mix_entropy: the 4-word pool, mixed with itself, then with the rest
@@ -284,8 +312,11 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     snr_db, sir_db : float
         Targets in dB; ``sir_db = inf`` zeroes the cross channels. An
         ``snr_db`` high enough to set a zero noise variance is an error.
-    seed : int
-        Master seed; every (q, r) channel gets its own derived stream.
+    seed : int, or a list or tuple of ints
+        Master seed; every (q, r) channel gets its own derived stream. For
+        a list of seeds the result is a list: the scenario of each seed,
+        as it alone would give it. They are drawn in one pass and their
+        shared parts checked once.
     power, circuit_power : float
         Budget P (defaults to n, i.e. unit power per antenna) and circuit
         power Psi, shared by all players.
@@ -294,7 +325,10 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     """
     Q = check_count(Q, "Q", 1)
     n = check_count(n, "n", 1)
-    seed = check_count(seed, "seed", 0)
+    single = not isinstance(seed, (list, tuple))
+    seeds = [check_count(sd, "seed", 0) for sd in ([seed] if single else seed)]
+    if not seeds:
+        raise InvalidInputError("need at least one seed")
     if channel_kind not in CHANNEL_KINDS:
         raise InvalidInputError(f"channel_kind must be one of {CHANNEL_KINDS}")
     if snr_convention not in SNR_CONVENTIONS:
@@ -327,31 +361,46 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
 
     # One generator takes each (q, r) stream's state in turn and draws its
     # real parts, then its imaginary parts, in one call straight into a row
-    # buffer; one table holds every channel.
+    # buffer; receiver q's row of every seed is scaled into one table.
     diagonal = channel_kind == "diagonal"
-    T = np.zeros((Q, Q, n, n), dtype=complex)
-    draws = np.empty((Q, 2, n) if diagonal else (Q, 2, n, n))
+    T = np.zeros((len(seeds), Q, Q, n, n), dtype=complex)
+    draws = np.empty((len(seeds), Q, 2, n) if diagonal else (len(seeds), Q, 2, n, n))
     k = np.arange(n)
     bits = np.random.PCG64(0)   # its seed is overwritten by every stream's state
     rng = np.random.Generator(bits)
     stream = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    states = iter(_stream_states(seed, Q))
+    states = _stream_states(seeds, Q)
     for q in range(Q):
-        for r in range(Q):
-            stream["state"]["state"], stream["state"]["inc"] = next(states)
-            bits.state = stream
-            rng.standard_normal(out=draws[r])
+        for row, seed_states in zip(draws, states):
+            for r in range(Q):
+                stream["state"]["state"], stream["state"]["inc"] = seed_states[q * Q + r]
+                bits.state = stream
+                rng.standard_normal(out=row[r])
         scale = np.full(Q, np.sqrt(cross_var / 2.0))
         scale[q] = np.sqrt(0.5)
         if diagonal:
-            T[q][:, k, k] = scale[:, None] * (draws[:, 0] + 1j * draws[:, 1])
+            T[:, q][:, :, k, k] = scale[:, None] * (draws[:, :, 0] + 1j * draws[:, :, 1])
         else:
-            T[q] = scale[:, None, None] * (draws[:, 0] + 1j * draws[:, 1])
+            T[:, q] = scale[:, None, None] * (draws[:, :, 0] + 1j * draws[:, :, 1])
     Rn = [sigma_n2 * np.eye(n) for _ in range(Q)]
-    return NetworkScenario(
-        Q=Q, nT=[n] * Q, nR=[n] * Q, H=ChannelTable(T, [n] * Q, [n] * Q), Rn=Rn,
-        P=[p] * Q, Psi=[psi] * Q, seed=seed, meta=meta,
+    first = NetworkScenario(
+        Q=Q, nT=[n] * Q, nR=[n] * Q, H=ChannelTable(T[0], [n] * Q, [n] * Q), Rn=Rn,
+        P=[p] * Q, Psi=[psi] * Q, seed=seeds[0], meta=meta,
     )
+    if single:
+        return first
+    # The others share the first one's checked counts, noise and budgets;
+    # only their tables are new. Whether a table passes depends on the
+    # arguments alone (the draws are finite), so no table fails here that
+    # the first one passed.
+    _check_tables(T[1:], first.nR, first.nT)
+    scenarios = [first]
+    for table, sd in zip(T[1:], seeds[1:]):
+        s = copy.copy(first)   # not constructed again: nothing is checked twice
+        s.nT, s.nR, s.meta = first.nT.copy(), first.nR.copy(), dict(meta)
+        s.H, s.seed = ChannelTable(table, first.nR, first.nT), sd
+        scenarios.append(s)
+    return scenarios
 
 
 @dataclass

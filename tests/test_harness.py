@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -5,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eeiwfa import harness
+from eeiwfa import harness, model
+from eeiwfa.equilibrium import criteria, interference_matrix_square
 from eeiwfa.errors import CheckFailure, InvalidInputError
 from eeiwfa.harness import (
     best_response_config,
@@ -21,6 +24,7 @@ from eeiwfa.harness import (
     solve_best_response,
     sweep_config,
 )
+from eeiwfa.model import generate_scenario, reduce_scenario
 
 SMALL_SWEEP = {
     "Q": 3,
@@ -120,6 +124,90 @@ def test_sweep_allows_all_or_nothing_cells_of_one_trial(tmp_path):
     for seed in (6, 10, 11, 12, 20, 26):
         res = run_criteria_sweep({**grid, "seed": seed}, out=str(tmp_path / "s.csv"))
         assert res["rows"] == 4
+
+
+def per_trial_row(cell, trial, seed):
+    """A sweep's trial row from the per-trial pipeline, formatted as written."""
+    rep = criteria(interference_matrix_square(reduce_scenario(
+        generate_scenario(**cell, seed=seed))))
+    row = [cell["snr_db"], cell["sir_db"], trial, seed, rep.sr_S, rep.sr_Ssym,
+           rep.sigma_max_IplusS, rep.qvi_rhs_constant, rep.contraction_rhs_constant,
+           rep.interference_ok_qvi, rep.interference_ok_contraction]
+    return [str(harness._fmt(x)) for x in row]
+
+
+def chunked_draws(monkeypatch, edit=lambda s: s):
+    """Record the seed count of each generate_scenario call of the sweep,
+    whose scenarios pass through ``edit``."""
+    sizes = []
+    draw = harness.generate_scenario
+
+    def recorded(*args, seed, **kw):
+        sizes.append(len(seed))
+        return [edit(s) for s in draw(*args, seed=seed, **kw)]
+
+    monkeypatch.setattr(harness, "generate_scenario", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("grid, chunks", [
+    ({"Q": 4, "n": 3, "snr_db": [0.0, 10.0], "sir_db": [0.0, 15.0], "trials": 9,
+      "channel_kind": "diagonal"}, [9]),
+    ({"Q": 4, "n": 3, "snr_db": [0.0, 10.0], "sir_db": [0.0, 15.0], "trials": 9,
+      "channel_kind": "full", "snr_convention": "total-power", "power": 2.0}, [9]),
+    ({"Q": 1, "n": 2, "snr_db": [5.0], "sir_db": [float("inf")], "trials": 6}, [6]),
+    # 16 trials a chunk, 17 trials span two: 4096 // 16^2 = 16 matrices
+    # bound the first, 64^2 8^2 // (Q^2 n^2) = 16 entries the other two
+    ({"Q": 16, "n": 2, "snr_db": [5.0], "sir_db": [10.0], "trials": 17,
+      "channel_kind": "full"}, [16, 1]),
+    ({"Q": 16, "n": 8, "snr_db": [5.0], "sir_db": [10.0], "trials": 17,
+      "channel_kind": "full"}, [16, 1]),
+    ({"Q": 4, "n": 32, "snr_db": [5.0], "sir_db": [10.0], "trials": 17}, [16, 1]),
+])
+def test_sweep_rows_equal_the_per_trial_pipeline(tmp_path, monkeypatch, grid, chunks):
+    sizes = chunked_draws(monkeypatch)
+    res = run_criteria_sweep({**grid, "seed": 5}, out=str(tmp_path / "s.csv"))
+    _, _, rows = read_csv(res["out"])
+    cell_keys = ("Q", "n", "power", "channel_kind", "snr_convention")
+    base = {key: grid[key] for key in cell_keys if key in grid}
+    want = []
+    for ci, (snr, sir) in enumerate(itertools.product(grid["snr_db"], grid["sir_db"])):
+        for t in range(grid["trials"]):
+            cell = {"channel_kind": "diagonal", **base, "snr_db": snr, "sir_db": sir}
+            want.append(per_trial_row(cell, t, harness._trial_seed(5, ci, t)))
+    assert rows == want
+    cells = len(grid["snr_db"]) * len(grid["sir_db"])
+    assert sizes == chunks * cells
+    assert max(sizes) * grid["Q"] ** 2 <= 4096
+    assert max(sizes) * (grid["Q"] * grid["n"]) ** 2 <= 64 * 64 * 8 * 8
+
+
+def without_direct_channel(s, q):
+    """The scenario ``s`` with player q's direct channel zeroed."""
+    T = s.H.array.copy()
+    T[q, q] = 0.0
+    return dataclasses.replace(s, H=model.ChannelTable(T, s.nR, s.nT))
+
+
+def test_a_chunk_raises_the_per_trial_loops_first_error(monkeypatch):
+    # trial 3 loses player 2's direct channel, trial 5 player 0's: one chunk
+    # draws all eight, and its scenarios are still reduced in trial order
+    grid = {"Q": 4, "n": 2, "snr_db": [5.0], "sir_db": [10.0], "trials": 8, "seed": 1}
+    seeds = [harness._trial_seed(1, 0, t) for t in range(8)]
+    faults = {seeds[3]: 2, seeds[5]: 0}
+
+    def edit(s):
+        return without_direct_channel(s, faults[s.seed]) if s.seed in faults else s
+
+    cell = {"Q": 4, "n": 2, "snr_db": 5.0, "sir_db": 10.0, "channel_kind": "diagonal"}
+    with pytest.raises(InvalidInputError, match="^player 2 has a zero direct channel$"):
+        for seed in seeds:
+            criteria(interference_matrix_square(reduce_scenario(
+                edit(generate_scenario(**cell, seed=seed)))))
+    sizes = chunked_draws(monkeypatch, edit)
+    with pytest.raises(InvalidInputError, match="^player 2 has a zero direct channel$"):
+        run_criteria_sweep(grid, out="unused.csv")
+    assert sizes == [8]
 
 
 def test_sweep_still_rejects_a_real_drop_in_sir(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from unittest import mock
@@ -133,17 +134,65 @@ def test_generated_table_matches_per_pair_draws(kind, Q, n, sir_db, seed):
             assert np.array_equal(s.H[q][r], want)
 
 
+# SHA-256 of a generated scenario's channel table and noise stack, taken
+# before the draws were batched over trials: the same streams, read in the
+# same order, give the same bytes.
+@pytest.mark.parametrize("Q, n, kind, seed, table, noise", [
+    (8, 4, "full", 0,
+     "f147ecb7681519dcf202114fdbe9ee05b26b65b77dba659dc8cabe7db9ced33c",
+     "2849b5b061952310cded29c6ec0cb994cced20ba889ebb0f51e497a4f9764854"),
+    (3, 2, "diagonal", 2**40 + 7,   # a seed of two 32-bit words
+     "a86496d2a47ab11a137d94d0a8f2af28b89943c2a1cc7b8fb01445e2c61b6df0",
+     "36b07dad9ed5b6d7109b8cbf15498f51448686ed55dda19a214750b705f062bb"),
+])
+def test_generated_draws_are_pinned(Q, n, kind, seed, table, noise):
+    s = generate_scenario(Q, n, 10.0, 5.0, seed=seed, channel_kind=kind)
+    assert hashlib.sha256(s.H.array.tobytes()).hexdigest() == table
+    assert hashlib.sha256(s.Rn.stack.tobytes()).hexdigest() == noise
+
+
 @settings(deadline=None)
-@given(st.integers(0, 2**96 - 1), st.integers(1, 6))
-def test_stream_states_match_seed_sequence(seed, Q):
+@given(st.lists(st.integers(0, 2**96 - 1), min_size=1, max_size=4), st.integers(1, 6))
+@example(seeds=[7, 2**40 + 7, 2**70, 2**32 - 1], Q=3)
+def test_stream_states_match_seed_sequence(seeds, Q):
+    # seeds of one to three 32-bit words side by side in one call
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states = _stream_states(seed, Q)
-    assert len(states) == Q * Q
-    for q in range(Q):
-        for r in range(Q):
-            want = np.random.PCG64(np.random.SeedSequence((seed, q, r))).state["state"]
-            assert states[q * Q + r] == (want["state"], want["inc"])
+        states = _stream_states(seeds, Q)
+    assert len(states) == len(seeds)
+    for seed, got in zip(seeds, states):
+        assert len(got) == Q * Q
+        for q in range(Q):
+            for r in range(Q):
+                want = np.random.PCG64(np.random.SeedSequence((seed, q, r))).state["state"]
+                assert got[q * Q + r] == (want["state"], want["inc"])
+
+
+@pytest.mark.parametrize("Q, kind", [(3, "full"), (3, "diagonal"), (1, "full")])
+def test_a_seed_list_gives_each_seeds_own_scenario(Q, kind):
+    seeds = (0, 7, 2**40 + 7, 2**32 - 1, 2**70)   # one to three 32-bit words
+    many = generate_scenario(Q, 2, 10.0, np.inf, seed=seeds, channel_kind=kind)
+    assert [s.seed for s in many] == list(seeds)
+    for s, seed in zip(many, seeds):
+        one = generate_scenario(Q, 2, 10.0, np.inf, seed=seed, channel_kind=kind)
+        assert s.H.array.tobytes() == one.H.array.tobytes()
+        assert s.Rn.stack.tobytes() == one.Rn.stack.tobytes()
+        for name in ("Q", "nT", "nR", "P", "Psi", "meta"):
+            assert np.array_equal(getattr(s, name), getattr(one, name)), name
+        assert not s.H.array.flags.writeable
+    # each scenario owns its mutable fields
+    for name in ("nT", "nR", "meta"):
+        assert len({id(getattr(s, name)) for s in many}) == len(seeds)
+
+
+def test_a_seed_list_is_checked():
+    with pytest.raises(InvalidInputError, match="need at least one seed"):
+        generate_scenario(2, 2, 7.0, 0.0, seed=[])
+    with pytest.raises(InvalidInputError) as one:
+        generate_scenario(2, 2, 7.0, 0.0, seed=-1)
+    with pytest.raises(InvalidInputError) as listed:
+        generate_scenario(2, 2, 7.0, 0.0, seed=[3, -1])
+    assert str(listed.value) == str(one.value)
 
 
 @pytest.mark.parametrize("snr_db, power", [
