@@ -19,15 +19,17 @@ from .errors import (
     CheckFailure,
     ConvergenceError,
     InvalidInputError,
+    batch_of,
     check_count,
     check_number,
+    first_failure,
     is_real,
 )
 from .linalg import (
     W_FLOOR,
     _psd_trace_projections,
+    _spectral_radii,
     hermitize,
-    spectral_radius,
 )
 from .model import (
     StrategyProfile,
@@ -77,23 +79,33 @@ def _sigma_max_sq(M):
     return np.linalg.eigvalsh(_ct(M) @ M)[..., -1]
 
 
-def _normalized_rows(s):
-    """The game normalized by its direct channels, one receiver at a time
-    (square channels only): for each player q in order, (q, Hbar_qq,
-    Hbar_qq^{-1} [Hbar_q0 | Hbar_q1 | ...] as a (Q, n, K) stack), n =
-    ranks[q], from one solve per receiver. Hbar_qq must be square (its
-    direct channel full row rank) and nonsingular."""
+def _normalized_rows(games):
+    """The games of a list of reduced scenarios of one shape (Q, receive
+    dimensions and ranks) normalized by their direct channels, one receiver
+    at a time (square channels only): for each player q in order, (q,
+    Hbar_qq, Hbar_qq^{-1} [Hbar_q0 | Hbar_q1 | ...]) as (trials, n, n) and
+    (trials, Q, n, K) stacks, n = ranks[q], from one solve per receiver over
+    the trials. Hbar_qq must be square (its direct channel full row rank)
+    and nonsingular. One game's table is read in place, not copied."""
+    s = games[0]
+    if len(games) == 1:
+        A = s.Hbar.array[None]
+    elif all(g.Q == s.Q and g.Rn.rows == s.Rn.rows and np.array_equal(g.ranks, s.ranks)
+             for g in games):
+        A = np.stack([g.Hbar.array for g in games])
+    else:
+        raise InvalidInputError("the reduced scenarios of a list must share Q, nR and ranks")
     for q in range(s.Q):
-        Hqq = s.Hbar[q][q]
-        n = Hqq.shape[0]
-        if n != Hqq.shape[1]:
+        n, k = s.Hbar[q][q].shape
+        if n != k:
             raise InvalidInputError(
                 f"direct channel of player {q} is not full row rank (reduced to"
-                f" {n}x{Hqq.shape[1]}); use interference_matrix_sampled"
+                f" {n}x{k}); use interference_matrix_sampled"
                 " for full-column-rank channels"
             )
+        Hqq = A[:, q, q, :n, :n]
         try:
-            X = np.linalg.solve(Hqq, _wide(s.Hbar.array[q, :, :n]))
+            X = np.linalg.solve(Hqq, _wide(A[:, q, :, :n]))
         except np.linalg.LinAlgError:
             raise InvalidInputError(
                 f"reduced direct channel of player {q} is singular"
@@ -103,12 +115,27 @@ def _normalized_rows(s):
 
 def interference_matrix_square(s):
     """Exact interference matrix for square nonsingular direct channels:
-    entry (q, r) = sigma_max^2(Hbar_qq^{-1} Hbar_qr)."""
-    S = np.zeros((s.Q, s.Q))
-    for q, _, X in _normalized_rows(s):
-        S[q] = _sigma_max_sq(X)
-        S[q, q] = 0.0
-    return InterferenceMatrix(S, "exact-square")
+    entry (q, r) = sigma_max^2(Hbar_qq^{-1} Hbar_qr).
+
+    ``s`` may also be a list or tuple of reduced scenarios of one shape, as
+    ``reduce_scenario`` gives for a generated chunk; the result is then the
+    list of their matrices, each the one its scenario gives alone. A list
+    that fails raises the error of its first scenario that fails alone.
+    """
+    games, single = batch_of(s, "scenario")
+    S = first_failure(_square_matrices, games)
+    mats = [InterferenceMatrix(M, "exact-square") for M in S]
+    return mats[0] if single else mats
+
+
+def _square_matrices(games):
+    """The exact interference matrices of the games, one (trials, Q, Q) stack."""
+    Q = games[0].Q
+    S = np.zeros((len(games), Q, Q))
+    for q, _, X in _normalized_rows(games):
+        S[:, q] = _sigma_max_sq(X)
+        S[:, q, q] = 0.0
+    return S
 
 
 def interference_matrix_rowrank(s):
@@ -307,36 +334,60 @@ def criteria(S):
     """Evaluate both uniqueness criteria, which read only the interference
     matrix S. The power-mapping half of each is sampled on its own by
     :func:`estimate_power_smoothness`, weighted by the report's ``perron_w``.
+
+    ``S`` may also be a list or tuple of interference matrices of one size;
+    the result is then the list of their reports, each the one its matrix
+    gives alone. A list that fails raises the error of its first matrix
+    that fails alone.
     """
-    M = S.S
-    Q = M.shape[0]
-    sr_S, w, degenerate = spectral_radius(M)
-    sr_sym, _, _ = spectral_radius(0.5 * (M + M.T))
-    sigma = float(np.linalg.norm(np.eye(Q) + M, 2))
-    if sr_S > sr_sym + 1e-9:
-        raise CheckFailure(
-            f"spectral-radius ordering violated: sr(S)={sr_S} > sr(S^s)={sr_sym}"
-        )
-    if sigma < 1.0 - 1e-12:
-        raise CheckFailure(f"sigma_max(I + S) = {sigma} < 1")
-    qvi_rhs = (1.0 - sr_sym) / sigma
-    contraction_rhs = 1.0 - sr_S
-    ok_qvi = bool(sr_sym < 1.0)
-    ok_contraction = bool(sr_S < 1.0)
-    if ok_qvi and ok_contraction and qvi_rhs > contraction_rhs + 1e-9:
-        raise CheckFailure("criterion constants are inconsistently ordered")
-    return CriteriaReport(
-        variant=S.variant,
-        sr_S=float(sr_S),
-        sr_Ssym=float(sr_sym),
-        sigma_max_IplusS=sigma,
-        perron_w=w,
-        perron_degenerate=degenerate,
-        qvi_rhs_constant=float(qvi_rhs),
-        contraction_rhs_constant=float(contraction_rhs),
-        interference_ok_qvi=ok_qvi,
-        interference_ok_contraction=ok_contraction,
-    )
+    mats, single = batch_of(S, "interference matrix")
+    reports = first_failure(_criteria_reports, mats)
+    return reports[0] if single else reports
+
+
+def _criteria_reports(mats):
+    """The criteria reports of a list of interference matrices of one size:
+    the Perron start vectors of S and of S^s from one stacked eig each, and
+    sigma_max(I + S) from one stacked SVD."""
+    Q = mats[0].S.shape[0]
+    if len(mats) == 1:
+        M = mats[0].S[None]
+    elif all(m.S.shape == (Q, Q) for m in mats):
+        M = np.stack([m.S for m in mats])
+    else:
+        raise InvalidInputError("the interference matrices of a list must share Q")
+    perron = _spectral_radii(M)
+    sym_radii = _spectral_radii(0.5 * (M + M.swapaxes(-1, -2)))
+    # the 2-norm, as np.linalg.norm(., 2) takes it: the largest singular value
+    sigmas = np.linalg.svd(np.eye(Q) + M, compute_uv=False)[..., 0].tolist()
+    reports = []
+    for m, (sr_S, w, degenerate), (sr_sym, _, _), sigma in zip(
+            mats, perron, sym_radii, sigmas):
+        if sr_S > sr_sym + 1e-9:
+            raise CheckFailure(
+                f"spectral-radius ordering violated: sr(S)={sr_S} > sr(S^s)={sr_sym}"
+            )
+        if sigma < 1.0 - 1e-12:
+            raise CheckFailure(f"sigma_max(I + S) = {sigma} < 1")
+        qvi_rhs = (1.0 - sr_sym) / sigma
+        contraction_rhs = 1.0 - sr_S
+        ok_qvi = bool(sr_sym < 1.0)
+        ok_contraction = bool(sr_S < 1.0)
+        if ok_qvi and ok_contraction and qvi_rhs > contraction_rhs + 1e-9:
+            raise CheckFailure("criterion constants are inconsistently ordered")
+        reports.append(CriteriaReport(
+            variant=m.variant,
+            sr_S=float(sr_S),
+            sr_Ssym=float(sr_sym),
+            sigma_max_IplusS=sigma,
+            perron_w=w,
+            perron_degenerate=degenerate,
+            qvi_rhs_constant=float(qvi_rhs),
+            contraction_rhs_constant=float(contraction_rhs),
+            interference_ok_qvi=ok_qvi,
+            interference_ok_contraction=ok_contraction,
+        ))
+    return reports
 
 
 # --- the linear QVI mapping and its verified properties ---------------------
@@ -351,7 +402,7 @@ def _qvi_operator(s):
     Q, K = s.Q, s.Hbar.array.shape[3]
     C = np.zeros((Q, K, K), dtype=complex)
     G = np.zeros((Q, K, Q, K), dtype=complex)
-    for q, Hqq, Xq in _normalized_rows(s):
+    for q, (Hqq,), (Xq,) in _normalized_rows([s]):
         n = Hqq.shape[0]
         G[:, :, q, :n] = _ct(Xq)
         C[q, :n, :n] = _ct(np.linalg.solve(Hqq, _ct(np.linalg.solve(Hqq, s.Rn[q]))))

@@ -1,4 +1,5 @@
-"""Exception types and the argument checks shared across the package."""
+"""Exception types, the argument checks shared across the package, and the
+error rule of its functions that take a batch."""
 
 import math
 import os
@@ -59,3 +60,29 @@ def check_path(value, name):
     if not isinstance(value, (str, os.PathLike)):
         raise InvalidInputError(f"{name} must be a path, got {value!r}")
     return value
+
+
+def batch_of(value, name):
+    """``(items, single)``: a list or tuple ``value`` as a list of its items,
+    which must not be empty, or any other ``value`` as a batch of one, with
+    ``single`` telling the two apart. Each batched function of the package
+    takes its argument so and returns one result, or a list of them."""
+    if not isinstance(value, (list, tuple)):
+        return [value], True
+    if not value:
+        raise InvalidInputError(f"need at least one {name}")
+    return list(value), False
+
+
+def first_failure(fn, items):
+    """``fn(items)`` for a function ``fn`` of a batch. When a batch of
+    several fails, ``fn`` runs on each item alone, in order, so that the
+    error raised is the one the first failing item raises alone (or the
+    batch's own, when none does)."""
+    try:
+        return fn(items)
+    except (ValueError, RuntimeError):   # the package's errors, and numpy's LinAlgError
+        if len(items) > 1:
+            for item in items:
+                fn([item])
+        raise

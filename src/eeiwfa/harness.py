@@ -11,11 +11,10 @@ form, and row order follows trial indices.
 
 import csv
 import dataclasses
+import functools
 import itertools
 import math
 import os
-
-import numpy as np
 
 from .best_response import DinkelbachConfig, best_response
 from .equilibrium import (
@@ -32,10 +31,11 @@ from .equilibrium import (
     verify_monotonicity,
     verify_power_set_smoothness,
 )
-from .errors import CheckFailure, InvalidInputError, check_count, check_number, check_path
+from .errors import (CheckFailure, InvalidInputError, check_count, check_number, check_path,
+                     first_failure)
 from .iwfa import UpdateSchedule, run_iwfa, write_trace_csv
-from .model import (StrategyProfile, _complex_to_lists, generate_scenario, load_scenario,
-                    reduce_scenario)
+from .model import (StrategyProfile, _child_seeds, _complex_to_lists, generate_scenario,
+                    load_scenario, reduce_scenario)
 
 OUT_DIR_ENV = "EEIWFA_OUT_DIR"
 
@@ -131,10 +131,6 @@ def dinkelbach_config(section, name="dinkelbach"):
     return DinkelbachConfig(**read_config(section, table, f"config section '{name}'"))
 
 
-def _trial_seed(master, cell, trial):
-    return int(np.random.SeedSequence((master, cell, trial)).generate_state(1)[0])
-
-
 # --- criterion sweep --------------------------------------------------------
 
 SWEEP_DEFAULTS = {
@@ -168,11 +164,18 @@ def sweep_config(config, seed=None):
     return cfg
 
 
-# A sweep draws a cell's trials with generate_scenario in chunks of at most
-# 4096 channel matrices, and of at most one Q = 64, n = 8 scenario's entries
-# when the matrices are larger: the chunk's scenarios are held together.
+# A sweep evaluates a cell's trials in chunks of at most 4096 channel
+# matrices, and of at most one Q = 64, n = 8 scenario's entries when the
+# matrices are larger: the chunk's scenarios are held together.
 _CHUNK_MATRICES = 4096
 _CHUNK_ENTRIES = 64 * 64 * 8 * 8
+
+
+def _sweep_reports(cell, seeds):
+    """The criteria reports of the trials ``seeds`` of a sweep cell, each
+    stage taking the whole list at once."""
+    return criteria(interference_matrix_square(reduce_scenario(
+        generate_scenario(**cell, seed=seeds))))
 
 
 def run_criteria_sweep(config, out=None, seed=None, verbose=False):
@@ -197,11 +200,12 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     cell_rows = []
     fractions = {}
     for ci, (snr, sir) in enumerate(itertools.product(snrs, sirs)):
-        seeds = [_trial_seed(master, ci, t) for t in range(trials)]
-        cell = {**base, "snr_db": snr, "sir_db": sir}
-        reps = [criteria(interference_matrix_square(reduce_scenario(s)))
-                for start in range(0, trials, step)
-                for s in generate_scenario(**cell, seed=seeds[start:start + step])]
+        seeds = _child_seeds((master, ci), trials)   # trial t: SeedSequence((master, ci, t))
+        evaluate = functools.partial(_sweep_reports, {**base, "snr_db": snr, "sir_db": sir})
+        # a chunk that fails runs again one trial at a time, so that the
+        # error is the per-trial loop's first
+        reps = [rep for start in range(0, trials, step)
+                for rep in first_failure(evaluate, seeds[start:start + step])]
         n_c = n_q = 0
         for t, (sd, rep) in enumerate(zip(seeds, reps)):
             if rep.interference_ok_qvi and not rep.interference_ok_contraction:

@@ -162,24 +162,29 @@ def realify(Z):
     return R
 
 
-def _perron_start(A):
-    """Start vector of the Perron power iteration: the modulus of the dense
-    eigenvector of the eigenvalue with the largest real part when every
-    entry of it is above W_FLOOR (an irreducible matrix, where it is the
-    Perron vector up to rounding), else the all-ones vector.
+def _perron_starts(A):
+    """Start vectors of the Perron power iteration for a (B, n, n) stack,
+    one list entry per matrix, from one stacked ``np.linalg.eig``: the
+    modulus of the dense eigenvector of the eigenvalue with the largest
+    real part when every entry of it is above W_FLOOR (an irreducible
+    matrix, where it is the Perron vector up to rounding), else the all-ones
+    vector.
 
     A reducible matrix keeps the all-ones start, because its weights are the
     limit of the iteration from there (e.g. spread over equal blocks), not
     whichever eigenvector LAPACK returns.
     """
-    ones = np.ones(A.shape[0])
+    ones = np.ones(A.shape[-1])
     try:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError:   # non-finite entries, or no convergence
-        return ones
-    w = np.abs(vecs[:, np.argmax(vals.real)])
-    w /= np.linalg.norm(w)
-    return w if w.min() > W_FLOOR else ones
+        return [ones] if len(A) == 1 else [_perron_starts(a[None])[0] for a in A]
+    top = np.argmax(vals.real, axis=-1)[:, None, None]
+    starts = []
+    for w in np.abs(np.take_along_axis(vecs, top, axis=-1)[..., 0]):
+        w /= np.linalg.norm(w)   # the 1-D norm: norm(..., axis=-1) rounds otherwise
+        starts.append(w if w.min() > W_FLOOR else ones)
+    return starts
 
 
 def spectral_radius(A):
@@ -196,21 +201,26 @@ def spectral_radius(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError("expected a square matrix")
+    return _spectral_radii(A[None])[0]
+
+
+def _spectral_radii(A):
+    """:func:`spectral_radius` of each matrix of a float (B, n, n) stack, as
+    a list; the start vectors come from one stacked eig."""
     if not np.isfinite(A).all():
         raise InvalidInputError("A has non-finite entries")
     if A.size and A.min() < 0.0:
         raise InvalidInputError("matrix must be entrywise nonnegative")
-    n = A.shape[0]
-    if n == 0:
-        return 0.0, np.empty(0), True
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    sr, w, converged = _kernels.power_iteration(
-        A, _perron_start(A), POWER_TOL, POWER_MAX_ITERS
-    )
-    sr = max(float(sr), 0.0)
-    if sr <= POWER_TOL * max(1.0, float(A.max(initial=0.0))):
-        sr = 0.0  # below the iteration's own resolution
-    degenerate = (not converged) or sr <= W_FLOOR or float(w.min()) < W_FLOOR
-    w = np.maximum(w, W_FLOOR)
-    w = w / np.linalg.norm(w)
-    return sr, w, degenerate
+    if A.shape[-1] == 0:
+        return [(0.0, np.empty(0), True) for _ in A]
+    out = []
+    for a, start in zip(A, _perron_starts(A)):
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        sr, w, converged = _kernels.power_iteration(a, start, POWER_TOL, POWER_MAX_ITERS)
+        sr = max(float(sr), 0.0)
+        if sr <= POWER_TOL * max(1.0, float(a.max(initial=0.0))):
+            sr = 0.0  # below the iteration's own resolution
+        degenerate = (not converged) or sr <= W_FLOOR or float(w.min()) < W_FLOOR
+        w = np.maximum(w, W_FLOOR)
+        out.append((sr, w / np.linalg.norm(w), degenerate))
+    return out

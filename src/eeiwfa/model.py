@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _log1p_sum
-from .errors import InvalidInputError, check_count, check_number, check_path, check_real
+from .errors import (InvalidInputError, batch_of, check_count, check_number, check_path,
+                     check_real)
 from .linalg import _check_hermitian_stack, _svd_ranks, hermitize
 
 SNR_CONVENTIONS = ("per-stream", "total-power")
@@ -75,16 +76,22 @@ class ChannelTable:
     N and M the largest receive and transmit dimensions: entry (q, r) holds
     H_qr in its top-left nR[q] x nT[r] block and zeros elsewhere.
     ``table[q]`` is receiver q's channels as a :class:`PaddedStack` over the
-    transmitters and ``table[q][r]`` the exact-shape read-only view of H_qr.
+    transmitters and ``table[q][r]`` the exact-shape read-only view of H_qr;
+    the Q stacks are built on first use, so a table only passed along whole
+    (a sweep trial's) never builds them.
     """
 
     def __init__(self, array, nR, nT):
         self.array = _freeze(array)
-        nR, nT = self._counts = tuple(map(int, nR)), tuple(map(int, nT))
-        self._rows = [PaddedStack(array[q], (n,) * len(nT), nT) for q, n in enumerate(nR)]
+        self._counts = tuple(map(int, nR)), tuple(map(int, nT))
+
+    @cached_property
+    def _rows(self):
+        nR, nT = self._counts
+        return [PaddedStack(self.array[q], (n,) * len(nT), nT) for q, n in enumerate(nR)]
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._counts[0])
 
     def __getitem__(self, q):
         return self._rows[q]
@@ -258,9 +265,21 @@ def _stream_states(seeds, Q):
     return states
 
 
-def _hashed_states(entropy):
-    """PCG64 ``(state, inc)`` of the SeedSequence of each column of the
-    uint32 ``entropy`` array, whose rows are the entropy words in order."""
+def _child_seeds(key, count):
+    """``SeedSequence((*key, t)).generate_state(1)[0]`` for t < count
+    (below 2^32), as Python ints, from one pass of the hash: the entropy
+    words of child t are those of each entry of ``key``, low first, then t."""
+    head = [word for k in key for word in _seed_words(k)]
+    entropy = np.zeros((max(len(head) + 1, _POOL_SIZE), count), dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head)] = np.arange(count)
+    return _state_words(entropy, 1)[0].tolist()
+
+
+def _state_words(entropy, count):
+    """The first ``count`` uint32 words of ``generate_state`` of the
+    SeedSequence of each column of the uint32 ``entropy`` array, whose rows
+    are the entropy words in order: a (count, columns) array."""
     # uint32 products wrap, as the hash needs
     with np.errstate(over="ignore"):
         # mix_entropy: the 4-word pool, mixed with itself, then with the rest
@@ -271,8 +290,15 @@ def _hashed_states(entropy):
             pool[dst] = _mix(pool[dst], mix_hash(pool[src], len(dst)))
         for e in entropy[_POOL_SIZE:]:
             pool = _mix(pool, mix_hash(e, _POOL_SIZE))
-        # generate_state(4, uint64): eight hashed words, paired low word first
-        out = _Hash(*_STATE_HASH)(np.tile(pool, (2, 1)), 8).astype(np.uint64)
+        # generate_state: the pool words in turn, hashed
+        return _Hash(*_STATE_HASH)(pool[np.arange(count) % _POOL_SIZE], count)
+
+
+def _hashed_states(entropy):
+    """PCG64 ``(state, inc)`` of the SeedSequence of each column of the
+    uint32 ``entropy`` array, whose rows are the entropy words in order."""
+    # generate_state(4, uint64): eight words, paired low word first
+    out = _state_words(entropy, 8).astype(np.uint64)
     words = (out[0::2] | (out[1::2] << 32)).tolist()
     states = []
     for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words):
@@ -325,10 +351,8 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     """
     Q = check_count(Q, "Q", 1)
     n = check_count(n, "n", 1)
-    single = not isinstance(seed, (list, tuple))
-    seeds = [check_count(sd, "seed", 0) for sd in ([seed] if single else seed)]
-    if not seeds:
-        raise InvalidInputError("need at least one seed")
+    seeds, single = batch_of(seed, "seed")
+    seeds = [check_count(sd, "seed", 0) for sd in seeds]
     if channel_kind not in CHANNEL_KINDS:
         raise InvalidInputError(f"channel_kind must be one of {CHANNEL_KINDS}")
     if snr_convention not in SNR_CONVENTIONS:
@@ -340,10 +364,15 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
     sir_db = check_number(sir_db, "sir_db")
     snr_lin = _from_db(snr_db, "snr_db")
     sigma_n2 = (p / n) / snr_lin if snr_convention == "per-stream" else p / snr_lin
-    if sigma_n2 == 0.0 and p > 0.0:   # a bad budget reaches NetworkScenario
-        raise InvalidInputError(
-            f"snr_db = {snr_db} is too high: the noise variance it sets is 0"
-        )
+    if 0.0 < p < np.inf:   # a bad budget reaches NetworkScenario
+        if sigma_n2 == 0.0:
+            raise InvalidInputError(
+                f"snr_db = {snr_db} is too high: the noise variance it sets is 0"
+            )
+        if sigma_n2 == np.inf:   # 10^(snr_db/10) subnormal
+            raise InvalidInputError(
+                f"snr_db = {snr_db} is too low: the noise variance it sets is not finite"
+            )
 
     meta = {
         "snr_db": snr_db,
@@ -358,6 +387,11 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
         cross_var = 0.0
     else:
         cross_var = 1.0 / ((Q - 1) * _from_db(sir_db, "sir_db"))
+        if cross_var == np.inf:   # 10^(sir_db/10) subnormal
+            raise InvalidInputError(
+                f"sir_db = {sir_db} is too low: the cross-channel variance it sets"
+                " is not finite"
+            )
 
     # One generator takes each (q, r) stream's state in turn and draws its
     # real parts, then its imaginary parts, in one call straight into a row
@@ -382,7 +416,7 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
             T[:, q][:, :, k, k] = scale[:, None] * (draws[:, :, 0] + 1j * draws[:, :, 1])
         else:
             T[:, q] = scale[:, None, None] * (draws[:, :, 0] + 1j * draws[:, :, 1])
-    Rn = [sigma_n2 * np.eye(n) for _ in range(Q)]
+    Rn = [np.diag(np.full(n, sigma_n2)) for _ in range(Q)]   # no inf * 0 off the diagonal
     first = NetworkScenario(
         Q=Q, nT=[n] * Q, nR=[n] * Q, H=ChannelTable(T[0], [n] * Q, [n] * Q), Rn=Rn,
         P=[p] * Q, Psi=[psi] * Q, seed=seeds[0], meta=meta,
@@ -441,27 +475,49 @@ def reduce_scenario(s):
     """Reduce a scenario to its full-column-rank equivalent game.
 
     Raises if any player's direct channel is zero (such a player cannot
-    communicate at all).
+    communicate at all). ``s`` may also be a list or tuple of scenarios of
+    one Q and antenna counts, as ``generate_scenario`` gives for a list of
+    seeds; the result is then the list of their reduced games, each the one
+    its scenario gives alone, and a list with a zero direct channel raises
+    the error of its first such scenario.
     """
-    # one SVD per distinct direct-channel shape, each player truncated by
-    # compact_svd's rank rule
-    ranks = np.zeros(s.Q, dtype=int)
-    V1 = [None] * s.Q
+    scenarios, single = batch_of(s, "scenario")
+    s = scenarios[0]
+    for other in scenarios[1:]:
+        if other.Q != s.Q or other.H._counts != s.H._counts:
+            raise InvalidInputError("the scenarios of a list must share Q, nR and nT")
+    # (trials, Q, Q, N, M); one scenario's table is not copied
+    T = s.H.array[None] if single else np.stack([x.H.array for x in scenarios])
+    # one SVD per distinct direct-channel shape over every trial, each
+    # player truncated by compact_svd's rank rule
+    M = T.shape[4]
+    ranks = np.zeros((len(T), s.Q), dtype=int)
+    V = np.zeros((len(T), s.Q, M, M), dtype=complex)   # right singular vectors
     for nR, nT in set(zip(s.nR.tolist(), s.nT.tolist())):
         group = np.flatnonzero((s.nR == nR) & (s.nT == nT))
-        _, sv, vh = np.linalg.svd(s.H.array[group, group, :nR, :nT], full_matrices=False)
-        ranks[group] = _svd_ranks(sv)
-        for q, v in zip(group, _ct(vh)):
-            V1[q] = v[:, : ranks[q]]
-    bad = np.flatnonzero(ranks == 0)
+        _, sv, vh = np.linalg.svd(T[:, group, group, :nR, :nT], full_matrices=False)
+        ranks[:, group] = _svd_ranks(sv)
+        V[:, group, :nT, :vh.shape[-2]] = _ct(vh)
+    bad = np.argwhere(ranks == 0)
     if bad.size:
-        raise InvalidInputError(f"player {bad[0]} has a zero direct channel")
-    V1 = PaddedStack(_pack(V1, s.nT, ranks, "V1"), s.nT, ranks)
-    # (Q, Q, N, K): entry (q, r) is H_qr V1_r, zero-padded
-    return ReducedScenario(
-        Q=s.Q, ranks=ranks, Hbar=ChannelTable(s.H.array @ V1.stack, s.nR, ranks), V1=V1,
-        Rn=s.Rn, P=s.P, Psi=s.Psi, meta=dict(s.meta),
-    )
+        raise InvalidInputError(f"player {bad[0, 1]} has a zero direct channel")
+    # each trial is K = max(ranks) columns wide: one product per width
+    reduced = [None] * len(T)
+    widths = ranks.max(axis=1)
+    for K in set(widths.tolist()):
+        idx = np.flatnonzero(widths == K)
+        # V1[t, q] is V1_q of trial t, zero beyond its rank: (trials, Q, M, K)
+        V1 = np.where(np.arange(K) < ranks[idx, :, None, None], V[idx, :, :, :K], 0.0)
+        # (trials, Q, Q, N, K): entry (q, r) is H_qr V1_r, zero-padded
+        Hbar = (T if len(idx) == len(T) else T[idx]) @ V1[:, None]
+        for t, V1t, Ht in zip(idx, V1, Hbar):
+            x = scenarios[t]
+            reduced[t] = ReducedScenario(
+                Q=s.Q, ranks=ranks[t].copy(), Hbar=ChannelTable(Ht, s.nR, ranks[t]),
+                V1=PaddedStack(V1t, s.nT, ranks[t]), Rn=x.Rn, P=x.P, Psi=x.Psi,
+                meta=dict(x.meta),
+            )
+    return reduced[0] if single else reduced
 
 
 class StrategyProfile(PaddedStack):
@@ -547,13 +603,14 @@ def _ct(A):
 
 
 def _wide(A):
-    """(Q, m, k) stack as the m x (Q k) matrix [A_0 | A_1 | ...]."""
-    return A.transpose(1, 0, 2).reshape(A.shape[1], -1)
+    """(..., Q, m, k) stack as the m x (Q k) matrix [A_0 | A_1 | ...], or a
+    stack of them."""
+    return np.swapaxes(A, -3, -2).reshape(A.shape[:-3] + (A.shape[-2], -1))
 
 
 def _unwide(M, Q):
     """Inverse of :func:`_wide`."""
-    return M.reshape(M.shape[0], Q, -1).transpose(1, 0, 2)
+    return np.swapaxes(M.reshape(M.shape[:-1] + (Q, -1)), -3, -2)
 
 
 # Receivers per block of a scenario's channel table (see

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,83 @@ def test_square_matrix_diagonal_channels_scalar_oracle():
                 continue
             ratios = np.abs(np.diagonal(s.H[q][r]) / np.diagonal(s.H[q][q])) ** 2
             assert abs(S.S[q, r] - ratios.max()) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 17), st.integers(1, 8), st.sampled_from(["full", "diagonal"]),
+       st.lists(st.integers(0, 2**96 - 1), min_size=1, max_size=4),
+       st.floats(-10.0, 30.0))
+@example(17, 8, "full", [0, 2**40 + 7, 2**70, 2**32 - 1], 5.0)
+@example(1, 3, "diagonal", [5, 2**64], 0.0)
+def test_list_forms_equal_the_per_item_calls(Q, n, kind, seeds, sir_db):
+    # seeds of one to three 32-bit words side by side in one list
+    many = generate_scenario(Q, n, 7.0, sir_db if Q > 1 else np.inf, seed=seeds,
+                             channel_kind=kind)
+    reduced = reduce_scenario(many)
+    mats = interference_matrix_square(reduced)
+    reports = criteria(mats)
+    assert len(reduced) == len(mats) == len(reports) == len(seeds)
+    for s, rs, S, rep in zip(many, reduced, mats, reports):
+        one = reduce_scenario(s)
+        for name in ("ranks", "P", "Psi", "meta"):
+            assert np.array_equal(getattr(rs, name), getattr(one, name)), name
+        for a, b in ((rs.Hbar.array, one.Hbar.array), (rs.V1.stack, one.V1.stack)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (rs.V1.rows, rs.V1.cols) == (one.V1.rows, one.V1.cols)
+        assert [rs.Hbar[q][r].shape for q in range(Q) for r in range(Q)] == \
+            [one.Hbar[q][r].shape for q in range(Q) for r in range(Q)]
+        assert rs.Rn is s.Rn
+        S1 = interference_matrix_square(one)
+        assert S.S.tobytes() == S1.S.tobytes() and S.variant == S1.variant
+        rep1 = criteria(S1)
+        for key, value in rep.to_dict().items():
+            assert value == rep1.to_dict()[key], key
+        assert rep.perron_w.tobytes() == rep1.perron_w.tobytes()
+
+
+def test_a_failing_list_raises_its_first_failing_items_error():
+    def singular(rs, q):
+        A = rs.Hbar.array.copy()
+        A[q, q, 0] = 0.0
+        return replace(rs, Hbar=ChannelTable(A, rs.Rn.rows, rs.ranks))
+
+    good = reduce_scenario(generate_scenario(3, 2, 7.0, 5.0, seed=[1, 2, 3]))
+    # the batch fails at receiver 0 first (trial 2), the per-item loop at trial 1
+    with pytest.raises(InvalidInputError,
+                       match="^reduced direct channel of player 2 is singular$"):
+        interference_matrix_square([good[0], singular(good[1], 2), singular(good[2], 0)])
+    # trial 2's ranks differ from the others': it is not full row rank
+    s = generate_scenario(3, 2, 7.0, 5.0, seed=4, channel_kind="diagonal")
+    T = s.H.array.copy()
+    T[0, 0, 0, 0] = 0.0
+    tall = reduce_scenario(replace(s, H=ChannelTable(T, s.nR, s.nT)))
+    with pytest.raises(InvalidInputError, match="^reduced direct channel of player 2"):
+        interference_matrix_square([good[0], singular(good[1], 2), tall])
+    with pytest.raises(InvalidInputError, match="^direct channel of player 0 is not full row"):
+        interference_matrix_square([good[0], tall, singular(good[1], 2)])
+    with pytest.raises(InvalidInputError, match="must share Q, nR and ranks"):
+        interference_matrix_square([good[0], reduce_scenario(generate_scenario(2, 2, 7.0, 5.0,
+                                                                               seed=1))])
+    with pytest.raises(InvalidInputError, match="need at least one scenario"):
+        interference_matrix_square([])
+
+
+def test_a_failing_criteria_list_raises_its_first_failing_items_error():
+    S = interference_matrix_square(reduce_scenario(generate_scenario(3, 2, 7.0, 5.0, seed=1)))
+    bad = InterferenceMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]), "exact-square")
+    with pytest.raises(InvalidInputError, match="^A has non-finite entries$"):
+        criteria([S, bad])
+    with pytest.raises(InvalidInputError, match="must share Q"):
+        criteria([S, InterferenceMatrix(np.zeros((2, 2)), "exact-square")])
+    with pytest.raises(InvalidInputError, match="need at least one interference matrix"):
+        criteria(())
+
+
+def test_a_large_interference_matrix_is_pinned():
+    # SHA-256 of one Q=64 n=8 scenario's S, taken before S took a trial axis
+    rs = reduce_scenario(generate_scenario(64, 8, 7.0, 5.0, seed=0, power=8.0))
+    assert hashlib.sha256(interference_matrix_square(rs).S.tobytes()).hexdigest() == (
+        "78c9c4a71425b73482c7295338d582dde1d2e1524b1a444c734f20c41bd9345b")
 
 
 def test_square_matrix_rejects_tall_channels(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -74,6 +75,25 @@ def test_criteria_sweep_golden_values(tmp_path):
         assert int(row[cols["ok_contraction"]]) == ok_contraction
 
 
+# SHA-256 of the trial and cell files of two sweeps, taken before a chunk's
+# reduction, interference matrices and criteria took a trial axis: a change
+# in the last bit of any trial's report shows here.
+@pytest.mark.parametrize("grid, trials_sha, cells_sha", [
+    ({"Q": 8, "n": 4, "snr_db": [0.0, 10.0], "sir_db": [0.0, 10.0, 20.0], "trials": 10,
+      "seed": 0, "channel_kind": "diagonal"},
+     "89befd413ced1871a2388f8ad9af7e18d37d1e4f535c3e16040a284bf4ace33d",
+     "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d"),
+    ({"Q": 5, "n": 3, "snr_db": [5.0], "sir_db": [0.0, 20.0], "trials": 12,
+      "seed": 2**64 + 9, "channel_kind": "full"},
+     "9b22751c29d4830085f7069b3eb913cdd1d61869aa2250fb9a58ff9766fcec28",
+     "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a"),
+])
+def test_sweep_outputs_are_pinned(tmp_path, grid, trials_sha, cells_sha):
+    res = run_criteria_sweep(grid, out=str(tmp_path / "s.csv"))
+    for path, want in ((res["out"], trials_sha), (res["cells_out"], cells_sha)):
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == want
+
+
 def test_scenario_from_config_inline_and_file(tmp_path):
     cfg = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 0.0, "seed": 1}
     s = scenario_from_config(cfg)
@@ -126,6 +146,10 @@ def test_sweep_allows_all_or_nothing_cells_of_one_trial(tmp_path):
         assert res["rows"] == 4
 
 
+def trial_seed(master, cell, trial):
+    return int(np.random.SeedSequence((master, cell, trial)).generate_state(1)[0])
+
+
 def per_trial_row(cell, trial, seed):
     """A sweep's trial row from the per-trial pipeline, formatted as written."""
     rep = criteria(interference_matrix_square(reduce_scenario(
@@ -174,7 +198,7 @@ def test_sweep_rows_equal_the_per_trial_pipeline(tmp_path, monkeypatch, grid, ch
     for ci, (snr, sir) in enumerate(itertools.product(grid["snr_db"], grid["sir_db"])):
         for t in range(grid["trials"]):
             cell = {"channel_kind": "diagonal", **base, "snr_db": snr, "sir_db": sir}
-            want.append(per_trial_row(cell, t, harness._trial_seed(5, ci, t)))
+            want.append(per_trial_row(cell, t, trial_seed(5, ci, t)))
     assert rows == want
     cells = len(grid["snr_db"]) * len(grid["sir_db"])
     assert sizes == chunks * cells
@@ -182,43 +206,53 @@ def test_sweep_rows_equal_the_per_trial_pipeline(tmp_path, monkeypatch, grid, ch
     assert max(sizes) * (grid["Q"] * grid["n"]) ** 2 <= 64 * 64 * 8 * 8
 
 
-def without_direct_channel(s, q):
-    """The scenario ``s`` with player q's direct channel zeroed."""
+def edited_direct_channels(s, faults):
+    """The scenario ``s`` with the (q, i) diagonal entries of ``faults``
+    zeroed in player q's direct channel."""
     T = s.H.array.copy()
-    T[q, q] = 0.0
+    for q, i in faults:
+        T[q, q, i, i] = 0.0
     return dataclasses.replace(s, H=model.ChannelTable(T, s.nR, s.nT))
 
 
 def test_a_chunk_raises_the_per_trial_loops_first_error(monkeypatch):
-    # trial 3 loses player 2's direct channel, trial 5 player 0's: one chunk
-    # draws all eight, and its scenarios are still reduced in trial order
+    # trial 1's player 3 keeps a direct channel of rank 1, which fails only
+    # when its interference matrix is taken; trial 3 loses player 2's direct
+    # channel and trial 5 player 0's, which fail in the reduction. One chunk
+    # draws all eight; it fails in the reduction and is then run again one
+    # trial at a time, up to trial 1.
     grid = {"Q": 4, "n": 2, "snr_db": [5.0], "sir_db": [10.0], "trials": 8, "seed": 1}
-    seeds = [harness._trial_seed(1, 0, t) for t in range(8)]
-    faults = {seeds[3]: 2, seeds[5]: 0}
+    seeds = [trial_seed(1, 0, t) for t in range(8)]
+    faults = {seeds[1]: [(3, 0)], seeds[3]: [(2, 0), (2, 1)], seeds[5]: [(0, 0), (0, 1)]}
 
     def edit(s):
-        return without_direct_channel(s, faults[s.seed]) if s.seed in faults else s
+        return edited_direct_channels(s, faults[s.seed]) if s.seed in faults else s
 
     cell = {"Q": 4, "n": 2, "snr_db": 5.0, "sir_db": 10.0, "channel_kind": "diagonal"}
-    with pytest.raises(InvalidInputError, match="^player 2 has a zero direct channel$"):
+    first = ("^direct channel of player 3 is not full row rank \\(reduced to 2x1\\);"
+             " use interference_matrix_sampled for full-column-rank channels$")
+    with pytest.raises(InvalidInputError, match=first):
         for seed in seeds:
             criteria(interference_matrix_square(reduce_scenario(
                 edit(generate_scenario(**cell, seed=seed)))))
     sizes = chunked_draws(monkeypatch, edit)
     with pytest.raises(InvalidInputError, match="^player 2 has a zero direct channel$"):
+        reduce_scenario([edit(s) for s in generate_scenario(**cell, seed=seeds)])
+    with pytest.raises(InvalidInputError, match=first):
         run_criteria_sweep(grid, out="unused.csv")
-    assert sizes == [8]
+    assert sizes == [8, 1, 1]
 
 
 def test_sweep_still_rejects_a_real_drop_in_sir(tmp_path, monkeypatch):
     # every trial passes the contraction criterion on one side of 11 dB SIR
     # and none on the other: 20/20 -> 0/20 is far beyond the allowance
     passes_below = [True]
-    monkeypatch.setattr(harness, "interference_matrix_square", lambda rs: rs.meta["sir_db"])
-    monkeypatch.setattr(harness, "criteria", lambda sir: SimpleNamespace(
+    monkeypatch.setattr(harness, "interference_matrix_square",
+                        lambda reduced: [rs.meta["sir_db"] for rs in reduced])
+    monkeypatch.setattr(harness, "criteria", lambda sirs: [SimpleNamespace(
         sr_S=0.5, sr_Ssym=0.5, sigma_max_IplusS=1.5, qvi_rhs_constant=0.5,
         contraction_rhs_constant=0.5, interference_ok_qvi=False,
-        interference_ok_contraction=(sir < 11.0) == passes_below[0]))
+        interference_ok_contraction=(sir < 11.0) == passes_below[0]) for sir in sirs])
     grid = {"Q": 2, "n": 2, "snr_db": [5.0], "sir_db": [10.0, 12.0], "trials": 20}
     out = str(tmp_path / "s.csv")
     with pytest.raises(CheckFailure, match=r"1\.0000@10\.0 -> 0\.0000@12\.0 beyond 3 sigma"):

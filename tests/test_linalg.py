@@ -8,7 +8,7 @@ from eeiwfa import _kernels
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.linalg import (
     W_FLOOR,
-    _perron_start,
+    _perron_starts,
     _psd_trace_projections,
     compact_svd,
     hermitian_evd,
@@ -421,7 +421,7 @@ def test_spectral_radius_matches_cold_all_ones_oracle(kind, n, seed):
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_power_iteration_from_the_dense_start_converges_at_once(n, seed):
     A = np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, n))
-    start = _perron_start(A)
+    start = _perron_starts(A[None])[0]
     assert start.min() > W_FLOOR
     sr, w, converged = _kernels.power_iteration(A, start, 1e-13, 2)
     assert converged
@@ -432,7 +432,7 @@ def test_spectral_radius_non_finite_keeps_the_all_ones_start():
     # eig rejects non-finite input, so the start falls back to all-ones;
     # spectral_radius itself rejects such a matrix before iterating
     A = np.array([[np.inf, 1.0], [1.0, 0.0]])
-    assert _perron_start(A).tolist() == [1.0, 1.0]
+    assert _perron_starts(A[None])[0].tolist() == [1.0, 1.0]
     for bad in (A, np.array([[np.nan, 1.0], [1.0, 0.0]])):
         with pytest.raises(InvalidInputError, match="^A has non-finite entries$"):
             spectral_radius(bad)

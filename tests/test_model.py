@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -206,6 +207,34 @@ def test_generate_rejects_a_zero_noise_variance(snr_db, power):
         generate_scenario(2, 2, snr_db, 5.0, seed=0, power=power)
 
 
+@pytest.mark.parametrize("kw, name, variance", [
+    ({"snr_db": -3200.0}, "snr_db", "the noise variance"),   # 10^-320 is subnormal
+    ({"snr_db": -3200.0, "snr_convention": "total-power"}, "snr_db", "the noise variance"),
+    ({"sir_db": -3200.0}, "sir_db", "the cross-channel variance"),
+])
+def test_generate_rejects_an_infinite_variance(kw, name, variance):
+    args = {"snr_db": 5.0, "sir_db": 5.0, **kw}
+    with pytest.raises(InvalidInputError, match=f"^{name} = -3200.0 is too low: "
+                                                f"{variance} it sets is not finite$"):
+        generate_scenario(2, 2, **args, seed=0)
+
+
+@pytest.mark.parametrize("power, snr_db", [(np.inf, 5.0), (-1.0, -3200.0)])
+def test_a_bad_budget_is_named_before_its_noise(power, snr_db):
+    # the noise variance is not finite either; no inf * 0 warning comes first
+    with pytest.raises(InvalidInputError,
+                       match="^power budgets P must be finite and positive$"):
+        generate_scenario(2, 2, snr_db, 5.0, seed=0, power=power)
+
+
+@pytest.mark.parametrize("master", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64, 2**70 + 3])
+@pytest.mark.parametrize("cell", [0, 3, 2**32 + 1])
+def test_child_seeds_match_seed_sequence(master, cell):
+    want = [int(np.random.SeedSequence((master, cell, t)).generate_state(1)[0])
+            for t in range(21)]
+    assert model._child_seeds((master, cell), 21) == want
+
+
 def test_ragged_table_keeps_exact_shape_views(rng):
     nT, nR = [3, 2, 4], [2, 3, 1]
     H = [[crandn(rng, nR[q], nT[r]) for r in range(3)] for q in range(3)]
@@ -348,6 +377,31 @@ def test_reduce_rejects_zero_direct_channel(rng):
     s = scenario_from_matrices(H, [np.eye(n) for n in nR], [1.0] * 4, [1.0] * 4)
     with pytest.raises(InvalidInputError, match="^player 1 has a zero direct channel$"):
         reduce_scenario(s)
+
+
+def test_a_reduced_list_needs_one_shape():
+    s = generate_scenario(2, 2, 7.0, 5.0, seed=0)
+    with pytest.raises(InvalidInputError, match="need at least one scenario"):
+        reduce_scenario([])
+    for other in (generate_scenario(2, 3, 7.0, 5.0, seed=1),
+                  generate_scenario(3, 2, 7.0, 5.0, seed=1)):
+        with pytest.raises(InvalidInputError, match="must share Q, nR and nT"):
+            reduce_scenario([s, other])
+
+
+def test_a_reduced_list_raises_its_first_zero_direct_channel():
+    def edited(s, *cells):
+        T = s.H.array.copy()
+        for cell in cells:
+            T[cell] = 0.0
+        return dataclasses.replace(s, H=ChannelTable(T, s.nR, s.nT))
+
+    a, b, c = generate_scenario(3, 2, 7.0, 5.0, seed=[1, 2, 3], channel_kind="diagonal")
+    # b: player 0's direct channel of rank 1 (no error here), player 2's zero
+    many = [a, edited(b, (0, 0, 0, 0), (2, 2)), edited(c, (1, 1))]
+    with pytest.raises(InvalidInputError, match="^player 2 has a zero direct channel$"):
+        reduce_scenario(many)
+    assert reduce_scenario([edited(b, (0, 0, 0, 0))])[0].ranks.tolist() == [1, 2, 2]
 
 
 def test_stacked_reduction_matches_per_player_compact_svd(rng):
