@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import harness
@@ -100,7 +101,8 @@ def _emit(obj, args):
         w.writerow([str(harness._fmt(v)) for v in flat.values()])
         text = buf.getvalue()
     else:
-        text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+        text = json.dumps(_finite_or_null(obj), indent=1, sort_keys=True,
+                          allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -108,6 +110,19 @@ def _emit(obj, args):
             print(args.out)
     elif not args.quiet:
         sys.stdout.write(text)
+
+
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float as None: JSON (RFC 8259) has no
+    NaN or Infinity, so a strict parser reads the report. A check that drew
+    no sample reports an infinite margin and a skipped one a NaN ratio."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _flatten(obj, prefix=""):

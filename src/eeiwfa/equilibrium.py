@@ -11,6 +11,7 @@ constants and the smoothness of the strategy-dependent power sets.
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .linalg import (
 )
 from .model import (
     StrategyProfile,
+    _block_sums,
     _complex_to_lists,
     _ct,
     _rank_groups,
@@ -45,10 +47,9 @@ from .model import (
     scenario_from_matrices,
 )
 
-# Samples the verifiers evaluate per batched step: large enough to amortize
-# the per-call overhead of the stacked numpy calls, small enough that the
-# stacks add little to the peak memory.
-_CHUNK = 16
+# Complex entries a sampled routine's batched products may hold per step:
+# a chunk has as many samples as fit one channel table each (see _chunk).
+_CHUNK_ENTRIES = 2 ** 15
 
 VARIANTS = ("exact-square", "pseudoinverse-rowrank", "sampled-columnrank")
 
@@ -148,12 +149,21 @@ def interference_matrix_rowrank(s):
     return InterferenceMatrix(S.S, "pseudoinverse-rowrank")
 
 
+def _chunk(s):
+    """Samples the sampled routines draw and evaluate per batched step on
+    the reduced scenario ``s``: as many as fit _CHUNK_ENTRIES entries of the
+    QVI map's product, one channel table of Q^2 N K entries a profile (32
+    at Q=8, n=4), and at least one. Enough to amortize numpy's per-call
+    overhead on small games, one profile a step on large ones."""
+    return max(1, _CHUNK_ENTRIES // s.Hbar.array.size)
+
+
 # --- random sampling rules -------------------------------------------------
 
 def _draw_offsets(ranks):
     """Where each player's block starts in a row of raw normal draws: its
     r x r real parts, then its r x r imaginary parts, players in order."""
-    return np.cumsum([0] + [2 * r * r for r in ranks])
+    return list(accumulate([2 * r * r for r in ranks], initial=0))
 
 
 def _gaussians(Z, ranks, idx, k):
@@ -181,8 +191,10 @@ def _random_covariances(rng, ranks, P, count, boundary=False, rule="wishart"):
     The stream order is that of a per-player loop: for each profile and
     player, the 2 r^2 normal draws of B, then that player's trace or simplex
     draw. Only the draws are made one player at a time (one call for the
-    whole stack on the Wishart boundary, where nothing sits between them);
-    the algebra is batched per rank.
+    whole stack on the Wishart boundary, where nothing sits between them),
+    each into a view of its profile's row at plain-int offsets; the
+    uniforms or Dirichlet weights are collected and scaled by P once per
+    call, and the algebra is batched per rank.
     """
     if rule not in ("wishart", "frame-simplex"):
         raise InvalidInputError(f"unknown sampling rule {rule!r}")
@@ -192,18 +204,26 @@ def _random_covariances(rng, ranks, P, count, boundary=False, rule="wishart"):
     Q, K = len(ranks), max(ranks)
     off = _draw_offsets(ranks)
     Z = np.empty((count, off[-1]))
-    own = np.zeros((count, Q, K if simplex else 1))   # simplex weights or traces
-    if boundary and not simplex:
-        rng.standard_normal(out=Z)
-        own[:] = P[:, None]
+    # the normal draws of each profile's players, in stream order
+    blocks = (row[a:b] for row in Z for a, b in zip(off[:-1], off[1:]))
+    normal = rng.standard_normal
+    if simplex:
+        ones = {r: np.ones(r) for r in ranks}
+        w = []
+        for z, r in zip(blocks, ranks * count):
+            normal(out=z)
+            w.append(rng.dirichlet(ones[r]))
+        W = np.concatenate(w).reshape(count, -1)   # each profile's weights, players in order
+        w_off = list(accumulate(ranks, initial=0))
+    elif boundary:
+        normal(out=Z)
+        traces = np.broadcast_to(P, (count, Q))
     else:
-        for m in range(count):
-            for q, r in enumerate(ranks):
-                rng.standard_normal(out=Z[m, off[q] : off[q + 1]])
-                if simplex:
-                    own[m, q, :r] = rng.dirichlet(np.ones(r))
-                else:
-                    own[m, q] = P[q] * rng.random()
+        uniform, u = rng.random, []
+        for z in blocks:
+            normal(out=z)
+            u.append(uniform())
+        traces = P * np.reshape(u, (count, Q))
     out = np.zeros((count, Q, K, K), dtype=complex)
     for k, idx in _rank_groups(ranks):
         B = _gaussians(Z, ranks, idx, k)
@@ -211,12 +231,12 @@ def _random_covariances(rng, ranks, P, count, boundary=False, rule="wishart"):
             U, R = np.linalg.qr(B / np.sqrt(2))
             d = np.diagonal(R, axis1=-2, axis2=-1)
             U = U * (d / np.abs(d))[..., None, :]
-            lam = P[idx, None] * own[:, idx, :k]
+            lam = P[idx, None] * np.stack([W[:, w_off[q]:w_off[q] + k] for q in idx], axis=1)
             out[:, idx, :k, :k] = hermitize((U * lam[..., None, :]) @ _ct(U))
             continue
         M = B @ _ct(B)
         tr = np.trace(M, axis1=-2, axis2=-1).real
-        t = own[:, idx, 0]
+        t = traces[:, idx]
         M *= np.divide(t, tr, out=np.zeros_like(t), where=tr > 0)[..., None, None]
         dry = tr <= 0
         M[dry] = (t[dry] / k)[:, None, None] * np.eye(k)
@@ -252,8 +272,9 @@ def interference_matrix_sampled(s, n_samples, seed):
     rng = np.random.default_rng(check_count(seed, "seed", 0))
     Q, A = s.Q, s.Hbar.array
     S = np.zeros((Q, Q))
-    for start in range(0, n_samples, _CHUNK):
-        D = _random_covariances(rng, s.ranks, s.P, min(_CHUNK, n_samples - start),
+    chunk = _chunk(s)
+    for start in range(0, n_samples, chunk):
+        D = _random_covariances(rng, s.ranks, s.P, min(chunk, n_samples - start),
                                 rule="frame-simplex")
         # A covariance has the same bits whatever profiles sit beside it,
         # so the running maximum cannot fall as n_samples grows.
@@ -394,7 +415,7 @@ def _criteria_reports(mats):
 
 def _qvi_operator(s):
     """The game normalized by its direct channels (square channels only),
-    laid out for :func:`model._received_covariances`: the channels X_qr =
+    laid out for :func:`model._block_sums`: the channels X_qr =
     Hqq^{-1} Hbar_qr conjugate-transposed into a (Q, K, Q, K) array G,
     G[r, :, q, :] = X_qr^H, and the noises C_q = Hqq^{-1} Rn_q Hqq^{-H} as a
     (Q, K, K) stack, both zero-padded and filled in one pass over the
@@ -413,11 +434,14 @@ def _qvi_apply(op, P):
     """F of each padded profile in an (M, Q, K, K) stack: F_q = P_q plus
     player q's received covariance in the normalized game ``op``, formed
     for the M profiles side by side. Every receiver is always asked for,
-    so the receivers form one block."""
+    so the receivers form one block, summed by one _block_sums call and
+    conjugated in place."""
     C, G = op
-    M, Q = P.shape[:2]
-    F = _received_covariances(G, C, P, [range(Q)] * M, block=Q)
-    return hermitize(F.reshape(P.shape) + P)
+    F = _block_sums(G, P, 0, P.shape[1])
+    np.conjugate(F, out=F)
+    F += C
+    F += P
+    return hermitize(F)
 
 
 def qvi_map(s, profile):
@@ -466,10 +490,11 @@ def _witness(s, index, pa, pb):
 
 def _pair_chunks(s, n_pairs, rng, boundary):
     """(first pair index, Pa, Pb) for the sampled profile pairs in chunks of
-    at most _CHUNK; Pa and Pb are padded (m, Q, K, K) stacks drawn in the
-    order pa_0, pb_0, pa_1, ... of a per-pair loop."""
-    for start in range(0, n_pairs, _CHUNK):
-        m = min(_CHUNK, n_pairs - start)
+    at most _chunk(s) pairs; Pa and Pb are padded (m, Q, K, K) stacks drawn
+    in the order pa_0, pb_0, pa_1, ... of a per-pair loop."""
+    chunk = _chunk(s)
+    for start in range(0, n_pairs, chunk):
+        m = min(chunk, n_pairs - start)
         D = _random_covariances(rng, s.ranks, s.P, 2 * m, boundary)
         yield start, D[0::2], D[1::2]
 
@@ -584,14 +609,15 @@ def verify_power_set_smoothness(s, n_triples=500, seed=0, slack=1e-9):
     n_draws = _draw_offsets(ranks)[-1]
     scale = np.maximum(1.0, s.P)
     worst = 0.0
-    for start in range(0, n_triples, _CHUNK):
-        m = min(_CHUNK, n_triples - start)
+    chunk = _chunk(s)
+    for start in range(0, n_triples, chunk):
+        m = min(chunk, n_triples - start)
         Z = np.empty((m, n_draws))
-        pab = np.empty((m, 2, s.Q))
-        for i in range(m):
-            rng.standard_normal(out=Z[i])
-            pab[i] = s.P * rng.random((2, s.Q))
-        pa, pb = pab[:, 0], pab[:, 1]
+        u = np.empty((m, 2, s.Q))
+        for row, ui in zip(Z, u):
+            rng.standard_normal(out=row)
+            rng.random(out=ui)
+        pa, pb = s.P * u[:, 0], s.P * u[:, 1]
         dists = np.empty((m, s.Q))
         for k, idx in _rank_groups(ranks):
             Yk = scale[idx][:, None, None] * hermitize(_gaussians(Z, ranks, idx, k))

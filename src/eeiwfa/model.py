@@ -619,7 +619,7 @@ def _unwide(M, Q):
 _RECEIVER_BLOCK = 4
 
 
-def _received_covariances(G, Rn, P, qs, block=_RECEIVER_BLOCK):
+def _received_covariances(G, Rn, P, qs):
     """Rn_q + sum_{r != q} A_qr P_r A_qr^H of the receivers ``qs[m]`` at
     each profile m of the (M, Q, K, K) stack ``P``: one (total of
     len(qs[m]), N, N) stack, profile 0's receivers first, not yet
@@ -627,13 +627,13 @@ def _received_covariances(G, Rn, P, qs, block=_RECEIVER_BLOCK):
     table, G[r, :, q, :] = A_qr^H, and ``Rn`` the (Q, N, N) noises.
 
     Each term is grouped as A_qr (P_r A_qr^H), formed per block of
-    ``block`` receivers, [0, block), [block, 2 block), ..., for the
+    _RECEIVER_BLOCK receivers, [0, block), [block, 2 block), ..., for the
     profiles that read the block (see :func:`_block_sums`). BLAS can round
     a column of a product differently with the product's width, so a block
     is formed whole whichever of its receivers are asked for: with one
-    ``block`` per table, a row has the same bits in every call that forms
-    it."""
-    Q, N = G.shape[0], G.shape[3]
+    block size for every table, a row has the same bits in every call that
+    forms it."""
+    Q, N, block = G.shape[0], G.shape[3], _RECEIVER_BLOCK
     q_of = np.array([q for players in qs for q in players], dtype=int)
     m_of = np.repeat(np.arange(len(qs)), [len(players) for players in qs])
     read = np.zeros((-(-Q // block), len(qs)), dtype=bool)   # block b is read at profile m

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,43 @@ def test_verify_lemmas_exit_codes(tmp_path):
     assert cli(["verify", "lemmas", "--config", cfg, "--out", out,
                 "--quiet"]) == EXIT_OK
     assert json.load(open(out))["passed"]
+
+
+# SHA-256 of the JSON report of configs/lemmas.json, as the per-pair loop of
+# the verifiers computed it: a change in a draw, its stream order, the
+# evaluation of a sample or the chunking of the samples shows here.
+LEMMAS_REPORT_SHA256 = "8833f9cb2fbf5b1a839deb6555dfad2f34ef89b99b05298005dc0e9398e930b7"
+
+
+def test_verify_lemmas_shipped_config_report_is_pinned(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "configs" / "lemmas.json"
+    out = tmp_path / "rep.json"
+    assert cli(["verify", "lemmas", "--config", str(path), "--out", str(out),
+                "--quiet"]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LEMMAS_REPORT_SHA256
+
+
+def _strict_json(path):
+    """The JSON document at ``path``, read as RFC 8259 has it: no NaN or
+    Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+@pytest.mark.parametrize("settings,check", [
+    # no pairs: the monotonicity margin stays at its infinite start
+    ({"n_pairs": 0}, "monotonicity"),
+    # sr(S^s) >= 1: monotonicity is skipped, its ratio NaN
+    ({"scenario": {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 0.0, "seed": 0}},
+     "monotonicity"),
+])
+def test_verify_lemmas_writes_strict_json(tmp_path, settings, check):
+    assert _run(tmp_path, "verify lemmas", {**_LEMMAS, **settings}) == EXIT_OK
+    report = _strict_json(tmp_path / "out")
+    assert report["passed"] and report["checks"][check]["max_ratio"] is None
 
 
 def test_verify_lemmas_failure_is_exit_2(tmp_path, monkeypatch):

@@ -276,11 +276,13 @@ def test_sampled_equals_square_for_square_channels():
         assert np.abs(Se.S - Ss.S).max() <= 1e-9
 
 
-def test_sampled_monotone_in_sample_count(rng):
-    # square, tall and rank-deficient direct channels; 16 and 17 samples sit
-    # on either side of a draw-chunk boundary
+def test_sampled_monotone_in_sample_count(rng, monkeypatch):
+    # square, tall and rank-deficient direct channels; in chunks of 16, 16
+    # and 17 samples sit on either side of a draw-chunk boundary
+    from eeiwfa import equilibrium
     from test_model import ragged_scenario
 
+    monkeypatch.setattr(equilibrium, "_chunk", lambda s: 16)
     rs = reduce_scenario(ragged_scenario(rng, nT=[3, 2, 4], nR=[2, 3, 4], ranks=[2, 1, 4]))
     S = [interference_matrix_sampled(rs, n, seed=7).S for n in (1, 16, 17, 40)]
     assert all(np.isfinite(Sn).all() for Sn in S)

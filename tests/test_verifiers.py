@@ -6,6 +6,7 @@ per matrix, F from explicit inverses, and the first violation returned as
 soon as it is seen.
 """
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,13 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeiwfa import equilibrium
 from eeiwfa.best_response import DinkelbachConfig, best_response
 from eeiwfa.equilibrium import (
-    _CHUNK,
     PowerSmoothnessConfig,
     VerifierReport,
+    _chunk,
     _random_covariances,
+    criteria,
     estimate_power_smoothness,
+    interference_matrix_sampled,
     interference_matrix_square,
     qvi_map,
     random_covariance,
@@ -41,6 +45,16 @@ from eeiwfa.model import (
 )
 
 from test_model import ragged_scenario
+
+# The chunk the tests below that cross chunk boundaries run at (see chunk16):
+# their sample counts are laid out against it.
+CHUNK = 16
+
+
+@pytest.fixture
+def chunk16(monkeypatch):
+    """Run the sampled routines in chunks of CHUNK samples whatever the scenario."""
+    monkeypatch.setattr(equilibrium, "_chunk", lambda s: CHUNK)
 
 
 # --- the oracle ------------------------------------------------------------------
@@ -204,8 +218,8 @@ SCENARIOS = {"lemma": lemma_scenario, "ragged": ragged_weak_scenario}
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("name", sorted(VERIFIERS))
-@pytest.mark.parametrize("n", [0, 1, 2 * _CHUNK + 5])
-def test_batched_verifier_matches_per_sample_oracle(scenario, name, n):
+@pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 5])
+def test_batched_verifier_matches_per_sample_oracle(chunk16, scenario, name, n):
     s = SCENARIOS[scenario]()
     verify, oracle = VERIFIERS[name]
     want, _ = oracle(s, n, 17, 1e-9)
@@ -230,16 +244,16 @@ def _records(excess):
 
 
 @pytest.mark.parametrize("name,seed", [("lipschitz", 1), ("monotonicity", 0)])
-def test_forced_violations_match_oracle_mid_chunk_and_in_later_chunks(name, seed):
+def test_forced_violations_match_oracle_mid_chunk_and_in_later_chunks(chunk16, name, seed):
     # A slack between the largest earlier excess and a record's excess makes
     # that record the first violation, wherever it sits in its chunk.
     s = lemma_scenario()
     verify, oracle = VERIFIERS[name]
-    n = 4 * _CHUNK
+    n = 4 * CHUNK
     _, excess = oracle(s, n, seed, np.inf)
-    mid = [j for j in _records(excess) if j % _CHUNK]
-    first = [j for j in mid if j < _CHUNK]
-    later = [j for j in mid if j >= _CHUNK]
+    mid = [j for j in _records(excess) if j % CHUNK]
+    first = [j for j in mid if j < CHUNK]
+    later = [j for j in mid if j >= CHUNK]
     assert first and later
     for j in (first[-1], later[-1]):
         slack = 0.5 * (max(excess[:j]) + excess[j])
@@ -248,15 +262,15 @@ def test_forced_violations_match_oracle_mid_chunk_and_in_later_chunks(name, seed
         assert_same_report(verify(s, n, seed=seed, slack=slack), want)
 
 
-def test_forced_smoothness_violation_matches_oracle():
+def test_forced_smoothness_violation_matches_oracle(chunk16):
     # Nearly every triple has a player with one active eigenvalue, whose
     # projections move by exactly |p - p'|: the margins are all ~0, so a
     # negative slack makes the first triple the first violation.
     s = lemma_scenario()
     for slack in (-1e-6, -0.5):
-        want, _ = oracle_smoothness(s, 2 * _CHUNK, 4, slack)
+        want, _ = oracle_smoothness(s, 2 * CHUNK, 4, slack)
         assert want.status == "violation"
-        assert_same_report(verify_power_set_smoothness(s, 2 * _CHUNK, seed=4, slack=slack),
+        assert_same_report(verify_power_set_smoothness(s, 2 * CHUNK, seed=4, slack=slack),
                            want)
 
 
@@ -398,9 +412,50 @@ def test_power_smoothness_matches_per_player_loop(scenario, dinkelbach):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_power_smoothness_across_chunk_boundaries(scenario):
+def test_power_smoothness_across_chunk_boundaries(chunk16, scenario):
     # 37 pairs: two full chunks, then a partial one starting on an even pair
-    assert 2 * _CHUNK < 37 < 3 * _CHUNK
+    assert 2 * CHUNK < 37 < 3 * CHUNK
     cfg = PowerSmoothnessConfig(n_pairs=37, seed=5, perturbation=0.3)
     got = assert_power_smoothness_matches_oracle(SCENARIOS[scenario](), cfg)
     assert got.n_pairs + got.n_skipped == 37
+
+
+# --- the chunk size ---------------------------------------------------------------
+
+def test_chunk_is_sized_by_the_channel_table():
+    assert _chunk(lemma_scenario()) == 32   # Q=8, n=4: 1024 entries a profile
+    big = reduce_scenario(generate_scenario(64, 8, 7.0, 20.0, seed=0))
+    assert big.Hbar.array.size > equilibrium._CHUNK_ENTRIES and _chunk(big) == 1
+    # one chunk's QVI map at Q=64, n=8: its product of 4.2 MB and one copy
+    # at most (a fixed chunk of 16 took 69 MB)
+    op = equilibrium._qvi_operator(big)
+    P = _random_covariances(np.random.default_rng(0), big.ranks, big.P, _chunk(big))
+    tracemalloc.start()
+    try:
+        equilibrium._qvi_apply(op, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5e6
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_chunk_size_changes_no_result(monkeypatch, scenario):
+    # every sampled routine, at one sample per chunk, at 16 and at the sized
+    # default: the same reports, bit for bit
+    s = SCENARIOS[scenario]()
+    w = criteria(interference_matrix_square(s)).perron_w
+    cfg = PowerSmoothnessConfig(n_pairs=37, seed=5, perturbation=0.3)
+
+    def results():
+        return [verify_lipschitz(s, 37, seed=1).to_dict(),
+                verify_monotonicity(s, 37, seed=2).to_dict(),
+                verify_power_set_smoothness(s, 37, seed=3).to_dict(),
+                interference_matrix_sampled(s, 37, seed=4).S.tobytes(),
+                estimate_power_smoothness(s, cfg, w)]
+
+    want = results()
+    assert want[1]["status"] == "ok"
+    for size in (1, CHUNK):
+        monkeypatch.setattr(equilibrium, "_chunk", lambda s: size)
+        assert results() == want
