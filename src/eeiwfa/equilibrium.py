@@ -23,7 +23,6 @@ from .errors import (
     batch_of,
     check_count,
     check_number,
-    first_failure,
     is_real,
 )
 from .linalg import (
@@ -121,22 +120,16 @@ def interference_matrix_square(s):
     ``s`` may also be a list or tuple of reduced scenarios of one shape, as
     ``reduce_scenario`` gives for a generated chunk; the result is then the
     list of their matrices, each the one its scenario gives alone. A list
-    that fails raises the error of its first scenario that fails alone.
+    that fails raises the error of its lowest failing receiver over all items.
     """
     games, single = batch_of(s, "scenario")
-    S = first_failure(_square_matrices, games)
-    mats = [InterferenceMatrix(M, "exact-square") for M in S]
-    return mats[0] if single else mats
-
-
-def _square_matrices(games):
-    """The exact interference matrices of the games, one (trials, Q, Q) stack."""
     Q = games[0].Q
     S = np.zeros((len(games), Q, Q))
     for q, _, X in _normalized_rows(games):
         S[:, q] = _sigma_max_sq(X)
         S[:, q, q] = 0.0
-    return S
+    mats = [InterferenceMatrix(M, "exact-square") for M in S]
+    return mats[0] if single else mats
 
 
 def interference_matrix_rowrank(s):
@@ -358,18 +351,10 @@ def criteria(S):
 
     ``S`` may also be a list or tuple of interference matrices of one size;
     the result is then the list of their reports, each the one its matrix
-    gives alone. A list that fails raises the error of its first matrix
-    that fails alone.
+    gives alone. A list that fails raises the error of the stack as a whole,
+    from its stacked eig and SVD first, then from its reports in order.
     """
     mats, single = batch_of(S, "interference matrix")
-    reports = first_failure(_criteria_reports, mats)
-    return reports[0] if single else reports
-
-
-def _criteria_reports(mats):
-    """The criteria reports of a list of interference matrices of one size:
-    the Perron start vectors of S and of S^s from one stacked eig each, and
-    sigma_max(I + S) from one stacked SVD."""
     Q = mats[0].S.shape[0]
     if len(mats) == 1:
         M = mats[0].S[None]
@@ -408,7 +393,7 @@ def _criteria_reports(mats):
             interference_ok_qvi=ok_qvi,
             interference_ok_contraction=ok_contraction,
         ))
-    return reports
+    return reports[0] if single else reports
 
 
 # --- the linear QVI mapping and its verified properties ---------------------
@@ -683,8 +668,8 @@ def estimate_power_smoothness(s, cfg, weights):
             used += 1
             pa, pb = p_hat.reshape(2, s.Q)
             dp = pa - pb
-            max_l2 = max(max_l2, float(np.linalg.norm(dp)) / den_f[j])
-            max_winf = max(max_winf, float(np.max(np.abs(dp) / w)) / den_w[j])
+            max_l2 = max(max_l2, float(np.linalg.norm(dp) / den_f[j]))
+            max_winf = max(max_winf, float(np.max(np.abs(dp) / w) / den_w[j]))
     return PowerSmoothnessEstimate(max_l2, max_winf, used, skipped)
 
 

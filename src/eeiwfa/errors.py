@@ -1,5 +1,5 @@
-"""Exception types, the argument checks shared across the package, and the
-error rule of its functions that take a batch."""
+"""Exception types and the argument checks shared across the package. A
+function that takes a batch raises the error of the batch as a whole."""
 
 import math
 import os
@@ -73,16 +73,3 @@ def batch_of(value, name):
         raise InvalidInputError(f"need at least one {name}")
     return list(value), False
 
-
-def first_failure(fn, items):
-    """``fn(items)`` for a function ``fn`` of a batch. When a batch of
-    several fails, ``fn`` runs on each item alone, in order, so that the
-    error raised is the one the first failing item raises alone (or the
-    batch's own, when none does)."""
-    try:
-        return fn(items)
-    except (ValueError, RuntimeError):   # the package's errors, and numpy's LinAlgError
-        if len(items) > 1:
-            for item in items:
-                fn([item])
-        raise

@@ -11,7 +11,6 @@ form, and row order follows trial indices.
 
 import csv
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -31,8 +30,7 @@ from .equilibrium import (
     verify_monotonicity,
     verify_power_set_smoothness,
 )
-from .errors import (CheckFailure, InvalidInputError, check_count, check_number, check_path,
-                     first_failure)
+from .errors import CheckFailure, InvalidInputError, check_count, check_number, check_path
 from .iwfa import UpdateSchedule, run_iwfa, write_trace_csv
 from .model import (StrategyProfile, _child_seeds, _complex_to_lists, generate_scenario,
                     load_scenario, reduce_scenario)
@@ -173,9 +171,16 @@ _CHUNK_ENTRIES = 64 * 64 * 8 * 8
 
 def _sweep_reports(cell, seeds):
     """The criteria reports of the trials ``seeds`` of a sweep cell, each
-    stage taking the whole list at once."""
-    return criteria(interference_matrix_square(reduce_scenario(
-        generate_scenario(**cell, seed=seeds))))
+    stage taking the whole list at once. A list of several that fails runs
+    again one trial at a time, so that its error is the per-trial loop's first."""
+    try:
+        return criteria(interference_matrix_square(reduce_scenario(
+            generate_scenario(**cell, seed=seeds))))
+    except (ValueError, RuntimeError):   # the package's errors, and numpy's LinAlgError
+        if len(seeds) > 1:
+            for sd in seeds:
+                _sweep_reports(cell, [sd])
+        raise
 
 
 def run_criteria_sweep(config, out=None, seed=None, verbose=False):
@@ -201,11 +206,9 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
     fractions = {}
     for ci, (snr, sir) in enumerate(itertools.product(snrs, sirs)):
         seeds = _child_seeds((master, ci), trials)   # trial t: SeedSequence((master, ci, t))
-        evaluate = functools.partial(_sweep_reports, {**base, "snr_db": snr, "sir_db": sir})
-        # a chunk that fails runs again one trial at a time, so that the
-        # error is the per-trial loop's first
+        cell = {**base, "snr_db": snr, "sir_db": sir}
         reps = [rep for start in range(0, trials, step)
-                for rep in first_failure(evaluate, seeds[start:start + step])]
+                for rep in _sweep_reports(cell, seeds[start:start + step])]
         n_c = n_q = 0
         for t, (sd, rep) in enumerate(zip(seeds, reps)):
             if rep.interference_ok_qvi and not rep.interference_ok_contraction:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from eeiwfa import harness
 from eeiwfa.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, cli
 from eeiwfa.model import load_scenario, save_scenario, scenario_from_matrices
 
+import blas_core
 import numpy_dispatch
 
 
@@ -259,6 +261,59 @@ def test_iwfa_traces_do_not_depend_on_numpy_simd_dispatch(tmp_path):
         assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
+# Across OpenBLAS cores the kernels sum in other orders, so floats move in
+# their last bits while every count, flag and termination holds. Largest
+# differences measured against the default core (SkylakeX) under Haswell and
+# Prescott: sweep floats 1.0e-14 relative (sr_S), EE 1.7e-15 relative, the
+# residual columns and the final residual 2.3e-13 absolute (on residuals up
+# to 127). The bounds are about twice those.
+CORE_SWEEP_REL, CORE_EE_REL, CORE_RESIDUAL_ABS = 2e-14, 4e-15, 5e-13
+CORE_BOUNDS = {"ee": (CORE_EE_REL, 0.0), "block_residual": (0.0, CORE_RESIDUAL_ABS),
+               "ne_residual": (0.0, CORE_RESIDUAL_ABS),
+               **dict.fromkeys(("sr_S", "sr_Ssym", "sigma_max_IplusS", "qvi_rhs",
+                                "contraction_rhs"), (CORE_SWEEP_REL, 0.0))}
+PINNED_SWEEP = {"Q": 8, "n": 4, "snr_db": [0.0, 10.0], "sir_db": [0.0, 10.0, 20.0],
+                "trials": 10, "seed": 0, "channel_kind": "diagonal"}
+
+
+def _core_outputs(tmp_path, name, env):
+    """stdout and the CSV files of the pinned sweep and of ``iwfa run`` on
+    both benchmark configs, run in children under the variables ``env``."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    json.dump(PINNED_SWEEP, open(tmp_path / "sweep.json", "w"))
+    cwd = tmp_path / name
+    cwd.mkdir()
+    runs = {}
+    for out, args in (("sync.csv", ("iwfa", "run", "--config", configs / "benchmark.json")),
+                      ("async.csv", ("iwfa", "run", "--config", configs / "benchmark_async.json")),
+                      ("sweep.csv", ("criteria", "sweep", "--config", tmp_path / "sweep.json"))):
+        proc = _child("-m", "eeiwfa.cli", *map(str, args), "--out", out, cwd=cwd, **env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        runs[out] = proc.stdout
+    return runs, {path.name: harness.read_csv(path) for path in sorted(cwd.glob("*.csv"))}
+
+
+def test_outputs_agree_across_openblas_cores(tmp_path):
+    if not blas_core.dynamic_arch():
+        pytest.skip("numpy's BLAS is not a dynamic-arch OpenBLAS")
+    stdout, files = _core_outputs(tmp_path, "default", {})
+    assert sorted(files) == ["async.csv", "sweep.csv", "sweep_cells.csv", "sync.csv"]
+    for core in ("Haswell", "Prescott"):
+        other_stdout, other_files = _core_outputs(tmp_path, core, {"OPENBLAS_CORETYPE": core})
+        for name, text in stdout.items():
+            # the slot count and termination exactly, the final residual to its bound
+            for a, b in itertools.zip_longest(text.split(), other_stdout[name].split()):
+                assert a == b or abs(float(a) - float(b)) <= CORE_RESIDUAL_ABS, (core, name)
+        for name, (schema, header, rows) in files.items():
+            other_schema, other_header, other_rows = other_files[name]
+            assert (other_schema, other_header, len(other_rows)) == (schema, header, len(rows))
+            for j, column in enumerate(header):
+                rel, tol = CORE_BOUNDS.get(column, (0.0, 0.0))
+                for row, other in zip(rows, other_rows):
+                    a, b = float(row[j]), float(other[j])
+                    assert abs(a - b) <= rel * abs(a) + tol, (core, name, column)
+
+
 def test_console_entry_point():
     proc = _child("-m", "eeiwfa.cli", "--help")
     assert proc.returncode == 0
@@ -465,6 +520,23 @@ def test_criteria_eval_csv_puts_the_smoothness_columns_last(tmp_path):
         "power_smoothness.max_ratio_weighted_inf", "power_smoothness.n_pairs",
         "power_smoothness.n_skipped",
     ]
+
+
+def test_criteria_eval_csv_cells_parse_to_the_json_report(tmp_path):
+    # every cell is a plain number, a 0/1 flag, a JSON list or the variant's
+    # name, equal to the JSON report's value; none is a numpy scalar's repr
+    path = str(tmp_path / "c.json")
+    json.dump(GOLDEN_EVAL_CONFIG, open(path, "w"))
+    for fmt in ("json", "csv"):
+        assert cli(["criteria", "eval", "--config", path, "--out", str(tmp_path / fmt),
+                    "--format", fmt, "--quiet"]) == EXIT_OK
+    report = json.load(open(tmp_path / "json"))
+    smooth = report.pop("power_smoothness")
+    report.update((f"power_smoothness.{k}", v) for k, v in smooth.items())
+    header, values = csv.reader(open(tmp_path / "csv", newline=""))
+    row = dict(zip(header, values))
+    assert row.pop("variant") == report.pop("variant")
+    assert {k: json.loads(v) for k, v in row.items()} == report
 
 
 # --- malformed scenario documents -------------------------------------------------

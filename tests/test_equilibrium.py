@@ -114,26 +114,32 @@ def test_list_forms_equal_the_per_item_calls(Q, n, kind, seeds, sir_db):
         assert rep.perron_w.tobytes() == rep1.perron_w.tobytes()
 
 
-def test_a_failing_list_raises_its_first_failing_items_error():
+def test_a_failing_list_raises_the_error_of_the_list_as_a_whole():
     def singular(rs, q):
         A = rs.Hbar.array.copy()
         A[q, q, 0] = 0.0
         return replace(rs, Hbar=ChannelTable(A, rs.Rn.rows, rs.ranks))
 
     good = reduce_scenario(generate_scenario(3, 2, 7.0, 5.0, seed=[1, 2, 3]))
-    # the batch fails at receiver 0 first (trial 2), the per-item loop at trial 1
+    # receiver 0 fails first over the whole list: trial 2's, not trial 1's
+    # receiver 2, which a per-item loop would reach first
+    with pytest.raises(InvalidInputError,
+                       match="^reduced direct channel of player 0 is singular$"):
+        interference_matrix_square([good[0], singular(good[1], 2), singular(good[2], 0)])
     with pytest.raises(InvalidInputError,
                        match="^reduced direct channel of player 2 is singular$"):
-        interference_matrix_square([good[0], singular(good[1], 2), singular(good[2], 0)])
-    # trial 2's ranks differ from the others': it is not full row rank
+        interference_matrix_square(singular(good[1], 2))
+    # a tall direct channel reduces to other ranks than the rest of the list's
     s = generate_scenario(3, 2, 7.0, 5.0, seed=4, channel_kind="diagonal")
     T = s.H.array.copy()
     T[0, 0, 0, 0] = 0.0
     tall = reduce_scenario(replace(s, H=ChannelTable(T, s.nR, s.nT)))
-    with pytest.raises(InvalidInputError, match="^reduced direct channel of player 2"):
-        interference_matrix_square([good[0], singular(good[1], 2), tall])
     with pytest.raises(InvalidInputError, match="^direct channel of player 0 is not full row"):
-        interference_matrix_square([good[0], tall, singular(good[1], 2)])
+        interference_matrix_square(tall)
+    for mixed in ([good[0], singular(good[1], 2), tall], [good[0], tall, singular(good[1], 2)]):
+        with pytest.raises(InvalidInputError, match="^the reduced scenarios of a list must share"
+                                                    " Q, nR and ranks$"):
+            interference_matrix_square(mixed)
     with pytest.raises(InvalidInputError, match="must share Q, nR and ranks"):
         interference_matrix_square([good[0], reduce_scenario(generate_scenario(2, 2, 7.0, 5.0,
                                                                                seed=1))])
@@ -141,10 +147,19 @@ def test_a_failing_list_raises_its_first_failing_items_error():
         interference_matrix_square([])
 
 
-def test_a_failing_criteria_list_raises_its_first_failing_items_error():
+def test_a_failing_criteria_list_raises_the_error_of_the_stack_as_a_whole():
     S = interference_matrix_square(reduce_scenario(generate_scenario(3, 2, 7.0, 5.0, seed=1)))
-    bad = InterferenceMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]), "exact-square")
+    nan = InterferenceMatrix(np.array([[0.0, np.nan, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                             "exact-square")
     with pytest.raises(InvalidInputError, match="^A has non-finite entries$"):
+        criteria([S, nan])
+    with pytest.raises(InvalidInputError, match="^A has non-finite entries$"):
+        criteria(nan)
+    # in a list of 3x3 matrices, a 2x2 one fails on the stack's shape
+    # before its NaN is seen
+    bad = InterferenceMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]), "exact-square")
+    with pytest.raises(InvalidInputError, match="^the interference matrices of a list must"
+                                                " share Q$"):
         criteria([S, bad])
     with pytest.raises(InvalidInputError, match="must share Q"):
         criteria([S, InterferenceMatrix(np.zeros((2, 2)), "exact-square")])

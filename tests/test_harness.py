@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eeiwfa import harness, model
+from eeiwfa import equilibrium, harness, model
 from eeiwfa.equilibrium import criteria, interference_matrix_square
 from eeiwfa.errors import CheckFailure, InvalidInputError
 from eeiwfa.harness import (
@@ -241,6 +241,29 @@ def test_a_chunk_raises_the_per_trial_loops_first_error(monkeypatch):
     with pytest.raises(InvalidInputError, match=first):
         run_criteria_sweep(grid, out="unused.csv")
     assert sizes == [8, 1, 1]
+
+
+def test_a_failing_chunk_builds_each_trials_matrices_once_more(monkeypatch):
+    # trial 1's player 3 keeps a direct channel of rank 1: the chunk of eight
+    # passes the reduction and fails when its matrices are taken, on the
+    # ranks it no longer shares. Only the sweep runs the trials again, one
+    # at a time up to trial 1; the list forms do not rerun their items.
+    grid = {"Q": 4, "n": 2, "snr_db": [5.0], "sir_db": [10.0], "trials": 8, "seed": 1}
+    faulty = trial_seed(1, 0, 1)
+    chunked_draws(monkeypatch, lambda s: edited_direct_channels(s, [(3, 0)])
+                  if s.seed == faulty else s)
+    stacks = []
+    rows = equilibrium._normalized_rows
+
+    def recorded(games):
+        stacks.append(len(games))
+        return rows(games)
+
+    monkeypatch.setattr(equilibrium, "_normalized_rows", recorded)
+    with pytest.raises(InvalidInputError, match="^direct channel of player 3 is not full row"
+                                                " rank \\(reduced to 2x1\\)"):
+        run_criteria_sweep(grid, out="unused.csv")
+    assert stacks == [8, 1, 1]
 
 
 def test_sweep_still_rejects_a_real_drop_in_sir(tmp_path, monkeypatch):
