@@ -93,16 +93,16 @@ def _load_config(args):
 
 
 def _emit(obj, args):
+    obj = _finite_or_null(obj)
     if args.format == "csv":
         flat = _flatten(obj)
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(flat.keys())
-        w.writerow([str(harness._fmt(v)) for v in flat.values()])
+        w.writerow(["null" if v is None else str(harness._fmt(v)) for v in flat.values()])
         text = buf.getvalue()
     else:
-        text = json.dumps(_finite_or_null(obj), indent=1, sort_keys=True,
-                          allow_nan=False) + "\n"
+        text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -10,7 +10,6 @@ constants and the smoothness of the strategy-dependent power sets.
 """
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -484,29 +483,6 @@ def _pair_chunks(s, n_pairs, rng, boundary):
         yield start, D[0::2], D[1::2]
 
 
-class _NormalizedGame:
-    """What the pair verifiers read of a scenario ``s`` (square channels
-    only): the criteria report of its exact interference matrix and its
-    QVI operator. Each is built on first use. ``verify lemmas`` passes one
-    to both verifiers in place of the scenario, so a run builds them once."""
-
-    def __init__(self, s):
-        self.s = s
-
-    @cached_property
-    def report(self):
-        return criteria(interference_matrix_square(self.s))
-
-    @cached_property
-    def op(self):
-        return _qvi_operator(self.s)
-
-
-def _normalized_game(s):
-    """``s`` itself when it is a _NormalizedGame, else the game of ``s``."""
-    return s if isinstance(s, _NormalizedGame) else _NormalizedGame(s)
-
-
 def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     """Sample profile pairs and check the Lipschitz bound
     ||F(Q) - F(Q')||_F <= sigma_max(I + S) ||Q - Q'||_F, the constant
@@ -518,8 +494,8 @@ def verify_lipschitz(s, n_pairs=500, seed=0, slack=1e-9):
     """
     n_pairs = check_count(n_pairs, "n_pairs", 0)
     slack = check_number(slack, "slack")
-    game = _normalized_game(s)
-    s, L, op = game.s, game.report.sigma_max_IplusS, game.op
+    L = criteria(interference_matrix_square(s)).sigma_max_IplusS
+    op = _qvi_operator(s)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     for start, Pa, Pb in _pair_chunks(s, n_pairs, rng, boundary=False):
@@ -551,15 +527,14 @@ def verify_monotonicity(s, n_pairs=500, seed=0, slack=1e-9):
     """
     n_pairs = check_count(n_pairs, "n_pairs", 0)
     slack = check_number(slack, "slack")
-    game = _normalized_game(s)
-    s, sr_sym = game.s, game.report.sr_Ssym
+    sr_sym = criteria(interference_matrix_square(s)).sr_Ssym
     mu = 1.0 - sr_sym
     if mu <= 0.0:
         return VerifierReport(
             "monotonicity", "skipped", 0, mu, float("nan"), slack,
             notes=f"sr(S^s) = {sr_sym:.6g} >= 1: bound gives no certificate",
         )
-    op = game.op
+    op = _qvi_operator(s)
     rng = np.random.default_rng(seed)
     min_margin = float("inf")
     for start, Pa, Pb in _pair_chunks(s, n_pairs, rng, boundary=True):

@@ -15,10 +15,11 @@ import itertools
 import math
 import os
 
+import numpy as np
+
 from .best_response import DinkelbachConfig, best_response
 from .equilibrium import (
     PowerSmoothnessConfig,
-    _NormalizedGame,
     criteria,
     estimate_power_smoothness,
     identity_channel_scenario,
@@ -32,8 +33,8 @@ from .equilibrium import (
 )
 from .errors import CheckFailure, InvalidInputError, check_count, check_number, check_path
 from .iwfa import UpdateSchedule, run_iwfa, write_trace_csv
-from .model import (StrategyProfile, _child_seeds, _complex_to_lists, generate_scenario,
-                    load_scenario, reduce_scenario)
+from .model import (StrategyProfile, _complex_to_lists, generate_scenario, load_scenario,
+                    reduce_scenario)
 
 OUT_DIR_ENV = "EEIWFA_OUT_DIR"
 
@@ -154,7 +155,8 @@ def sweep_config(config, seed=None):
     """The checked ``criteria sweep`` config, its counts ints, its grids floats."""
     cfg = read_config(config, SWEEP_DEFAULTS, "sweep config", seed)
     cfg["seed"] = check_count(cfg["seed"], "seed", 0)
-    cfg["trials"] = check_count(cfg["trials"], "trials", 1)
+    for key in ("Q", "n", "trials"):
+        cfg[key] = check_count(cfg[key], key, 1)
     for key in ("snr_db", "sir_db"):
         cfg[key] = [check_number(x, key) for x in cfg[key]]
         if not cfg[key]:
@@ -198,14 +200,15 @@ def run_criteria_sweep(config, out=None, seed=None, verbose=False):
             if key in SCENARIO_DEFAULTS and key != "seed"}
     out = resolve_out(out or cfg["out"], "criteria_sweep.csv")
     cells_out = os.path.splitext(out)[0] + "_cells.csv"
-    Q, n = check_count(cfg["Q"], "Q", 1), check_count(cfg["n"], "n", 1)
+    Q, n = cfg["Q"], cfg["n"]
     step = max(1, min(_CHUNK_MATRICES // (Q * Q), _CHUNK_ENTRIES // (Q * Q * n * n)))
 
     rows = []
     cell_rows = []
     fractions = {}
     for ci, (snr, sir) in enumerate(itertools.product(snrs, sirs)):
-        seeds = _child_seeds((master, ci), trials)   # trial t: SeedSequence((master, ci, t))
+        seeds = [int(np.random.SeedSequence((master, ci, t)).generate_state(1)[0])
+                 for t in range(trials)]
         cell = {**base, "snr_db": snr, "sir_db": sir}
         reps = [rep for start in range(0, trials, step)
                 for rep in _sweep_reports(cell, seeds[start:start + step])]
@@ -284,10 +287,9 @@ def run_lemma_suite(config, seed=None, verbose=False):
     cfg = lemma_config(config, seed)
     sample_seed, n_pairs = cfg["seed"], cfg["n_pairs"]
     rs = reduce_scenario(scenario_from_config(cfg["scenario"]))
-    game = _NormalizedGame(rs)   # built once, read by both pair verifiers
     reports = [
-        verify_lipschitz(game, n_pairs, seed=sample_seed, slack=cfg["slack"]),
-        verify_monotonicity(game, n_pairs, seed=sample_seed + 1, slack=cfg["slack"]),
+        verify_lipschitz(rs, n_pairs, seed=sample_seed, slack=cfg["slack"]),
+        verify_monotonicity(rs, n_pairs, seed=sample_seed + 1, slack=cfg["slack"]),
         verify_power_set_smoothness(rs, cfg["n_triples"], seed=sample_seed + 2,
                                     slack=cfg["slack"]),
     ]

@@ -116,7 +116,7 @@ def psd_trace_projection(A, p):
     ``U (diag(lam) + theta I)^+ U^H`` with theta the unique shift that makes
     the trace ``p``. ``p = 0`` gives the zero matrix.
     """
-    A = as_complex_matrix(A)
+    A = hermitize(check_hermitian(A))
     return _psd_trace_projections(A[None], np.asarray(p, dtype=float)[None])[0]
 
 
@@ -124,7 +124,9 @@ def _psd_trace_projections(A, p):
     """:func:`psd_trace_projection` of a finite (..., n, n) stack onto the
     traces ``p``, which broadcast against the stack shape ``A.shape[:-2]``.
     Leading axes of ``p`` beyond the stack's project the same matrices onto
-    several traces with one eigendecomposition each."""
+    several traces with one eigendecomposition each. The stack must be
+    exactly Hermitian, as :func:`hermitize` returns it: it is not checked
+    here, and ``eigh`` reads its lower triangle only."""
     p = np.asarray(p, dtype=float)
     bad = np.flatnonzero(~np.isfinite(p))
     if bad.size:
@@ -134,11 +136,10 @@ def _psd_trace_projections(A, p):
         raise InvalidInputError(
             f"target trace must be >= 0, got {p.flat[bad[0]]}"
         )
-    _check_hermitian_stack(A)
     if A.shape[-1] == 0:
         shape = np.broadcast_shapes(p.shape, A.shape[:-2]) + A.shape[-2:]
         return np.zeros(shape, dtype=complex)
-    vals, vecs = np.linalg.eigh(hermitize(A))
+    vals, vecs = np.linalg.eigh(A)
     _, powers = _kernels.water_level(vals, p)
     return (vecs * powers[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 

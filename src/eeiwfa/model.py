@@ -265,21 +265,9 @@ def _stream_states(seeds, Q):
     return states
 
 
-def _child_seeds(key, count):
-    """``SeedSequence((*key, t)).generate_state(1)[0]`` for t < count
-    (below 2^32), as Python ints, from one pass of the hash: the entropy
-    words of child t are those of each entry of ``key``, low first, then t."""
-    head = [word for k in key for word in _seed_words(k)]
-    entropy = np.zeros((max(len(head) + 1, _POOL_SIZE), count), dtype=np.uint32)
-    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    entropy[len(head)] = np.arange(count)
-    return _state_words(entropy, 1)[0].tolist()
-
-
-def _state_words(entropy, count):
-    """The first ``count`` uint32 words of ``generate_state`` of the
-    SeedSequence of each column of the uint32 ``entropy`` array, whose rows
-    are the entropy words in order: a (count, columns) array."""
+def _hashed_states(entropy):
+    """PCG64 ``(state, inc)`` of the SeedSequence of each column of the
+    uint32 ``entropy`` array, whose rows are the entropy words in order."""
     # uint32 products wrap, as the hash needs
     with np.errstate(over="ignore"):
         # mix_entropy: the 4-word pool, mixed with itself, then with the rest
@@ -290,15 +278,9 @@ def _state_words(entropy, count):
             pool[dst] = _mix(pool[dst], mix_hash(pool[src], len(dst)))
         for e in entropy[_POOL_SIZE:]:
             pool = _mix(pool, mix_hash(e, _POOL_SIZE))
-        # generate_state: the pool words in turn, hashed
-        return _Hash(*_STATE_HASH)(pool[np.arange(count) % _POOL_SIZE], count)
-
-
-def _hashed_states(entropy):
-    """PCG64 ``(state, inc)`` of the SeedSequence of each column of the
-    uint32 ``entropy`` array, whose rows are the entropy words in order."""
-    # generate_state(4, uint64): eight words, paired low word first
-    out = _state_words(entropy, 8).astype(np.uint64)
+        # generate_state(4, uint64): eight uint32 words, the pool words in
+        # turn, hashed, then paired low word first
+        out = _Hash(*_STATE_HASH)(pool[np.arange(8) % _POOL_SIZE], 8).astype(np.uint64)
     words = (out[0::2] | (out[1::2] << 32)).tolist()
     states = []
     for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words):

@@ -522,21 +522,39 @@ def test_criteria_eval_csv_puts_the_smoothness_columns_last(tmp_path):
     ]
 
 
-def test_criteria_eval_csv_cells_parse_to_the_json_report(tmp_path):
-    # every cell is a plain number, a 0/1 flag, a JSON list or the variant's
-    # name, equal to the JSON report's value; none is a numpy scalar's repr
+def assert_csv_cells_parse_to_the_json_report(tmp_path, command, cfg):
+    # every cell that is not one of the report's strings is a plain number,
+    # a 0/1 flag, a JSON list or null, and parses to the JSON report's value;
+    # none is a numpy scalar's repr, Python's None or a bare nan
     path = str(tmp_path / "c.json")
-    json.dump(GOLDEN_EVAL_CONFIG, open(path, "w"))
+    json.dump(cfg, open(path, "w"))
     for fmt in ("json", "csv"):
-        assert cli(["criteria", "eval", "--config", path, "--out", str(tmp_path / fmt),
+        assert cli([*command.split(), "--config", path, "--out", str(tmp_path / fmt),
                     "--format", fmt, "--quiet"]) == EXIT_OK
-    report = json.load(open(tmp_path / "json"))
-    smooth = report.pop("power_smoothness")
-    report.update((f"power_smoothness.{k}", v) for k, v in smooth.items())
+
+    def flat(obj, prefix=""):
+        if not isinstance(obj, dict):
+            return {prefix[:-1]: obj}
+        return {key: value for k, v in obj.items()
+                for key, value in flat(v, f"{prefix}{k}.").items()}
+
+    report = flat(json.load(open(tmp_path / "json")))
     header, values = csv.reader(open(tmp_path / "csv", newline=""))
     row = dict(zip(header, values))
-    assert row.pop("variant") == report.pop("variant")
-    assert {k: json.loads(v) for k, v in row.items()} == report
+    assert {k: v if isinstance(report.get(k), str) else json.loads(v)
+            for k, v in row.items()} == report
+
+
+def test_criteria_eval_csv_cells_parse_to_the_json_report(tmp_path):
+    assert_csv_cells_parse_to_the_json_report(tmp_path, "criteria eval", GOLDEN_EVAL_CONFIG)
+
+
+def test_verify_lemmas_csv_cells_parse_to_the_json_report(tmp_path):
+    # sr(S^s) > 1 here: the monotonicity check is skipped with a NaN ratio,
+    # and no check has a witness
+    scenario = {"Q": 3, "n": 2, "snr_db": 7.0, "sir_db": -10.0, "seed": 3}
+    assert_csv_cells_parse_to_the_json_report(
+        tmp_path, "verify lemmas", {**_LEMMAS, "scenario": scenario})
 
 
 # --- malformed scenario documents -------------------------------------------------

@@ -290,6 +290,10 @@ def test_sweep_still_rejects_a_real_drop_in_sir(tmp_path, monkeypatch):
 def test_criteria_sweep_validation():
     with pytest.raises(InvalidInputError):
         run_criteria_sweep({**SMALL_SWEEP, "trials": 0}, out="unused.csv")
+    # the config reader owns every count, so a shipped config is checked in full
+    for key, value in (("Q", 0), ("n", 2.5)):
+        with pytest.raises(InvalidInputError, match=f"^{key} must be an integer >= 1$"):
+            sweep_config({**SMALL_SWEEP, key: value})
 
 
 def test_integral_float_counts_are_written_as_integers():

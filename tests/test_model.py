@@ -227,14 +227,6 @@ def test_a_bad_budget_is_named_before_its_noise(power, snr_db):
         generate_scenario(2, 2, snr_db, 5.0, seed=0, power=power)
 
 
-@pytest.mark.parametrize("master", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64, 2**70 + 3])
-@pytest.mark.parametrize("cell", [0, 3, 2**32 + 1])
-def test_child_seeds_match_seed_sequence(master, cell):
-    want = [int(np.random.SeedSequence((master, cell, t)).generate_state(1)[0])
-            for t in range(21)]
-    assert model._child_seeds((master, cell), 21) == want
-
-
 def test_ragged_table_keeps_exact_shape_views(rng):
     nT, nR = [3, 2, 4], [2, 3, 1]
     H = [[crandn(rng, nR[q], nT[r]) for r in range(3)] for q in range(3)]
