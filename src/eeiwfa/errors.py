@@ -3,7 +3,7 @@ function that takes a batch raises the error of the batch as a whole."""
 
 import math
 import os
-from numbers import Real
+from numbers import Integral, Real
 
 
 class InvalidInputError(ValueError):
@@ -32,8 +32,10 @@ def is_real(value):
 
 def check_count(value, name, low):
     """``value`` as an int when it is an integral real number >= ``low``;
-    anything else, NaN and inf included, raises InvalidInputError."""
-    if not (is_real(value) and value >= low and float(value).is_integer()):
+    anything else, NaN and inf included, raises InvalidInputError. An int
+    too large for a float is checked without one."""
+    if not (is_real(value) and value >= low
+            and (isinstance(value, Integral) or float(value).is_integer())):
         raise InvalidInputError(f"{name} must be an integer >= {low}")
     return int(value)
 

@@ -125,6 +125,10 @@ class NetworkScenario:
     def __post_init__(self):
         if self.Q < 1:
             raise InvalidInputError("need at least one player")
+        if self.seed is not None:
+            self.seed = check_count(self.seed, "seed", 0)
+        if not isinstance(self.meta, dict):
+            raise InvalidInputError("meta must be a dict")
         # the dtype kinds keep strings, booleans and fractions from being cast
         self.nT, self.nR, P, Psi = map(np.asarray, (self.nT, self.nR, self.P, self.Psi))
         for name, arr in (("nT", self.nT), ("nR", self.nR)):
@@ -193,19 +197,17 @@ def scenario_from_matrices(H, Rn, P, Psi, seed=None, meta=None):
 #
 # Channel (q, r) is drawn from np.random.default_rng(SeedSequence((seed, q, r))),
 # so that each matrix is reproducible and unchanged by varying Q (up to the
-# variance scale factor). Building Q^2 generators one by one costs several
-# times their draws, so _stream_states computes every stream's PCG64 state at
-# once: NumPy's SeedSequence hash (O'Neill's seed_seq_fe, kept stable by
-# NEP 19) as uint32 array operations, then PCG64's set-seed step (O'Neill,
-# PCG, HMC-CS-2014-0905) in 128-bit arithmetic on Python ints.
+# variance scale factor). Building Q^2 SeedSequences costs several times their
+# draws, so _stream_words runs NumPy's SeedSequence hash (O'Neill's seed_seq_fe,
+# kept stable by NEP 19) as uint32 array operations over every stream at once.
+# _SeedWords hands PCG64 a stream's hashed words through NumPy's ISeedSequence
+# interface, and PCG64 seeds itself from them.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _MIX_HASH = (0x43B0D7E5, 0x931E8875)     # (initial, multiplier) of mix_entropy
 _STATE_HASH = (0x8B51F9DD, 0x58F38DED)   # (initial, multiplier) of generate_state
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 class _Hash:
@@ -232,26 +234,32 @@ def _mix(x, y):
     return z ^ (z >> 16)
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence whose ``generate_state(4, np.uint64)`` is the C-contiguous
+    ``words`` (PCG64 reads their memory: a strided view seeds another stream)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only the four uint64 words PCG64 asks for are known")
+        return self.words
+
+
 def _seed_words(seed):
     """The 32-bit words of ``seed``, low first."""
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
+    return [(seed >> k) & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
 
 
-def _stream_states(seeds, Q):
-    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence((seed, q, r)))`` for
-    every seed of ``seeds`` and q, r < Q, as Python ints: one list per seed,
-    in (q, r) row-major order.
-
-    The entropy words of stream (q, r) are the 32-bit words of the seed,
-    low first, then q, then r; the hash runs at once over every stream of
-    the seeds with as many words.
-    """
+def _stream_words(seeds, Q):
+    """``SeedSequence((seed, q, r)).generate_state(4, np.uint64)`` for every
+    seed of ``seeds`` and q, r < Q: one C-contiguous (Q^2, 4) array per seed,
+    in (q, r) row-major order. The entropy words of stream (q, r) are the
+    seed's 32-bit words, low first, then q, then r; the hash runs at once
+    over every stream of the seeds with as many words."""
     words = [_seed_words(seed) for seed in seeds]
-    states = [None] * len(seeds)
+    blocks = [None] * len(seeds)
     for count in set(map(len, words)):
         group = [i for i, w in enumerate(words) if len(w) == count]
         # one row per entropy word, zero rows up to the pool size; one
@@ -261,13 +269,14 @@ def _stream_states(seeds, Q):
         entropy[count], entropy[count + 1] = np.divmod(np.arange(Q * Q), Q)
         flat = _hashed_states(entropy.reshape(len(entropy), -1))
         for j, i in enumerate(group):
-            states[i] = flat[j * Q * Q:(j + 1) * Q * Q]
-    return states
+            blocks[i] = flat[j * Q * Q:(j + 1) * Q * Q]
+    return blocks
 
 
 def _hashed_states(entropy):
-    """PCG64 ``(state, inc)`` of the SeedSequence of each column of the
-    uint32 ``entropy`` array, whose rows are the entropy words in order."""
+    """``generate_state(4, np.uint64)`` of the SeedSequence of each column
+    of the uint32 ``entropy`` array, whose rows are the entropy words in
+    order: one C-contiguous (columns, 4) uint64 array."""
     # uint32 products wrap, as the hash needs
     with np.errstate(over="ignore"):
         # mix_entropy: the 4-word pool, mixed with itself, then with the rest
@@ -278,17 +287,9 @@ def _hashed_states(entropy):
             pool[dst] = _mix(pool[dst], mix_hash(pool[src], len(dst)))
         for e in entropy[_POOL_SIZE:]:
             pool = _mix(pool, mix_hash(e, _POOL_SIZE))
-        # generate_state(4, uint64): eight uint32 words, the pool words in
-        # turn, hashed, then paired low word first
+        # eight uint32 words, the pool words in turn, hashed, paired low first
         out = _Hash(*_STATE_HASH)(pool[np.arange(8) % _POOL_SIZE], 8).astype(np.uint64)
-    words = (out[0::2] | (out[1::2] << 32)).tolist()
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words):
-        # pcg64_set_seed: inc = 2 seq + 1, state = (inc + seed) * MULT + inc
-        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
-        state = (((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT) + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
 
 
 def _from_db(value, name):
@@ -375,23 +376,18 @@ def generate_scenario(Q, n, snr_db, sir_db, seed, power=None, circuit_power=1.0,
                 " is not finite"
             )
 
-    # One generator takes each (q, r) stream's state in turn and draws its
+    # Each (q, r) stream seeds a generator from its hashed words and draws its
     # real parts, then its imaginary parts, in one call straight into a row
     # buffer; receiver q's row of every seed is scaled into one table.
     diagonal = channel_kind == "diagonal"
     T = np.zeros((len(seeds), Q, Q, n, n), dtype=complex)
     draws = np.empty((len(seeds), Q, 2, n) if diagonal else (len(seeds), Q, 2, n, n))
     k = np.arange(n)
-    bits = np.random.PCG64(0)   # its seed is overwritten by every stream's state
-    rng = np.random.Generator(bits)
-    stream = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    states = _stream_states(seeds, Q)
+    words = _stream_words(seeds, Q)
     for q in range(Q):
-        for row, seed_states in zip(draws, states):
-            for r in range(Q):
-                stream["state"]["state"], stream["state"]["inc"] = seed_states[q * Q + r]
-                bits.state = stream
-                rng.standard_normal(out=row[r])
+        for row, seed_words in zip(draws, words):
+            for out, w in zip(row, seed_words[q * Q:(q + 1) * Q]):
+                np.random.Generator(np.random.PCG64(_SeedWords(w))).standard_normal(out=out)
         scale = np.full(Q, np.sqrt(cross_var / 2.0))
         scale[q] = np.sqrt(0.5)
         if diagonal:
@@ -773,7 +769,8 @@ def scenario_to_dict(s):
 def scenario_from_dict(d):
     try:
         Q = check_count(d["Q"], "Q", 1)
-        H = [[_lists_to_complex(d["H"][q][r], f"H[{q}][{r}]") for r in range(Q)] for q in range(Q)]
+        H = [[_lists_to_complex(M, f"H[{q}][{r}]") for r, M in enumerate(row)]
+             for q, row in enumerate(d["H"])]
         Rn = [_lists_to_complex(R, f"Rn[{q}]") for q, R in enumerate(d["Rn"])]
         for key in ("nT", "nR", "P", "Psi"):   # numpy would read true as 1
             if any(isinstance(x, bool) for x in d[key]):

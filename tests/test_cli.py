@@ -337,6 +337,7 @@ def _run(tmp_path, command, cfg, quiet=True):
 
 NAN = float("nan")
 INF = float("inf")
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]   # as [re, im] pairs
 _SCN = {"Q": 2, "n": 2, "snr_db": 7.0, "sir_db": 10.0, "seed": 0}
 _SWEEP = {"Q": 2, "n": 2, "snr_db": [5.0], "sir_db": [10.0]}
 _LEMMAS = {"scenario": _SCN, "n_pairs": 2, "n_triples": 2, "sqrt_q": [2]}
@@ -569,6 +570,10 @@ def test_verify_lemmas_csv_cells_parse_to_the_json_report(tmp_path):
     ("Psi", [1.0, [1.0]], "malformed scenario document"),
     ("Rn", [[[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * 2,
      "Rn has non-finite entries"),
+    ("meta", "x", "meta must be a dict"),
+    ("seed", 1.5, "seed must be an integer >= 0"),
+    ("seed", "abc", "seed must be an integer >= 0"),
+    ("H", [[EYE2] * 3] * 3, "H must be a Q x Q table of matrices"),   # 3 x 3 at Q = 2
 ])
 def test_malformed_scenario_document_is_validation_error(tmp_path, capsys, field, value,
                                                          message):
@@ -576,16 +581,17 @@ def test_malformed_scenario_document_is_validation_error(tmp_path, capsys, field
     assert cli(["scenario", "gen", "--q", "2", "--n", "2", "--seed", "1",
                 "--out", path, "--quiet"]) == EXIT_OK
     doc = json.load(open(path))
-    if field == "H":
+    if value is None:
         doc["H"][0][1][1].pop()
     else:
         doc[field] = value
     json.dump(doc, open(path, "w"))
     assert cli(["scenario", "show", path]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    err = capsys.readouterr().err   # one line, no traceback
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert _run(tmp_path, "br solve", {"scenario": {"file": path}}) == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 # --- exit codes and report lines no other test reaches ------------------------------

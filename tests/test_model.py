@@ -17,7 +17,8 @@ from eeiwfa.model import (
     ChannelTable,
     NetworkScenario,
     StrategyProfile,
-    _stream_states,
+    _SeedWords,
+    _stream_words,
     energy_efficiency,
     generate_scenario,
     load_scenario,
@@ -113,6 +114,13 @@ def plain_channel(seed, q, r, n, var, kind):
     return np.sqrt(var / 2.0) * Z
 
 
+def test_a_seed_beyond_the_float_range_draws_its_streams():
+    seed = 2**1100   # no float holds it
+    s = generate_scenario(2, 2, 7.0, 0.0, seed=seed)
+    assert s.seed == seed and scenario_from_dict(scenario_to_dict(s)).seed == seed
+    assert np.array_equal(s.H[0][1], plain_channel(seed, 0, 1, 2, 1.0, "full"))
+
+
 @pytest.mark.parametrize("kind", ["full", "diagonal"])
 @pytest.mark.parametrize("Q, n, sir_db, seed", [
     (3, 2, 0.0, 5),
@@ -159,14 +167,25 @@ def test_stream_states_match_seed_sequence(seeds, Q):
     # seeds of one to three 32-bit words side by side in one call
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states = _stream_states(seeds, Q)
-    assert len(states) == len(seeds)
-    for seed, got in zip(seeds, states):
-        assert len(got) == Q * Q
+        blocks = _stream_words(seeds, Q)
+    assert len(blocks) == len(seeds)
+    for seed, got in zip(seeds, blocks):
+        assert got.shape == (Q * Q, 4) and got.dtype == np.uint64
+        assert got.flags.c_contiguous
         for q in range(Q):
             for r in range(Q):
-                want = np.random.PCG64(np.random.SeedSequence((seed, q, r))).state["state"]
-                assert got[q * Q + r] == (want["state"], want["inc"])
+                seq = np.random.SeedSequence((seed, q, r))
+                assert np.array_equal(got[q * Q + r], seq.generate_state(4, np.uint64))
+                want = np.random.PCG64(seq).state
+                assert np.random.PCG64(_SeedWords(got[q * Q + r])).state == want
+
+
+def test_seed_words_give_only_what_pcg64_asks_for():
+    words = _stream_words([0], 1)[0][0]
+    assert _SeedWords(words).generate_state(4, np.uint64) is words
+    for n_words, dtype in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="only the four uint64 words"):
+            _SeedWords(words).generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("Q, kind", [(3, "full"), (3, "diagonal"), (1, "full")])
@@ -652,6 +671,20 @@ def test_scenario_dict_rejects_garbage():
         scenario_from_dict({"Q": 2})
     d = scenario_to_dict(generate_scenario(2, 2, 7.0, 0.0, seed=0))
     assert json.dumps(d)  # JSON-serializable
+    # every channel given is read: a 3 x 3 table, or a row of three, at Q = 2
+    big = scenario_to_dict(generate_scenario(3, 2, 7.0, 0.0, seed=0))["H"]
+    for H, message in [(big, "H must be a Q x Q table"),
+                       ([row[:3] for row in big[:2]], "H\\[0\\] must hold 2 matrices")]:
+        with pytest.raises(InvalidInputError, match=message):
+            scenario_from_dict(dict(d, H=H))
+    with pytest.raises(InvalidInputError, match="meta must be a dict"):
+        scenario_from_dict(dict(d, meta="x"))
+    for seed in (1.5, "abc", True, -1, float("inf")):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            scenario_from_dict(dict(d, seed=seed))
+    # an integral seed is kept as an int, and None stays None
+    assert scenario_from_dict(dict(d, seed=2.0)).seed == 2
+    assert scenario_from_dict(dict(d, seed=None)).seed is None
 
 
 # --- ragged shapes: the padded batch against plain per-pair formulas ---------------
