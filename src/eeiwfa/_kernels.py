@@ -42,44 +42,66 @@ def water_level(vals, p):
     return theta[()], powers
 
 
+# A largest gain at or below this cannot pay for circuit power: EE-optimal power 0.
+VANISHING_GAIN = 1e-30
+# The gap |rate - nu (trace + psi)| stalls near one ulp of the rate (at up to
+# 2 on Q=4 n=3 games, SNR 7 dB, SIR 0 dB): twice that closes it whatever eps.
+GAP_ULPS = 4
+SOLVED, GAP_OPEN, DECREASED, NOT_POSITIVE = range(4)
+
+
 def dinkelbach_gains(D, psi, p0, eps, max_iters):
     """Dinkelbach ratio iteration on each row of descending gains ``D`` (B,
-    k) > 0, with circuit powers ``psi`` and budgets ``p0`` (B,), from the
-    uniform covariance (p0 / k) I: one (trace, iterations, final gap, nu
-    non-decreasing) tuple per row.
+    k), with circuit powers ``psi`` and budgets ``p0`` (B,), from the
+    uniform covariance (p0 / k) I: one (trace, iterations, final gap,
+    outcome) tuple per row. A gap of at most ``eps`` or GAP_ULPS ulps of the
+    rate is closed: the outcome is SOLVED, or DECREASED when nu decreased (a
+    numerical failure); GAP_OPEN when max_iters end the loop first. A row
+    whose largest gain is at most VANISHING_GAIN is SOLVED at trace 0 with
+    no iteration; one with a gain <= 0 is NOT_POSITIVE, with a NaN gap.
 
     Each iterate is the waterfilling at level 1/nu, so only the gains and
     the running rate/trace of the iterate are needed: the channels with
     1/d_k < level are active, and on them 1 + d_k q_k = d_k level.
     """
-    inv = 1.0 / D   # ascending along each row: the active channels are a prefix
+    log, ulp = math.log, math.ulp
     out = []
-    for inv, cinv, d, trace, psi in zip(
-            inv.tolist(), np.cumsum(inv, axis=-1).tolist(), D.tolist(),
-            p0.tolist(), psi.tolist()):
+    for d, trace, psi in zip(D.tolist(), p0.tolist(), psi.tolist()):
+        if d[0] <= VANISHING_GAIN:
+            out.append((0.0, 0, 0.0, SOLVED))
+            continue
+        if not d[-1] > 0.0:
+            out.append((0.0, 0, math.nan, NOT_POSITIVE))
+            continue
+        inv = [1.0 / x for x in d]   # ascending: the active channels are a prefix
+        cinv = list(accumulate(inv))
         # libm's logs, not numpy's SIMD ones, whose last bit varies with the CPU
-        clog = list(accumulate(map(math.log, d)))
+        clog = list(accumulate(map(log, d)))
         # nu^(1) only needs the rate and trace of the starting covariance
-        rate = _log1p_sum(x * (trace / len(d)) for x in d)
+        share = trace / len(d)
+        rate = _log1p_sum([x * share for x in d])
         nu_prev = 0.0
-        monotone = True
-        delta = 2.0 * eps
+        monotone, outcome = True, GAP_OPEN
+        delta = math.inf
         iters = 0
-        while delta > eps and iters < max_iters:
+        while iters < max_iters:
             nu = rate / (trace + psi)
-            if iters > 0 and nu < nu_prev - 1e-12 * max(1.0, abs(nu_prev)):
+            if iters and nu < nu_prev - 1e-12 * max(1.0, abs(nu_prev)):
                 monotone = False
             nu_prev = nu
             level = 1.0 / nu
             k = bisect_left(inv, level)
             if k:
                 trace = k * level - cinv[k - 1]
-                rate = k * math.log(level) + clog[k - 1]
+                rate = k * log(level) + clog[k - 1]
             else:
                 trace = rate = 0.0
             delta = abs(rate - nu * (trace + psi))
             iters += 1
-        out.append((trace, iters, delta, monotone))
+            if delta <= eps or delta <= GAP_ULPS * ulp(rate):
+                outcome = SOLVED if monotone else DECREASED
+                break
+        out.append((trace, iters, delta, outcome))
     return out
 
 

@@ -17,9 +17,6 @@ from .errors import ConvergenceError, InvalidInputError, check_count, is_real
 from .linalg import _eigh_descending, hermitian_evd, hermitize, psd_trace_projection
 from .model import _ct, _grams, _rank_groups, _whitened_channels, whitened_gram
 
-_D_TINY = 1e-30
-
-
 @dataclass
 class DinkelbachConfig:
     epsilon: float = 1e-9
@@ -59,10 +56,10 @@ def _best_responses(s, qs, X, cfg):
     row at zero power) and arrays over ``qs`` of p_unconstrained, p_hat, the
     water level (0 at zero power) and the Dinkelbach iterations."""
     grams = _grams(X)
-    bad = np.flatnonzero(~np.isfinite(grams).all(axis=(1, 2)))
-    if bad.size:
-        raise InvalidInputError(f"whitened gram of player {qs[bad[0]]} has non-finite entries")
-    players = list(qs)
+    if not np.isfinite(grams).all():
+        bad = np.flatnonzero(~np.isfinite(grams).all(axis=(1, 2)))[0]
+        raise InvalidInputError(f"whitened gram of player {qs[bad]} has non-finite entries")
+    players = np.asarray(qs, dtype=int)
     P, Psi = s.P[players], s.Psi[players]
     Qbr = np.zeros(grams.shape, dtype=complex)
     p_u, p_hat, mu = np.zeros((3, len(qs)))
@@ -70,39 +67,33 @@ def _best_responses(s, qs, X, cfg):
     failures = []   # (batch position, error): the first failure of each rank group
     for k, idx in _rank_groups(s.ranks[players]):
         D, U = _eigh_descending(grams[idx, :k, :k])
-        # A vanishing channel cannot pay for its circuit power: p_u = 0.
-        vanishing = D[:, 0] <= _D_TINY
-        solve = ~vanishing & (D[:, -1] > 0)
-        rows = iter(_kernels.dinkelbach_gains(
-            D[solve], Psi[idx[solve]], P[idx[solve]], cfg.epsilon, cfg.max_iters))
-        for j, i in enumerate(idx):
-            if vanishing[j]:
-                continue
-            if not solve[j]:
-                error = InvalidInputError(
-                    f"whitened gram of player {qs[i]} is not positive definite")
-            else:
-                p_u[i], iters[i], delta, monotone = next(rows)
-                open_gap = delta > cfg.epsilon
-                if monotone and not open_gap:
-                    continue
-                error = ConvergenceError(
-                    f"Dinkelbach did not reach epsilon={cfg.epsilon:g} within "
-                    f"{cfg.max_iters} iterations (last gap {delta:.3e})" if open_gap
-                    else "Dinkelbach ratio sequence decreased; numerical failure",
-                    delta=float(delta))
-            failures.append((i, error))
-            break
-        if failures:   # nothing after a failure is returned
+        trace, n, gap, outcome = zip(*_kernels.dinkelbach_gains(
+            D, Psi[idx], P[idx], cfg.epsilon, cfg.max_iters))
+        if any(outcome):   # nothing after a failure is returned
+            j = np.flatnonzero(outcome)[0]
+            failures.append((idx[j], _failure(qs[idx[j]], outcome[j], gap[j], cfg)))
             continue
-        p_hat[idx] = np.clip(p_u[idx], 0.0, P[idx])
-        live = p_hat[idx] > 0
-        mu[idx[live]], powers = _waterfill_powers(D[live], p_hat[idx[live]])
-        Qbr[idx[live], :k, :k] = (U[live] * powers[:, None, :]) @ _ct(U[live])
+        p_u[idx], iters[idx] = trace, n
+        p_hat[idx] = p = np.clip(trace, 0.0, P[idx])
+        live = p > 0
+        at, Ul = idx[live], U[live]
+        mu[at], powers = _waterfill_powers(D[live], p[live])
+        Qbr[at, :k, :k] = (Ul * powers[:, None, :]) @ _ct(Ul)
     if failures:
         # the first failure in batch order is the one raised
         raise min(failures, key=lambda f: f[0])[1]
     return Qbr, p_u, p_hat, mu, iters
+
+
+def _failure(q, outcome, gap, cfg):
+    """The error of player ``q``'s failed row of _kernels.dinkelbach_gains."""
+    if outcome == _kernels.NOT_POSITIVE:
+        return InvalidInputError(f"whitened gram of player {q} is not positive definite")
+    return ConvergenceError(
+        f"Dinkelbach did not reach epsilon={cfg.epsilon:g} within "
+        f"{cfg.max_iters} iterations (last gap {gap:.3e})" if outcome == _kernels.GAP_OPEN
+        else "Dinkelbach ratio sequence decreased; numerical failure",
+        delta=float(gap))
 
 
 def best_response(s, q, profile, cfg=None):

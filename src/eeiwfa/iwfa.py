@@ -9,7 +9,6 @@ past states.
 """
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,22 +111,17 @@ class IwfaTrace:
     meta: dict = field(default_factory=dict)
 
 
-def _evaluate(s, stack, rows, readers=(), measured=(), *, cfg):
-    """Whiten every player at the profile ``stack`` and compute the best
+def _evaluate(s, P, rows, readers=(), *, cfg):
+    """Whiten every player at the profile ``P[0]`` and compute the best
     responses of the players ``rows`` at it and of the players ``readers``
-    at their ``measured`` stacks: one whitening pass over all of them and
-    one best-response batch, ``rows`` first. Returns the (Q + len(readers),
-    N, K) whitened channels, every player's at ``stack`` first, and a (Q +
-    len(readers), K, K) stack whose first Q rows hold the ``rows`` at their
-    players' positions (zero elsewhere) and whose last rows are the
-    readers'."""
+    at the stacks they measure, ``P[1:]``: one whitening pass over all of
+    them and one best-response batch. Returns the (Q + len(readers), N, K)
+    whitened channels, every player's at ``P[0]`` first, and the (len(rows)
+    + len(readers), K, K) best responses, the ``rows``' first."""
     Q = s.Q
-    X = _whitened_channels(s, np.stack([stack, *measured]), [range(Q), *([q] for q in readers)])
-    brs = np.zeros((len(X), *stack.shape[1:]), dtype=complex)
+    X = _whitened_channels(s, P, [range(Q), *([q] for q in readers)])
     picked = [*rows, *range(Q, len(X))]
-    if picked:
-        brs[picked] = _best_responses(s, [*rows, *readers], X[picked], cfg)[0]
-    return X, brs
+    return X, _best_responses(s, [*rows, *readers], X[picked], cfg)[0]
 
 
 def _max_move(stack, brs):
@@ -137,32 +131,27 @@ def _max_move(stack, brs):
 
 def ne_residual(s, profile, cfg=None):
     """max_q ||Qbar_q - BR_q(Qbar_{-q})||_F; ~0 exactly at an equilibrium."""
-    brs = _evaluate(s, profile.stack, range(s.Q), cfg=cfg or DinkelbachConfig())[1]
+    brs = _evaluate(s, profile.stack[None], range(s.Q), cfg=cfg or DinkelbachConfig())[1]
     return _max_move(profile.stack, brs)
 
 
-def _readers(mask, ages, t):
-    """The players updating at slot ``t`` that measure the current profile
-    and those that measure a delayed one. A player measures the current
-    profile when every age it sees is zero (always at the first slot)."""
-    stale = ages > 0
-    np.fill_diagonal(stale, False)
-    stale = stale.any(axis=1) & (t > 0)
+def _readers(mask, ages):
+    """The updating players of ``mask`` that measure the current profile and
+    those that measure a delayed one: a player measures the current profile
+    when every age (>= 0) it sees of another player is zero."""
+    stale = ages.sum(axis=1) > ages.diagonal()
     return np.flatnonzero(mask & ~stale), np.flatnonzero(mask & stale)
 
 
-def _measured_stacks(qs, t, ages, history):
-    """The profile stacks the players ``qs`` measure at slot ``t``: player q
-    sees player r as it was ``ages[q, r]`` slots ago (clipped to the first
-    slot); ``history`` holds the recent profile stacks, the current one
-    last."""
-    if not len(qs):
-        return []
-    past = np.stack(history)
-    last = len(past) - 1
-    players = np.arange(past.shape[1])
-    # entry q of each gathered stack is never read: the MUI skips r = q
-    return [past[np.maximum(t - ages[q], 0) - t + last, players] for q in qs]
+def _measured(ring, t, ages, readers):
+    """The (1 + len(readers), Q, K, K) profile stacks measured at slot
+    ``t``: profile t, then each reader q's, in which player r is as it was
+    ``ages[q, r]`` slots ago; ``ring[u % len(ring)]`` holds profile u for
+    the last len(ring) profiles, and the ages are at most t and below
+    len(ring)."""
+    back = np.vstack((np.zeros(ring.shape[1], dtype=int), ages[readers]))
+    # entry q of reader q's stack is never read: the MUI skips r = q
+    return ring[(t - back) % len(ring), np.arange(ring.shape[1])]
 
 
 def _oscillating(residuals, tol):
@@ -224,7 +213,7 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     Q = s.Q
 
     stack = profile.stack   # profile t's
-    history = deque([stack], maxlen=schedule.d_max + 1)   # profile stacks, newest last
+    ring = np.repeat(stack[None], schedule.d_max + 1, axis=0)   # profile u at u % len(ring)
     slots, ees, residuals, nes, upds = [], [], [], [], []
     termination, error, streak = "max_slots", None, 0
     stop, due = None, False
@@ -247,19 +236,21 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
                     "max_slots" if t == max_slots else None)
             due = bool(ne_every) and t % ne_every == 0
         full = due or stop is not None   # the NE residual is evaluated
-        rows, readers, measured = range(Q), [], []
+        rows, readers, P = range(Q), [], stack[None]
         if stop is None:
             draw = schedule.draw_slot(t, rng)
-            current, readers = _readers(*draw, t)
-            rows = rows if due else current
-            measured = _measured_stacks(readers, t, draw[1], history)
+            ages = np.minimum(draw[1], t)   # no profile before the first
+            current, readers = _readers(draw[0], ages)
+            # where the updating players' best responses are in the batch
+            rows, at = (rows, current) if due else (current, range(len(current)))
+            P = _measured(ring, t, ages, readers)
         failure = None
         try:
             try:
-                X, brs = _evaluate(s, stack, rows, readers, measured, cfg=cfg)
+                X, brs = _evaluate(s, P, rows, readers, cfg=cfg)
             except (ConvergenceError, InvalidInputError) as exc:
                 failure, full = exc, due   # evaluate slot t's own part alone
-                X, brs = _evaluate(s, stack, range(Q) if due else [], cfg=cfg)
+                X, brs = _evaluate(s, stack[None], range(Q) if due else [], cfg=cfg)
         except (ConvergenceError, InvalidInputError) as exc:
             termination, error = "error", str(exc)
             break
@@ -274,9 +265,9 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
             break
         mask = draw[0]
         stack = stack.copy()
-        stack[current] = brs[current]
-        stack[readers] = brs[Q:]
-        history.append(stack)
+        stack[current] = brs[at]
+        stack[readers] = brs[len(rows):]
+        ring[(t + 1) % len(ring)] = stack
 
     return IwfaTrace(
         slots=np.asarray(slots, dtype=int),

@@ -73,8 +73,12 @@ def hermitian_evd(A):
 
 def _eigh_descending(A):
     """``np.linalg.eigh`` of a Hermitian matrix or stack, eigenvalues
-    descending with ties kept in LAPACK's order."""
+    descending with ties kept in LAPACK's order: reversed when every matrix
+    is tie-free, else (a tie, or a NaN) by a stable sort, since a reversal
+    would swap tied eigenvectors."""
     vals, vecs = np.linalg.eigh(A)
+    if (vals[..., 1:] > vals[..., :-1]).all():
+        return vals[..., ::-1], vecs[..., ::-1]
     order = np.argsort(-vals, axis=-1, kind="stable")
     return (np.take_along_axis(vals, order, axis=-1),
             np.take_along_axis(vecs, order[..., None, :], axis=-1))

@@ -12,6 +12,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -612,17 +613,22 @@ def _received_covariances(G, Rn, P, qs):
     block size for every table, a row has the same bits in every call that
     forms it."""
     Q, N, block = G.shape[0], G.shape[3], _RECEIVER_BLOCK
-    q_of = np.array([q for players in qs for q in players], dtype=int)
-    m_of = np.repeat(np.arange(len(qs)), [len(players) for players in qs])
-    read = np.zeros((-(-Q // block), len(qs)), dtype=bool)   # block b is read at profile m
-    read[q_of // block, m_of] = True
-    place = (np.cumsum(read) - 1).reshape(read.shape)        # of each read block in Z
-    Z = np.empty((read.sum(), block, N, N), dtype=complex)
-    for b, ms in enumerate(read):
-        if ms.any():
-            Zb = _block_sums(G, P if ms.all() else P[ms], b * block, block)
-            Z[place[b, ms], :Zb.shape[1]] = Zb
-    R = Z[place[q_of // block, m_of], q_of % block]
+    q_of = [q for players in qs for q in players]
+    reads = [[] for _ in range(-(-Q // block))]   # the profiles that read block b
+    rows = []   # each row's block, its place among the block's profiles, its column
+    for m, players in enumerate(qs):
+        for q in players:
+            b, j = divmod(q, block)
+            if not reads[b] or reads[b][-1] != m:
+                reads[b].append(m)
+            rows.append((b, len(reads[b]) - 1, j))
+    first = list(accumulate(map(len, reads), initial=0))   # block b's rows of Z
+    Z = np.empty((first[-1], block, N, N), dtype=complex)
+    for b, ms in enumerate(reads):
+        if ms:
+            Zb = _block_sums(G, P if len(ms) == len(qs) else P[ms], b * block, block)
+            Z[first[b]:first[b + 1], :Zb.shape[1]] = Zb
+    R = Z[[first[b] + i for b, i, _ in rows], [j for _, _, j in rows]]
     np.conjugate(R, out=R)
     R += Rn[q_of]
     return R
@@ -682,7 +688,7 @@ def _rates(X, P):
     covariances ``P`` (zero-padded or exact alike): the sum of log1p over
     the eigenvalues of X Qbar X^H, whose padding adds only zeros."""
     lam = np.maximum(np.linalg.eigvalsh(hermitize(X @ P @ _ct(X))), 0.0)
-    return np.array([_log1p_sum(row) for row in lam.tolist()])
+    return np.array(list(map(_log1p_sum, lam.tolist())))
 
 
 def _rank_groups(ranks):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +356,35 @@ def test_first_failing_player_of_the_batch_raises(game, qs, cfg):
     else:
         with pytest.raises(InvalidInputError, match="player 0 is not positive definite"):
             _best_responses(rs, qs, X, cfg)
+
+
+@pytest.mark.parametrize("cfg", [DinkelbachConfig(), DinkelbachConfig(1e-13, 1)],
+                         ids=["default", "one-iteration"])
+def test_a_batch_raises_its_first_failing_rows_own_error(cfg):
+    # Rows of both rank groups of the mixed-rank game: a vanishing channel
+    # (zero power, no failure), a singular gram, and plain rows, which fail
+    # Dinkelbach when one iteration is allowed. In every order the batch
+    # raises the error its first failing row raises alone, or none.
+    rs = mixed_rank_game()
+    X1 = _whitened_channels(rs, StrategyProfile.uniform(rs).stack[None], [[0, 1]])
+    vanishing, singular = np.zeros_like(X1[0]), X1[0].copy()
+    singular[:, 1] = 0.0
+    rows = [(0, vanishing), (0, singular), (1, X1[1]), (0, X1[0])]
+
+    def outcome(batch):
+        qs, X = [q for q, _ in batch], np.stack([x for _, x in batch])
+        try:
+            _best_responses(rs, qs, X, cfg)
+        except (ConvergenceError, InvalidInputError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    alone = [outcome([row]) for row in rows]
+    assert alone[0] is None and alone[1][0] is InvalidInputError
+    assert (alone[3] is None) == (cfg.max_iters > 1)
+    for order in itertools.permutations(range(len(rows))):
+        first = next((alone[i] for i in order if alone[i]), None)
+        assert outcome([rows[i] for i in order]) == first, order
 
 
 # --- properties of the best response on random ragged games -----------------------

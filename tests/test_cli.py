@@ -16,6 +16,7 @@ from eeiwfa.model import load_scenario, save_scenario, scenario_from_matrices
 
 import blas_core
 import numpy_dispatch
+from test_equilibrium import scaled_identity_scenario
 
 
 @pytest.fixture
@@ -312,6 +313,44 @@ def test_outputs_agree_across_openblas_cores(tmp_path):
                 for row, other in zip(rows, other_rows):
                     a, b = float(row[j]), float(other[j])
                     assert abs(a - b) <= rel * abs(a) + tol, (core, name, column)
+
+
+# SHA-256 of the CSV traces of three `iwfa run`s: configs/benchmark.json
+# (synchronous), configs/benchmark_async.json (d_max 3, so delayed readers
+# gather older profiles) and an asynchronous run on identity channels, whose
+# whitened grams have tied eigenvalues. One hash per OpenBLAS core, each
+# taken in a child process with OPENBLAS_CORETYPE naming the core: SkylakeX
+# (the default on AVX-512 CPUs), Haswell (also what Zen selects) and Katmai
+# (what Prescott and Core2 select).
+IWFA_TRACES_SHA256 = {
+    "SkylakeX": "ee7ae9d9d8b2bca909ec707248f0e09b49cea3fd6b05721349b9d278ffedf300",
+    "Haswell": "32598ca0a177fe817bd9d34cd32dc0ec2549a6b8417a09f120bdc9637c14cd42",
+    "Katmai": "ce45a64b805e3aa3e5b4f5db429fb38c0fac24dbd47b6598e67f5f83f6a9a5fe",
+}
+
+
+def _iwfa_traces_digest(tmp_path):
+    """SHA-256 of the three pinned ``iwfa run`` CSV traces, in order."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    identity = tmp_path / "identity.json"
+    save_scenario(scaled_identity_scenario(4, 0.5, n=3), str(identity))
+    json.dump({"scenario": {"file": str(identity)},
+               "schedule": {"mode": "asynchronous", "rho": 0.5, "d_max": 2},
+               "max_slots": 60, "seed": 5}, open(tmp_path / "identity_run.json", "w"))
+    digest = hashlib.sha256()
+    for i, config in enumerate((configs / "benchmark.json", configs / "benchmark_async.json",
+                                tmp_path / "identity_run.json")):
+        out = tmp_path / f"trace{i}.csv"
+        assert cli(["iwfa", "run", "--config", str(config), "--out", str(out),
+                    "--quiet"]) == EXIT_OK
+        digest.update(out.read_bytes())
+    return digest.hexdigest()
+
+
+def test_iwfa_run_traces_are_pinned(tmp_path):
+    core = blas_core.core()
+    assert core in IWFA_TRACES_SHA256, f"no pinned iwfa traces for the OpenBLAS core {core}"
+    assert _iwfa_traces_digest(tmp_path) == IWFA_TRACES_SHA256[core], core
 
 
 def test_console_entry_point():

@@ -313,6 +313,41 @@ def measured(profiles, t, q, ages):
     ])
 
 
+def gather_from_recent(history, t, ages, qs):
+    """The stacks the players ``qs`` measure at slot ``t``, gathered one
+    reader at a time from ``history``, the last min(t, d_max) + 1 profile
+    stacks, newest last: player r as it was ages[q, r] slots ago, clipped
+    to the first profile."""
+    last = len(history) - 1
+    return [np.array([history[max(t - int(ages[q, r]), 0) - t + last][r]
+                      for r in range(len(ages))]) for q in qs]
+
+
+@pytest.mark.parametrize("d_max", [0, 1, 2, 3])
+def test_the_ring_gather_equals_a_gather_from_the_recent_profiles(d_max):
+    # Slots t < d_max included, where ages reach back past the first
+    # profile and clip to it. The readers are the updating players that see
+    # some other player at a positive age, from t = 1 on.
+    rng = np.random.default_rng(d_max)
+    Q, K = 5, 3
+    ring = np.empty((d_max + 1, Q, K, K), dtype=complex)
+    profiles, readers_seen = [], 0
+    for t in range(12):
+        profiles.append(rng.standard_normal((Q, K, K)) + 1j * rng.standard_normal((Q, K, K)))
+        ring[t % len(ring)] = profiles[-1]
+        mask = rng.random(Q) < 0.8
+        ages = rng.integers(0, d_max + 1, size=(Q, Q))
+        clipped = np.minimum(ages, t)
+        current, readers = iwfa._readers(mask, clipped)
+        stale = [t > 0 and any(ages[q, r] > 0 for r in range(Q) if r != q) for q in range(Q)]
+        assert current.tolist() == [q for q in range(Q) if mask[q] and not stale[q]]
+        assert readers.tolist() == [q for q in range(Q) if mask[q] and stale[q]]
+        want = [profiles[-1], *gather_from_recent(profiles[-d_max - 1:], t, ages, readers)]
+        assert np.array_equal(iwfa._measured(ring, t, clipped, readers), np.stack(want))
+        readers_seen += len(readers)
+    assert (readers_seen > 0) == (d_max > 0)
+
+
 def plain_run(rs, schedule, slots, cfg):
     """The engine's slot loop written per player: every update, EE and NE
     residual evaluated from scratch against the measured profile. Returns
@@ -637,6 +672,20 @@ def test_a_run_draws_only_the_slots_it_runs(monkeypatch, max_slots, draws):
     trace = run_iwfa(rs, sched, max_slots=max_slots)
     assert len(trace.slots) == counts["draws"] == draws
     assert counts["rows"][-1] == 8
+
+
+@pytest.mark.parametrize("epsilon", [3e-16, 1e-16])
+@pytest.mark.parametrize("mode,params", [("synchronous", {}),
+                                         ("asynchronous", {"rho": 0.5, "d_max": 2})])
+def test_an_epsilon_below_the_rounding_of_the_gap_converges(mode, params, epsilon):
+    # Dinkelbach's gap |rate - nu (trace + psi)| stalls at up to 2 ulps of
+    # the rate on these games, above either epsilon; a gap of GAP_ULPS ulps
+    # is closed, so every run converges instead of ending in an error.
+    for seed in range(4):
+        rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=seed))
+        trace = run_iwfa(rs, UpdateSchedule(mode, 4, **params, seed=seed), max_slots=400,
+                         cfg=DinkelbachConfig(epsilon, 60))
+        assert (trace.termination, trace.error) == ("converged", None), seed
 
 
 def test_ne_residual_values():

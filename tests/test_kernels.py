@@ -111,7 +111,7 @@ def test_dinkelbach_gains_matches_plain_loop(k, rows):
     p0 = np.array([b for _, _, b in rows])
     out = _kernels.dinkelbach_gains(D, psi, p0, 1e-9, 200)
     assert len(out) == len(rows)
-    for j, (trace, iters, delta, monotone) in enumerate(out):
+    for j, (trace, iters, delta, outcome) in enumerate(out):
         assert _kernels.dinkelbach_gains(D[j:j + 1], psi[j:j + 1], p0[j:j + 1],
                                          1e-9, 200) == [out[j]]
         d = D[j]
@@ -119,7 +119,8 @@ def test_dinkelbach_gains_matches_plain_loop(k, rows):
         o_trace, o_rate, o_iters, o_delta, o_monotone = _dinkelbach_oracle(
             d, psi[j], rate0, p0[j], 1e-9, 200)
         assert iters == o_iters
-        assert monotone == o_monotone
+        assert outcome == (_kernels.GAP_OPEN if o_delta > 1e-9 else
+                           _kernels.SOLVED if o_monotone else _kernels.DECREASED)
         assert trace == pytest.approx(o_trace, rel=1e-9, abs=1e-12)
         assert abs(delta - o_delta) <= 1e-9 * max(1.0, o_rate)
         # The kernel does not return the rate: the last iterate is the
@@ -196,9 +197,9 @@ def test_dinkelbach_power_is_within_its_gap_of_the_exact_optimum(log_gains, log_
     # Dinkelbach's gap bounds its ratio: nu* - nu_k <= F(nu_k) / (p* + Psi)
     # <= eps / Psi, and its last iterate's EE is at least nu_k.
     d, psi, p0, eps = np.exp(log_gains), math.exp(log_psi), math.exp(log_p0), 1e-9
-    [(p_dk, _, delta, monotone)] = _kernels.dinkelbach_gains(
+    [(p_dk, _, delta, outcome)] = _kernels.dinkelbach_gains(
         np.sort(d)[::-1][None], np.array([psi]), np.array([p0]), eps, 200)
-    assert delta <= eps and monotone
+    assert delta <= eps and outcome == _kernels.SOLVED
     p_star = exact_unconstrained_power(d, psi)
     ee_star = energy_efficiency_at(d, psi, p_star)
     gap = ee_star - energy_efficiency_at(d, psi, p_dk)

@@ -8,6 +8,7 @@ from eeiwfa import _kernels
 from eeiwfa.errors import InvalidInputError
 from eeiwfa.linalg import (
     W_FLOOR,
+    _eigh_descending,
     _perron_starts,
     _psd_trace_projections,
     compact_svd,
@@ -48,6 +49,45 @@ def test_evd_rejects_non_hermitian(rng):
     A[0, 1] += 1.0  # guarantee asymmetry
     with pytest.raises(InvalidInputError):
         hermitian_evd(A)
+
+
+def stable_descending(A):
+    """LAPACK's eigenpairs of a Hermitian stack put in descending order by
+    a stable sort: tied eigenvalues keep LAPACK's order."""
+    vals, vecs = np.linalg.eigh(A)
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    return (np.take_along_axis(vals, order, axis=-1),
+            np.take_along_axis(vecs, order[..., None, :], axis=-1))
+
+
+def tied_stacks(rng):
+    """Hermitian stacks with exactly tied eigenvalues: identities, diagonals
+    with repeated entries, I (x) A grams, the zero matrix, and a stack that
+    mixes tied and untied matrices."""
+    A = random_psd(rng, 3)
+    yield np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4))
+    yield np.diag([2.0, 0.5, 2.0, 0.5, 2.0]).astype(complex)[None]
+    yield np.stack([np.kron(np.eye(2), A), np.kron(np.eye(3), A[:2, :2])])
+    yield np.zeros((2, 3, 3), dtype=complex)
+    yield np.stack([random_hermitian(rng, 3), np.eye(3), random_hermitian(rng, 3)])
+
+
+def test_eigh_descending_equals_the_stable_sort_bit_for_bit(rng):
+    # Without ties LAPACK's ascending output is reversed; with a tie the
+    # stable sort keeps tied eigenvectors in LAPACK's order. Either way the
+    # pairs are those of the stable sort, bit for bit.
+    stacks = [np.stack([random_hermitian(rng, n) for _ in range(b)])
+              for n in range(1, 9) for b in (1, 3, 12)]
+    stacks.append(np.stack([[random_psd(rng, 4) for _ in range(3)] for _ in range(2)]))
+    tied = list(tied_stacks(rng))
+    for A in stacks + tied:
+        vals, vecs = _eigh_descending(A)
+        ref_vals, ref_vecs = stable_descending(A)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+    # the tie cases take the sort, whose order a reversal would not give
+    for A in tied[:2]:
+        vals, vecs = np.linalg.eigh(A)
+        assert not np.array_equal(vecs[..., ::-1], stable_descending(A)[1])
 
 
 # --- compact SVD -------------------------------------------------------------

@@ -784,7 +784,7 @@ def formed_in_evaluate(rs, stack, readers, measured):
         raise _Formed
 
     with mock.patch.object(model, "_received_covariances", record), pytest.raises(_Formed):
-        iwfa._evaluate(rs, stack, [], readers, measured, cfg=DinkelbachConfig())
+        iwfa._evaluate(rs, np.stack([stack, *measured]), [], readers, cfg=DinkelbachConfig())
     return formed[0]
 
 
