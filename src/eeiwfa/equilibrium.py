@@ -32,6 +32,7 @@ from .linalg import (
 )
 from .model import (
     StrategyProfile,
+    _block_distances,
     _block_sums,
     _complex_to_lists,
     _ct,
@@ -632,7 +633,7 @@ def estimate_power_smoothness(s, cfg, weights):
         odd = (start + np.arange(len(Pa))) % 2 == 1
         Pb[odd] = (1.0 - t) * Pa[odd] + t * Pb[odd]
         den_f = _stack_frob(Pa - Pb)
-        den_w = (_stack_frob((Pa - Pb)[:, :, None]) / w).max(axis=1)
+        den_w = _block_distances(Pa, Pb, w)
         for j in np.flatnonzero((den_f > 1e-12) & (den_w > 1e-12)):
             try:
                 X = _whitened_channels(s, np.stack([Pa[j], Pb[j]]), [range(s.Q)] * 2)
@@ -669,8 +670,8 @@ def sqrtq_observed_ratio(s, seed=0):
     the QVI mapping from below.
     """
     rng = np.random.default_rng(seed)
-    pa = random_profile(s, rng, boundary=True)
-    pb = pa.replace(0, random_covariance(int(s.ranks[0]), s.P[0], rng, boundary=True))
-    num = _stack_frob(qvi_map(s, pa).stack - qvi_map(s, pb).stack)
-    den = _stack_frob(pa.stack - pb.stack)
-    return float(num / den)
+    P = np.repeat(_random_covariances(rng, s.ranks, s.P, 1, boundary=True), 2, axis=0)
+    r = int(s.ranks[0])
+    P[1, 0, :r, :r] = random_covariance(r, s.P[0], rng, boundary=True)
+    F = _qvi_apply(_qvi_operator(s), P)
+    return float(_stack_frob(F[0] - F[1]) / _stack_frob(P[0] - P[1]))

@@ -17,7 +17,7 @@ from .best_response import DinkelbachConfig, _best_responses
 from .equilibrium import _floored_weights, interference_matrix_square
 from .errors import ConvergenceError, InvalidInputError, check_count, check_number, is_real
 from .linalg import spectral_radius
-from .model import StrategyProfile, _rates, _stack_frob, _whitened_channels, block_max_distance
+from .model import StrategyProfile, _block_distances, _rates, _whitened_channels
 
 SUSTAIN_SLOTS = 5        # consecutive below-tolerance slots before stopping
 OSC_WINDOW = 50          # residual history inspected for periodic recurrence
@@ -124,15 +124,15 @@ def _evaluate(s, P, rows, readers=(), *, cfg):
     return X, _best_responses(s, [*rows, *readers], X[picked], cfg)[0]
 
 
-def _max_move(stack, brs):
-    """max_q ||stack_q - brs_q||_F over the players of ``stack``."""
-    return float(_stack_frob((stack - brs[:len(stack)])[:, None]).max())
+def block_max_distance(pa, pb, w):
+    """max_q ||Qbar_q - Qbar'_q||_F / w_q."""
+    return float(_block_distances(pa.stack, pb.stack, w))
 
 
 def ne_residual(s, profile, cfg=None):
     """max_q ||Qbar_q - BR_q(Qbar_{-q})||_F; ~0 exactly at an equilibrium."""
     brs = _evaluate(s, profile.stack[None], range(s.Q), cfg=cfg or DinkelbachConfig())[1]
-    return _max_move(profile.stack, brs)
+    return float(_block_distances(profile.stack, brs))
 
 
 def _readers(mask, ages):
@@ -155,7 +155,7 @@ def _measured(ring, t, ages, readers):
 
 
 def _oscillating(residuals, tol):
-    if len(residuals) < OSC_WINDOW:
+    if tol < 0 or len(residuals) < OSC_WINDOW:   # a negative tol runs every slot
         return False
     win = np.asarray(residuals[-OSC_WINDOW:])
     if win.min() <= tol or not np.all(np.isfinite(win)):
@@ -206,15 +206,16 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
         raise InvalidInputError(
             f"schedule is for {schedule.Q} players, the scenario has {s.Q}"
         )
-    profile = init if init is not None else StrategyProfile.uniform(s)
-    profile.validate(s)
+    init = init if init is not None else StrategyProfile.uniform(s)
+    init.validate(s)
     w = default_weights(s)
     rng = np.random.default_rng(schedule.seed)
     Q = s.Q
 
-    stack = profile.stack   # profile t's
-    ring = np.repeat(stack[None], schedule.d_max + 1, axis=0)   # profile u at u % len(ring)
-    slots, ees, residuals, nes, upds = [], [], [], [], []
+    # profile u lives only at ring[u % L]; a slot reads back at most L - 2 profiles
+    L = min(schedule.d_max, max_slots) + 2
+    ring = np.repeat(init.stack[None], L, axis=0)
+    ees, residuals, nes, upds = [], [], [], []
     termination, error, streak = "max_slots", None, 0
     stop, due = None, False
 
@@ -224,9 +225,9 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
     # the pass that evaluates profile t. The last slot is known before its
     # pass and looks nothing ahead. A run of no slots evaluates nothing.
     for t in range(max_slots + 1) if max_slots else ():
+        stack = ring[t % L]   # profile t
         if t:
-            new_profile = StrategyProfile.from_stack(stack, profile.ranks)
-            residuals.append(block_max_distance(new_profile, profile, w))
+            residuals.append(float(_block_distances(stack, ring[(t - 1) % L], w)))
             # quiet asynchronous slots (nobody updated) have zero residual by
             # construction; they must not advance the convergence streak
             if mask.any():
@@ -255,32 +256,30 @@ def run_iwfa(s, schedule, init=None, max_slots=1000, residual_tol=1e-9,
             termination, error = "error", str(exc)
             break
         if t:
-            slots.append(t)
-            ees.append(_rates(X[:Q], stack) / (s.Psi + new_profile.traces()))
-            nes.append(_max_move(stack, brs) if full else float("nan"))
-            upds.append(mask.copy())
-            profile = new_profile
+            ees.append(_rates(X[:Q], stack) / (s.Psi + np.trace(stack, axis1=1, axis2=2).real))
+            nes.append(float(_block_distances(stack, brs[:Q])) if full else float("nan"))
+            upds.append(mask)
         if failure or stop:
             termination, error = ("error", str(failure)) if failure else (stop, None)
             break
         mask = draw[0]
-        stack = stack.copy()
-        stack[current] = brs[at]
-        stack[readers] = brs[len(rows):]
-        ring[(t + 1) % len(ring)] = stack
+        new = ring[(t + 1) % L]   # slot t + 1's profile, over the oldest
+        new[...] = stack
+        new[current] = brs[at]
+        new[readers] = brs[len(rows):]
 
+    T = len(ees)
     return IwfaTrace(
-        slots=np.asarray(slots, dtype=int),
-        ee=np.asarray(ees, dtype=float).reshape(len(slots), Q),
-        block_residual=np.asarray(residuals[:len(slots)], dtype=float),
+        slots=np.arange(1, T + 1),
+        ee=np.asarray(ees, dtype=float).reshape(T, Q),
+        block_residual=np.asarray(residuals[:T], dtype=float),
         ne_residual=np.asarray(nes, dtype=float),
-        updated=np.asarray(upds, dtype=bool).reshape(len(slots), Q),
+        updated=np.asarray(upds, dtype=bool).reshape(T, Q),
         weights=w,
         termination=termination,
-        final_profile=profile,
+        final_profile=StrategyProfile.from_stack(ring[T % L].copy(), init.ranks) if T else init,
         error=error,
-        meta={"mode": schedule.mode, "residual_tol": residual_tol,
-              "max_slots": max_slots},
+        meta={"mode": schedule.mode, "residual_tol": residual_tol, "max_slots": max_slots},
     )
 
 

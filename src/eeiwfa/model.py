@@ -703,10 +703,10 @@ def _stack_frob(D):
     return np.sqrt((D.real ** 2 + D.imag ** 2).sum(axis=(-3, -2, -1)))
 
 
-def block_max_distance(pa, pb, w):
-    """max_q ||Qbar_q - Qbar'_q||_F / w_q."""
+def _block_distances(A, B, w=1.0):
+    """max_q ||A_q - B_q||_F / w_q for each pair of padded (..., Q, K, K) profiles."""
     # each player's block as a one-player profile
-    return float((_stack_frob((pa.stack - pb.stack)[:, None]) / w).max())
+    return (_stack_frob((A - B)[..., None, :, :]) / w).max(axis=-1)
 
 
 def mui_covariance(s, q, profile):

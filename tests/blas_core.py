@@ -39,5 +39,13 @@ def dynamic_arch():
     return "DYNAMIC_ARCH" in (_get("config") or "")
 
 
+def pinned(values):
+    """The entry of ``values``, a dict from core name to a pinned output,
+    for the active core; a core with no entry fails by name."""
+    name = core()
+    assert name in values, f"no pinned value for the OpenBLAS core {name}"
+    return values[name]
+
+
 if __name__ == "__main__":
     print(core() or "")

@@ -128,8 +128,12 @@ def test_verify_lemmas_exit_codes(tmp_path):
 
 # SHA-256 of the JSON report of configs/lemmas.json, as the per-pair loop of
 # the verifiers computed it: a change in a draw, its stream order, the
-# evaluation of a sample or the chunking of the samples shows here.
-LEMMAS_REPORT_SHA256 = "8833f9cb2fbf5b1a839deb6555dfad2f34ef89b99b05298005dc0e9398e930b7"
+# evaluation of a sample or the chunking of the samples shows here. One hash
+# per OpenBLAS core, as IWFA_TRACES_SHA256 below.
+LEMMAS_REPORT_SHA256 = {
+    "SkylakeX": "8833f9cb2fbf5b1a839deb6555dfad2f34ef89b99b05298005dc0e9398e930b7",
+    "Haswell": "5da8925d39f6e22b1ea26fec15ca9796950dc9b2d6c3303f3f08a2704236ad80",
+}
 
 
 def test_verify_lemmas_shipped_config_report_is_pinned(tmp_path):
@@ -137,7 +141,7 @@ def test_verify_lemmas_shipped_config_report_is_pinned(tmp_path):
     out = tmp_path / "rep.json"
     assert cli(["verify", "lemmas", "--config", str(path), "--out", str(out),
                 "--quiet"]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == LEMMAS_REPORT_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == blas_core.pinned(LEMMAS_REPORT_SHA256)
 
 
 def _strict_json(path):
@@ -348,9 +352,7 @@ def _iwfa_traces_digest(tmp_path):
 
 
 def test_iwfa_run_traces_are_pinned(tmp_path):
-    core = blas_core.core()
-    assert core in IWFA_TRACES_SHA256, f"no pinned iwfa traces for the OpenBLAS core {core}"
-    assert _iwfa_traces_digest(tmp_path) == IWFA_TRACES_SHA256[core], core
+    assert _iwfa_traces_digest(tmp_path) == blas_core.pinned(IWFA_TRACES_SHA256)
 
 
 def test_console_entry_point():
@@ -538,11 +540,28 @@ GOLDEN_EVAL = {
     "sr_Ssym": 14.21920762320319,
     "variant": "sampled-columnrank",
 }
+# the report per OpenBLAS core: GOLDEN_EVAL is SkylakeX's; under Haswell the
+# floats move in their last bits and every flag and count holds
+GOLDEN_EVALS = {
+    "SkylakeX": GOLDEN_EVAL,
+    "Haswell": {
+        **GOLDEN_EVAL,
+        "contraction_rhs_constant": -10.835503360851199,
+        "perron_w": [0.06443487132889326, 0.830489062024362, 0.5532956399744392],
+        "power_smoothness": {"max_ratio_l2": 1.0338797491315375,
+                             "max_ratio_weighted_inf": 0.6217534993483563,
+                             "n_pairs": 20, "n_skipped": 0},
+        "qvi_rhs_constant": -0.6387048183354213,
+        "sigma_max_IplusS": 20.696896662929223,
+        "sr_S": 11.835503360851199,
+        "sr_Ssym": 14.219207623203197,
+    },
+}
 
 
 def test_criteria_eval_sampled_golden_report(tmp_path):
     assert _run(tmp_path, "criteria eval", GOLDEN_EVAL_CONFIG) == EXIT_OK
-    assert json.load(open(tmp_path / "out")) == GOLDEN_EVAL
+    assert json.load(open(tmp_path / "out")) == blas_core.pinned(GOLDEN_EVALS)
 
 
 def test_criteria_eval_csv_puts_the_smoothness_columns_last(tmp_path):

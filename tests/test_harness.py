@@ -27,6 +27,8 @@ from eeiwfa.harness import (
 )
 from eeiwfa.model import generate_scenario, reduce_scenario
 
+import blas_core
+
 SMALL_SWEEP = {
     "Q": 3,
     "n": 2,
@@ -77,20 +79,24 @@ def test_criteria_sweep_golden_values(tmp_path):
 
 # SHA-256 of the trial and cell files of two sweeps, taken before a chunk's
 # reduction, interference matrices and criteria took a trial axis: a change
-# in the last bit of any trial's report shows here.
-@pytest.mark.parametrize("grid, trials_sha, cells_sha", [
+# in the last bit of any trial's report shows here. One pair per OpenBLAS core.
+@pytest.mark.parametrize("grid, shas", [
     ({"Q": 8, "n": 4, "snr_db": [0.0, 10.0], "sir_db": [0.0, 10.0, 20.0], "trials": 10,
       "seed": 0, "channel_kind": "diagonal"},
-     "89befd413ced1871a2388f8ad9af7e18d37d1e4f535c3e16040a284bf4ace33d",
-     "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d"),
+     {"SkylakeX": ("89befd413ced1871a2388f8ad9af7e18d37d1e4f535c3e16040a284bf4ace33d",
+                   "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d"),
+      "Haswell": ("c7cb66eb57fdc9b7e78f198defce042d6292179df0dc9c1f39fe6bb28e7a8d3f",
+                  "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d")}),
     ({"Q": 5, "n": 3, "snr_db": [5.0], "sir_db": [0.0, 20.0], "trials": 12,
       "seed": 2**64 + 9, "channel_kind": "full"},
-     "9b22751c29d4830085f7069b3eb913cdd1d61869aa2250fb9a58ff9766fcec28",
-     "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a"),
-])
-def test_sweep_outputs_are_pinned(tmp_path, grid, trials_sha, cells_sha):
+     {"SkylakeX": ("9b22751c29d4830085f7069b3eb913cdd1d61869aa2250fb9a58ff9766fcec28",
+                   "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a"),
+      "Haswell": ("4c8ea4012cd1a7640aced606502bfac69bab36858ae3b85b6aba6f790c3521e5",
+                  "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a")}),
+], ids=["diagonal", "full"])
+def test_sweep_outputs_are_pinned(tmp_path, grid, shas):
     res = run_criteria_sweep(grid, out=str(tmp_path / "s.csv"))
-    for path, want in ((res["out"], trials_sha), (res["cells_out"], cells_sha)):
+    for path, want in zip((res["out"], res["cells_out"]), blas_core.pinned(shas)):
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == want
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -251,6 +252,14 @@ def test_oscillation_label_at_very_low_sir():
     assert trace.block_residual[-1] > 1.0  # genuinely far from any fixed point
 
 
+def test_a_negative_tolerance_runs_every_slot():
+    # the game above, which oscillates after 104 slots at the default tolerance
+    rs = reduce_scenario(generate_scenario(8, 4, 7.0, -18.0, seed=7, power=4.0))
+    trace = run_iwfa(rs, UpdateSchedule("synchronous", 8), max_slots=400,
+                     ne_every=0, residual_tol=-1.0)
+    assert (len(trace.slots), trace.termination) == (400, "max_slots")
+
+
 def test_error_termination_records_message():
     rs = reduce_scenario(scalar_scenario())
     cfg = DinkelbachConfig(epsilon=1e-13, max_iters=1)
@@ -348,6 +357,20 @@ def test_the_ring_gather_equals_a_gather_from_the_recent_profiles(d_max):
     assert (readers_seen > 0) == (d_max > 0)
 
 
+def test_a_run_keeps_only_the_profiles_its_slots_read():
+    # Five slots read back at most five profiles, so a d_max 10^4 times
+    # larger must not make the run hold more profiles.
+    rs = reduce_scenario(generate_scenario(8, 4, 7.0, 0.0, seed=0, power=4.0))
+    peaks = []
+    for d_max in (3, 3, 30000):   # the first run warms the caches
+        tracemalloc.start()
+        run_iwfa(rs, UpdateSchedule("asynchronous", 8, rho=0.5, d_max=d_max, seed=0),
+                 max_slots=5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[2] <= 2 * peaks[1]
+
+
 def plain_run(rs, schedule, slots, cfg):
     """The engine's slot loop written per player: every update, EE and NE
     residual evaluated from scratch against the measured profile. Returns
@@ -381,6 +404,8 @@ _ASYNC = {"rho": 0.6, "d_max": 2}
     pytest.param("sequential", None, 3, id="sequential-ne_every3"),
     pytest.param("asynchronous", _ASYNC, 0, id="asynchronous-ne_every0"),
     pytest.param("asynchronous", _ASYNC, 3, id="asynchronous-ne_every3"),
+    # a d_max beyond the run: the ring holds every profile, ages clip to t
+    pytest.param("asynchronous", {"rho": 0.6, "d_max": 40}, 1, id="asynchronous-d_max40"),
 ])
 def test_batched_slots_match_the_per_player_loop(mode, params, ne_every):
     rs = reduce_scenario(generate_scenario(4, 3, 7.0, 0.0, seed=8))
@@ -390,8 +415,9 @@ def test_batched_slots_match_the_per_player_loop(mode, params, ne_every):
     trace = run_iwfa(rs, sched, max_slots=slots, residual_tol=-1.0, cfg=cfg,
                      ne_every=ne_every)
     assert len(trace.slots) == slots
-    ees, nes, _ = plain_run(rs, sched, slots, cfg)
+    ees, nes, profiles = plain_run(rs, sched, slots, cfg)
     assert np.abs(trace.ee - ees).max() <= 1e-12 * np.abs(ees).max()
+    assert np.abs(trace.final_profile.stack - profiles[-1].stack).max() <= 1e-10
     # the NE residual is evaluated every ne_every slots and at the last one
     due = (trace.slots % ne_every == 0) if ne_every else np.zeros(slots, dtype=bool)
     due[-1] = True
@@ -626,6 +652,8 @@ def test_injected_failures_end_the_run_where_a_plain_loop_ends_it(monkeypatch):
     for (mode, params), rate, salt in itertools.product(
             modes, (0.01, 0.03, 0.1, 0.3, 0.6), (b"a", b"b")):
         sched = UpdateSchedule(mode, 3, **(params or {}), seed=4)
+        # the stand-ins wrap the real functions, not the last combination's
+        monkeypatch.undo()
         whiten, respond = _faulty(rate, salt + str(rate).encode())
         monkeypatch.setattr(iwfa, "_whitened_channels", whiten)
         monkeypatch.setattr(iwfa, "_best_responses", respond)
