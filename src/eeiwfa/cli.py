@@ -7,6 +7,7 @@ solve, 2 a lemma or criterion check failed.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -34,6 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """The argument parser; each action's parser carries its handler as
+    ``run``, which :func:`cli` calls with the parsed arguments."""
     p = _Parser(prog="eeiwfa", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="group", required=True)
 
@@ -44,11 +47,13 @@ def build_parser():
         "format": {"choices": ("csv", "json"), "default": "json"},
     }
 
-    def common(sp, *names):
-        """Give ``sp`` the flags ``names`` of the table above, and --quiet."""
+    def common(sp, run, *names):
+        """Give ``sp`` the flags ``names`` of the table above, --quiet, and
+        the handler ``run``."""
         for name in names:
             sp.add_argument(f"--{name}", **flags[name])
         sp.add_argument("--quiet", action="store_true")
+        sp.set_defaults(run=run)
 
     scen = sub.add_parser("scenario", help="generate or inspect scenarios")
     scen_sub = scen.add_subparsers(dest="action", required=True)
@@ -61,34 +66,34 @@ def build_parser():
     gen.add_argument("--circuit-power", type=float, default=1.0)
     gen.add_argument("--diagonal", action="store_true",
                      help="diagonal (parallel-subchannel) matrices")
-    common(gen, "seed", "out")
+    common(gen, _cmd_scenario_gen, "seed", "out")
     show = scen_sub.add_parser("show", help="summarize a scenario file")
     show.add_argument("scenario", help="scenario JSON file")
-    common(show)
+    common(show, _cmd_scenario_show)
 
     io_flags = ("config", "seed", "out")
     for group, group_help, actions in (
         ("br", "best-response computations",
-         [("solve", "one player's best response", io_flags + ("format",))]),
+         [("solve", "one player's best response", _cmd_br_solve, io_flags + ("format",))]),
         ("criteria", "uniqueness criteria",
-         [("eval", "criteria of one scenario", io_flags + ("format",)),
-          ("sweep", "Monte-Carlo SNR/SIR sweep", io_flags)]),
+         [("eval", "criteria of one scenario", _cmd_criteria_eval, io_flags + ("format",)),
+          ("sweep", "Monte-Carlo SNR/SIR sweep", _cmd_criteria_sweep, io_flags)]),
         ("iwfa", "iterative waterfilling runs",
-         [("run", "simulate one configured run", io_flags)]),
+         [("run", "simulate one configured run", _cmd_iwfa_run, io_flags)]),
         ("verify", "numerical bound verification",
-         [("lemmas", "run the bound suite", io_flags + ("format",))]),
+         [("lemmas", "run the bound suite", _cmd_verify_lemmas, io_flags + ("format",))]),
     ):
         group_sub = sub.add_parser(group, help=group_help).add_subparsers(
             dest="action", required=True)
-        for action, action_help, names in actions:
-            common(group_sub.add_parser(action, help=action_help), *names)
+        for action, action_help, run, names in actions:
+            common(group_sub.add_parser(action, help=action_help), run, *names)
     return p
 
 
 def _load_config(args):
     if not args.config:
         return {}
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:   # JSON is UTF-8 (RFC 8259)
         return json.load(fh)
 
 
@@ -208,36 +213,40 @@ def _cmd_iwfa_run(args):
 
 
 def _cmd_verify_lemmas(args):
-    report = harness.run_lemma_suite(_load_config(args), seed=args.seed,
-                                     verbose=not args.quiet)
+    report = harness.run_lemma_suite(_load_config(args), seed=args.seed)
+    if not args.quiet:
+        for name, check in report["checks"].items():
+            print(f"{name}: {check['status']} (max ratio {check['max_ratio']:.6g},"
+                  f" constant {check['constant']:.6g})")
+        for Q, entry in report["sqrt_q"].items():
+            print(f"sqrt(Q) ratio Q={Q}: {entry['ratio']:.12f}"
+                  f" vs {entry['expected']:.12f}")
     _emit(report, args)
     return EXIT_OK if report["passed"] else EXIT_CHECK
 
 
-_COMMANDS = {
-    ("scenario", "gen"): _cmd_scenario_gen,
-    ("scenario", "show"): _cmd_scenario_show,
-    ("br", "solve"): _cmd_br_solve,
-    ("criteria", "eval"): _cmd_criteria_eval,
-    ("criteria", "sweep"): _cmd_criteria_sweep,
-    ("iwfa", "run"): _cmd_iwfa_run,
-    ("verify", "lemmas"): _cmd_verify_lemmas,
-}
+@functools.cache
+def _parser():
+    """The parser of :func:`build_parser`, built once per process: parsing
+    leaves it unchanged, and its handlers look the harness up at each call."""
+    return build_parser()
 
 
 def cli(argv=None):
     """Run the CLI on ``argv`` and return the exit status."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    except SystemExit:   # --help, after printing the help
+        return EXIT_OK
     try:
-        return _COMMANDS[(args.group, args.action)](args)
+        return args.run(args)
     except (InvalidInputError, ConvergenceError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CheckFailure as exc:

@@ -243,13 +243,6 @@ def random_covariance(r, p, rng, boundary=False):
     return _random_covariances(rng, [r], [float(p)], 1, boundary)[0, 0]
 
 
-def random_profile(s, rng, boundary=False):
-    """Random feasible strategy profile of the reduced game, Wishart-drawn
-    (see :func:`_random_covariances`)."""
-    P = _random_covariances(rng, s.ranks, s.P, 1, boundary)[0]
-    return StrategyProfile.from_stack(P, s.ranks)
-
-
 def interference_matrix_sampled(s, n_samples, seed):
     """Sampled interference matrix for full-column-rank direct channels.
 

@@ -278,7 +278,7 @@ def lemma_config(config, seed=None):
     return cfg
 
 
-def run_lemma_suite(config, seed=None, verbose=False):
+def run_lemma_suite(config, seed=None):
     """Verify the Lipschitz, strong-monotonicity and power-set-smoothness
     bounds by sampling, plus the identity-channel sqrt(Q) ratio.
 
@@ -301,21 +301,13 @@ def run_lemma_suite(config, seed=None, verbose=False):
         ok = abs(ratio - expected) <= 1e-9
         sqrt_q[str(ident.Q)] = {"ratio": ratio, "expected": expected, "ok": ok}
     passed = all(r.passed for r in reports) and all(e["ok"] for e in sqrt_q.values())
-    report = {
+    return {
         "scenario": dict(cfg["scenario"]),
         "n_pairs": n_pairs,
         "checks": {r.name: r.to_dict() for r in reports},
         "sqrt_q": sqrt_q,
         "passed": bool(passed),
     }
-    if verbose:
-        for r in reports:
-            print(f"{r.name}: {r.status} (max ratio {r.max_ratio:.6g},"
-                  f" constant {r.constant:.6g})")
-        for Q, entry in sqrt_q.items():
-            print(f"sqrt(Q) ratio Q={Q}: {entry['ratio']:.12f}"
-                  f" vs {entry['expected']:.12f}")
-    return report
 
 
 # --- iterative waterfilling run ----------------------------------------------

@@ -186,8 +186,11 @@ def _perron_starts(A):
         return [ones] if len(A) == 1 else [_perron_starts(a[None])[0] for a in A]
     top = np.argmax(vals.real, axis=-1)[:, None, None]
     starts = []
-    for w in np.abs(np.take_along_axis(vecs, top, axis=-1)[..., 0]):
-        w /= np.linalg.norm(w)   # the 1-D norm: norm(..., axis=-1) rounds otherwise
+    # each start normalized in its own array by the 1-D norm, as a stack of
+    # one has it: OpenBLAS's Katmai dot rounds a row view off 16-byte
+    # alignment differently, and norm(..., axis=-1) rounds otherwise too
+    for w in map(np.copy, np.abs(np.take_along_axis(vecs, top, axis=-1)[..., 0])):
+        w /= np.linalg.norm(w)
         starts.append(w if w.min() > W_FLOOR else ones)
     return starts
 

@@ -523,11 +523,6 @@ class StrategyProfile(PaddedStack):
     def ranks(self):
         return self.rows
 
-    def replace(self, q, mat):
-        mats = list(self)
-        mats[q] = mat
-        return StrategyProfile(mats)
-
     def traces(self):
         return np.trace(self.stack, axis1=1, axis2=2).real
 
@@ -798,5 +793,5 @@ def save_scenario(s, path):
 
 
 def load_scenario(path):
-    with open(check_path(path, "scenario file")) as fh:
+    with open(check_path(path, "scenario file"), encoding="utf-8") as fh:   # RFC 8259
         return scenario_from_dict(json.load(fh))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from eeiwfa.equilibrium import _random_covariances
+from eeiwfa.model import StrategyProfile
+
 
 def crandn(rng, *shape):
     """Circularly-symmetric complex Gaussian entries, unit variance."""
@@ -18,6 +21,20 @@ def random_psd(rng, n, trace=None):
     if trace is not None:
         M *= trace / np.trace(M).real
     return M
+
+
+def random_profile(s, rng, boundary=False):
+    """A random feasible profile of the reduced game ``s``: one Wishart draw
+    of the batched sampler."""
+    return StrategyProfile.from_stack(
+        _random_covariances(rng, s.ranks, s.P, 1, boundary)[0], s.ranks)
+
+
+def with_player(profile, q, mat):
+    """``profile`` with player ``q``'s covariance replaced by ``mat``."""
+    mats = list(profile)
+    mats[q] = mat
+    return StrategyProfile(mats)
 
 
 def rowrank_oracle(H):

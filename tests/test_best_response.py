@@ -28,7 +28,7 @@ from eeiwfa.model import (
     whitened_gram,
 )
 
-from conftest import crandn, random_psd
+from conftest import crandn, random_psd, with_player
 from test_model import scalar_scenario
 
 
@@ -210,13 +210,13 @@ def test_best_response_sampled_optimality(rng):
     rs = reduce_scenario(s)
     prof = StrategyProfile([random_psd(rng, 3, trace=2.0) for _ in range(3)])
     res = best_response(rs, 0, prof)
-    ee_br = energy_efficiency(rs, 0, prof.replace(0, res.Qbr))
+    ee_br = energy_efficiency(rs, 0, with_player(prof, 0, res.Qbr))
     for _ in range(100):
         cand = random_psd(rng, 3, trace=float(rng.uniform(0.0, rs.P[0])))
-        assert ee_br >= energy_efficiency(rs, 0, prof.replace(0, cand)) - 1e-7
+        assert ee_br >= energy_efficiency(rs, 0, with_player(prof, 0, cand)) - 1e-7
     # beats uniform-at-p_hat and zero
     uni = (res.p_hat / 3.0) * np.eye(3)
-    assert ee_br >= energy_efficiency(rs, 0, prof.replace(0, uni)) - 1e-12
+    assert ee_br >= energy_efficiency(rs, 0, with_player(prof, 0, uni)) - 1e-12
     assert ee_br >= 0.0
 
 
@@ -432,8 +432,8 @@ def test_best_response_is_invariant_under_a_unitary_change_of_transmit_basis(see
         scale = max(1.0, float(np.abs(br.Qbr).max()))
         assert br_t.p_hat == pytest.approx(br.p_hat, rel=1e-9, abs=1e-12)
         assert np.abs(u @ br_t.Qbr @ u.conj().T - br.Qbr).max() <= 1e-9 * scale
-        ee = energy_efficiency(rs, q, prof.replace(q, br.Qbr))
-        ee_t = energy_efficiency(turned, q, turned_prof.replace(q, br_t.Qbr))
+        ee = energy_efficiency(rs, q, with_player(prof, q, br.Qbr))
+        ee_t = energy_efficiency(turned, q, with_player(turned_prof, q, br_t.Qbr))
         assert ee_t == pytest.approx(ee, rel=1e-9)
 
 

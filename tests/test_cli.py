@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eeiwfa.cli as cli_module
 from eeiwfa import harness
 from eeiwfa.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, cli
 from eeiwfa.model import load_scenario, save_scenario, scenario_from_matrices
@@ -133,6 +134,7 @@ def test_verify_lemmas_exit_codes(tmp_path):
 LEMMAS_REPORT_SHA256 = {
     "SkylakeX": "8833f9cb2fbf5b1a839deb6555dfad2f34ef89b99b05298005dc0e9398e930b7",
     "Haswell": "5da8925d39f6e22b1ea26fec15ca9796950dc9b2d6c3303f3f08a2704236ad80",
+    "Katmai": "c5a2ee19415f8a89e40ef81526498fb32676917bb79fe2e590b503319762358a",
 }
 
 
@@ -361,6 +363,53 @@ def test_console_entry_point():
     assert "scenario" in proc.stdout
 
 
+def test_help_returns_zero_with_the_usage_on_stdout(capsys):
+    assert cli(["iwfa", "run", "--help"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: eeiwfa iwfa run ") and err == ""
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    build = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(1) or build())
+    cli_module._parser.cache_clear()
+    path = str(tmp_path / "scn.json")
+    assert cli(["scenario", "gen", "--q", "2", "--n", "2", "--out", path, "--quiet"]) == EXIT_OK
+    assert cli(["scenario", "show", path, "--quiet"]) == EXIT_OK
+    assert cli(["scenario", "show", "--bogus"]) == EXIT_USAGE
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", ["br solve --config", "scenario show"])
+def test_json_that_is_not_utf8_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")   # UTF-16 with its byte-order mark
+    assert cli([*command.split(), str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_is_read_as_utf8_whatever_the_locale(tmp_path, scenario_file):
+    # Under the C locale with UTF-8 mode off, open() would decode as ASCII.
+    scn = json.load(open(scenario_file))
+    scn["meta"]["note"] = "caf\u00e9"
+    (tmp_path / "s.json").write_text(json.dumps(scn, ensure_ascii=False), encoding="utf-8")
+    (tmp_path / "c.json").write_text(
+        '{"scenario": {"file": "s.json"}, "variant": "carr\u00e9"}', encoding="utf-8")
+    env = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+    proc = _child("-m", "eeiwfa.cli", "scenario", "show", "s.json", "--quiet",
+                  cwd=tmp_path, **env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    proc = _child("-m", "eeiwfa.cli", "criteria", "eval", "--config", "c.json", "--quiet",
+                  cwd=tmp_path, **env)
+    # the one error line names the variant decoded from UTF-8 (stderr
+    # escapes what ASCII cannot hold)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "carr\\xe9" in proc.stderr
+
+
 def test_cli_needs_numpy_only():
     proc = _child("-c", "import sys, eeiwfa.cli; print(*sys.modules)")
     assert proc.returncode == 0
@@ -540,8 +589,8 @@ GOLDEN_EVAL = {
     "sr_Ssym": 14.21920762320319,
     "variant": "sampled-columnrank",
 }
-# the report per OpenBLAS core: GOLDEN_EVAL is SkylakeX's; under Haswell the
-# floats move in their last bits and every flag and count holds
+# the report per OpenBLAS core: GOLDEN_EVAL is SkylakeX's; under Haswell and
+# Katmai the floats move in their last bits and every flag and count holds
 GOLDEN_EVALS = {
     "SkylakeX": GOLDEN_EVAL,
     "Haswell": {
@@ -555,6 +604,18 @@ GOLDEN_EVALS = {
         "sigma_max_IplusS": 20.696896662929223,
         "sr_S": 11.835503360851199,
         "sr_Ssym": 14.219207623203197,
+    },
+    "Katmai": {
+        **GOLDEN_EVAL,
+        "contraction_rhs_constant": -10.835503360851188,
+        "perron_w": [0.06443487132889336, 0.8304890620243618, 0.5532956399744396],
+        "power_smoothness": {"max_ratio_l2": 1.033879749131509,
+                             "max_ratio_weighted_inf": 0.621753499348504,
+                             "n_pairs": 20, "n_skipped": 0},
+        "qvi_rhs_constant": -0.6387048183354216,
+        "sigma_max_IplusS": 20.69689666292919,
+        "sr_S": 11.835503360851188,
+        "sr_Ssym": 14.219207623203182,
     },
 }
 

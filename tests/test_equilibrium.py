@@ -19,7 +19,6 @@ from eeiwfa.equilibrium import (
     interference_matrix_sampled,
     interference_matrix_square,
     qvi_map,
-    random_profile,
     sqrtq_observed_ratio,
     verify_lipschitz,
     verify_monotonicity,
@@ -40,7 +39,7 @@ from eeiwfa.model import (
 )
 
 import blas_core
-from conftest import crandn, random_psd, rowrank_oracle
+from conftest import crandn, random_profile, random_psd, rowrank_oracle, with_player
 
 
 def scaled_identity_scenario(Q, alpha, n=2, p=2.0):
@@ -176,6 +175,7 @@ def test_a_large_interference_matrix_is_pinned():
         blas_core.pinned({
             "SkylakeX": "78c9c4a71425b73482c7295338d582dde1d2e1524b1a444c734f20c41bd9345b",
             "Haswell": "f9871e0fdae97389571d89613336a2ba965a0f691d78f7083bd6c0c56014a22a",
+            "Katmai": "5916fa976ea37779e9fefc2560e2aaaeebdaf64f3ca5b6e58d549d0385fe2989",
         }))
 
 
@@ -398,7 +398,7 @@ def test_qvi_map_identity_channels_zero_profile():
 def test_qvi_map_identity_channels_single_active_player(rng):
     rs = reduce_scenario(identity_channel_scenario(3, n=2))
     Qo = random_psd(rng, 2, trace=1.5)
-    prof = StrategyProfile.zeros(rs).replace(1, Qo)
+    prof = with_player(StrategyProfile.zeros(rs), 1, Qo)
     F = qvi_map(rs, prof)
     for q in range(3):
         assert np.abs(F[q] - (rs.Rn[q] + Qo)).max() <= 1e-12

@@ -86,13 +86,17 @@ def test_criteria_sweep_golden_values(tmp_path):
      {"SkylakeX": ("89befd413ced1871a2388f8ad9af7e18d37d1e4f535c3e16040a284bf4ace33d",
                    "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d"),
       "Haswell": ("c7cb66eb57fdc9b7e78f198defce042d6292179df0dc9c1f39fe6bb28e7a8d3f",
-                  "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d")}),
+                  "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d"),
+      "Katmai": ("6fb511a461d25a08af160cc4227a710ec6571b261b9f297ade4ae6fe362a4fef",
+                 "34794043549800e001ba558abb11ba96599b4c1c60846b6b7c08287828f9a41d")}),
     ({"Q": 5, "n": 3, "snr_db": [5.0], "sir_db": [0.0, 20.0], "trials": 12,
       "seed": 2**64 + 9, "channel_kind": "full"},
      {"SkylakeX": ("9b22751c29d4830085f7069b3eb913cdd1d61869aa2250fb9a58ff9766fcec28",
                    "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a"),
       "Haswell": ("4c8ea4012cd1a7640aced606502bfac69bab36858ae3b85b6aba6f790c3521e5",
-                  "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a")}),
+                  "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a"),
+      "Katmai": ("d62b0d0fa14ea9150eede1d4ccaac4c984797994d2e620c64d4ebd1ce68cd2d6",
+                 "bc4f17b44ce5b8265ece1291a856584157c0684043af45c2c5fbe121332f1b6a")}),
 ], ids=["diagonal", "full"])
 def test_sweep_outputs_are_pinned(tmp_path, grid, shas):
     res = run_criteria_sweep(grid, out=str(tmp_path / "s.csv"))

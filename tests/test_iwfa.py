@@ -26,6 +26,7 @@ from eeiwfa.model import (
     scenario_from_matrices,
 )
 
+from conftest import random_profile
 from test_best_response import vanishing_channel_game
 from test_equilibrium import scaled_identity_scenario
 from test_model import scalar_scenario
@@ -195,7 +196,7 @@ def test_schedule_independent_limit():
 def test_unique_equilibrium_from_every_start():
     # Where the contraction criterion holds the equilibrium is unique, so
     # every start and schedule must end at the same profile.
-    from eeiwfa.equilibrium import criteria, interference_matrix_square, random_profile
+    from eeiwfa.equilibrium import criteria, interference_matrix_square
 
     kept = 0
     for seed in range(6):

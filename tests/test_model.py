@@ -32,7 +32,7 @@ from eeiwfa.model import (
     whitened_gram,
 )
 
-from conftest import crandn, random_psd
+from conftest import crandn, random_psd, with_player
 
 
 def scalar_scenario(g=1.0, sigma2=1.0, psi=1.0, p=100.0):
@@ -475,7 +475,7 @@ def test_mui_monotone_in_interference(rng):
     rs = reduce_scenario(s)
     for _ in range(20):
         prof = StrategyProfile([random_psd(rng, 2, trace=1.0) for _ in range(3)])
-        bigger = prof.replace(2, prof[2] + random_psd(rng, 2, trace=0.5))
+        bigger = with_player(prof, 2, prof[2] + random_psd(rng, 2, trace=0.5))
         lam_a = np.linalg.eigvalsh(mui_covariance(rs, 0, prof))
         lam_b = np.linalg.eigvalsh(mui_covariance(rs, 0, bigger))
         assert np.all(lam_b >= lam_a - 1e-12)
@@ -531,7 +531,7 @@ def test_rate_concave_along_segments(rng):
         A = random_psd(rng, 3, trace=2.0)
         B = random_psd(rng, 3, trace=2.5)
         mid = 0.5 * (A + B)
-        f = lambda Q: rate(rs, 0, other.replace(0, Q))
+        f = lambda Q: rate(rs, 0, with_player(other, 0, Q))
         assert f(mid) >= 0.5 * (f(A) + f(B)) - 1e-9
 
 
@@ -571,7 +571,7 @@ def test_energy_efficiency_quasiconcave_on_rays(rng):
     for _ in range(10):
         D = random_psd(rng, 2, trace=1.0)
         ts = np.linspace(0.01, 3.0 * float(rs.P[0]), 60)
-        vals = [energy_efficiency(rs, 0, other.replace(0, t * D)) for t in ts]
+        vals = [energy_efficiency(rs, 0, with_player(other, 0, t * D)) for t in ts]
         peak = int(np.argmax(vals))
         # unimodal: nondecreasing up to the peak, nonincreasing after
         assert all(vals[i + 1] >= vals[i] - 1e-9 for i in range(peak))
@@ -629,7 +629,7 @@ def test_ragged_profile_is_one_frozen_padded_stack(rng):
     # the profile owns its copy: neither the sources nor replace can change it
     before = prof.stack.copy()
     mats[0][0, 0] += 7.0
-    other = prof.replace(1, np.array([[0.25]]))
+    other = with_player(prof, 1, np.array([[0.25]]))
     assert np.array_equal(prof.stack, before)
     assert other[1][0, 0] == 0.25 and np.array_equal(other[2], prof[2])
 

@@ -27,7 +27,6 @@ from eeiwfa.equilibrium import (
     interference_matrix_square,
     qvi_map,
     random_covariance,
-    random_profile,
     verify_lipschitz,
     verify_monotonicity,
     verify_power_set_smoothness,
@@ -44,6 +43,7 @@ from eeiwfa.model import (
     scenario_from_matrices,
 )
 
+from conftest import random_profile
 from test_model import ragged_scenario
 
 # The chunk the tests below that cross chunk boundaries run at (see chunk16):
